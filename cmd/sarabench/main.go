@@ -485,14 +485,18 @@ func runServe(nodes, clients int, out string, smoke bool) error {
 	return nil
 }
 
+// modes is the -mode value list of the flag usage and the unknown-mode
+// error; the header comment's usage line names the same five.
+const modes = "all, sim, compile, serve, or tune"
+
 func main() {
 	var (
-		mode         = flag.String("mode", "all", "which benchmarks to run: all, sim, compile, or serve")
+		mode         = flag.String("mode", "all", "which benchmarks to run: "+modes)
 		reps         = flag.Int("reps", 10, "repetitions per engine (best-of timing)")
 		out          = flag.String("o", "BENCH_sim.json", "simulation output path")
 		compileReps  = flag.Int("compile-reps", 1, "repetitions per compile leg (best-of timing)")
 		compileOut   = flag.String("compile-o", "BENCH_compile.json", "compile output path")
-		smoke        = flag.Bool("smoke", false, "compile/serve modes: run the tiny smoke subset")
+		smoke        = flag.Bool("smoke", false, "compile/serve/tune modes: run the tiny smoke subset")
 		serveOut     = flag.String("serve-o", "BENCH_serve.json", "serve output path")
 		serveNodes   = flag.Int("serve-nodes", 3, "serve mode: in-process cluster size")
 		serveClients = flag.Int("serve-clients", 8, "serve mode: concurrent load-generator clients")
@@ -503,7 +507,7 @@ func main() {
 	switch *mode {
 	case "all", "sim", "compile", "serve", "tune":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -mode %q (want all, sim, compile, serve, or tune)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown -mode %q (want %s)\n", *mode, modes)
 		os.Exit(1)
 	}
 	if *mode == "all" || *mode == "sim" {

@@ -55,22 +55,13 @@ func main() {
 
 	profiling := *profOut != "" || *profRep
 	var kind sim.EngineKind
-	switch *engine {
-	case "auto":
-		kind = sim.EngineAuto
-	case "cycle", "event":
-		kind = sim.EngineEvent
-	case "dense":
-		kind = sim.EngineDense
-	case "parallel":
-		kind = sim.EngineParallel
-	case "analytic":
+	if *engine == "analytic" {
 		if profiling {
 			fmt.Fprintln(os.Stderr, "profiling needs a cycle-level engine; the analytic model has no timeline")
 			os.Exit(1)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
+	} else if kind, err = sim.ParseEngine(*engine); err != nil {
+		fmt.Fprintf(os.Stderr, "%v, or analytic\n", err)
 		os.Exit(1)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sara/internal/arch"
 	"sara/internal/dfg"
@@ -23,7 +24,7 @@ import (
 type Options struct {
 	// Seed makes the annealer deterministic (default 1).
 	Seed int64
-	// Iters caps annealing iterations (default 200·n).
+	// Iters caps annealing iterations (default 200·(n+1) for n PU slots).
 	Iters int
 }
 
@@ -48,9 +49,26 @@ func (p *Placement) EdgeHops(m *merge.Result, src, dst dfg.VUID) int {
 	return p.Grid.Dist(p.Coord[ps], p.Coord[pd])
 }
 
+// stream is the total lane count of the live streams from PU a to PU b.
+type stream struct {
+	a, b  int
+	lanes int64
+}
+
+// arc is one CSR adjacency entry: a stream between a PU and PU to, in either
+// direction.
+type arc struct {
+	to    int
+	lanes int64
+}
+
 // Place assigns every PU slot of the merged design to a grid coordinate.
 // It errors when the design does not fit the chip — the resource-exhaustion
 // condition of the scalability study (paper §IV-A).
+//
+// The annealer evaluates a move by the cost change around the one or two PUs
+// it touches. Lane counts and hop distances are integers, so the running cost
+// is exact in int64 and equals a from-scratch recompute after every move.
 func Place(g *dfg.Graph, m *merge.Result, spec *arch.Spec, opts Options) (*Placement, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -68,51 +86,105 @@ func Place(g *dfg.Graph, m *merge.Result, spec *arch.Spec, opts Options) (*Place
 		}
 	}
 	if len(pcus) > len(pcuPos) || len(pmus) > len(pmuPos) || len(ags) > len(agPos) {
-		return nil, fmt.Errorf("place: design needs %d PCU / %d PMU / %d AG, chip has %d/%d/%d",
+		return nil, fmt.Errorf("design needs %d PCU / %d PMU / %d AG, chip has %d/%d/%d",
 			len(pcus), len(pmus), len(ags), len(pcuPos), len(pmuPos), len(agPos))
 	}
+	groups := [][]int{pcus, pmus, ags}
+	positions := [][]noc.Coord{pcuPos, pmuPos, agPos}
 
-	grid := noc.New(spec.Rows, spec.Cols+2, spec.NetHopLatencyCycles, spec.LinkLanes)
-	p := &Placement{Grid: grid, Coord: map[int]noc.Coord{}}
-	for i, id := range pcus {
-		p.Coord[id] = pcuPos[i]
+	// Working placement: coord by PU slot, and the PU (or -1) at each grid
+	// position. The position sets of the three types are disjoint.
+	cols := spec.Cols + 2
+	grid := noc.New(spec.Rows, cols, spec.NetHopLatencyCycles, spec.LinkLanes)
+	coord := make([]noc.Coord, len(m.PUs))
+	occ := make([]int, spec.Rows*cols)
+	at := func(c noc.Coord) int { return c.R*cols + c.C }
+	for i := range occ {
+		occ[i] = -1
 	}
-	for i, id := range pmus {
-		p.Coord[id] = pmuPos[i]
-	}
-	for i, id := range ags {
-		p.Coord[id] = agPos[i]
+	for gi, ids := range groups {
+		for i, id := range ids {
+			coord[id] = positions[gi][i]
+			occ[at(coord[id])] = id
+		}
 	}
 
-	// Stream weights between PU slots.
-	type pair struct{ a, b int }
-	weights := map[pair]float64{}
-	for _, e := range g.LiveEdges() {
+	// Streams between PU slots, one entry per directed pair in (a, b) order.
+	edges := g.LiveEdges()
+	streams := make([]stream, 0, len(edges))
+	for _, e := range edges {
 		pa, okA := m.PUOf[e.Src]
 		pb, okB := m.PUOf[e.Dst]
 		if !okA || !okB || pa == pb {
 			continue
 		}
-		weights[pair{pa, pb}] += float64(e.Lanes)
+		streams = append(streams, stream{pa, pb, int64(e.Lanes)})
 	}
-	cost := func() float64 {
-		c := 0.0
-		for pr, w := range weights {
-			c += w * float64(grid.Dist(p.Coord[pr.a], p.Coord[pr.b]))
+	slices.SortFunc(streams, func(x, y stream) int {
+		if x.a != y.a {
+			return x.a - y.a
+		}
+		return x.b - y.b
+	})
+	n := 0
+	for _, s := range streams {
+		if n > 0 && streams[n-1].a == s.a && streams[n-1].b == s.b {
+			streams[n-1].lanes += s.lanes
+		} else {
+			streams[n] = s
+			n++
+		}
+	}
+	streams = streams[:n]
+
+	// Per-PU adjacency in CSR form: once filled, PU u's arcs are
+	// adj[off[u]:off[u+1]]. Degrees are counted into off[u+2] and
+	// prefix-summed, so off[u+1] starts as u's write cursor and ends as u's
+	// upper bound — no separate cursor slice.
+	off := make([]int, len(m.PUs)+2)
+	adj := make([]arc, 2*len(streams))
+	for _, s := range streams {
+		off[s.a+2]++
+		off[s.b+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for _, s := range streams {
+		adj[off[s.a+1]] = arc{s.b, s.lanes}
+		off[s.a+1]++
+		adj[off[s.b+1]] = arc{s.a, s.lanes}
+		off[s.b+1]++
+	}
+	// around is the wire cost of the streams touching PU a and, when a swap
+	// partner exists, PU other. A stream between the two is counted twice,
+	// before and after alike, and a swap leaves its length unchanged, so it
+	// cancels in the difference.
+	around := func(a, other int) int64 {
+		var c int64
+		for _, e := range adj[off[a]:off[a+1]] {
+			c += e.lanes * int64(grid.Dist(coord[a], coord[e.to]))
+		}
+		if other >= 0 {
+			for _, e := range adj[off[other]:off[other+1]] {
+				c += e.lanes * int64(grid.Dist(coord[other], coord[e.to]))
+			}
 		}
 		return c
 	}
 
+	var cur int64
+	for _, s := range streams {
+		cur += s.lanes * int64(grid.Dist(coord[s.a], coord[s.b]))
+	}
+
 	// Simulated annealing over same-type swaps (including empty positions).
 	rng := rand.New(rand.NewSource(opts.Seed))
-	groups := [][]int{pcus, pmus, ags}
-	positions := [][]noc.Coord{pcuPos, pmuPos, agPos}
 	iters := opts.Iters
 	if iters <= 0 {
 		iters = 200 * (len(m.PUs) + 1)
 	}
-	cur := cost()
-	temp := cur/10 + 1
+	temp := float64(cur)/10 + 1
 	for it := 0; it < iters; it++ {
 		gi := rng.Intn(3)
 		ids, pos := groups[gi], positions[gi]
@@ -122,30 +194,25 @@ func Place(g *dfg.Graph, m *merge.Result, spec *arch.Spec, opts Options) (*Place
 		a := ids[rng.Intn(len(ids))]
 		// Swap a's coordinate with another (possibly unused) position.
 		np := pos[rng.Intn(len(pos))]
-		old := p.Coord[a]
+		old := coord[a]
 		if np == old {
 			continue
 		}
 		// If another PU holds np, swap; else move.
-		var other = -1
-		for _, b := range ids {
-			if p.Coord[b] == np {
-				other = b
-				break
-			}
-		}
-		p.Coord[a] = np
+		other := occ[at(np)]
+		before := around(a, other)
+		coord[a] = np
 		if other >= 0 {
-			p.Coord[other] = old
+			coord[other] = old
 		}
-		nc := cost()
-		d := nc - cur
-		if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-			cur = nc
+		d := around(a, other) - before
+		if d <= 0 || rng.Float64() < math.Exp(-float64(d)/temp) {
+			cur += d
+			occ[at(np)], occ[at(old)] = a, other
 		} else {
-			p.Coord[a] = old
+			coord[a] = old
 			if other >= 0 {
-				p.Coord[other] = np
+				coord[other] = np
 			}
 		}
 		temp *= 0.9995
@@ -154,14 +221,16 @@ func Place(g *dfg.Graph, m *merge.Result, spec *arch.Spec, opts Options) (*Place
 		}
 	}
 
-	p.WireCost = cur
-	grid.ResetTraffic()
-	for pr, w := range weights {
-		a, b := p.Coord[pr.a], p.Coord[pr.b]
+	p := &Placement{Grid: grid, Coord: make(map[int]noc.Coord, len(coord)), WireCost: float64(cur)}
+	for id, c := range coord {
+		p.Coord[id] = c
+	}
+	for _, s := range streams {
+		a, b := coord[s.a], coord[s.b]
 		if h := grid.Dist(a, b); h > p.MaxHop {
 			p.MaxHop = h
 		}
-		grid.AddTraffic(a, b, w/16)
+		grid.AddTraffic(a, b, float64(s.lanes)/16)
 	}
 	return p, nil
 }

@@ -537,15 +537,13 @@ func (s *Server) normalize(req *RunRequest) error {
 			req.Scale = 16
 		}
 	}
-	switch req.Engine {
-	case "":
-		req.Engine = "auto"
-	case "event":
-		// Alias: the event-driven engine's canonical wire name is "cycle".
-		req.Engine = "cycle"
-	case "auto", "cycle", "dense", "parallel", "analytic":
-	default:
-		return fmt.Errorf("unknown engine %q (want auto, cycle, event, dense, parallel, or analytic)", req.Engine)
+	if req.Engine != "analytic" {
+		kind, err := sim.ParseEngine(req.Engine)
+		if err != nil {
+			return fmt.Errorf("%w, or analytic", err)
+		}
+		// Canonical wire name: "" becomes "auto", the alias "event" "cycle".
+		req.Engine = kind.String()
 	}
 	if req.Profile && req.Engine == "analytic" {
 		return errors.New("profiling needs a cycle-level engine; the analytic model has no timeline")
@@ -762,21 +760,19 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 	t1 := time.Now()
 	var result *sim.Result
 	var rec *profile.Recording
-	engine := req.Engine
-	if engine == "" {
-		engine = "auto"
-	}
-	kinds := map[string]sim.EngineKind{
-		"auto": sim.EngineAuto, "cycle": sim.EngineEvent, "dense": sim.EngineDense,
-		"parallel": sim.EngineParallel,
-	}
-	switch {
-	case engine == "analytic":
+	engine := req.Engine // canonical: normalize ran before the job was queued
+	if engine == "analytic" {
 		result, err = sim.Analytic(compiled.Design())
-	case req.Profile:
-		result, rec, err = sim.CycleProfiled(compiled.Design(), 0, kinds[engine])
-	default:
-		result, err = sim.CycleEngine(compiled.Design(), 0, kinds[engine])
+	} else {
+		var kind sim.EngineKind
+		if kind, err = sim.ParseEngine(engine); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if req.Profile {
+			result, rec, err = sim.CycleProfiled(compiled.Design(), 0, kind)
+		} else {
+			result, err = sim.CycleEngine(compiled.Design(), 0, kind)
+		}
 	}
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sara/internal/core"
@@ -88,5 +90,39 @@ func TestAutoMatchesExplicitEngines(t *testing.T) {
 	if auto.Cycles != dense.Cycles || auto.FiredTotal != dense.FiredTotal {
 		t.Errorf("auto (Cycles %d, Fired %d) != dense (Cycles %d, Fired %d)",
 			auto.Cycles, auto.FiredTotal, dense.Cycles, dense.FiredTotal)
+	}
+}
+
+// TestParseEngine pins the one engine-name table: every canonical wire name
+// round-trips through String, "" means auto, "event" aliases "cycle", and
+// anything else — including "analytic", which is not a cycle-level engine —
+// is an error that names the offender.
+func TestParseEngine(t *testing.T) {
+	cases := []struct {
+		name string
+		want sim.EngineKind
+	}{
+		{"", sim.EngineAuto},
+		{"auto", sim.EngineAuto},
+		{"cycle", sim.EngineEvent},
+		{"event", sim.EngineEvent},
+		{"dense", sim.EngineDense},
+		{"parallel", sim.EngineParallel},
+	}
+	for _, tc := range cases {
+		got, err := sim.ParseEngine(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, k := range []sim.EngineKind{sim.EngineEvent, sim.EngineDense, sim.EngineAuto, sim.EngineParallel} {
+		if got, err := sim.ParseEngine(k.String()); err != nil || got != k {
+			t.Errorf("ParseEngine(%v.String()) = %v, %v", k, got, err)
+		}
+	}
+	for _, name := range []string{"quantum", "analytic", "Auto", "engine(7)"} {
+		if _, err := sim.ParseEngine(name); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("ParseEngine(%q) err = %v, want an error naming it", name, err)
+		}
 	}
 }

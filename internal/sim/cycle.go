@@ -53,6 +53,23 @@ func (k EngineKind) String() string {
 	return fmt.Sprintf("engine(%d)", int(k))
 }
 
+// ParseEngine resolves a cycle-level engine's wire name: every name String
+// returns, plus "" for auto and "event" as an alias of "cycle". The analytic
+// model is not an EngineKind; callers that offer it check for it first.
+func ParseEngine(name string) (EngineKind, error) {
+	switch name {
+	case "", "auto":
+		return EngineAuto, nil
+	case "cycle", "event":
+		return EngineEvent, nil
+	case "dense":
+		return EngineDense, nil
+	case "parallel":
+		return EngineParallel, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want auto, cycle, event, dense or parallel)", name)
+}
+
 // autoDenseMaxUnits is the unit-count ceiling below which the dense scan is
 // considered for auto selection: scanning a handful of units per cycle costs
 // less than the event engine's heap and wake-list bookkeeping.

@@ -172,6 +172,20 @@ const (
 	EngineDense
 )
 
+// String returns the wire name of the simulator engine e selects, as the
+// sarasim -engine flag and the sarad engine field spell it.
+func (e Engine) String() string {
+	switch e {
+	case EngineCycle:
+		return "auto"
+	case EngineAnalytic:
+		return "analytic"
+	case EngineDense:
+		return "dense"
+	}
+	return fmt.Sprintf("engine(%d)", int(e))
+}
+
 // Resources summarizes physical-unit usage.
 type Resources = core.Resources
 
@@ -197,15 +211,14 @@ type Report struct {
 func (d *Design) Simulate(e Engine) (*Report, error) {
 	var r *sim.Result
 	var err error
-	switch e {
-	case EngineCycle:
-		r, err = sim.Cycle(d.c.Design(), 0)
-	case EngineDense:
-		r, err = sim.CycleEngine(d.c.Design(), 0, sim.EngineDense)
-	case EngineAnalytic:
+	if e == EngineAnalytic {
 		r, err = sim.Analytic(d.c.Design())
-	default:
-		return nil, fmt.Errorf("sara: unknown engine %d", e)
+	} else {
+		kind, perr := sim.ParseEngine(e.String())
+		if perr != nil {
+			return nil, fmt.Errorf("sara: %w", perr)
+		}
+		r, err = sim.CycleEngine(d.c.Design(), 0, kind)
 	}
 	if err != nil {
 		return nil, err
