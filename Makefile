@@ -34,7 +34,9 @@ bench:
 # replay row — and one explicit parallel-engine row: catches bit-rot in all
 # harnesses without paying for a full timing run. BenchmarkPlace shows the
 # placer's time and allocation count on its two largest benchmark designs
-# outside ./bench. The smoke compile report
+# outside ./bench; BenchmarkSimulate does the same for the simulator (time per
+# firing, bytes and allocations per run on five placed designs) and is its
+# profiling entry point (add -cpuprofile). The smoke compile report
 # goes to a scratch path — only `make bench` refreshes the committed BENCH
 # files. (The parallel engine's -race equivalence suite and the incremental
 # cross-mode equivalence suite run under the `race` target, which ci already
@@ -42,6 +44,7 @@ bench:
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkCycleEngine -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkPlace -benchtime 1x ./internal/place/
+	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchtime 1x ./internal/sim/
 	$(GO) run ./cmd/sarabench -mode compile -smoke -compile-reps 1 \
 		-compile-o $${TMPDIR:-/tmp}/BENCH_compile_smoke.json
 	$(GO) run ./cmd/sarasim -workload rf -par 16 -scale 64 -engine parallel >/dev/null

@@ -201,6 +201,7 @@ func BenchmarkCycleEngine(b *testing.B) {
 			kind sim.EngineKind
 		}{{"event", sim.EngineEvent}, {"dense", sim.EngineDense}, {"parallel", sim.EngineParallel}} {
 			b.Run(tc.workload+"/"+eng.name, func(b *testing.B) {
+				b.ReportAllocs()
 				var cycles, fired int64
 				for i := 0; i < b.N; i++ {
 					r, err := sim.CycleEngine(c.Design(), 0, eng.kind)

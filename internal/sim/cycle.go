@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -18,16 +19,16 @@ import (
 type EngineKind int
 
 const (
-	// EngineEvent is the event-driven engine: a min-heap of arrival events,
-	// per-edge wake lists, and batch firing make its cost proportional to
-	// activity rather than to cycles x (edges + units). It is the default.
+	// EngineEvent is the event-driven engine: a calendar queue of arrival
+	// events, per-edge wake lists, and batch firing make its cost proportional
+	// to activity rather than to cycles x (edges + units). It is the default.
 	EngineEvent EngineKind = iota
 	// EngineDense is the original dense engine: every cycle scans all edges
 	// for deliveries and steps all units. Linear in cycles; kept as the
 	// reference oracle the event engine is validated against.
 	EngineDense
 	// EngineAuto picks per design: the dense scan for small busy graphs
-	// (where per-cycle scanning is near-free and the event heap is pure
+	// (where per-cycle scanning is near-free and the event queue is pure
 	// overhead), the event engine everywhere else. See ChooseEngine.
 	EngineAuto
 	// EngineParallel is the sharded conservative discrete-event engine: the
@@ -72,7 +73,7 @@ func ParseEngine(name string) (EngineKind, error) {
 
 // autoDenseMaxUnits is the unit-count ceiling below which the dense scan is
 // considered for auto selection: scanning a handful of units per cycle costs
-// less than the event engine's heap and wake-list bookkeeping.
+// less than the event engine's queue and wake-list bookkeeping.
 const autoDenseMaxUnits = 32
 
 // autoParallelMinUnits and autoParallelMinProcs gate auto-escalation to the
@@ -140,12 +141,6 @@ func CycleEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, error) {
 	return cs.runEvent(maxCycles)
 }
 
-// arrival is a scheduled in-flight delivery on an edge.
-type arrival struct {
-	at int64
-	n  int
-}
-
 // stallKind classifies why a counter-driven unit cannot fire.
 type stallKind uint8
 
@@ -158,15 +153,19 @@ const (
 
 // edgeState tracks one stream's receiver buffer and in-flight elements.
 type edgeState struct {
-	e       *dfg.Edge
-	occ     int // delivered, consumable elements/tokens
-	cap     int
-	infl    int // scheduled but undelivered elements (O(1) space checks)
-	pending []arrival
+	e    *dfg.Edge
+	occ  int // delivered, consumable elements/tokens
+	cap  int
+	infl int // scheduled but undelivered elements (O(1) space checks)
+	// ring holds the arrival cycles of the infl undelivered elements in
+	// schedule order, oldest at head. Its length is the power of two >= cap
+	// (see ringLen): every producer checks space() before it schedules, so
+	// occ+infl <= cap and the ring is never full when schedule writes.
+	ring    []int64
 	head    int
 	latency int64
 	served  int // VMU decimation counter
-	// armed marks that the event engine holds a heap event for this edge's
+	// armed marks that the event engine holds a queued event for this edge's
 	// earliest undelivered arrival (at most one event per edge is in flight).
 	armed bool
 	// x, when non-nil, marks this edgeState as one half of a cut edge under
@@ -178,28 +177,24 @@ type edgeState struct {
 
 // inflight returns the undelivered element count. The counter is maintained
 // incrementally by schedule/deliver so space() — called in every enable check
-// of every unit — never rescans the pending list.
+// of every unit — never rescans the ring.
 func (es *edgeState) inflight() int { return es.infl }
 
 func (es *edgeState) space() int { return es.cap - es.occ - es.infl }
 
 // deliver moves arrived elements into the buffer.
 func (es *edgeState) deliver(now int64) {
-	for es.head < len(es.pending) && es.pending[es.head].at <= now {
-		es.occ += es.pending[es.head].n
-		es.infl -= es.pending[es.head].n
-		es.head++
-	}
-	if es.head > 64 && es.head == len(es.pending) {
-		es.pending = es.pending[:0]
-		es.head = 0
+	for es.infl > 0 && es.ring[es.head] <= now {
+		es.head = (es.head + 1) & (len(es.ring) - 1)
+		es.occ++
+		es.infl--
 	}
 }
 
 // nextArrival returns the earliest pending delivery cycle, or -1.
 func (es *edgeState) nextArrival() int64 {
-	if es.head < len(es.pending) {
-		return es.pending[es.head].at
+	if es.infl > 0 {
+		return es.ring[es.head]
 	}
 	return -1
 }
@@ -212,7 +207,8 @@ type vuState struct {
 	total int64
 	done  bool
 
-	// Per-firing streams and counter-level-triggered streams.
+	// Per-firing streams and counter-level-triggered streams. On a forwarder
+	// or VMU, inFire is simply every input edge.
 	inFire  []*edgeState
 	outFire []*edgeState
 	popAt   [][]*edgeState // by counter level
@@ -288,10 +284,10 @@ type cycleSim struct {
 
 	// Engine hooks: every element scheduled onto an edge and every pop of a
 	// receiver buffer flows through schedule/pop below, so the event engine
-	// can maintain its arrival heap and wake the edge's waiters, and the
+	// can maintain its arrival queue and wake the edge's waiters, and the
 	// parallel engine can additionally forward cross-shard traffic. Nil for
 	// the dense engine.
-	onSchedule func(es *edgeState, at int64, n int)
+	onSchedule func(es *edgeState, at int64)
 	onPop      func(es *edgeState, n int)
 
 	firedTotal int64
@@ -299,15 +295,19 @@ type cycleSim struct {
 	nCompute   int64
 }
 
-// schedule is the single scheduling point for stream traffic: n elements
-// arrive at the edge's receiver at cycle `at`. Routing every producer through
-// one method keeps the in-flight counter (and, under the event engine, the
-// arrival heap) consistent with the pending list by construction.
-func (cs *cycleSim) schedule(es *edgeState, at int64, n int) {
-	es.pending = append(es.pending, arrival{at: at, n: n})
-	es.infl += n
+// schedule is the single scheduling point for stream traffic: one element
+// arrives at the edge's receiver at cycle `at`. The caller has checked
+// space(). Routing every producer through one method keeps the in-flight
+// counter (and, under the event engine, the armed arrival event) consistent
+// with the ring by construction.
+func (cs *cycleSim) schedule(es *edgeState, at int64) {
+	if es.infl == len(es.ring) {
+		es.growRing()
+	}
+	es.ring[(es.head+es.infl)&(len(es.ring)-1)] = at
+	es.infl++
 	if cs.onSchedule != nil {
-		cs.onSchedule(es, at, n)
+		cs.onSchedule(es, at)
 	}
 }
 
@@ -327,6 +327,7 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 	}
 	cs := &cycleSim{d: d, dram: dram.New(d.Spec.DRAM)}
 	cs.edges = make([]*edgeState, len(d.G.Edges))
+	ringTotal := 0
 	for _, e := range d.G.LiveEdges() {
 		es := &edgeState{
 			e:       e,
@@ -346,6 +347,16 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 		}
 		es.occ = e.Init
 		cs.edges[e.ID] = es
+		ringTotal += ringLen(es.cap)
+	}
+	// One slab backs every edge's in-flight ring: allocation per run does not
+	// depend on how long the run is.
+	slab := make([]int64, ringTotal)
+	for _, es := range cs.edges {
+		if es != nil {
+			n := ringLen(es.cap)
+			es.ring, slab = slab[:n:n], slab[n:]
+		}
 	}
 	cs.vus = make([]*vuState, len(d.G.VUs))
 	for _, u := range d.G.LiveVUs() {
@@ -372,6 +383,30 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 		}
 	}
 	return cs, nil
+}
+
+// ringStartMax caps the in-flight ring an edge starts with. Compiled designs
+// stay far below it (the deepest buffers are DRAM response streams, a few
+// hundred elements), so their rings are fixed; a buffer declared deeper — a
+// huge stream_depth override or FIFO — gets a bigger ring only if that many
+// elements are really in flight at once, not because a request said so.
+const ringStartMax = 1024
+
+// ringLen returns the ring length an edge of capacity c starts with: the
+// power of two >= c, at most ringStartMax.
+func ringLen(c int) int {
+	if c > ringStartMax {
+		return ringStartMax
+	}
+	return 1 << bits.Len(uint(c-1))
+}
+
+// growRing doubles a full ring, unrolled so the oldest entry sits at 0.
+func (es *edgeState) growRing() {
+	ring := make([]int64, 2*len(es.ring))
+	n := copy(ring, es.ring[es.head:])
+	copy(ring[n:], es.ring[:es.head])
+	es.ring, es.head = ring, 0
 }
 
 // levelOf maps a controller to its index in the unit's counter chain, or -1.
@@ -450,6 +485,7 @@ func (cs *cycleSim) initVMU(vs *vuState) {
 	}
 	for _, eid := range cs.d.G.In(vs.u.ID) {
 		es := cs.edges[eid]
+		vs.inFire = append(vs.inFire, es)
 		p := get(es.e.Port)
 		p.ins = append(p.ins, es)
 		if es.e.Decimate > p.decimate {
@@ -729,11 +765,11 @@ func (cs *cycleSim) fireCounterUnit(vs *vuState) {
 		lat = cs.agIssue(vs)
 	}
 	for _, es := range vs.outFire {
-		cs.schedule(es, cs.now+lat+es.latency, 1)
+		cs.schedule(es, cs.now+lat+es.latency)
 	}
 	for _, lvl := range vs.wrapLevels() {
 		for _, es := range vs.pushAt[lvl] {
-			cs.schedule(es, cs.now+lat+es.latency, 1)
+			cs.schedule(es, cs.now+lat+es.latency)
 		}
 		for _, es := range vs.popAt[lvl] {
 			cs.pop(es, 1)
@@ -854,7 +890,7 @@ func (cs *cycleSim) serveVMUPort(vs *vuState, write bool) bool {
 			})
 		}
 		if out != nil {
-			cs.schedule(out, cs.now+int64(cs.d.Spec.PMU.Stages)+out.latency, 1)
+			cs.schedule(out, cs.now+int64(cs.d.Spec.PMU.Stages)+out.latency)
 			p.rrOut++
 		}
 		vs.rrIn++
@@ -879,7 +915,7 @@ func (cs *cycleSim) stepMerge(vs *vuState) bool {
 			continue
 		}
 		cs.pop(in, 1)
-		cs.schedule(out, cs.now+1+out.latency, 1)
+		cs.schedule(out, cs.now+1+out.latency)
 		progress = true
 	}
 	if progress && cs.rec != nil {
@@ -898,7 +934,7 @@ func (cs *cycleSim) stepRetime(vs *vuState) bool {
 		return false
 	}
 	cs.pop(in, 1)
-	cs.schedule(out, cs.now+1+out.latency, 1)
+	cs.schedule(out, cs.now+1+out.latency)
 	if cs.rec != nil {
 		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
@@ -925,12 +961,35 @@ func (cs *cycleSim) stepSync(vs *vuState) bool {
 		cs.pop(es, 1)
 	}
 	for _, es := range vs.outFire {
-		cs.schedule(es, cs.now+1+es.latency, 1)
+		cs.schedule(es, cs.now+1+es.latency)
 	}
 	if cs.rec != nil {
 		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	return true
+}
+
+// starvedInput names the first input a counter-driven unit is starved on, in
+// blockCause's order: an empty per-firing or level-popped edge by label, a
+// banked response group whose members are all empty by group name.
+func (vs *vuState) starvedInput() (name string, starved bool) {
+	for _, l := range [2][]*edgeState{vs.inFire, vs.holdIn} {
+		for _, es := range l {
+			if es.occ < 1 {
+				return es.e.Label, true
+			}
+		}
+	}
+groups:
+	for _, grp := range vs.inAny {
+		for _, es := range grp {
+			if es.occ > 0 {
+				continue groups
+			}
+		}
+		return grp[0].e.Group, true
+	}
+	return "", false
 }
 
 // describeStuck reports which units are blocked and why, for deadlock
@@ -942,13 +1001,10 @@ func (cs *cycleSim) describeStuck() string {
 		if vs == nil || vs.done || !vs.isCounterDriven() || n >= 32 {
 			continue
 		}
-		for _, es := range append(append([]*edgeState{}, vs.inFire...), vs.holdIn...) {
-			if es.occ < 1 {
-				sb = fmt.Appendf(sb, "; %s%s waits on %s (fired %d/%d)",
-					vs.u.Name, vs.u.Instance, es.e.Label, vs.fired, vs.total)
-				n++
-				break
-			}
+		if wait, starved := vs.starvedInput(); starved {
+			sb = fmt.Appendf(sb, "; %s%s waits on %s (fired %d/%d)",
+				vs.u.Name, vs.u.Instance, wait, vs.fired, vs.total)
+			n++
 		}
 		for _, es := range vs.outFire {
 			if es.space() < 1 {

@@ -73,6 +73,56 @@ func TestEngineEquivalenceWorkloads(t *testing.T) {
 	}
 }
 
+// compilePlaced builds one registered workload the way the benchmark and the
+// daemon do: default configuration, placement on, so stream latencies are
+// routed hop counts rather than the flat SkipPlace distance.
+func compilePlaced(tb testing.TB, name string, par, scale int) *sim.Design {
+	tb.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := core.Compile(w.Build(workloads.Params{Par: par, Scale: scale}), core.DefaultConfig())
+	if err != nil {
+		tb.Fatalf("Compile %s par %d scale %d: %v", name, par, scale, err)
+	}
+	return c.Design()
+}
+
+// TestEngineEquivalenceKernels holds all three engines to one another on the
+// designs the benchmark's `kernels` workload simulates: every registered
+// workload placed at par 64 / scale 8 (sort at 32: par 64 needs more AGs than
+// the chip has) plus the four par-128 designs, where merge trees and VMUs are
+// most of the unit evaluations — the regime TestEngineEquivalenceWorkloads'
+// unplaced par-4 designs never reach.
+func TestEngineEquivalenceKernels(t *testing.T) {
+	type kernel struct {
+		name string
+		par  int
+	}
+	var ks []kernel
+	for _, name := range workloads.Names() {
+		par := 64
+		if name == "sort" {
+			par = 32
+		}
+		ks = append(ks, kernel{name, par})
+	}
+	if !testing.Short() { // dense rf par 128 alone takes over a second
+		for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
+			ks = append(ks, kernel{name, 128})
+		}
+	}
+	for _, k := range ks {
+		k := k
+		t.Run(k.name+"/p"+itoa(k.par), func(t *testing.T) {
+			d := compilePlaced(t, k.name, k.par, 8)
+			assertEnginesMatch(t, d, 30_000_000)
+			assertParallelMatches(t, d, 30_000_000)
+		})
+	}
+}
+
 // TestEngineEquivalenceSynthetic covers shapes the workload suite
 // under-represents: deep single streams, tiled reuse with credit loops, and
 // randomly generated pipelines (including dynamic control flow).
@@ -90,6 +140,15 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 			t.Fatalf("Compile: %v", err)
 		}
 		assertEnginesMatch(t, c.Design(), 20_000_000)
+	})
+	t.Run("long-haul", func(t *testing.T) {
+		d := longHaulDesign()
+		r, err := sim.CycleEngine(d, 20_000_000, sim.EngineEvent)
+		if err != nil || r.Cycles < 3000+4002 {
+			t.Fatalf("long-haul run: %+v, %v: want at least fill latency + 3000 cycles", r, err)
+		}
+		assertEnginesMatch(t, d, 20_000_000)
+		assertParallelMatches(t, d, 20_000_000)
 	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -113,6 +172,22 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 	})
 }
 
+// longHaulDesign streams 3000 elements over one 4096-deep edge 2000 hops
+// long: every arrival lies more than a turn of the event engine's calendar
+// wheel ahead (its overflow heap), and 3000 elements are in flight at once,
+// more than the in-flight ring an edge starts with (it grows twice).
+func longHaulDesign() *sim.Design {
+	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
+	src := g.AddVU(dfg.VCUCompute, "src")
+	src.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1), Trip: 3000}}
+	snk := g.AddVU(dfg.VCUCompute, "snk")
+	snk.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2), Trip: 3000}}
+	g.AddEdge(src.ID, snk.ID, dfg.EData).Depth = 4096
+	spec := arch.SARA20x20()
+	spec.DefaultStreamHops = 2000
+	return &sim.Design{G: g, Spec: spec}
+}
+
 // deadlockDesign hand-builds a VUDFG that starves: unit A holds one initial
 // credit and needs a token back per firing, but unit B only returns tokens
 // when its 4-deep counter wraps — and A can never feed it 4 elements on one
@@ -133,8 +208,69 @@ func deadlockDesign() *sim.Design {
 	return &sim.Design{G: g, Spec: arch.SARA20x20()}
 }
 
+// bankStarvedDesign starves a consumer on a banked response group: two bank
+// units feed one logical stream (Edge.Group) two elements each and complete,
+// the consumer wants eight. Every unit still live is stuck on an inAny group
+// alone, the one input kind the deadlock diagnosis used to skip.
+func bankStarvedDesign() *sim.Design {
+	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
+	c := g.AddVU(dfg.VCUCompute, "c")
+	c.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1), Trip: 8}}
+	for i, name := range []string{"bank0", "bank1"} {
+		b := g.AddVU(dfg.VCUCompute, name)
+		b.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2 + i), Trip: 2}}
+		g.AddEdge(b.ID, c.ID, dfg.EData).Group = "resp"
+	}
+	return &sim.Design{G: g, Spec: arch.SARA20x20()}
+}
+
+// drainedSinkDesign stops with a forwarder's move as its last progress — a
+// memory port with no response stream swallows two elements — while a
+// starved pair keeps the run from completing. Nothing is scheduled after that
+// move, so the event engines must work out for themselves where the dense
+// engine's first idle cycle falls, and whether the cycle limit lets it get
+// there.
+func drainedSinkDesign() *sim.Design {
+	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
+	src := g.AddVU(dfg.VCUCompute, "src")
+	src.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1), Trip: 2}}
+	mem := g.AddVU(dfg.VMU, "mem")
+	g.AddEdge(src.ID, mem.ID, dfg.EData).Label = "src.mem"
+	a := g.AddVU(dfg.VCUCompute, "a")
+	a.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2), Trip: 1}}
+	b := g.AddVU(dfg.VCUCompute, "b")
+	b.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(3), Trip: 1}}
+	g.AddEdge(a.ID, b.ID, dfg.EData).Label = "a.b"
+	back := g.AddEdge(b.ID, a.ID, dfg.EData)
+	back.LCD = true
+	back.Label = "b.a"
+	return &sim.Design{G: g, Spec: arch.SARA20x20()}
+}
+
+// assertSameOutcome requires all three engines to agree on a design that may
+// not complete: either every engine finishes and the Results are identical,
+// or every engine fails with a byte-identical error string.
+func assertSameOutcome(t *testing.T, d *sim.Design, maxCycles int64) {
+	t.Helper()
+	_, evtErr := sim.CycleEngine(d, maxCycles, sim.EngineEvent)
+	if evtErr == nil {
+		assertEnginesMatch(t, d, maxCycles)
+		assertParallelMatches(t, d, maxCycles)
+		return
+	}
+	if _, err := sim.CycleEngine(d, maxCycles, sim.EngineDense); err == nil || err.Error() != evtErr.Error() {
+		t.Errorf("outcomes differ:\n event: %v\n dense: %v", evtErr, err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if _, err := sim.CycleParallel(d, maxCycles, workers); err == nil || err.Error() != evtErr.Error() {
+			t.Errorf("outcomes differ:\n event: %v\n parallel (workers=%d): %v", evtErr, workers, err)
+		}
+	}
+}
+
 // TestEngineEquivalenceDeadlock asserts both engines detect the starvation
-// at the same cycle with identical diagnostics.
+// at the same cycle with identical diagnostics, then holds all three engines
+// to one outcome on further designs that do not complete.
 func TestEngineEquivalenceDeadlock(t *testing.T) {
 	_, evtErr := sim.CycleEngine(deadlockDesign(), 1_000_000, sim.EngineEvent)
 	_, denErr := sim.CycleEngine(deadlockDesign(), 1_000_000, sim.EngineDense)
@@ -146,5 +282,41 @@ func TestEngineEquivalenceDeadlock(t *testing.T) {
 	}
 	if evtErr.Error() != denErr.Error() {
 		t.Errorf("deadlock reports differ:\n event: %v\n dense: %v", evtErr, denErr)
+	}
+
+	// A unit starved on a banked response group is named in the report.
+	t.Run("bank-starved", func(t *testing.T) {
+		d := bankStarvedDesign()
+		_, err := sim.CycleEngine(d, 1_000_000, sim.EngineEvent)
+		if err == nil || !strings.Contains(err.Error(), "; c waits on resp (fired 4/8)") {
+			t.Errorf("deadlock report does not name the starved group: %v", err)
+		}
+		assertSameOutcome(t, d, 1_000_000)
+	})
+	// The deadlock cycle is one past the last progress even when that progress
+	// was a forwarder draining its input, and a cycle limit at or below it
+	// turns the report into "exceeded" on every engine alike.
+	t.Run("cycle-limit", func(t *testing.T) {
+		d := drainedSinkDesign()
+		_, err := sim.CycleEngine(d, 1_000_000, sim.EngineEvent)
+		if err == nil || !strings.Contains(err.Error(), "deadlock at cycle 12:") {
+			t.Fatalf("expected deadlock at cycle 12, got: %v", err)
+		}
+		for limit := int64(9); limit <= 15; limit++ {
+			assertSameOutcome(t, d, limit)
+		}
+	})
+	// Compiled designs rich in forwarders (merge trees, VMUs, retiming), where
+	// the last productive step before the machine stops is usually a
+	// forwarder's. Non-power-of-two pars deadlock them today (ROADMAP item 1);
+	// the rule holds before and after that fix.
+	for _, k := range []struct {
+		name       string
+		par, scale int
+	}{{"kmeans", 96, 16}, {"rf", 48, 64}} {
+		k := k
+		t.Run(k.name+"/p"+itoa(k.par), func(t *testing.T) {
+			assertSameOutcome(t, compilePlaced(t, k.name, k.par, k.scale), 30_000_000)
+		})
 	}
 }

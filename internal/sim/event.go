@@ -4,24 +4,41 @@ package sim
 // cycles, same arrival schedules, same stall totals — but cost proportional
 // to activity instead of cycles x (edges + units):
 //
-//   - Arrival heap: every scheduled delivery is an event on a min-heap keyed
-//     by cycle; deliver cost is O(arrivals log n), not O(edges) per cycle.
+//   - Calendar queue: each edge with undelivered elements holds one armed
+//     arrival event at its earliest one, each unit waiting for a future cycle
+//     one timer; both sit in a calQueue (calqueue.go), so queueing, delivering
+//     and finding the next event cycle are O(1). Exact because the order in
+//     which one cycle's events pop is unobservable: a delivery touches only
+//     its own edge's occ/infl and sets a wake bit, a timer only sets a bit in
+//     curr, and all of both precede unit evaluation.
 //   - Wake lists: a unit is re-evaluated only when an edge it waits on
 //     changes. Edges are point-to-point, so the wake lists degenerate to two
 //     waiters — a delivery wakes the edge's destination (occupancy waiter),
 //     a pop wakes its source (space waiter). Invariant: any state a unit's
 //     enable check reads changes only through deliver or pop, and both wake
 //     the affected waiter, so a parked unit can never miss its unblocking.
+//   - Parking rule: a blocked counter-driven unit parks until woken; a
+//     forwarder (VMU, merge, retime, sync) parks after an idle evaluation and
+//     also after a productive one that drained every input. Exact because a
+//     forwarder moves nothing without an input element and carries no stall
+//     accounting, and the next delivery on an input wakes it — the
+//     re-evaluation skipped was a guaranteed no-op.
+//   - In-flight rings: an edge's undelivered arrival cycles live in a ring
+//     of at least cap entries (edgeState.ring), fixed for the run. Exact
+//     because every producer checks space() before it schedules, so
+//     occ+infl <= cap bounds the entries and none is overwritten undelivered.
+//     (Only a buffer declared deeper than ringStartMax starts smaller than
+//     its cap, and doubles its ring if it ever fills.)
 //   - Batch firing: when a counter-driven unit can provably fire k
 //     back-to-back times (see batchSize), the k firings collapse into one
 //     scheduling step with the out-arrivals staggered exactly as dense would
 //     have produced them.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
-// woken units are processed through a min-heap of IDs, and a pop performed by
-// unit j is visible to a waiter i in the same cycle only when i > j (i is
-// still ahead of j in the ID order); otherwise the wake lands on the next
-// cycle.
+// woken units are stepped in ascending ID order off a bitset, and a pop
+// performed by unit j is visible to a waiter i in the same cycle only when
+// i > j (i is still ahead of j in the ID order); otherwise the wake lands on
+// the next cycle.
 
 import (
 	"fmt"
@@ -30,20 +47,6 @@ import (
 	"sara/internal/dfg"
 	"sara/internal/profile"
 )
-
-// arrivalEvent is a scheduled delivery on an edge. It carries the edge's ID
-// rather than a pointer so heap sifts move pointer-free words (no GC write
-// barriers on the hot path).
-type arrivalEvent struct {
-	at int64
-	ei int32
-}
-
-// timerEvent re-evaluates one unit at a future cycle.
-type timerEvent struct {
-	at int64
-	id int
-}
 
 type eventSim struct {
 	cs *cycleSim
@@ -58,8 +61,12 @@ type eventSim struct {
 	// stall-interval bookkeeping entirely.
 	noStall []bool
 
-	arrivals arrivalHeap
-	timers   timerHeap
+	// arrivals holds one armed delivery per edge with undelivered elements,
+	// by edge ID; timers one future re-evaluation per unit, by VU ID. A live
+	// unit is parked, holds a curr bit, or holds a timer — never two of them —
+	// which is what lets both queues link their entries by ID.
+	arrivals calQueue
+	timers   calQueue
 	// curr is the set of units to step this cycle, one bit per VU ID,
 	// scanned in ascending order. Same-cycle wakes only ever set bits above
 	// the scan cursor, so a single forward pass sees every woken unit.
@@ -86,7 +93,6 @@ type eventSim struct {
 	// legitimately differ between engines; the coarse sums are identical.
 	blockedRef  []profile.Cause
 	blockedPeer []int32
-	lastEnq     []int64 // dedupe: last timer cycle enqueued per unit
 
 	processing int // VU ID being stepped; -1 outside the stepping pass
 	now        int64
@@ -122,15 +128,15 @@ func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 		blockedCause: make([]stallKind, n),
 		blockedRef:   make([]profile.Cause, n),
 		blockedPeer:  make([]int32, n),
-		lastEnq:      make([]int64, n),
 		processing:   -1,
 		lastFire:     -1,
 		lastActive:   -1,
 	}
 	for i := range ev.blockedSince {
 		ev.blockedSince[i] = -1
-		ev.lastEnq[i] = -1
 	}
+	ev.arrivals.init(len(cs.edges))
+	ev.timers.init(n)
 	return ev
 }
 
@@ -151,6 +157,17 @@ func (ev *eventSim) seedWakes() {
 	}
 }
 
+// wakeDue turns every timer due at ev.now into a wake for this cycle and
+// returns how many fired.
+func (ev *eventSim) wakeDue() int {
+	n := 0
+	for id := ev.timers.popDue(ev.now); id >= 0; id = ev.timers.popDue(ev.now) {
+		ev.wakeNow(int(id))
+		n++
+	}
+	return n
+}
+
 // deliverDue delivers every arrival due at ev.now and wakes each (owned)
 // receiver. All deliveries precede unit evaluation, as in the dense engine.
 // Each edge holds one armed event at its earliest undelivered arrival;
@@ -158,12 +175,11 @@ func (ev *eventSim) seedWakes() {
 func (ev *eventSim) deliverDue() int {
 	cs := ev.cs
 	n := 0
-	for len(ev.arrivals) > 0 && ev.arrivals[0].at <= ev.now {
-		e := ev.arrivals.pop()
-		es := cs.edges[e.ei]
+	for ei := ev.arrivals.popDue(ev.now); ei >= 0; ei = ev.arrivals.popDue(ev.now) {
+		es := cs.edges[ei]
 		es.deliver(ev.now)
 		if na := es.nextArrival(); na >= 0 {
-			ev.arrivals.push(arrivalEvent{at: na, ei: e.ei})
+			ev.arrivals.push(ev.now, na, ei)
 		} else {
 			es.armed = false
 		}
@@ -206,14 +222,11 @@ func (ev *eventSim) scanCurr() int {
 }
 
 // nextEventAt returns the earliest pending event cycle (arrival or timer), or
-// -1 when both heaps are empty.
+// -1 when both queues are empty.
 func (ev *eventSim) nextEventAt() int64 {
-	next := int64(-1)
-	if len(ev.arrivals) > 0 {
-		next = ev.arrivals[0].at
-	}
-	if len(ev.timers) > 0 && (next < 0 || ev.timers[0].at < next) {
-		next = ev.timers[0].at
+	next := ev.arrivals.nextAt(ev.now)
+	if t := ev.timers.nextAt(ev.now); t >= 0 && (next < 0 || t < next) {
+		next = t
 	}
 	return next
 }
@@ -239,37 +252,28 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 			}
 			return cs.buildResult(end+1, "cycle"), nil
 		}
-		// Advance to the next event.
-		next := int64(-1)
-		if len(ev.arrivals) > 0 {
-			next = ev.arrivals[0].at
-		}
-		if len(ev.timers) > 0 && (next < 0 || ev.timers[0].at < next) {
-			next = ev.timers[0].at
+		next := ev.nextEventAt()
+		if next < 0 && ev.progressed {
+			// The dense engine detects deadlock on its first fully idle
+			// cycle, one past the last progress: visit it too (if the cycle
+			// limit lets either engine get there).
+			next = ev.now + 1
 		}
 		if next < 0 {
-			if ev.progressed {
-				// The dense engine detects deadlock on its first fully idle
-				// cycle, one past the last progress.
-				ev.now++
-				cs.now = ev.now
-			}
 			return nil, fmt.Errorf("sim: deadlock at cycle %d: %s", cs.now, cs.describeStuck())
 		}
 		if next >= maxCycles {
 			return nil, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
 		}
 		ev.now = next
-		for len(ev.timers) > 0 && ev.timers[0].at <= ev.now {
-			ev.wakeNow(ev.timers.pop().id)
-		}
+		ev.wakeDue()
 	}
 }
 
 // runWindow advances one shard through every event cycle in [start, limit):
 // the body of runEvent's loop without its termination decisions, which the
 // parallel reducer takes globally at the window barrier. The reducer has
-// already drained cross-shard traffic into the heaps and applied barrier
+// already drained cross-shard traffic into the queues and applied barrier
 // wakes (curr bits), so the shard runs free of shared state until it returns.
 // lastActive/progAtLast record the last cycle that actually processed an
 // event, for the reducer's deadlock-cycle reconstruction.
@@ -279,11 +283,7 @@ func (ev *eventSim) runWindow(start, limit int64) {
 		ev.now = now
 		ev.cs.now = now
 		ev.processing = -1
-		acted := 0
-		for len(ev.timers) > 0 && ev.timers[0].at <= now {
-			ev.wakeNow(ev.timers.pop().id)
-			acted++
-		}
+		acted := ev.wakeDue()
 		acted += ev.deliverDue()
 		acted += ev.scanCurr()
 		if acted > 0 {
@@ -298,14 +298,14 @@ func (ev *eventSim) runWindow(start, limit int64) {
 	}
 }
 
-// onSchedule arms the edge's heap event if none is in flight. Arrivals are
+// onSchedule arms the edge's arrival event if none is in flight. Arrivals are
 // scheduled in non-decreasing order per edge (one producer, monotone
 // latency), so an armed event always sits at the earliest undelivered
 // arrival and later arrivals are found when the edge re-arms on delivery.
-func (ev *eventSim) onSchedule(es *edgeState, at int64, n int) {
+func (ev *eventSim) onSchedule(es *edgeState, at int64) {
 	if !es.armed {
 		es.armed = true
-		ev.arrivals.push(arrivalEvent{at: at, ei: int32(es.e.ID)})
+		ev.arrivals.push(ev.now, at, int32(es.e.ID))
 	}
 }
 
@@ -345,93 +345,91 @@ func (ev *eventSim) wakeAt(id int, at int64) {
 		return
 	}
 	ev.parked[id] = false
-	if ev.lastEnq[id] == at {
-		return
-	}
-	ev.lastEnq[id] = at
-	ev.timers.push(timerEvent{at: at, id: id})
+	ev.timers.push(ev.now, at, int32(id))
 }
 
 // step evaluates one unit at the current cycle.
 func (ev *eventSim) step(vs *vuState) {
 	cs := ev.cs
 	id := int(vs.u.ID)
+	var moved bool
 	switch vs.u.Kind {
 	case dfg.VMU:
-		if cs.stepVMU(vs) {
-			ev.progressed = true
-			ev.wakeAt(id, ev.now+1)
-		} else {
-			ev.parked[id] = true
-		}
+		moved = cs.stepVMU(vs)
 	case dfg.VCUMerge:
-		if cs.stepMerge(vs) {
-			ev.progressed = true
-			ev.wakeAt(id, ev.now+1)
-		} else {
-			ev.parked[id] = true
-		}
+		moved = cs.stepMerge(vs)
 	case dfg.VCURetime:
-		if cs.stepRetime(vs) {
-			ev.progressed = true
-			ev.wakeAt(id, ev.now+1)
-		} else {
-			ev.parked[id] = true
-		}
+		moved = cs.stepRetime(vs)
 	case dfg.VCUSync:
-		if cs.stepSync(vs) {
-			ev.progressed = true
-			ev.wakeAt(id, ev.now+1)
-		} else {
-			ev.parked[id] = true
-		}
+		moved = cs.stepSync(vs)
 	default:
-		if vs.done {
-			return
-		}
-		// Units the analytic model proves stall-free never park, so their
-		// settle and blockCause work is a no-op — skip it (identical results
-		// by construction; TestStallFreeFastPath guards the claim).
-		if !ev.noStall[id] {
-			// Settle the stall interval accumulated while parked.
-			if ev.blockedSince[id] >= 0 {
-				n := ev.now - ev.blockedSince[id]
-				vs.addStall(ev.blockedCause[id], n)
-				if cs.rec != nil && n > 0 {
-					cs.rec.Record(id, ev.blockedRef[id], ev.blockedSince[id], n, ev.blockedPeer[id])
-				}
-				ev.blockedSince[id] = -1
-			}
-			cause, edge := cs.blockCause(vs)
-			if cause != stallNone {
-				// Park. The next deliver/pop on the blocking edge wakes us.
-				ev.blockedSince[id] = ev.now
-				ev.blockedCause[id] = cause
-				if cs.rec != nil {
-					ev.blockedRef[id], ev.blockedPeer[id] = cs.refineStall(cause, edge)
-				}
-				ev.parked[id] = true
+		ev.stepCounter(vs, id)
+		return
+	}
+	// A forwarder that moved something looks again next cycle only while an
+	// input still holds an element; drained (or idle), it parks until the
+	// next delivery on an input or pop on an output wakes it.
+	if moved {
+		ev.progressed = true
+		for _, es := range vs.inFire {
+			if es.occ > 0 {
+				ev.wakeAt(id, ev.now+1)
 				return
 			}
 		}
-		k := ev.batchSize(vs)
-		if k <= 1 {
-			k = 1
-			cs.fireCounterUnit(vs)
-		} else {
-			ev.batchFire(vs, k)
+	}
+	ev.parked[id] = true
+}
+
+// stepCounter evaluates one counter-driven unit: settle its stall interval,
+// then park it blocked or fire it (batched when provably safe).
+func (ev *eventSim) stepCounter(vs *vuState, id int) {
+	cs := ev.cs
+	if vs.done {
+		return
+	}
+	// Units the analytic model proves stall-free never park, so their
+	// settle and blockCause work is a no-op — skip it (identical results
+	// by construction; TestStallFreeFastPath guards the claim).
+	if !ev.noStall[id] {
+		// Settle the stall interval accumulated while parked.
+		if ev.blockedSince[id] >= 0 {
+			n := ev.now - ev.blockedSince[id]
+			vs.addStall(ev.blockedCause[id], n)
+			if cs.rec != nil && n > 0 {
+				cs.rec.Record(id, ev.blockedRef[id], ev.blockedSince[id], n, ev.blockedPeer[id])
+			}
+			ev.blockedSince[id] = -1
 		}
-		ev.progressed = true
-		if end := ev.now + k - 1; end > ev.lastFire {
-			ev.lastFire = end
-		}
-		if vs.done {
-			ev.remaining--
+		cause, edge := cs.blockCause(vs)
+		if cause != stallNone {
+			// Park. The next deliver/pop on the blocking edge wakes us.
+			ev.blockedSince[id] = ev.now
+			ev.blockedCause[id] = cause
+			if cs.rec != nil {
+				ev.blockedRef[id], ev.blockedPeer[id] = cs.refineStall(cause, edge)
+			}
+			ev.parked[id] = true
 			return
 		}
-		ev.reserved[id] = ev.now + k
-		ev.wakeAt(id, ev.now+k)
 	}
+	k := ev.batchSize(vs)
+	if k <= 1 {
+		k = 1
+		cs.fireCounterUnit(vs)
+	} else {
+		ev.batchFire(vs, k)
+	}
+	ev.progressed = true
+	if end := ev.now + k - 1; end > ev.lastFire {
+		ev.lastFire = end
+	}
+	if vs.done {
+		ev.remaining--
+		return
+	}
+	ev.reserved[id] = ev.now + k
+	ev.wakeAt(id, ev.now+k)
 }
 
 // batchSize returns how many back-to-back firings of vs are provably
@@ -509,7 +507,7 @@ func (ev *eventSim) batchFire(vs *vuState, k int64) {
 	for _, es := range vs.outFire {
 		// Stagger the arrivals exactly as k single-cycle firings would.
 		for i := int64(0); i < k; i++ {
-			cs.schedule(es, cs.now+i+lat+es.latency, 1)
+			cs.schedule(es, cs.now+i+lat+es.latency)
 		}
 	}
 	if n := len(vs.idx); n > 0 {
@@ -526,86 +524,4 @@ func (ev *eventSim) batchFire(vs *vuState, k int64) {
 	if vs.fired >= vs.total {
 		vs.done = true
 	}
-}
-
-// Min-heaps, hand-rolled to keep the hot paths free of interface dispatch.
-
-type arrivalHeap []arrivalEvent
-
-func (h *arrivalHeap) push(e arrivalEvent) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].at <= s[i].at {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func (h *arrivalHeap) pop() arrivalEvent {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && s[l].at < s[m].at {
-			m = l
-		}
-		if r < n && s[r].at < s[m].at {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
-type timerHeap []timerEvent
-
-func (h *timerHeap) push(e timerEvent) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].at <= s[i].at {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func (h *timerHeap) pop() timerEvent {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && s[l].at < s[m].at {
-			m = l
-		}
-		if r < n && s[r].at < s[m].at {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
 }

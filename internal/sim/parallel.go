@@ -18,7 +18,7 @@ package sim
 //     destination shard keeps the original edgeState (so consumer-side
 //     occupancy and delivery timing are exact), and the source shard gets a
 //     mirror that tracks occupancy/in-flight exactly as the serial engine
-//     would (its own pending list and arrival events; pops applied at
+//     would (its own in-flight ring and arrival events; pops applied at
 //     barriers). The halves are linked by an xlink carrying the in-window
 //     cross traffic: arrivals the source scheduled (msgs) and elements the
 //     destination popped (popN), both drained single-threaded inside the
@@ -89,7 +89,7 @@ type xlink struct {
 	// msgs and popN buffer the window's cross traffic. The producing worker
 	// appends during its window; the reducer drains both inside the barrier,
 	// so all access is ordered by the barrier's atomics.
-	msgs []arrival
+	msgs []int64 // arrival cycles, one per element
 	popN int
 }
 
@@ -260,7 +260,8 @@ func newParSim(d *Design, maxCycles int64, workers int) (*parSim, error) {
 		x := &xlink{dst: es, srcShard: so, dstShard: do}
 		x.lookahead = srcPushDelay(parent, svs) + es.latency
 		x.period, x.rate = pushCadence(svs, es)
-		m := &edgeState{e: es.e, occ: es.occ, cap: es.cap, latency: es.latency, x: x}
+		m := &edgeState{e: es.e, occ: es.occ, cap: es.cap, latency: es.latency, x: x,
+			ring: make([]int64, len(es.ring))}
 		x.src = m
 		es.x = x
 		shardEdges[so][e.ID] = m
@@ -278,11 +279,11 @@ func newParSim(d *Design, maxCycles int64, workers int) (*parSim, error) {
 			}
 		}
 		ev := newEventSim(scs, owned)
-		scs.onSchedule = func(es *edgeState, at int64, n int) {
+		scs.onSchedule = func(es *edgeState, at int64) {
 			if x := es.x; x != nil && es == x.src {
-				x.msgs = append(x.msgs, arrival{at: at, n: n})
+				x.msgs = append(x.msgs, at)
 			}
-			ev.onSchedule(es, at, n)
+			ev.onSchedule(es, at)
 		}
 		scs.onPop = func(es *edgeState, n int) {
 			if x := es.x; x != nil && es == x.dst {
@@ -702,7 +703,7 @@ func (ps *parSim) reduce() {
 		}
 		T := int64(-1)
 		if !ps.started {
-			T = 0 // the seeded full evaluation at cycle 0 holds no heap event
+			T = 0 // the seeded full evaluation at cycle 0 holds no queued event
 		} else {
 			for _, sh := range ps.shards {
 				if n := sh.ev.nextEventAt(); n >= 0 && (T < 0 || n < T) {
@@ -731,6 +732,10 @@ func (ps *parSim) reduce() {
 			}
 			if c < 0 {
 				c = 0
+			}
+			if c >= ps.maxCycles { // the serial engines run out of cycles before that idle cycle
+				ps.finish(0, fmt.Errorf("sim: exceeded %d cycles without completing", ps.maxCycles))
+				return
 			}
 			ps.parent.now = c
 			ps.finish(0, fmt.Errorf("sim: deadlock at cycle %d: %s", c, ps.parent.describeStuck()))
@@ -762,15 +767,15 @@ func (ps *parSim) finish(cycles int64, err error) {
 }
 
 // drainLinks applies one window's buffered cross traffic: arrivals enter the
-// destination half's pending list and event heap; pops land on the source
+// destination half's in-flight ring and event queue; pops land on the source
 // mirror and wake a parked producer (a re-park — a producer that could
 // actually fire was never allowed to park on a cut edge inside a window).
 func (ps *parSim) drainLinks() {
 	for _, x := range ps.links {
 		if len(x.msgs) > 0 {
 			dcs := ps.shards[x.dstShard].cs
-			for _, a := range x.msgs {
-				dcs.schedule(x.dst, a.at, a.n)
+			for _, at := range x.msgs {
+				dcs.schedule(x.dst, at)
 			}
 			x.msgs = x.msgs[:0]
 		}
@@ -844,12 +849,7 @@ func (ps *parSim) serialCycleAt(T int64) {
 	for i, sh := range ps.shards {
 		sh.ev.now, sh.cs.now = T, T
 		sh.ev.processing = -1
-		n := 0
-		for len(sh.ev.timers) > 0 && sh.ev.timers[0].at <= T {
-			sh.ev.wakeNow(sh.ev.timers.pop().id)
-			n++
-		}
-		n += sh.ev.deliverDue()
+		n := sh.ev.wakeDue() + sh.ev.deliverDue()
 		sh.ev.progressed = false
 		sh.ev.currAny = false
 		if n > 0 {

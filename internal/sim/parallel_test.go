@@ -177,6 +177,7 @@ func TestParallelDeadlock(t *testing.T) {
 	designs := map[string]func() *sim.Design{
 		"credit-starved": deadlockDesign,
 		"full-buffer":    fullBufferDeadlockDesign,
+		"bank-starved":   bankStarvedDesign,
 	}
 	for name, mk := range designs {
 		name, mk := name, mk

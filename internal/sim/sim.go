@@ -2,20 +2,33 @@
 // accelerator cycles, standing in for the paper's cycle-accurate
 // Plasticine + Ramulator simulator (paper §IV-a).
 //
-// Two engines share one input:
+// Four engines share one input. Three are cycle-level and execute the same
+// semantics of the placed VUDFG — chained counters, stream buffers with
+// finite depth and network fill latency, CMMC tokens and credits with
+// push/pop at counter wraps, per-port VMU service with single-read-stream
+// arbitration, DRAM channel queueing — with bit-identical Results and
+// deadlock reports; they differ only in what a run costs on the host:
 //
-//   - Cycle: a cycle-level dataflow simulation of the placed VUDFG — chained
-//     counters, stream buffers with finite depth and network fill latency,
-//     CMMC tokens and credits with push/pop at counter wraps, per-port VMU
-//     service with single-read-stream arbitration, DRAM channel queueing.
-//     Exact but linear in cycles; used for tests, validation, and small runs.
-//   - Analytic: a steady-state bottleneck model — per-unit initiation
-//     intervals from DRAM bandwidth shares, VMU read serialization, credit
-//     round trips, unretimed slack, and do-while serialization — plus
-//     pipeline fill. Validated against Cycle in the test suite and used for
-//     the paper-scale sweeps, where the cycle engine would be too slow.
+//   - Dense (EngineDense, cycle.go): scans every edge and steps every unit
+//     each cycle. Linear in cycles x graph size; the reference oracle the
+//     others are tested against, the only engine that records port traces,
+//     and the fastest one on small busy graphs.
+//   - Event (EngineEvent, event.go): a calendar queue of arrivals and timers,
+//     wake lists, parking and batch firing make cost proportional to
+//     activity. The default for everything but small token-free graphs.
+//   - Parallel (EngineParallel, parallel.go): the event engine sharded over
+//     worker goroutines under conservative time windows, for big token-heavy
+//     graphs on hosts with cores to spare.
+//   - Analytic (analytic.go): a steady-state bottleneck model — per-unit
+//     initiation intervals from DRAM bandwidth shares, VMU read
+//     serialization, credit round trips, unretimed slack, and do-while
+//     serialization — plus pipeline fill. Microseconds per design; held to
+//     the cycle engines in the test suite and used for the paper-scale sweeps
+//     and the tuner's pruning, where cycle simulation would be too slow.
 //
-// Both report the same Result shape so the evaluation harness can swap them.
+// EngineAuto (ChooseEngine) picks among the three cycle-level engines per
+// design. All four report the same Result shape so the evaluation harness
+// can swap them.
 package sim
 
 import (
