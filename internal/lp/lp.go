@@ -140,6 +140,10 @@ type Solution struct {
 	// reached (nil otherwise). It can seed SolveFrom on a problem with the
 	// same rows and looser/tighter right-hand sides.
 	Basis Basis
+	// Pivots counts the pivots the solve performed — basis installation
+	// (one per basic column), dual and primal, a failed warm attempt's
+	// included: a deterministic unit of work, set for every Status.
+	Pivots int
 }
 
 const (
@@ -150,9 +154,12 @@ const (
 // Solve runs two-phase primal simplex. It returns ErrInfeasible or
 // ErrUnbounded wrapped in the error for those outcomes; the Solution always
 // reports Status.
-func (p *Problem) Solve() (*Solution, error) {
+func (p *Problem) Solve() (sol *Solution, err error) {
 	t := newTableau(p)
-	defer t.release()
+	defer func() {
+		sol.Pivots = t.pivots
+		t.release()
+	}()
 	// Phase 1: minimize the sum of artificial variables.
 	if t.nArt > 0 {
 		if status := t.iterate(); status != Optimal {
@@ -202,6 +209,7 @@ type tableau struct {
 	artStart int
 	maxIter  int
 	phase1   bool
+	pivots   int // pivots performed so far (Solution.Pivots)
 }
 
 // tabPool recycles tableau backing arrays. Branch-and-bound (package mip)
@@ -425,6 +433,7 @@ func (t *tableau) pivot(row, col int) {
 		}
 	}
 	t.basis[row] = col
+	t.pivots++
 }
 
 // driveOutArtificials pivots any artificial variable that remained basic at

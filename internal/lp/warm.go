@@ -31,18 +31,23 @@ const warmMaxCells = 400000
 // Infeasibility and unboundedness detected on the warm path are exact and
 // returned directly.
 func (p *Problem) SolveFrom(basis Basis) (*Solution, error) {
-	if sol := p.warmSolve(basis); sol != nil {
+	sol, pivots := p.warmSolve(basis)
+	if sol != nil {
+		sol.Pivots = pivots
 		return sol, statusErr(sol.Status)
 	}
-	return p.Solve()
+	sol, err := p.Solve()
+	sol.Pivots += pivots
+	return sol, err
 }
 
-// warmSolve attempts the basis-seeded solve. A nil return means "fall back
-// to a cold solve"; a non-nil return is a definitive answer.
-func (p *Problem) warmSolve(basis Basis) *Solution {
+// warmSolve attempts the basis-seeded solve. A nil solution means "fall back
+// to a cold solve"; a non-nil one is a definitive answer. Either way it
+// reports the pivots the attempt performed.
+func (p *Problem) warmSolve(basis Basis) (*Solution, int) {
 	m := len(p.rows)
 	if m == 0 {
-		return nil
+		return nil, 0
 	}
 	nSlack := 0
 	for _, r := range p.rows {
@@ -59,7 +64,7 @@ func (p *Problem) warmSolve(basis Basis) *Solution {
 		// double. Measured on the compile benchmarks: merge LPs around
 		// m≈500 still re-solve ~5× faster warm, while the bs workload's
 		// m≈650 relaxations come out slower — the gate sits between.
-		return nil
+		return nil, 0
 	}
 	if len(basis) == m-1 && p.rows[m-1].rel != EQ {
 		// One trailing row was appended since the basis was captured (the
@@ -70,11 +75,11 @@ func (p *Problem) warmSolve(basis Basis) *Solution {
 		basis = append(append(Basis(nil), basis...), p.n+nSlack-1)
 	}
 	if len(basis) != m {
-		return nil
+		return nil, 0
 	}
 	for _, c := range basis {
 		if c < 0 || c >= n {
-			return nil
+			return nil, 0
 		}
 	}
 	t := &tableau{
@@ -105,13 +110,13 @@ func (p *Problem) warmSolve(basis Basis) *Solution {
 		}
 	}
 	if !t.installBasis(basis) {
-		return nil
+		return nil, t.pivots
 	}
 	t.price(p.c)
 	obj := t.a[m]
 	for j := 0; j < n; j++ {
 		if obj[j] < -dualTol {
-			return nil // dual infeasible: basis was not optimal for these costs
+			return nil, t.pivots // dual infeasible: basis was not optimal for these costs
 		}
 	}
 	// Anti-cycling: partitioning LPs are massively degenerate — many
@@ -136,9 +141,9 @@ func (p *Problem) warmSolve(basis Basis) *Solution {
 	switch t.iterateDual() {
 	case Optimal:
 	case Infeasible:
-		return &Solution{Status: Infeasible}
+		return &Solution{Status: Infeasible}, t.pivots
 	default:
-		return nil // iteration limit
+		return nil, t.pivots // iteration limit
 	}
 	// Restore the true objective over the final basis; the perturbation may
 	// have left this vertex slightly suboptimal for the real costs, so
@@ -147,16 +152,16 @@ func (p *Problem) warmSolve(basis Basis) *Solution {
 	switch t.iterate() {
 	case Optimal:
 	case Unbounded:
-		return &Solution{Status: Unbounded}
+		return &Solution{Status: Unbounded}, t.pivots
 	default:
-		return nil
+		return nil, t.pivots
 	}
 	x := t.extract(p.n)
 	objv := 0.0
 	for i, v := range x {
 		objv += p.c[i] * v
 	}
-	return &Solution{Status: Optimal, X: x, Obj: objv, Basis: t.extractBasis()}
+	return &Solution{Status: Optimal, X: x, Obj: objv, Basis: t.extractBasis()}, t.pivots
 }
 
 // price recomputes the objective row for costs c over the current basis:

@@ -169,6 +169,11 @@ type Solution struct {
 	// WarmStarted counts explored nodes whose LP relaxation was seeded from
 	// the parent's optimal basis (lp.SolveFrom) rather than solved cold.
 	WarmStarted int
+	// LPPivots totals lp.Solution.Pivots over the explored nodes'
+	// relaxations: with Nodes, the search's deterministic work units —
+	// equal across worker counts, since speculative solves the main loop
+	// never asked for are not counted.
+	LPPivots int
 	// RootBasis is the optimal basis of the root LP relaxation (nil when the
 	// root was solved cold or yielded no clean basis). Callers hand it to a
 	// later Solve of a same-shaped problem via Options.SeedBasis.
@@ -255,7 +260,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	h := &nodeHeap{{id: 0, bound: math.Inf(-1), lo: map[int]float64{}, hi: map[int]float64{}, basis: seed}}
 	heap.Init(h)
 	nextID := int64(1)
-	nodes, warmed := 0, 0
+	nodes, warmed, pivots := 0, 0, 0
 	rootBound := math.Inf(-1)
 	haveRoot := false
 	limited := false
@@ -274,7 +279,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			globalBound = math.Inf(-1)
 		}
 		if bestX != nil && gapOK(best, globalBound, opts.Gap) {
-			return p.finish(Optimal, bestX, best, globalBound, nodes, warmed).withRootBasis(rootBasis), nil
+			return p.finish(Optimal, bestX, best, globalBound, nodes, warmed, pivots).withRootBasis(rootBasis), nil
 		}
 		if nd.bound >= best-1e-9 {
 			if spec != nil {
@@ -294,6 +299,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		} else {
 			sol, err = rx.solveNode(nd)
 		}
+		pivots += sol.Pivots
 		if err != nil {
 			continue // infeasible subproblem
 		}
@@ -352,9 +358,9 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	if bestX == nil {
 		if h.Len() == 0 && nodes > 0 {
-			return p.finish(Infeasible, nil, math.Inf(1), bound, nodes, warmed).withRootBasis(rootBasis), ErrInfeasible
+			return p.finish(Infeasible, nil, math.Inf(1), bound, nodes, warmed, pivots).withRootBasis(rootBasis), ErrInfeasible
 		}
-		return p.finish(Limit, nil, math.Inf(1), bound, nodes, warmed).withRootBasis(rootBasis), errors.New("mip: limit reached without incumbent")
+		return p.finish(Limit, nil, math.Inf(1), bound, nodes, warmed, pivots).withRootBasis(rootBasis), errors.New("mip: limit reached without incumbent")
 	}
 	// A limit-stopped search returns the incumbent as Feasible (best-effort)
 	// unless the remaining open-node bound already proves it within the
@@ -363,7 +369,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if limited && !gapOK(best, bound, opts.Gap) {
 		status = Feasible
 	}
-	return p.finish(status, bestX, best, bound, nodes, warmed).withRootBasis(rootBasis), nil
+	return p.finish(status, bestX, best, bound, nodes, warmed, pivots).withRootBasis(rootBasis), nil
 }
 
 func (s *Solution) withRootBasis(b lp.Basis) *Solution {
@@ -371,12 +377,12 @@ func (s *Solution) withRootBasis(b lp.Basis) *Solution {
 	return s
 }
 
-func (p *Problem) finish(st Status, x []float64, obj, bound float64, nodes, warmed int) *Solution {
+func (p *Problem) finish(st Status, x []float64, obj, bound float64, nodes, warmed, pivots int) *Solution {
 	g := 0.0
 	if x != nil {
 		g = relGap(obj, bound)
 	}
-	return &Solution{Status: st, X: x, Obj: obj, Bound: bound, Gap: g, Nodes: nodes, WarmStarted: warmed}
+	return &Solution{Status: st, X: x, Obj: obj, Bound: bound, Gap: g, Nodes: nodes, WarmStarted: warmed, LPPivots: pivots}
 }
 
 func gapOK(incumbent, bound, gap float64) bool {

@@ -49,7 +49,8 @@ func randomMIP(rng *rand.Rand) *Problem {
 }
 
 // sameSolution requires bit-identical results: status, objective, bound,
-// gap, node count, warm-start count, and the full assignment vector.
+// gap, node count, warm-start count, LP pivot count, and the full assignment
+// vector.
 func sameSolution(t *testing.T, label string, a, b *Solution) {
 	t.Helper()
 	if a.Status != b.Status {
@@ -69,6 +70,9 @@ func sameSolution(t *testing.T, label string, a, b *Solution) {
 	}
 	if a.WarmStarted != b.WarmStarted {
 		t.Errorf("%s: warm-started %d vs %d", label, a.WarmStarted, b.WarmStarted)
+	}
+	if a.LPPivots != b.LPPivots {
+		t.Errorf("%s: LP pivots %d vs %d", label, a.LPPivots, b.LPPivots)
 	}
 	if len(a.X) != len(b.X) {
 		t.Fatalf("%s: |X| %d vs %d", label, len(a.X), len(b.X))

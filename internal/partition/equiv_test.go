@@ -93,7 +93,7 @@ func solverConfig(workers, maxNodes int) core.Config {
 // with the parallel search, in the style of the simulator's cross-engine
 // equivalence suite, and requires identical compiled designs: same
 // resources, same partition statistics, same merge result, same node
-// counts.
+// counts — and the serial leg the design recorded in solver_golden.json.
 func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -137,6 +137,7 @@ func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
 			if serial.MIPNodes() == 0 {
 				t.Logf("note: %s never reached the MIP solver at this size", w.Name)
 			}
+			checkGolden(t, "par2/"+w.Name, serial)
 		})
 	}
 }
