@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,6 +86,39 @@ func TestTopoSortVMUPorts(t *testing.T) {
 	}
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("collapsed ports should produce a cycle")
+	}
+}
+
+// TestTopoSortRepeatable: several units are ready at once and a VMU's ports
+// become ready at different depths, so an order seeded from map iteration
+// differs from call to call — in where the VMU appears, which is what
+// sim.Analytic's finish-time DP is sensitive to.
+func TestTopoSortRepeatable(t *testing.T) {
+	g := NewGraph(ir.NewProgram("t"))
+	vmu := g.AddVU(VMU, "vmu")
+	for _, port := range []string{"a", "b", "c", "d", "e", "f"} {
+		req := g.AddVU(VCURequest, "req."+port)
+		// Port k sits behind a chain of k units.
+		for k := 0; k < int(port[0]-'a'); k++ {
+			hop := g.AddVU(VCUCompute, "hop."+port)
+			g.AddEdge(req.ID, hop.ID, EData)
+			req = hop
+		}
+		g.AddEdge(req.ID, vmu.ID, EData).Port = port
+		g.AddEdge(vmu.ID, g.AddVU(VCUCompute, "cons."+port).ID, EData).Port = port
+	}
+	first, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		order, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(order, first) {
+			t.Fatalf("call %d returned %v, call 0 returned %v", i, order, first)
+		}
 	}
 }
 

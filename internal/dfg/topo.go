@@ -1,6 +1,9 @@
 package dfg
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // slot is a dependence-analysis node: one virtual unit, or one port of a VMU.
 // A memory serves its access streams independently, so each VMU port is its
@@ -9,6 +12,15 @@ import "fmt"
 type slot struct {
 	vu   VUID
 	port string
+}
+
+// before orders slots by (unit, port): the order in which TopoSort breaks
+// the ties map iteration would otherwise break at random.
+func (a slot) before(b slot) bool {
+	if a.vu != b.vu {
+		return a.vu < b.vu
+	}
+	return a.port < b.port
 }
 
 // slotOf returns the dependence node an edge endpoint belongs to.
@@ -52,12 +64,16 @@ func (g *Graph) TopoSort() ([]VUID, error) {
 			indeg[g.slotOf(e.Dst, e)]++
 		}
 	}
+	// Seed the queue in (unit, port) order, not map order: the FIFO below is
+	// deterministic from there, so the returned order — and the point at
+	// which a multi-port VMU appears in it — is the same on every call.
 	var queue []slot
 	for s, d := range indeg {
 		if d == 0 {
 			queue = append(queue, s)
 		}
 	}
+	sort.Slice(queue, func(i, j int) bool { return queue[i].before(queue[j]) })
 	var order []VUID
 	emitted := make(map[VUID]bool)
 	done := 0
@@ -82,11 +98,14 @@ func (g *Graph) TopoSort() ([]VUID, error) {
 		}
 	}
 	if done != len(indeg) {
+		// Name the first stuck slot, so the error is repeatable too.
+		var stuck *slot
 		for s, d := range indeg {
-			if d > 0 {
-				return nil, fmt.Errorf("dfg: non-LCD cycle through %s", g.VUs[s.vu].Name)
+			if d > 0 && (stuck == nil || s.before(*stuck)) {
+				stuck = &s
 			}
 		}
+		return nil, fmt.Errorf("dfg: non-LCD cycle through %s", g.VUs[stuck.vu].Name)
 	}
 	return order, nil
 }

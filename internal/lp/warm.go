@@ -58,12 +58,16 @@ func (p *Problem) warmSolve(basis Basis) (*Solution, int) {
 	n := p.n + nSlack
 	if (m+1)*(n+1) > warmMaxCells {
 		// Above this tableau size the warm path stops paying for itself on
-		// the partitioning workloads: basis installation is a full O(m²·n)
-		// canonicalization and the degenerate dual walks grow with m, so a
-		// cold two-phase solve is as fast and a failed warm attempt costs
-		// double. Measured on the compile benchmarks: merge LPs around
-		// m≈500 still re-solve ~5× faster warm, while the bs workload's
-		// m≈650 relaxations come out slower — the gate sits between.
+		// the partitioning workloads: every structural basic column costs
+		// an O(m) pivot search and an elimination, and the degenerate dual
+		// walks grow with m, so a cold two-phase solve is as fast and a
+		// failed warm attempt costs double. Measured with the sparse
+		// kernels at 60 nodes a search: the ms programs' relaxations
+		// (m≈500, 330 k cells) re-solve 4.0× faster warm than cold (0.89
+		// against 3.58 ms a node) and rf's (m≈300) 2.4×, while the bs
+		// programs (m≈1 860, 4.6 M cells) compile 1.4–1.7× slower with the
+		// gate lifted (34.6 against 24.8 s at par 2, 18.3 against 10.8 s
+		// at par 16) — the gate sits between.
 		return nil, 0
 	}
 	if len(basis) == m-1 && p.rows[m-1].rel != EQ {
@@ -82,33 +86,8 @@ func (p *Problem) warmSolve(basis Basis) (*Solution, int) {
 			return nil, 0
 		}
 	}
-	t := &tableau{
-		m: m, n: n, nStruct: p.n, nArt: 0,
-		artStart: n,
-		basis:    make([]int, m),
-		maxIter:  20000 + 50*(m+n),
-	}
-	t.a, t.buf = grabMatrix(m+1, n+1)
+	t := newWarmTableau(p, n)
 	defer t.release()
-	// Load rows as written — no sign normalization: dual simplex handles
-	// negative right-hand sides natively, and flipping rows would change the
-	// slack signs the basis was captured against.
-	slack := p.n
-	for i, r := range p.rows {
-		row := t.a[i]
-		for k, idx := range r.idx {
-			row[idx] += r.coef[k]
-		}
-		row[n] = r.rhs
-		switch r.rel {
-		case LE:
-			row[slack] = 1
-			slack++
-		case GE:
-			row[slack] = -1
-			slack++
-		}
-	}
 	if !t.installBasis(basis) {
 		return nil, t.pivots
 	}
@@ -164,6 +143,39 @@ func (p *Problem) warmSolve(basis Basis) (*Solution, int) {
 	return &Solution{Status: Optimal, X: x, Obj: objv, Basis: t.extractBasis()}, t.pivots
 }
 
+// newWarmTableau loads p into a fresh tableau of n structural and slack
+// columns and records, per slack column, the row that holds it (t.slack).
+// Rows are loaded as written — no sign normalization: dual simplex handles
+// negative right-hand sides natively, and flipping rows would change the
+// slack signs the basis was captured against.
+func newWarmTableau(p *Problem, n int) *tableau {
+	m := len(p.rows)
+	t := &tableau{
+		m: m, n: n, nStruct: p.n, nArt: 0,
+		artStart: n,
+		tabMem:   grabMatrix(m+1, n+1),
+		basis:    make([]int, m),
+		maxIter:  20000 + 50*(m+n),
+	}
+	t.slack = t.slack[:0]
+	for i, r := range p.rows {
+		row := t.a[i]
+		for k, idx := range r.idx {
+			row[idx] += r.coef[k]
+		}
+		row[n] = r.rhs
+		switch r.rel {
+		case LE:
+			row[p.n+len(t.slack)] = 1
+			t.slack = append(t.slack, i)
+		case GE:
+			row[p.n+len(t.slack)] = -1
+			t.slack = append(t.slack, i)
+		}
+	}
+	return t
+}
+
 // price recomputes the objective row for costs c over the current basis:
 // reset the row, load the costs, and eliminate the basic entries so every
 // basic column prices to zero.
@@ -196,16 +208,39 @@ func perturb(j int) float64 {
 }
 
 // installBasis canonicalizes the freshly loaded tableau for the given basis:
-// each basic column is reduced to a unit column by a Gauss-Jordan pivot.
-// Slack columns are processed first — before any fill-in they are already
-// unit columns, so their pivots are near-free and the elimination cost
-// concentrates on the (few) structural basic columns. Returns false when the
-// basis is numerically singular (including repeated columns).
+// each basic column is reduced to a unit column. Columns are taken in
+// descending index order, so every slack column comes before any structural
+// one, while the tableau is still as loaded. A slack column is then already
+// a unit column — ±1 in its own row (t.slack), zero elsewhere — and the
+// objective row is still zero, so a Gauss-Jordan pivot on it would change
+// that one row only. It is installed instead of pivoted: claim the row (a
+// row already claimed means the column is repeated), scale it by the entry's
+// reciprocal when that is the -1 of a ≥ row (x*1.0 == x, so skipping the
+// scale of a ≤ row is exact), and record the basis. Structural columns pay
+// for a partial-pivot search over the unclaimed rows and a real pivot.
+// Returns false when the basis is numerically singular (including repeated
+// columns).
 func (t *tableau) installBasis(basis Basis) bool {
 	cols := append([]int(nil), basis...)
 	sort.Sort(sort.Reverse(sort.IntSlice(cols)))
 	assigned := make([]bool, t.m)
 	for _, c := range cols {
+		if c >= t.nStruct {
+			r := t.slack[c-t.nStruct]
+			if assigned[r] {
+				return false
+			}
+			assigned[r] = true
+			if ar := t.a[r]; ar[c] != 1 {
+				inv := 1.0 / ar[c]
+				for j := range ar {
+					ar[j] *= inv
+				}
+			}
+			t.basis[r] = c
+			t.pivots++
+			continue
+		}
 		// Partial pivoting over the rows not yet claimed by a basic column.
 		best, bestAbs := -1, feasTol
 		for i := 0; i < t.m; i++ {

@@ -3,7 +3,6 @@ package partition
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // chain returns a linear dependence chain of n unit-cost ops.
@@ -84,52 +83,6 @@ func TestRetimeUnitsCounted(t *testing.T) {
 	}
 	if r.RetimeUnits != 2 {
 		t.Errorf("retime units = %d, want 2", r.RetimeUnits)
-	}
-}
-
-func TestSolverMatchesOrBeatsTraversal(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 8; trial++ {
-		n := 6 + rng.Intn(6)
-		in := &Instance{N: n, Ops: make([]int, n), MaxOps: 4, MaxIn: 3, MaxOut: 3}
-		for i := range in.Ops {
-			in.Ops[i] = 1 + rng.Intn(2)
-		}
-		// Random DAG: forward edges, fan-in capped at 3 like real op DFGs.
-		indeg := make([]int, n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.25 && indeg[j] < 3 {
-					in.Edges = append(in.Edges, [2]int{i, j})
-					indeg[j]++
-				}
-			}
-		}
-		warm, err := BestTraversal(in)
-		if err != nil {
-			t.Fatalf("trial %d traversal: %v", trial, err)
-		}
-		sol, err := Solver(in, SolverOptions{Gap: 0, MaxNodes: 4000, TimeLimit: 5 * time.Second})
-		if err != nil {
-			t.Fatalf("trial %d solver: %v", trial, err)
-		}
-		if sol.Cost > warm.Cost+1e-9 {
-			t.Errorf("trial %d: solver cost %.3f worse than traversal %.3f", trial, sol.Cost, warm.Cost)
-		}
-	}
-}
-
-func TestSolverFindsBetterThanWorstTraversal(t *testing.T) {
-	// A two-track graph where naive BFS interleaving wastes arity: solver
-	// (or the best traversal) should find the 2-partition packing.
-	in := &Instance{N: 8, Ops: []int{1, 1, 1, 1, 1, 1, 1, 1}, MaxOps: 4, MaxIn: 2, MaxOut: 2,
-		Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}}}
-	sol, err := Solver(in, SolverOptions{Gap: 0, MaxNodes: 6000, TimeLimit: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("solver: %v", err)
-	}
-	if sol.NumParts != 2 {
-		t.Errorf("solver parts = %d, want 2 (two chains of 4)", sol.NumParts)
 	}
 }
 
