@@ -38,7 +38,9 @@ bench:
 # firing, bytes and allocations per run on five placed designs) and is its
 # profiling entry point (add -cpuprofile); BenchmarkSolver is the solver's —
 # the rf and ms par-64 compiles of ./bench's solver workload, time per
-# branch-and-bound node and allocations per compile. The smoke compile report
+# branch-and-bound node and allocations per compile; BenchmarkRunHit is the
+# serving hit path's — one in-process /v1/run answered from the LRU and the
+# result memo, time and allocations per request. The smoke compile report
 # goes to a scratch path — only `make bench` refreshes the committed BENCH
 # files. (The parallel engine's -race equivalence suite and the incremental
 # cross-mode equivalence suite run under the `race` target, which ci already
@@ -48,6 +50,7 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkPlace -benchtime 1x ./internal/place/
 	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkSolver -benchtime 1x ./internal/partition/
+	$(GO) test -run '^$$' -bench BenchmarkRunHit -benchtime 1x -benchmem ./internal/server/
 	$(GO) run ./cmd/sarabench -mode compile -smoke -compile-reps 1 \
 		-compile-o $${TMPDIR:-/tmp}/BENCH_compile_smoke.json
 	$(GO) run ./cmd/sarasim -workload rf -par 16 -scale 64 -engine parallel >/dev/null

@@ -7,7 +7,9 @@
 // The design leans on the flow being a deterministic pure function of
 // (program, arch, options), §V of the paper: requests are canonicalized and
 // SHA-256 content-addressed, so identical work compiles once (single-flight)
-// and is reused from an LRU cache. A bounded worker pool caps concurrent
+// and is reused from an LRU cache, and a cycle-level simulation — as pure a
+// function of its design — runs once per engine and is answered from the
+// design store's result memo afterwards. A bounded worker pool caps concurrent
 // compilation/simulation at what the host can parallelize and sheds load
 // with 429 + Retry-After once its queue fills. /metrics exposes counters and
 // latency histograms in the Prometheus text format.
@@ -255,7 +257,7 @@ func (s *Server) compiledFromStore(key string) (*core.Compiled, bool) {
 // registerStoreMetrics exposes the design store's per-stage cache traffic
 // and disk footprint as gauges.
 func (s *Server) registerStoreMetrics() {
-	stages := append(append([]string(nil), core.StageNames...), store.FinalStage, "solver")
+	stages := append(append([]string(nil), core.StageNames...), store.FinalStage, store.SimStage, store.SolverStage)
 	for _, stage := range stages {
 		stage := stage
 		name := metricName(stage)
@@ -452,9 +454,14 @@ type RunResponse struct {
 	// CompileMS is the wall time of the compile phase of this request; a
 	// cache hit reports ~0 (the cost was paid by an earlier request).
 	CompileMS float64 `json:"compile_ms"`
+	// SimCached marks a result answered from the result memo: an earlier
+	// request simulated this design on this engine and the stored Result was
+	// returned. SimMS is the time spent on this request — ~0 on a memo hit.
+	SimCached bool    `json:"sim_cached,omitempty"`
 	SimMS     float64 `json:"sim_ms,omitempty"`
 	// SimCyclesPerSec is the simulated-cycle throughput of this request's
-	// engine — the service-level view of simulator performance.
+	// engine — the service-level view of simulator performance. Absent when
+	// no engine ran (sim_cached).
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 	// PhaseMS is the per-stage compile-time split of the cached compile
 	// (measured when the design was first compiled, so a cache hit repeats
@@ -699,7 +706,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 		writeJSON(w, o.status, o.resp)
 	case <-ctx.Done():
 		// The job keeps running (compilation is not preemptible) and will
-		// still populate the cache; only this response gives up.
+		// still populate the cache and the result memo; only this response
+		// gives up.
 		s.metrics.Add("sarad_timeouts_total", 1)
 		writeError(w, http.StatusGatewayTimeout, ctx.Err())
 	}
@@ -716,7 +724,7 @@ func specFor(req *RunRequest) (*arch.Spec, error) {
 // execute runs inside a pool worker: compile via the content-addressed
 // cache, then simulate.
 func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, simulate bool) (*RunResponse, int, error) {
-	if err := ctx.Err(); err != nil {
+	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
 	t0 := time.Now()
@@ -754,33 +762,68 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 		return resp, http.StatusOK, nil
 	}
 
-	if err := ctx.Err(); err != nil {
+	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
+	if err := s.simulate(req, compiled, spec, key, resp); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	return resp, http.StatusOK, nil
+}
+
+// jobAbandoned reports whether a pooled job's client hung up. A request that
+// merely timed out was told its job keeps running: the design lands in the
+// cache and the result in the memo, so the client's retry costs nothing.
+func jobAbandoned(ctx context.Context) error {
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
+		return err
+	}
+	return nil
+}
+
+// simMaxCycles is the runaway cap every served simulation runs under (0 = the
+// engines' 200M-cycle default); part of the memo key.
+const simMaxCycles = 0
+
+// simulate is the second half of execute: run req's engine on the compiled
+// design and fill the simulation fields of resp.
+func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.Spec, key string, resp *RunResponse) error {
 	t1 := time.Now()
 	var result *sim.Result
 	var rec *profile.Recording
+	var err error
+	design := compiled.Design()
 	engine := req.Engine // canonical: normalize ran before the job was queued
 	if engine == "analytic" {
-		result, err = sim.Analytic(compiled.Design())
+		result, err = sim.Analytic(design)
 	} else {
 		var kind sim.EngineKind
 		if kind, err = sim.ParseEngine(engine); err != nil {
-			return nil, http.StatusBadRequest, err
+			return err
 		}
-		if req.Profile {
-			result, rec, err = sim.CycleProfiled(compiled.Design(), 0, kind)
-		} else {
-			result, err = sim.CycleEngine(compiled.Design(), 0, kind)
+		switch {
+		case req.Profile:
+			result, rec, err = sim.CycleProfiled(design, simMaxCycles, kind)
+		case req.Options != nil && req.Options.Solver:
+			// Until the solver's gap search is node-capped (ROADMAP 3a) a
+			// solver request's key does not determine its design.
+			result, err = sim.CycleEngine(design, simMaxCycles, kind)
+		default:
+			result, resp.SimCached, err = s.simulateMemo(design, key, kind)
 		}
 	}
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
+		return err
 	}
 	simWall := time.Since(t1)
+	s.metrics.Add("sarad_sim_requests_"+engine+"_total", 1)
+	resp.SimMS = float64(simWall.Microseconds()) / 1e3
+	resp.Result = result.JSON(spec)
+	if resp.SimCached {
+		return nil // the counters below count executed simulations only
+	}
 	s.metrics.Observe("sarad_sim_seconds", simWall.Seconds())
 	s.metrics.Add("sarad_cycles_simulated_total", result.Cycles)
-	s.metrics.Add("sarad_sim_requests_"+engine+"_total", 1)
 	// Per-cause stall counters come from every cycle-level run; a scrape sees
 	// where the fleet's simulated cycles are going, not just how many ran.
 	for cause, n := range result.Stalls {
@@ -807,12 +850,41 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 		s.metrics.Add("sarad_sim_profiled_requests_total", 1)
 		resp.Profile = rep.JSON()
 	}
-	resp.SimMS = float64(simWall.Microseconds()) / 1e3
 	if sec := simWall.Seconds(); sec > 0 {
 		resp.SimCyclesPerSec = float64(result.Cycles) / sec
 	}
-	resp.Result = result.JSON(spec)
-	return resp, http.StatusOK, nil
+	return nil
+}
+
+// simulateMemo runs a cycle-level engine behind the result memo. A Result is
+// a pure function of (design, engine, cycle cap, sim.Version) and the compile
+// content address names the design, so the record lives in the design store
+// under a key derived from it — memory and disk, outliving LRU eviction and
+// restarts. auto is resolved first: it shares the record of the engine it
+// picks. Errors are never stored (a deadlocking design deadlocks every time),
+// and an undecodable record is simulated afresh and overwritten. Concurrent
+// first requests each simulate and Put identical bytes.
+func (s *Server) simulateMemo(d *sim.Design, key string, kind sim.EngineKind) (*sim.Result, bool, error) {
+	if kind == sim.EngineAuto {
+		kind = sim.ChooseEngine(d)
+	}
+	memoKey := store.NewHasher(store.SimStage, key).Int(sim.Version).Str(kind.String()).I64(simMaxCycles).Sum()
+	if data, ok := s.store.Get(store.SimStage, memoKey); ok {
+		result := &sim.Result{}
+		if json.Unmarshal(data, result) == nil {
+			s.metrics.Add("sarad_sim_memo_hits_total", 1)
+			return result, true, nil
+		}
+	}
+	s.metrics.Add("sarad_sim_memo_misses_total", 1)
+	result, err := sim.CycleEngine(d, simMaxCycles, kind)
+	if err != nil {
+		return nil, false, err
+	}
+	if data, err := json.Marshal(result); err == nil {
+		s.store.Put(store.SimStage, memoKey, data)
+	}
+	return result, false, nil
 }
 
 // compileVia records how a compile request was satisfied when it missed the

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"sara/internal/store"
 )
 
 // TestStoreWarmRestart: a second server over the same store directory serves
@@ -113,6 +115,10 @@ func TestMetricsExposeStoreCounters(t *testing.T) {
 		"sarad_store_stage_bytes_written_merge",
 		"sarad_store_disk_bytes",
 		"sarad_store_solver_hits",
+		// every exported tier, not a hand-kept list:
+		"sarad_store_stage_hits_" + store.FinalStage,
+		"sarad_store_stage_hits_" + store.SimStage,
+		"sarad_store_stage_bytes_written_" + store.SolverStage,
 	} {
 		if !strings.Contains(text, metric) {
 			t.Errorf("metrics output missing %s", metric)

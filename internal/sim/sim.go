@@ -39,6 +39,14 @@ import (
 	"sara/internal/place"
 )
 
+// Version identifies the cycle-level engines' semantics. A Result is a pure
+// function of (Design, engine, cycle cap, Version), and sarad memoises Results
+// under it — bump it whenever any design's Result can change (a semantics
+// fix, a new or renamed Result field, a changed stall attribution), or stale
+// records keep being served. testdata/result_digests.json pins the twelve
+// workloads' Results to the version and fails the suite when they move alone.
+const Version = 1
+
 // Design bundles everything needed to execute a compiled program.
 type Design struct {
 	G    *dfg.Graph

@@ -12,6 +12,10 @@ import (
 // FinalStage is the store namespace for fully compiled design artifacts.
 const FinalStage = "final"
 
+// SimStage is the store namespace for memoized simulation results: sarad
+// keeps the encoded sim.Result of each (design, engine, cycle cap) it has run.
+const SimStage = "sim"
+
 // Artifact is a self-contained compiled design: unlike a stage Snapshot it
 // carries the program and arch spec, so it can be decoded into a simulatable
 // design by a process that has never seen the originating request —

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -206,18 +207,27 @@ func (s *Store) Put(stage, key string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mk := memKey(stage, key)
-	_, existed := s.mem[mk]
+	old, existed := s.mem[mk]
+	// Content-addressed: same key, same bytes, nothing to rewrite. A caller
+	// that Puts different bytes under a resident key read the old ones back
+	// (a torn or foreign file), could not use them and recomputed: the new
+	// bytes replace the file too, or every later process trips on it again.
+	replace := existed && !bytes.Equal(old, data)
 	s.remember(stage, key, data)
 	st := s.stat(stage)
-	if !existed {
+	if !existed || replace {
 		st.BytesWritten += int64(len(data))
 	}
 	if s.dir == "" {
 		return
 	}
 	path := s.diskPath(stage, key)
-	if _, err := os.Stat(path); err == nil {
-		return // content-addressed: same key, same bytes
+	if info, err := os.Stat(path); err == nil {
+		if !replace {
+			return
+		}
+		s.diskEntries--
+		s.diskBytes -= info.Size()
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
@@ -307,7 +317,8 @@ func (s *Store) Stats() Stats {
 
 // --- partition.SolverCache ---
 
-const solverStage = "solver"
+// SolverStage is the store namespace for memoized solver-instance results.
+const SolverStage = "solver"
 
 // LookupResult returns a memoized solver result for a partition-instance
 // content key. Results round-trip through the disk tier, so a restarted
@@ -323,7 +334,7 @@ func (s *Store) LookupResult(key string) (*partition.Result, bool) {
 	}
 	s.mu.Unlock()
 	if s.dir != "" {
-		if b, err := os.ReadFile(s.diskPath(solverStage, key)); err == nil {
+		if b, err := os.ReadFile(s.diskPath(SolverStage, key)); err == nil {
 			if r, derr := decodeSolverResult(b); derr == nil {
 				s.mu.Lock()
 				s.solver[key] = r
@@ -349,7 +360,7 @@ func (s *Store) StoreResult(key string, r *partition.Result) {
 	s.solver[key] = &cp
 	s.mu.Unlock()
 	if s.dir != "" {
-		s.Put(solverStage, key, encodeSolverResult(&cp))
+		s.Put(SolverStage, key, encodeSolverResult(&cp))
 		// Put counted this under the "solver" stage byte counters, which is
 		// where solver disk traffic belongs; hit/miss stay on the dedicated
 		// solver counters above.

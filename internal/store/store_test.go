@@ -199,6 +199,45 @@ func TestStoreCountersAndPersistence(t *testing.T) {
 	}
 }
 
+// TestPutReplacesCorruptRecord: a record whose bytes differ from what Get
+// read back is corrupt (same key, same bytes otherwise) and is replaced on
+// disk with the footprint gauges kept exact; a Put of the same bytes still
+// leaves the file alone.
+func TestPutReplacesCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(store.SimStage, "k", []byte("payload"))
+	path := filepath.Join(dir, store.SimStage, "k.bin")
+	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(store.SimStage, "k", []byte("payload")) // memory still holds the good bytes
+	if b, _ := os.ReadFile(path); string(b) != "torn" {
+		t.Fatalf("an identical Put rewrote the file: %q", b)
+	}
+
+	s2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := s2.Get(store.SimStage, "k"); !ok || string(b) != "torn" {
+		t.Fatalf("Get: %q, %v", b, ok)
+	}
+	s2.Put(store.SimStage, "k", []byte("payload"))
+	if b, _ := os.ReadFile(path); string(b) != "payload" {
+		t.Errorf("corrupt record not replaced on disk: %q", b)
+	}
+	if b, ok := s2.Get(store.SimStage, "k"); !ok || string(b) != "payload" {
+		t.Errorf("Get after replace: %q, %v", b, ok)
+	}
+	if st := s2.Stats(); st.DiskEntries != 1 || st.DiskBytes != int64(len("payload")) {
+		t.Errorf("footprint after replace: %d entries, %d bytes", st.DiskEntries, st.DiskBytes)
+	}
+}
+
 // TestSolverCacheRoundTrip: solver-instance results persist through the disk
 // tier and come back equal, so a restarted process skips re-solving.
 func TestSolverCacheRoundTrip(t *testing.T) {
