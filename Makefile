@@ -40,7 +40,9 @@ bench:
 # the rf and ms par-64 compiles of ./bench's solver workload, time per
 # branch-and-bound node and allocations per compile; BenchmarkRunHit is the
 # serving hit path's — one in-process /v1/run answered from the LRU and the
-# result memo, time and allocations per request. The smoke compile report
+# result memo, time and allocations per request — and BenchmarkRunProxied the
+# proxy hop's: a design's first request at a non-owner of a 2-node cluster,
+# answered with the owner's artifact and result record. The smoke compile report
 # goes to a scratch path — only `make bench` refreshes the committed BENCH
 # files. (The parallel engine's -race equivalence suite and the incremental
 # cross-mode equivalence suite run under the `race` target, which ci already
@@ -50,7 +52,7 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkPlace -benchtime 1x ./internal/place/
 	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkSolver -benchtime 1x ./internal/partition/
-	$(GO) test -run '^$$' -bench BenchmarkRunHit -benchtime 1x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunHit|BenchmarkRunProxied' -benchtime 1x -benchmem ./internal/server/
 	$(GO) run ./cmd/sarabench -mode compile -smoke -compile-reps 1 \
 		-compile-o $${TMPDIR:-/tmp}/BENCH_compile_smoke.json
 	$(GO) run ./cmd/sarasim -workload rf -par 16 -scale 64 -engine parallel >/dev/null

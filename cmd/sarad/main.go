@@ -8,9 +8,10 @@
 // Cluster mode shards the compile content-address space over a fleet: give
 // every node the same membership (-peers or -peers-file) and its own -self
 // URL, and a cache-and-store miss on a key another node owns is proxied to
-// that owner — each unique design compiles once cluster-wide, and a dead or
-// slow peer degrades the requester to standalone behavior (local compile)
-// instead of failing the request.
+// that owner — each unique design compiles and simulates once cluster-wide
+// (the owner ships its result record with the design), and a dead or slow
+// peer degrades the requester to standalone behavior (local compile and
+// simulation) instead of failing the request.
 //
 // A request carrying a "tune" member runs the design-space autotuner over a
 // registered workload and answers with the full Pareto-front result;

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // BenchmarkRunHit times one /v1/run answered entirely from memory — LRU hit
@@ -46,5 +48,78 @@ func BenchmarkRunHit(b *testing.B) {
 				post()
 			}
 		})
+	}
+}
+
+// BenchmarkRunProxied times a design's first /v1/run at the node of a 2-node
+// in-process cluster that does not own it: LRU and store miss, the
+// /v1/artifact hop to the owner over loopback TCP, the artifact and the
+// simulation record decoded, checked and stored, and the answer built from
+// the owner's record. The owner already holds design and record (warmed
+// before the timer starts), so the hop is what is timed, not a compile or a
+// simulation; solver_workers, which a traversal compile never reads, gives
+// each iteration a fresh content address for the same design. Profile with
+//
+//	go test -run '^$' -bench RunProxied -benchmem -cpuprofile cpu.out ./internal/server/
+func BenchmarkRunProxied(b *testing.B) {
+	lc, err := StartLocalCluster(2, Options{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		lc.Close(ctx) //nolint:errcheck // nothing in flight
+	}()
+	lc.WaitHealthy(5 * time.Second)
+	post := func(url string, body []byte) {
+		resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d (err %v): %s", resp.StatusCode, err, out)
+		}
+	}
+	// Warmed in batches the owner's LRU (64 designs) and its memory-only
+	// store (1024 entries, about ten a design) both still hold when asked.
+	const batch = 32
+	type ask struct {
+		url  string
+		body []byte
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		b.StopTimer()
+		var asks []ask
+		for ; i < b.N && len(asks) < batch; i++ {
+			req := RunRequest{Workload: "bs", Par: 16, Scale: 16, Options: &CompileOptionsJSON{SolverWorkers: i + 1}}
+			body, err := json.Marshal(&req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key, err := KeyFor(&req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			owner := lc.OwnerIndex(key)
+			post(lc.URLs[owner], body) // compile and simulate on the owner
+			asks = append(asks, ask{lc.URLs[1-owner], body})
+		}
+		b.StartTimer()
+		for _, a := range asks {
+			post(a.url, a.body)
+		}
+	}
+	b.StopTimer()
+	var records int64
+	for _, s := range lc.Servers {
+		records += s.Metrics().Counter("sarad_proxy_sim_records_total")
+	}
+	if records != int64(b.N) {
+		b.Fatalf("%d of %d requests took the owner's record", records, b.N)
 	}
 }

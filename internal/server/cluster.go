@@ -166,6 +166,10 @@ func (c *cluster) route(key string) (owner string, local bool) {
 	return owner, false
 }
 
+// simHeader on a /v1/artifact request says the requester is about to run a
+// memoised simulation of the design and takes the owner's result record.
+const simHeader = "X-Sara-Sim"
+
 // artifactEnvelope is the /v1/artifact wire format: the owner's encoded
 // final artifact (the same store codec bytes it persists locally) plus the
 // compile bookkeeping the requester surfaces in its own /v1/run response.
@@ -175,14 +179,25 @@ type artifactEnvelope struct {
 	StageCache map[string]bool `json:"stage_cache,omitempty"`
 	// Artifact is store.EncodeArtifact output (base64 on the wire).
 	Artifact []byte `json:"artifact"`
+
+	// The simulation record, when the request carried simHeader and the
+	// owner had or finished it within its wait budget: SimKey is the memo key
+	// the owner stored SimRecord (encoding/json of the sim.Result) under,
+	// SimNS its simulation wall time for this request, SimRan whether it ran
+	// the engine for this request or already had the record.
+	SimKey    string        `json:"sim_key,omitempty"`
+	SimRecord []byte        `json:"sim_record,omitempty"`
+	SimNS     time.Duration `json:"sim_ns,omitempty"`
+	SimRan    bool          `json:"sim_ran,omitempty"`
 }
 
 // fetchArtifact asks owner to compile req's design and ship the artifact
-// back. Each attempt is bounded by the proxy timeout; one retry covers a
-// transient failure, and a second failure marks the peer unhealthy so
-// subsequent requests skip straight to the local fallback until the prober
-// sees it recover. A peer already marked unhealthy is not contacted at all.
-func (c *cluster) fetchArtifact(ctx context.Context, owner, key string, req *RunRequest) (*artifactEnvelope, error) {
+// back — with askSim, its simulation record too. Each attempt is bounded by
+// the proxy timeout; one retry covers a transient failure, and a second
+// failure marks the peer unhealthy so subsequent requests skip straight to
+// the local fallback until the prober sees it recover. A peer already marked
+// unhealthy is not contacted at all.
+func (c *cluster) fetchArtifact(ctx context.Context, owner, key string, req *RunRequest, askSim bool) (*artifactEnvelope, error) {
 	p := c.byURL[owner]
 	if p == nil {
 		return nil, fmt.Errorf("cluster: owner %s is not a known peer", owner)
@@ -192,10 +207,10 @@ func (c *cluster) fetchArtifact(ctx context.Context, owner, key string, req *Run
 		return nil, fmt.Errorf("cluster: owner %s is marked unhealthy", owner)
 	}
 	t0 := time.Now()
-	env, err := c.fetchOnce(ctx, p, key, req)
+	env, err := c.fetchOnce(ctx, p, key, req, askSim)
 	if err != nil && ctx.Err() == nil {
 		c.metrics.Add("sarad_proxy_retries_total", 1)
-		env, err = c.fetchOnce(ctx, p, key, req)
+		env, err = c.fetchOnce(ctx, p, key, req, askSim)
 	}
 	if err != nil {
 		c.metrics.Add("sarad_proxy_failures_total", 1)
@@ -208,7 +223,7 @@ func (c *cluster) fetchArtifact(ctx context.Context, owner, key string, req *Run
 	return env, nil
 }
 
-func (c *cluster) fetchOnce(ctx context.Context, p *peer, key string, req *RunRequest) (*artifactEnvelope, error) {
+func (c *cluster) fetchOnce(ctx context.Context, p *peer, key string, req *RunRequest, askSim bool) (*artifactEnvelope, error) {
 	c.metrics.Add("sarad_proxy_attempts_total", 1)
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -225,6 +240,9 @@ func (c *cluster) fetchOnce(ctx context.Context, p *peer, key string, req *RunRe
 	// lets it reject version skew (differing canonicalization) loudly
 	// instead of serving the wrong design.
 	hreq.Header.Set("X-Sara-Key", key)
+	if askSim {
+		hreq.Header.Set(simHeader, "1")
+	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
 		return nil, err

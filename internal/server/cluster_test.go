@@ -75,15 +75,18 @@ func crossNodeRequest(t *testing.T, lc *LocalCluster, requester int) (RunRequest
 	return RunRequest{}, -1
 }
 
-// totalCompiles sums actual (non-proxied, non-cached) compiles across the
-// cluster.
-func totalCompiles(lc *LocalCluster) int64 {
+// clusterCounter sums a counter over every node.
+func clusterCounter(lc *LocalCluster, name string) int64 {
 	var n int64
 	for _, s := range lc.Servers {
-		n += s.Metrics().Counter("sarad_compiles_total")
+		n += s.Metrics().Counter(name)
 	}
 	return n
 }
+
+// totalCompiles sums actual (non-proxied, non-cached) compiles across the
+// cluster.
+func totalCompiles(lc *LocalCluster) int64 { return clusterCounter(lc, "sarad_compiles_total") }
 
 // standaloneResult runs req on a fresh standalone server and returns the
 // response — the reference any cluster response must be bit-identical to.
@@ -164,13 +167,13 @@ func TestClusterProxyCompilesOnceBitIdentical(t *testing.T) {
 }
 
 // TestClusterCrossNodeSingleFlight: M concurrent identical requests fanned
-// across every node collapse to exactly one compile cluster-wide — local
-// single-flight dedupes each node to at most one proxy call, and the
-// owner's single-flight collapses those across nodes. Run under -race by
-// `make ci`.
+// across every node collapse to exactly one compile and one simulation
+// cluster-wide — local single-flight dedupes each node to at most one proxy
+// call, and the owner's single-flights (compile cache, simulation memo)
+// collapse those across nodes. Run under -race by `make ci`.
 func TestClusterCrossNodeSingleFlight(t *testing.T) {
 	lc := startCluster(t, 3, clusterTestOptions())
-	req, _ := crossNodeRequest(t, lc, 0)
+	req, owner := crossNodeRequest(t, lc, 0)
 
 	const m = 9
 	results := make([]*RunResponse, m)
@@ -197,6 +200,12 @@ func TestClusterCrossNodeSingleFlight(t *testing.T) {
 	}
 	if got := totalCompiles(lc); got != 1 {
 		t.Errorf("cluster-wide compiles = %d for %d concurrent identical requests, want 1", got, m)
+	}
+	if got := lc.Servers[owner].Metrics().Counter("sarad_artifact_sims_total"); got > 1 {
+		t.Errorf("owner ran %d simulations for the proxied asks, want at most 1", got)
+	}
+	if got := clusterCounter(lc, "sarad_sim_memo_misses_total"); got != 1 {
+		t.Errorf("cluster-wide simulations = %d for %d concurrent identical requests, want 1", got, m)
 	}
 	ref, err := json.Marshal(results[0].Result)
 	if err != nil {
@@ -492,17 +501,21 @@ func TestClusterMetricsRendered(t *testing.T) {
 		"sarad_proxy_attempts_total 1",
 		"sarad_proxy_success_total 1",
 		"sarad_proxy_seconds_count 1",
+		"sarad_proxy_sim_records_total 1",
+		"sarad_proxy_sim_records_rejected_total 0",
 	} {
-		if !strings.Contains(requester, metric) {
+		if !strings.Contains(requester, metric+"\n") {
 			t.Errorf("requester metrics missing %q", metric)
 		}
 	}
 	ownerText := get(lc.URLs[owner])
 	for _, metric := range []string{
 		"sarad_artifact_served_total 1",
+		"sarad_artifact_sims_total 1",
+		"sarad_artifact_sim_budget_exceeded_total 0",
 		"sarad_compiles_total 1",
 	} {
-		if !strings.Contains(ownerText, metric) {
+		if !strings.Contains(ownerText, metric+"\n") {
 			t.Errorf("owner metrics missing %q", metric)
 		}
 	}

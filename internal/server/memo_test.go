@@ -254,9 +254,9 @@ func TestMemoSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentColdRequests: there is no single-flight on simulation —
-// identical cold requests compile once, simulate at most once per worker,
-// and all answer identically.
+// TestMemoConcurrentColdRequests: identical cold requests compile once,
+// share one simulation (the others wait for its run or read its record) and
+// all answer identically.
 func TestMemoConcurrentColdRequests(t *testing.T) {
 	const n, workers = 8, 4
 	s, ts := newTestServer(t, Options{Workers: workers, QueueDepth: 64})
@@ -284,9 +284,8 @@ func TestMemoConcurrentColdRequests(t *testing.T) {
 	if got := s.Metrics().Counter("sarad_compiles_total"); got != 1 {
 		t.Errorf("%d compiles, want 1", got)
 	}
-	hits, misses := memoCounters(s)
-	if misses < 1 || misses > workers || hits+misses != n {
-		t.Errorf("%d memo hits / %d misses over %d requests on %d workers", hits, misses, n, workers)
+	if hits, misses := memoCounters(s); misses != 1 || hits+misses != n {
+		t.Errorf("%d memo hits / %d misses over %d requests on %d workers, want %d / 1", hits, misses, n, workers, n-1)
 	}
 	for i, r := range results {
 		if r != results[0] {

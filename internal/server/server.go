@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"sara/internal/arch"
@@ -139,9 +140,16 @@ type Server struct {
 	// then runs memory-only); nil otherwise.
 	storeErr error
 
+	// simFlights holds the memoised simulations running now, by memo key, so
+	// concurrent asks for one record share one run (see simulateMemo).
+	simMu      sync.Mutex
+	simFlights map[string]*simFlight
+
 	// jobGate, when set, runs at the start of every pooled job; tests use it
-	// to hold workers busy deterministically.
+	// to hold workers busy deterministically. simGate does the same for every
+	// memoised simulation run.
 	jobGate func()
+	simGate func()
 }
 
 // New returns a ready-to-serve Server.
@@ -154,6 +162,7 @@ func New(opts Options) *Server {
 		metrics:     NewMetrics(),
 		mux:         http.NewServeMux(),
 		artifactSem: make(chan struct{}, opts.Workers+opts.QueueDepth),
+		simFlights:  map[string]*simFlight{},
 	}
 	if opts.StoreDir != "" {
 		s.store, s.storeErr = store.Open(opts.StoreDir)
@@ -172,6 +181,13 @@ func New(opts Options) *Server {
 		s.metrics.Gauge("sarad_cluster_peers_healthy", func() int64 {
 			return int64(s.cluster.healthyPeers())
 		})
+		// The simulation-record funnel renders from the start, zeros included.
+		for _, name := range []string{
+			"sarad_artifact_sims_total", "sarad_artifact_sim_budget_exceeded_total",
+			"sarad_proxy_sim_records_total", "sarad_proxy_sim_records_rejected_total",
+		} {
+			s.metrics.Add(name, 0)
+		}
 	}
 	s.metrics.Gauge("sarad_queue_depth", func() int64 { return int64(s.pool.QueueDepth()) })
 	s.metrics.Gauge("sarad_workers_busy", func() int64 { return s.pool.Active() })
@@ -294,13 +310,17 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the registry (for embedding and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close drains in-flight and queued jobs, waiting up to ctx's deadline. Call
-// after http.Server.Shutdown so no new work arrives while draining.
+// Close drains in-flight and queued jobs and the simulations they started,
+// waiting up to ctx's deadline. Call after http.Server.Shutdown so no new
+// work arrives while draining.
 func (s *Server) Close(ctx context.Context) error {
 	if s.cluster != nil {
 		s.cluster.stop()
 	}
-	return s.pool.Shutdown(ctx)
+	if err := s.pool.Shutdown(ctx); err != nil {
+		return err
+	}
+	return s.drainSims(ctx)
 }
 
 // RunRequest is the body of /v1/run and /v1/compile. Exactly one of Workload
@@ -443,8 +463,10 @@ type RunResponse struct {
 	CacheKey string `json:"cache_key"`
 	CacheHit bool   `json:"cache_hit"`
 	// Proxied marks a compile fetched from the cluster owner of this key on
-	// this request (the design was decoded from the owner's artifact and
-	// simulated locally); ProxyOwner names the peer it came from. Later
+	// this request: the design was decoded from the owner's artifact, and a
+	// memoised simulation came back with it as the owner's result record
+	// (when the owner had it or finished it within its wait budget; else
+	// this node simulated). ProxyOwner names the peer it came from. Later
 	// identical requests hit the local LRU and report cache_hit instead.
 	Proxied    bool   `json:"proxied,omitempty"`
 	ProxyOwner string `json:"proxy_owner,omitempty"`
@@ -452,16 +474,19 @@ type RunResponse struct {
 	// store (final-artifact tier) without recompiling or proxying.
 	StoreHit bool `json:"store_hit,omitempty"`
 	// CompileMS is the wall time of the compile phase of this request; a
-	// cache hit reports ~0 (the cost was paid by an earlier request).
+	// cache hit reports ~0 (the cost was paid by an earlier request). A
+	// proxied compile excludes the owner's simulation time (that is SimMS).
 	CompileMS float64 `json:"compile_ms"`
-	// SimCached marks a result answered from the result memo: an earlier
-	// request simulated this design on this engine and the stored Result was
-	// returned. SimMS is the time spent on this request — ~0 on a memo hit.
+	// SimCached marks a result no engine ran for: an earlier or concurrent
+	// request simulated this design on this engine, here or on the cluster
+	// owner, and its stored Result was returned. SimMS is the simulation
+	// time of this request — ~0 on a memo hit; when the owner ran the
+	// engine for this request, the owner's time (SimCached false).
 	SimCached bool    `json:"sim_cached,omitempty"`
 	SimMS     float64 `json:"sim_ms,omitempty"`
-	// SimCyclesPerSec is the simulated-cycle throughput of this request's
-	// engine — the service-level view of simulator performance. Absent when
-	// no engine ran (sim_cached).
+	// SimCyclesPerSec is the simulated-cycle throughput of the engine run
+	// for this request (on this node or the owner) — the service-level view
+	// of simulator performance. Absent when no engine ran (sim_cached).
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 	// PhaseMS is the per-stage compile-time split of the cached compile
 	// (measured when the design was first compiled, so a cache hit repeats
@@ -728,11 +753,19 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 		return nil, http.StatusGatewayTimeout, err
 	}
 	t0 := time.Now()
-	compiled, hit, via, err := s.compileForRequest(ctx, req, spec, key, true)
+	ask := proxyDesign
+	if simulate && memoEligible(req) {
+		ask = proxyDesignAndSim
+	}
+	compiled, hit, via, err := s.compileForRequest(ctx, req, spec, key, ask)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	compileWall := time.Since(t0)
+	if via.sim != nil {
+		// The proxy round trip waited out the owner's simulation too.
+		compileWall = max(0, compileWall-via.sim.wall)
+	}
 	if hit {
 		s.metrics.Add("sarad_cache_hits_total", 1)
 	} else {
@@ -747,12 +780,12 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 		Proxied:    via.proxyOwner != "",
 		ProxyOwner: via.proxyOwner,
 		StoreHit:   via.storeHit,
-		CompileMS:  float64(compileWall.Microseconds()) / 1e3,
+		CompileMS:  msOf(compileWall),
 		Resources:  resourcesJSON(compiled.Resources()),
 	}
 	resp.PhaseMS = map[string]float64{}
 	for phase, d := range compiled.PhaseTimes {
-		resp.PhaseMS[phase] = float64(d.Microseconds()) / 1e3
+		resp.PhaseMS[phase] = msOf(d)
 	}
 	resp.MIPNodesExplored = compiled.MIPNodes()
 	resp.StageCache = compiled.StageHits
@@ -765,11 +798,14 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
-	if err := s.simulate(req, compiled, spec, key, resp); err != nil {
+	if err := s.simulate(req, compiled, spec, key, via.sim, resp); err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	return resp, http.StatusOK, nil
 }
+
+// msOf is a duration in the wire's milliseconds (microsecond resolution).
+func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // jobAbandoned reports whether a pooled job's client hung up. A request that
 // merely timed out was told its job keeps running: the design lands in the
@@ -785,44 +821,105 @@ func jobAbandoned(ctx context.Context) error {
 // engines' 200M-cycle default); part of the memo key.
 const simMaxCycles = 0
 
+// memoEligible reports whether a /v1/run of req simulates behind the result
+// memo. Three requests run their engine directly because the premise does not
+// hold for them: a profiled run (the recording is the point and is not
+// stored), the analytic model (microseconds — a lookup saves nothing) and a
+// solver compile (until the solver's gap search is node-capped, ROADMAP 3a, a
+// solver request's key does not determine its design).
+func memoEligible(req *RunRequest) bool {
+	return !req.Profile && req.Engine != "analytic" && (req.Options == nil || !req.Options.Solver)
+}
+
+// memoKeyFor names the result record of simulating the design compiled under
+// key on req's engine. A Result is a pure function of (design, engine, cycle
+// cap, sim.Version) and the compile content address names the design. auto
+// is resolved with sim.ChooseEngine first, so it shares the record of the
+// engine it picks — and a node that would pick differently (GOMAXPROCS) or
+// runs another sim.Version computes another key.
+func memoKeyFor(d *sim.Design, req *RunRequest, key string) (string, sim.EngineKind, error) {
+	kind, err := sim.ParseEngine(req.Engine) // canonical: normalize ran first
+	if err != nil {
+		return "", kind, err
+	}
+	if kind == sim.EngineAuto {
+		kind = sim.ChooseEngine(d)
+	}
+	return store.NewHasher(store.SimStage, key).Int(sim.Version).Str(kind.String()).I64(simMaxCycles).Sum(), kind, nil
+}
+
 // simulate is the second half of execute: run req's engine on the compiled
-// design and fill the simulation fields of resp.
-func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.Spec, key string, resp *RunResponse) error {
+// design — or take the result the cluster owner answered with for this
+// request, owner — and fill the simulation fields of resp.
+func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.Spec, key string, owner *ownerSim, resp *RunResponse) error {
 	t1 := time.Now()
 	var result *sim.Result
 	var rec *profile.Recording
 	var err error
 	design := compiled.Design()
-	engine := req.Engine // canonical: normalize ran before the job was queued
-	if engine == "analytic" {
-		result, err = sim.Analytic(design)
-	} else {
+	ranHere := false // memoised runs count themselves, on the node they ran on
+	switch {
+	case owner != nil:
+		result, resp.SimCached = owner.result, !owner.ran
+	case memoEligible(req):
+		var memoKey string
 		var kind sim.EngineKind
-		if kind, err = sim.ParseEngine(engine); err != nil {
+		if memoKey, kind, err = memoKeyFor(design, req, key); err != nil {
 			return err
 		}
-		switch {
-		case req.Profile:
-			result, rec, err = sim.CycleProfiled(design, simMaxCycles, kind)
-		case req.Options != nil && req.Options.Solver:
-			// Until the solver's gap search is node-capped (ROADMAP 3a) a
-			// solver request's key does not determine its design.
-			result, err = sim.CycleEngine(design, simMaxCycles, kind)
-		default:
-			result, resp.SimCached, err = s.simulateMemo(design, key, kind)
+		var ans simAnswer
+		ans, err = s.simulateMemo(design, memoKey, kind, nil)
+		result, resp.SimCached = ans.result, !ans.ran
+	case req.Engine == "analytic":
+		result, err = sim.Analytic(design)
+		ranHere = true
+	default:
+		var kind sim.EngineKind
+		if kind, err = sim.ParseEngine(req.Engine); err != nil {
+			return err
 		}
+		if req.Profile {
+			result, rec, err = sim.CycleProfiled(design, simMaxCycles, kind)
+		} else {
+			result, err = sim.CycleEngine(design, simMaxCycles, kind)
+		}
+		ranHere = true
 	}
 	if err != nil {
 		return err
 	}
 	simWall := time.Since(t1)
-	s.metrics.Add("sarad_sim_requests_"+engine+"_total", 1)
-	resp.SimMS = float64(simWall.Microseconds()) / 1e3
-	resp.Result = result.JSON(spec)
-	if resp.SimCached {
-		return nil // the counters below count executed simulations only
+	if ranHere {
+		s.observeSimulation(result, simWall)
 	}
-	s.metrics.Observe("sarad_sim_seconds", simWall.Seconds())
+	if owner != nil {
+		simWall = owner.wall
+	}
+	s.metrics.Add("sarad_sim_requests_"+req.Engine+"_total", 1)
+	resp.SimMS, resp.Result = msOf(simWall), result.JSON(spec)
+	if sec := simWall.Seconds(); !resp.SimCached && sec > 0 {
+		resp.SimCyclesPerSec = float64(result.Cycles) / sec
+	}
+	if rec != nil {
+		rep := profile.Analyze(rec)
+		// Refined attribution (upstream vs network vs DRAM, token vs credit)
+		// exists only on profiled runs, so these counters cover the profiled
+		// subset of the coarse ones observeSimulation keeps.
+		for cause, n := range rep.StallsByCause {
+			s.metrics.Add("sarad_sim_profiled_stall_cycles_"+metricName(cause)+"_total", n)
+		}
+		s.metrics.Add("sarad_sim_profiled_requests_total", 1)
+		resp.Profile = rep.JSON()
+	}
+	return nil
+}
+
+// observeSimulation counts one simulation this node executed. Memo hits and
+// records taken from the cluster owner do not come here, so
+// sarad_sim_seconds, sarad_cycles_simulated_total and the stall counters count
+// each run once, on the node that ran it.
+func (s *Server) observeSimulation(result *sim.Result, wall time.Duration) {
+	s.metrics.Observe("sarad_sim_seconds", wall.Seconds())
 	s.metrics.Add("sarad_cycles_simulated_total", result.Cycles)
 	// Per-cause stall counters come from every cycle-level run; a scrape sees
 	// where the fleet's simulated cycles are going, not just how many ran.
@@ -839,72 +936,156 @@ func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.S
 		s.metrics.Add("sarad_sim_parallel_serial_cycles_total", result.Par.SerialCycles)
 		s.metrics.Observe("sarad_sim_parallel_barrier_wait_seconds", float64(result.Par.BarrierWaitNs)/1e9)
 	}
-	if rec != nil {
-		rep := profile.Analyze(rec)
-		// Refined attribution (upstream vs network vs DRAM, token vs credit)
-		// exists only on profiled runs, so these counters cover the profiled
-		// subset of the coarse ones above.
-		for cause, n := range rep.StallsByCause {
-			s.metrics.Add("sarad_sim_profiled_stall_cycles_"+metricName(cause)+"_total", n)
-		}
-		s.metrics.Add("sarad_sim_profiled_requests_total", 1)
-		resp.Profile = rep.JSON()
-	}
-	if sec := simWall.Seconds(); sec > 0 {
-		resp.SimCyclesPerSec = float64(result.Cycles) / sec
-	}
-	return nil
 }
 
-// simulateMemo runs a cycle-level engine behind the result memo. A Result is
-// a pure function of (design, engine, cycle cap, sim.Version) and the compile
-// content address names the design, so the record lives in the design store
-// under a key derived from it — memory and disk, outliving LRU eviction and
-// restarts. auto is resolved first: it shares the record of the engine it
-// picks. Errors are never stored (a deadlocking design deadlocks every time),
-// and an undecodable record is simulated afresh and overwritten. Concurrent
-// first requests each simulate and Put identical bytes.
-func (s *Server) simulateMemo(d *sim.Design, key string, kind sim.EngineKind) (*sim.Result, bool, error) {
-	if kind == sim.EngineAuto {
-		kind = sim.ChooseEngine(d)
-	}
-	memoKey := store.NewHasher(store.SimStage, key).Int(sim.Version).Str(kind.String()).I64(simMaxCycles).Sum()
-	if data, ok := s.store.Get(store.SimStage, memoKey); ok {
-		result := &sim.Result{}
-		if json.Unmarshal(data, result) == nil {
-			s.metrics.Add("sarad_sim_memo_hits_total", 1)
-			return result, true, nil
+// simFlight is one memoised simulation in progress; asks for its memo key
+// that arrive meanwhile wait on done instead of running the engine again.
+type simFlight struct {
+	done   chan struct{}
+	result *sim.Result
+	record []byte // the bytes Put under the memo key; nil on error
+	err    error
+}
+
+// simAnswer is simulateMemo's reply: the Result, the record bytes stored for
+// it, and whether this call started the engine (false on a memo hit and when
+// it joined a run another call had started).
+type simAnswer struct {
+	result *sim.Result
+	record []byte
+	ran    bool
+}
+
+// errSimBudget: the caller stopped waiting before the shared run finished;
+// the run carries on into the memo.
+var errSimBudget = errors.New("simulation still running past the wait budget")
+
+// simulateMemo answers a cycle-level simulation from the result memo: the
+// record lives in the design store's sim tier under memoKey (memoKeyFor) —
+// memory and disk, outliving LRU eviction and restarts. On a miss one run per
+// memo key executes in its own goroutine and every concurrent ask shares it;
+// deadline, when non-nil, bounds the wait, past which the caller gets
+// errSimBudget while the run still finishes into the memo (the owner side of
+// /v1/artifact uses it). Errors are never stored — a deadlocking design
+// deadlocks every time — and an undecodable record is simulated afresh and
+// overwritten. Hits count asks answered without starting an engine.
+func (s *Server) simulateMemo(d *sim.Design, memoKey string, kind sim.EngineKind, deadline <-chan time.Time) (simAnswer, error) {
+	// The flight table and the record are read under one lock, and a run Puts
+	// its record before it leaves the table: an ask sees one or the other.
+	s.simMu.Lock()
+	f, joined := s.simFlights[memoKey]
+	if !joined {
+		if data, ok := s.store.Get(store.SimStage, memoKey); ok {
+			s.simMu.Unlock()
+			result := &sim.Result{}
+			if json.Unmarshal(data, result) == nil {
+				s.metrics.Add("sarad_sim_memo_hits_total", 1)
+				return simAnswer{result: result, record: data}, nil
+			}
+			s.simMu.Lock()
+			f, joined = s.simFlights[memoKey]
+		}
+		if !joined {
+			f = &simFlight{done: make(chan struct{})}
+			s.simFlights[memoKey] = f
+			go s.runSim(f, d, memoKey, kind)
 		}
 	}
-	s.metrics.Add("sarad_sim_memo_misses_total", 1)
-	result, err := sim.CycleEngine(d, simMaxCycles, kind)
-	if err != nil {
-		return nil, false, err
+	s.simMu.Unlock()
+	if joined {
+		s.metrics.Add("sarad_sim_memo_hits_total", 1)
+	} else {
+		s.metrics.Add("sarad_sim_memo_misses_total", 1)
 	}
-	if data, err := json.Marshal(result); err == nil {
-		s.store.Put(store.SimStage, memoKey, data)
+	select {
+	case <-f.done:
+		return simAnswer{result: f.result, record: f.record, ran: !joined}, f.err
+	case <-deadline:
+		return simAnswer{ran: !joined}, errSimBudget
 	}
-	return result, false, nil
+}
+
+// runSim executes f, counts it on this node, Puts its record and only then
+// leaves the flight table (the order simulateMemo's lookup relies on).
+func (s *Server) runSim(f *simFlight, d *sim.Design, memoKey string, kind sim.EngineKind) {
+	if s.simGate != nil {
+		s.simGate()
+	}
+	t0 := time.Now()
+	f.result, f.err = sim.CycleEngine(d, simMaxCycles, kind)
+	if f.err == nil {
+		s.observeSimulation(f.result, time.Since(t0))
+		if data, err := json.Marshal(f.result); err == nil {
+			f.record = data
+			s.store.Put(store.SimStage, memoKey, data)
+		}
+	}
+	s.simMu.Lock()
+	delete(s.simFlights, memoKey)
+	s.simMu.Unlock()
+	close(f.done)
+}
+
+// drainSims waits until no memoised simulation is running.
+func (s *Server) drainSims(ctx context.Context) error {
+	for {
+		var f *simFlight
+		s.simMu.Lock()
+		for _, f = range s.simFlights {
+			break
+		}
+		s.simMu.Unlock()
+		if f == nil {
+			return nil
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // compileVia records how a compile request was satisfied when it missed the
-// LRU: proxied from the cluster owner, served from the local persistent
-// store, or (both zero) compiled locally.
+// LRU: proxied from the cluster owner (with the owner's simulation when it
+// answered one), served from the local persistent store, or (all zero)
+// compiled locally.
 type compileVia struct {
 	proxyOwner string
 	storeHit   bool
+	sim        *ownerSim
 }
+
+// ownerSim is the simulation the cluster owner answered with alongside the
+// artifact: its Result, whether it ran the engine for this request (false:
+// it already had the record) and its simulation wall time for this request.
+type ownerSim struct {
+	result *sim.Result
+	ran    bool
+	wall   time.Duration
+}
+
+// proxyAsk says what a cache-and-store miss may fetch from the ring owner.
+type proxyAsk int
+
+const (
+	proxyNone         proxyAsk = iota // compile here: the owner side of /v1/artifact
+	proxyDesign                       // the compiled design
+	proxyDesignAndSim                 // the design and its memoised simulation
+)
 
 // compileForRequest resolves req's design through the full serving
 // hierarchy: LRU cache (with single-flight dedup) → local persistent store
-// → cluster owner via proxy (when allowProxy and this node does not own the
-// key) → local compile. The proxy hop runs inside the single-flight slot,
-// so M concurrent identical requests on this node issue at most one proxy
-// call, and the owner's own single-flight collapses calls from different
-// nodes — each unique design compiles exactly once cluster-wide. Any proxy
-// failure (dead peer, timeout after one retry, saturation, decode error)
-// falls back to compiling locally, i.e. standalone sarad behavior.
-func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, allowProxy bool) (*core.Compiled, bool, compileVia, error) {
+// → cluster owner via proxy (unless ask is proxyNone, and only when this node
+// does not own the key) → local compile. The proxy hop runs inside the
+// single-flight slot, so M concurrent identical requests on this node issue
+// at most one proxy call, and the owner's own single-flight collapses calls
+// from different nodes — each unique design compiles exactly once
+// cluster-wide, and with proxyDesignAndSim its memoised simulation runs once
+// cluster-wide too. Any proxy failure (dead peer, timeout after one retry,
+// saturation, decode error) falls back to compiling locally, i.e. standalone
+// sarad behavior.
+func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, ask proxyAsk) (*core.Compiled, bool, compileVia, error) {
 	var via compileVia
 	compiled, hit, err := s.cache.GetOrCompile(key, func() (*core.Compiled, error) {
 		if c, ok := s.compiledFromStore(key); ok {
@@ -912,10 +1093,10 @@ func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *a
 			s.metrics.Add("sarad_store_final_serves_total", 1)
 			return c, nil
 		}
-		if allowProxy && s.cluster != nil {
+		if ask != proxyNone && s.cluster != nil {
 			if owner, local := s.cluster.route(key); !local {
-				if c, ok := s.proxyCompile(ctx, owner, key, req); ok {
-					via.proxyOwner = owner
+				if c, owned, ok := s.proxyCompile(ctx, owner, key, req, ask == proxyDesignAndSim); ok {
+					via.proxyOwner, via.sim = owner, owned
 					return c, nil
 				}
 				s.metrics.Add("sarad_proxy_fallback_local_total", 1)
@@ -934,12 +1115,7 @@ func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *a
 		}
 		// Persist the finished design under the request's content address so
 		// a restarted server can warm its LRU without recompiling.
-		s.store.Put(store.FinalStage, key, store.EncodeArtifact(&store.Artifact{
-			Prog:       c.Prog,
-			Spec:       c.Spec,
-			State:      snapshotOf(c),
-			PhaseTimes: c.PhaseTimes,
-		}))
+		s.store.Put(store.FinalStage, key, encodeArtifact(c))
 		s.metrics.Observe("sarad_compile_seconds", c.CompileTime().Seconds())
 		for phase, d := range c.PhaseTimes {
 			s.metrics.Observe("sarad_compile_phase_seconds_"+phase, d.Seconds())
@@ -955,21 +1131,43 @@ func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *a
 // after the owner dies, repeats of this request are still served locally —
 // and the decoded design carries the owner's per-stage cache flags so
 // stage_cache stays accurate through the proxy path. ok=false means the
-// caller should compile locally.
-func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRequest) (*core.Compiled, bool) {
-	env, err := s.cluster.fetchArtifact(ctx, owner, key, req)
+// caller should compile locally. askSim asks the owner for req's memoised
+// simulation too; the record it answers with is checked by acceptSimRecord.
+func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRequest, askSim bool) (*core.Compiled, *ownerSim, bool) {
+	env, err := s.cluster.fetchArtifact(ctx, owner, key, req, askSim)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	a, err := store.DecodeArtifact(env.Artifact)
 	if err != nil {
 		s.metrics.Add("sarad_proxy_decode_errors_total", 1)
-		return nil, false
+		return nil, nil, false
 	}
 	s.store.Put(store.FinalStage, key, env.Artifact)
 	c := compiledFromArtifact(a)
 	c.StageHits = env.StageCache
-	return c, true
+	return c, s.acceptSimRecord(env, c.Design(), req, key), true
+}
+
+// acceptSimRecord stores the owner's simulation record in this node's sim
+// tier and returns it — only when it is the record this node would have
+// stored itself: the memo key recomputed here from the decoded design
+// (engine choice, sim.Version, cycle cap) equals the owner's and the bytes
+// decode. Anything else is dropped and counted, and the request simulates
+// locally as if the owner had sent no record.
+func (s *Server) acceptSimRecord(env *artifactEnvelope, d *sim.Design, req *RunRequest, key string) *ownerSim {
+	if env.SimKey == "" {
+		return nil
+	}
+	memoKey, _, err := memoKeyFor(d, req, key)
+	result := &sim.Result{}
+	if err != nil || env.SimKey != memoKey || json.Unmarshal(env.SimRecord, result) != nil {
+		s.metrics.Add("sarad_proxy_sim_records_rejected_total", 1)
+		return nil
+	}
+	s.store.Put(store.SimStage, memoKey, env.SimRecord)
+	s.metrics.Add("sarad_proxy_sim_records_total", 1)
+	return &ownerSim{result: result, ran: env.SimRan, wall: env.SimNS}
 }
 
 // handleArtifact is the owner side of the cluster proxy protocol: compile
@@ -988,7 +1186,11 @@ func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRe
 // pool slot on its requester; a counting semaphore (workers + queue depth)
 // additionally sheds pathological fan-in with 429, which the requester
 // treats as a proxy failure and absorbs by compiling locally.
+//
+// A requester about to run a memoised simulation says so (simHeader); the
+// owner then answers with the result record too — see attachSimRecord.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	arrived := time.Now()
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
@@ -1023,37 +1225,65 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if s.jobGate != nil {
 		s.jobGate()
 	}
-	c, hit, _, err := s.compileForRequest(ctx, req, spec, key, false)
+	c, hit, _, err := s.compileForRequest(ctx, req, spec, key, proxyNone)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	env := &artifactEnvelope{Key: key, CacheHit: hit, StageCache: c.StageHits}
+	if r.Header.Get(simHeader) != "" && memoEligible(req) {
+		s.attachSimRecord(env, c.Design(), req, key, arrived.Add(s.opts.ProxyTimeout/2))
+	}
+	env.Artifact = encodeArtifact(c)
 	s.metrics.Add("sarad_artifact_served_total", 1)
-	writeJSON(w, http.StatusOK, &artifactEnvelope{
-		Key:        key,
-		CacheHit:   hit,
-		StageCache: c.StageHits,
-		Artifact: store.EncodeArtifact(&store.Artifact{
-			Prog:       c.Prog,
-			Spec:       c.Spec,
-			State:      snapshotOf(c),
-			PhaseTimes: c.PhaseTimes,
-		}),
-	})
+	writeJSON(w, http.StatusOK, env)
 }
 
-// snapshotOf packs a compiled design's pipeline state for artifact
-// serialization.
-func snapshotOf(c *core.Compiled) *store.Snapshot {
-	return &store.Snapshot{
-		Plan:      c.Plan,
-		Lowered:   c.Lowered,
-		OptStats:  c.OptStats,
-		BankStats: c.BankStats,
-		PartStats: c.PartStats,
-		Merged:    c.Merged,
-		Placement: c.Placement,
+// attachSimRecord answers the requester's simulation through this node's
+// memo — a stored record, a run another ask started, or a run started now —
+// and puts the record in env. It waits for a run until deadline (half this
+// node's ProxyTimeout after the request arrived, so the requester's attempt
+// never times out on it); past that env goes without a record, the requester
+// simulates as it did before records travelled, and the run still finishes
+// into this node's memo. A failed simulation ships nothing: the requester
+// runs it again and answers the same error.
+func (s *Server) attachSimRecord(env *artifactEnvelope, d *sim.Design, req *RunRequest, key string, deadline time.Time) {
+	memoKey, kind, err := memoKeyFor(d, req, key)
+	if err != nil {
+		return
 	}
+	t0 := time.Now()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	ans, err := s.simulateMemo(d, memoKey, kind, timer.C)
+	if ans.ran {
+		s.metrics.Add("sarad_artifact_sims_total", 1)
+	}
+	switch {
+	case errors.Is(err, errSimBudget):
+		s.metrics.Add("sarad_artifact_sim_budget_exceeded_total", 1)
+	case err == nil && ans.record != nil:
+		env.SimKey, env.SimRecord, env.SimRan, env.SimNS = memoKey, ans.record, ans.ran, time.Since(t0)
+	}
+}
+
+// encodeArtifact is the final-artifact encoding of a compiled design: what
+// the store persists and /v1/artifact ships.
+func encodeArtifact(c *core.Compiled) []byte {
+	return store.EncodeArtifact(&store.Artifact{
+		Prog: c.Prog,
+		Spec: c.Spec,
+		State: &store.Snapshot{
+			Plan:      c.Plan,
+			Lowered:   c.Lowered,
+			OptStats:  c.OptStats,
+			BankStats: c.BankStats,
+			PartStats: c.PartStats,
+			Merged:    c.Merged,
+			Placement: c.Placement,
+		},
+		PhaseTimes: c.PhaseTimes,
+	})
 }
 
 // metricName converts a stall-cause label to a Prometheus-safe name segment.

@@ -164,7 +164,7 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 				if err != nil {
 					return nil, err
 				}
-				c, _, _, err := s.compileForRequest(ctx, dreq, cfg.Spec, key, true)
+				c, _, _, err := s.compileForRequest(ctx, dreq, cfg.Spec, key, proxyDesign)
 				return c, err
 			},
 		})
