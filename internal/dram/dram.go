@@ -134,6 +134,27 @@ func (m *Model) NextReady(ch int) int64 {
 	return int64(m.ch[ch].busyUntil + 0.9999)
 }
 
+// IdleAt reports whether a request issued on the channel at cycle `at` or
+// later starts at once: the channel's queue has drained by then, so its
+// fractional position no longer affects anything.
+func (m *Model) IdleAt(ch int, at int64) bool {
+	return m.ch[ch].busyUntil <= float64(at)
+}
+
+// Counters returns one channel's running totals: bytes moved, requests
+// served and cycles requests spent queued.
+func (m *Model) Counters(ch int) (bytes, reqs, stallCycles int64) {
+	c := &m.ch[ch]
+	return c.bytes, c.reqs, c.stallCycles
+}
+
+// SetCounters overwrites one channel's running totals. The simulator's
+// steady-state fast-forward uses it to add whole periods of traffic at once.
+func (m *Model) SetCounters(ch int, bytes, reqs, stallCycles int64) {
+	c := &m.ch[ch]
+	c.bytes, c.reqs, c.stallCycles = bytes, reqs, stallCycles
+}
+
 // ChannelBytes returns the bytes transferred so far on one channel, exposing
 // per-channel load imbalance that the aggregate Stats hide.
 func (m *Model) ChannelBytes(ch int) int64 {

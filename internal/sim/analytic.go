@@ -276,17 +276,19 @@ func Analytic(d *Design) (*Result, error) {
 	}, nil
 }
 
-// disableStallFreeFastPath turns the stall-free fast path off, so the guard
-// test (TestStallFreeFastPath) can prove the skipped bookkeeping really is a
-// no-op by diffing full results with the path on and off.
-var disableStallFreeFastPath = false
+// noFastPaths turns the event engine's two fast paths off — the stall-free
+// skip below and the steady-state fast-forward (fastforward.go) — so the
+// guard tests can prove both exact by diffing full results with the paths on
+// and off.
+var noFastPaths = false
 
-// CycleEngineNoFastPath runs the event engine with the stall-free fast path
-// disabled — the reference side of TestStallFreeFastPath's bit-identical
-// guard. Not safe to call concurrently with other engine runs.
+// CycleEngineNoFastPath runs the event engine with the stall-free skip and
+// the steady-state fast-forward disabled — the reference side of
+// TestStallFreeFastPath's and TestFastForwardExact's bit-identical guards.
+// Not safe to call concurrently with other engine runs.
 func CycleEngineNoFastPath(d *Design, maxCycles int64) (*Result, error) {
-	disableStallFreeFastPath = true
-	defer func() { disableStallFreeFastPath = false }()
+	noFastPaths = true
+	defer func() { noFastPaths = false }()
 	return CycleEngine(d, maxCycles, EngineEvent)
 }
 

@@ -8,30 +8,53 @@ import (
 )
 
 // BenchmarkSimulate times one auto-engine simulation of placed designs from
-// both ends of the benchmark: the forwarder-heavy par-128 kernels and the
-// short par-16 runs a serving hit repeats. It is the simulator's profiling
-// entry point:
+// both ends of the benchmark: the forwarder-heavy par-128 kernels, the short
+// par-16 runs a serving hit repeats, and rf par 8 / scale 16 (950 629
+// cycles, almost all of them in a recurring steady state the event engine
+// fast-forwards). It is the simulator's profiling entry point:
 //
 //	go test -run '^$' -bench Simulate -cpuprofile cpu.out ./internal/sim/
+//
+// The engines/ entries time the serial event engine against the parallel
+// engine at two workers on the four par-128 kernels designs, alternated
+// under -count (ROADMAP 5b's keep-or-delete measurement):
+//
+//	go test -run '^$' -bench 'Simulate/engines' -count 10 ./internal/sim/
 func BenchmarkSimulate(b *testing.B) {
+	run := func(b *testing.B, d *sim.Design, simulate func(*sim.Design) (*sim.Result, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		var fired int64
+		for i := 0; i < b.N; i++ {
+			r, err := simulate(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fired += r.FiredTotal
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
+	}
 	for _, k := range []struct {
 		name       string
 		par, scale int
-	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"pr", 16, 16}, {"bs", 16, 16}, {"gda", 16, 16}} {
+	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"pr", 16, 16}, {"bs", 16, 16}, {"gda", 16, 16}, {"rf", 8, 16}} {
 		k := k
 		b.Run(k.name+"/p"+itoa(k.par), func(b *testing.B) {
-			d := compilePlaced(b, k.name, k.par, k.scale)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var fired int64
-			for i := 0; i < b.N; i++ {
-				r, err := sim.CycleEngine(d, 0, sim.EngineAuto)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fired += r.FiredTotal
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
+			run(b, compilePlaced(b, k.name, k.par, k.scale), func(d *sim.Design) (*sim.Result, error) {
+				return sim.CycleEngine(d, 0, sim.EngineAuto)
+			})
+		})
+	}
+	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
+		name := name
+		b.Run("engines/"+name+"/p128", func(b *testing.B) {
+			d := compilePlaced(b, name, 128, 8)
+			b.Run("event", func(b *testing.B) {
+				run(b, d, func(d *sim.Design) (*sim.Result, error) { return sim.CycleEngine(d, 0, sim.EngineEvent) })
+			})
+			b.Run("parallel-2", func(b *testing.B) {
+				run(b, d, func(d *sim.Design) (*sim.Result, error) { return sim.CycleParallel(d, 0, 2) })
+			})
 		})
 	}
 }

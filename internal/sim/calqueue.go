@@ -35,10 +35,17 @@ type calQueue struct {
 
 // init sizes the queue for ids in [0, ids).
 func (q *calQueue) init(ids int) {
+	q.clear()
+	q.next = make([]int32, ids)
+}
+
+// clear empties the queue, keeping its storage.
+func (q *calQueue) clear() {
 	for s := range q.head {
 		q.head[s] = -1
 	}
-	q.next = make([]int32, ids)
+	q.used = [calSlots / 64]uint64{}
+	q.far = q.far[:0]
 }
 
 // push queues id for cycle at >= now. id must not be queued already.

@@ -164,7 +164,6 @@ type edgeState struct {
 	ring    []int64
 	head    int
 	latency int64
-	served  int // VMU decimation counter
 	// armed marks that the event engine holds a queued event for this edge's
 	// earliest undelivered arrival (at most one event per edge is in flight).
 	armed bool
@@ -241,9 +240,6 @@ type vuState struct {
 	// VMU port table.
 	ports []*vmuPort
 	rrIn  int
-
-	// merge round-robin input index.
-	mergeRR int
 }
 
 func (vs *vuState) addStall(k stallKind, n int64) {
@@ -293,6 +289,9 @@ type cycleSim struct {
 	firedTotal int64
 	busyCycles int64 // Σ over compute units of cycles spent firing
 	nCompute   int64
+	// skipped counts the cycles the event engine's fast-forward advanced
+	// arithmetically (fastforward.go); tests read it to see that it fired.
+	skipped int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element

@@ -33,6 +33,12 @@ package sim
 //     back-to-back times (see batchSize), the k firings collapse into one
 //     scheduling step with the out-arrivals staggered exactly as dense would
 //     have produced them.
+//   - Steady-state fast-forward (runEvent only; fastforward.go): when the
+//     state relative to now recurs with period P, k whole periods are
+//     advanced arithmetically — pending times shift by k·P, counters that
+//     only grow add k times the period's increment. Exact because the
+//     engine's future is a pure function of the relative state while no
+//     unit nears its last firing and DRAM float timing stays in one binade.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
 // woken units are stepped in ascending ID order off a bitset, and a pop
@@ -72,13 +78,15 @@ type eventSim struct {
 	// the scan cursor, so a single forward pass sees every woken unit.
 	curr    []uint64
 	currAny bool
+	// timerAt is the cycle of each unit's pending timer. The calendar wheel
+	// keeps only bucket links, so the fast-forward reads timers from here.
+	timerAt []int64
 
-	// reserved marks a unit mid-batch through the given cycle: stale wakes
-	// inside the window are skipped so the batch's firings stay back-to-back.
-	reserved []int64
 	// parked marks units waiting on an edge change. A non-parked live unit
 	// always holds a curr or timer entry (it reschedules itself after every
-	// evaluation), so pops and deliveries only need to wake parked units.
+	// evaluation), so pops and deliveries only need to wake parked units. A
+	// unit mid-batch holds a timer and is never parked, so nothing wakes it
+	// before its batch ends.
 	parked []bool
 	// blockedSince/blockedCause record a parked unit's stall interval; the
 	// cause cannot change while the unit is parked (nothing it reads changed,
@@ -99,6 +107,9 @@ type eventSim struct {
 	lastFire   int64
 	remaining  int
 	progressed bool
+	// work counts deliveries and unit visits, the engine effort the
+	// fast-forward's capture cost is measured against.
+	work int64
 
 	// lastActive/progAtLast track the most recent cycle this instance
 	// processed any event and whether that cycle made progress — the inputs
@@ -114,7 +125,7 @@ type eventSim struct {
 func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 	n := len(cs.vus)
 	noStall := make([]bool, n)
-	if !disableStallFreeFastPath {
+	if !noFastPaths {
 		noStall = stallFreeStates(cs)
 	}
 	ev := &eventSim{
@@ -122,7 +133,7 @@ func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 		owned:        owned,
 		noStall:      noStall,
 		curr:         make([]uint64, (n+63)/64),
-		reserved:     make([]int64, n),
+		timerAt:      make([]int64, n),
 		parked:       make([]bool, n),
 		blockedSince: make([]int64, n),
 		blockedCause: make([]stallKind, n),
@@ -209,7 +220,7 @@ func (ev *eventSim) scanCurr() int {
 				id := w*64 + b
 				n++
 				vs := cs.vus[id]
-				if vs == nil || ev.reserved[id] > ev.now {
+				if vs == nil {
 					continue
 				}
 				ev.processing = id
@@ -231,17 +242,19 @@ func (ev *eventSim) nextEventAt() int64 {
 	return next
 }
 
-// runEvent advances the simulation to completion, event by event.
+// runEvent advances the simulation to completion, event by event, and whole
+// periods at a time once its state recurs (fastforward.go).
 func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 	ev := newEventSim(cs, nil)
 	cs.onSchedule = ev.onSchedule
 	cs.onPop = ev.onPop
 	ev.seedWakes()
+	ff := newFastForward(ev, maxCycles)
+	defer ff.release()
 	for {
 		cs.now = ev.now
 		ev.processing = -1
-		ev.deliverDue()
-		ev.scanCurr()
+		ev.work += int64(ev.deliverDue() + ev.scanCurr())
 		if ev.remaining == 0 {
 			end := ev.now
 			if ev.lastFire > end {
@@ -251,6 +264,9 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 				return nil, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
 			}
 			return cs.buildResult(end+1, "cycle"), nil
+		}
+		if ff != nil {
+			ff.afterCycle()
 		}
 		next := ev.nextEventAt()
 		if next < 0 && ev.progressed {
@@ -345,6 +361,7 @@ func (ev *eventSim) wakeAt(id int, at int64) {
 		return
 	}
 	ev.parked[id] = false
+	ev.timerAt[id] = at
 	ev.timers.push(ev.now, at, int32(id))
 }
 
@@ -428,7 +445,6 @@ func (ev *eventSim) stepCounter(vs *vuState, id int) {
 		ev.remaining--
 		return
 	}
-	ev.reserved[id] = ev.now + k
 	ev.wakeAt(id, ev.now+k)
 }
 

@@ -872,7 +872,7 @@ func (ps *parSim) serialCycleAt(T int64) {
 			sh.ev.curr[w] &^= 1 << uint(b)
 			acted[ps.owner[id]] = true
 			vs := ps.parent.vus[id]
-			if vs == nil || sh.ev.reserved[id] > T {
+			if vs == nil {
 				continue
 			}
 			sh.ev.processing = id

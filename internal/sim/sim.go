@@ -15,7 +15,9 @@
 //     and the fastest one on small busy graphs.
 //   - Event (EngineEvent, event.go): a calendar queue of arrivals and timers,
 //     wake lists, parking and batch firing make cost proportional to
-//     activity. The default for everything but small token-free graphs.
+//     activity, and a steady state that recurs exactly is advanced whole
+//     periods at a time (fastforward.go). The default for everything but
+//     small token-free graphs.
 //   - Parallel (EngineParallel, parallel.go): the event engine sharded over
 //     worker goroutines under conservative time windows, for big token-heavy
 //     graphs on hosts with cores to spare.
