@@ -29,10 +29,9 @@ bench:
 		-serve-o BENCH_serve.json -tune-o BENCH_tune.json
 	$(GO) test -bench=. -benchmem
 
-# One iteration of the engine comparison (event, dense, and parallel) plus a
-# tiny compile-benchmark subset — including one incremental design-store
-# replay row — and one explicit parallel-engine row: catches bit-rot in all
-# harnesses without paying for a full timing run. BenchmarkPlace shows the
+# One iteration of the engine comparison (event and dense) plus a tiny
+# compile-benchmark subset — including one incremental design-store replay
+# row: catches bit-rot in all harnesses without paying for a full timing run. BenchmarkPlace shows the
 # placer's time and allocation count on its two largest benchmark designs
 # outside ./bench; BenchmarkSimulate does the same for the simulator (time per
 # firing, bytes and allocations per run on five placed designs) and is its
@@ -44,9 +43,8 @@ bench:
 # proxy hop's: a design's first request at a non-owner of a 2-node cluster,
 # answered with the owner's artifact and result record. The smoke compile report
 # goes to a scratch path — only `make bench` refreshes the committed BENCH
-# files. (The parallel engine's -race equivalence suite and the incremental
-# cross-mode equivalence suite run under the `race` target, which ci already
-# includes.)
+# files. (The incremental cross-mode equivalence suite runs under the `race`
+# target, which ci already includes.)
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkCycleEngine -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkPlace -benchtime 1x ./internal/place/
@@ -55,7 +53,6 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunHit|BenchmarkRunProxied' -benchtime 1x -benchmem ./internal/server/
 	$(GO) run ./cmd/sarabench -mode compile -smoke -compile-reps 1 \
 		-compile-o $${TMPDIR:-/tmp}/BENCH_compile_smoke.json
-	$(GO) run ./cmd/sarasim -workload rf -par 16 -scale 64 -engine parallel >/dev/null
 
 # Cluster serving smoke: boots a tiny in-process 3-node sarad cluster under
 # the race detector and replays a short cut of every request mix (hot/cold

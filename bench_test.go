@@ -199,7 +199,7 @@ func BenchmarkCycleEngine(b *testing.B) {
 		for _, eng := range []struct {
 			name string
 			kind sim.EngineKind
-		}{{"event", sim.EngineEvent}, {"dense", sim.EngineDense}, {"parallel", sim.EngineParallel}} {
+		}{{"event", sim.EngineEvent}, {"dense", sim.EngineDense}} {
 			b.Run(tc.workload+"/"+eng.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var cycles, fired int64

@@ -94,30 +94,13 @@ type Row struct {
 	Bottleneck       string `json:"bottleneck,omitempty"`
 	BottleneckCause  string `json:"bottleneck_cause,omitempty"`
 	BottleneckStalls int64  `json:"bottleneck_stall_cycles,omitempty"`
-	// AutoEngine records which engine EngineAuto resolves to for this design
-	// on this host (GOMAXPROCS-dependent), so heuristic regressions show up
-	// in the committed trajectory.
+	// AutoEngine records which engine EngineAuto resolves to for this design,
+	// so heuristic regressions show up in the committed trajectory.
 	AutoEngine string `json:"auto_engine"`
-	// Parallel is the sharded engine's worker-scaling ladder on the same
-	// design; every row is cross-checked bit-identical to the event engine.
-	Parallel []WorkerStat `json:"parallel,omitempty"`
-}
-
-// WorkerStat is the parallel engine's timing at one worker count.
-type WorkerStat struct {
-	Workers      int     `json:"workers"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	SimCyclesPS  float64 `json:"sim_cycles_per_sec"`
-	Speedup      float64 `json:"speedup_over_event"`
-	Shards       int     `json:"shards"`
-	CutEdges     int     `json:"cut_edges"`
-	Windows      int64   `json:"windows"`
-	SerialCycles int64   `json:"serial_cycles"`
 }
 
 // Report is the BENCH_sim.json document. The meta stamp pins the host
-// parallelism the parallel-engine rows were measured under — worker ladders
-// recorded on a single-core machine are honest but cannot show scaling.
+// parallelism the timings were measured under.
 type Report struct {
 	Meta eval.BenchMeta `json:"meta"`
 	Reps int            `json:"reps"`
@@ -143,35 +126,6 @@ func timeEngine(d *sim.Design, kind sim.EngineKind, reps int) (EngineStat, *sim.
 		NsPerOp:     best.Nanoseconds(),
 		SimCyclesPS: float64(last.Cycles) / best.Seconds(),
 	}, last, nil
-}
-
-func timeParallel(d *sim.Design, workers, reps int) (WorkerStat, *sim.Result, error) {
-	var best time.Duration
-	var last *sim.Result
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		r, err := sim.CycleParallel(d, 0, workers)
-		el := time.Since(t0)
-		if err != nil {
-			return WorkerStat{}, nil, err
-		}
-		if best == 0 || el < best {
-			best = el
-		}
-		last = r
-	}
-	ws := WorkerStat{
-		Workers:     workers,
-		NsPerOp:     best.Nanoseconds(),
-		SimCyclesPS: float64(last.Cycles) / best.Seconds(),
-	}
-	if last.Par != nil {
-		ws.Shards = last.Par.Shards
-		ws.CutEdges = last.Par.CutEdges
-		ws.Windows = last.Par.Windows
-		ws.SerialCycles = last.Par.SerialCycles
-	}
-	return ws, last, nil
 }
 
 // compileCases is the BENCH_compile.json workload set: every registered
@@ -320,18 +274,6 @@ func runSim(reps int, out string) error {
 			Speedup:    float64(de.NsPerOp) / float64(ev.NsPerOp),
 			AutoEngine: sim.ChooseEngine(d).String(),
 		}
-		for _, wk := range []int{1, 2, 4, 8} {
-			ws, pr, err := timeParallel(d, wk, reps)
-			if err != nil {
-				return fmt.Errorf("parallel %s (workers=%d): %w", bc.workload, wk, err)
-			}
-			if pr.Cycles != er.Cycles || pr.FiredTotal != er.FiredTotal {
-				return fmt.Errorf("%s: parallel (workers=%d) disagrees with event (cycles %d vs %d, fired %d vs %d)",
-					bc.workload, wk, pr.Cycles, er.Cycles, pr.FiredTotal, er.FiredTotal)
-			}
-			ws.Speedup = float64(ev.NsPerOp) / float64(ws.NsPerOp)
-			row.Parallel = append(row.Parallel, ws)
-		}
 		// One untimed profiled run attributes where the cycles went.
 		if _, rec, err := sim.CycleProfiled(d, 0, sim.EngineEvent); err == nil {
 			if top := profile.Analyze(rec).TopStalled(1); len(top) > 0 {
@@ -350,10 +292,6 @@ func runSim(reps int, out string) error {
 				row.Bottleneck, row.BottleneckCause, row.BottleneckStalls)
 		}
 		fmt.Printf("  auto=%s\n", row.AutoEngine)
-		for _, ws := range row.Parallel {
-			fmt.Printf("       parallel workers=%-2d %8.3fms  %.2fx vs event  (%d shards, %d cut edges, %d windows, %d serial cycles)\n",
-				ws.Workers, float64(ws.NsPerOp)/1e6, ws.Speedup, ws.Shards, ws.CutEdges, ws.Windows, ws.SerialCycles)
-		}
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sarasim -workload bs -par 64 [-engine auto|cycle|dense|parallel|analytic] [-workers N]
+//	sarasim -workload bs -par 64 [-engine auto|cycle|dense|analytic]
 //	        [-chip 20x20|v1] [-scale 1] [-json] [-profile trace.json] [-profile-report]
 package main
 
@@ -28,8 +28,7 @@ func main() {
 		par     = flag.Int("par", 16, "total parallelization factor")
 		scale   = flag.Int("scale", 16, "problem-size divisor (cycle engine wants >= 16)")
 		chip    = flag.String("chip", "20x20", "target chip: 20x20 (HBM2) or v1 (DDR3)")
-		engine  = flag.String("engine", "auto", "execution engine: auto (pick per design), cycle (event-driven), dense (reference), parallel (sharded multicore), or analytic")
-		workers = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS; results are identical at any count)")
+		engine  = flag.String("engine", "auto", "execution engine: auto (pick per design), cycle (event-driven), dense (reference), or analytic")
 		top     = flag.Bool("top", false, "show the busiest units")
 		asJSON  = flag.Bool("json", false, "emit the result as JSON (the sarad wire encoding)")
 		profOut = flag.String("profile", "", "record a timeline profile and write it as Chrome trace-event JSON to this path (load in Perfetto / chrome://tracing; cycle engines only)")
@@ -42,17 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg := core.DefaultConfig()
-	if *chip == "v1" {
-		cfg.Spec = arch.PlasticineV1()
-	}
-	prog := w.Build(workloads.Params{Par: *par, Scale: *scale})
-	c, err := core.Compile(prog, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "compile:", err)
-		os.Exit(1)
-	}
-
 	profiling := *profOut != "" || *profRep
 	var kind sim.EngineKind
 	if *engine == "analytic" {
@@ -65,6 +53,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	cfg := core.DefaultConfig()
+	if *chip == "v1" {
+		cfg.Spec = arch.PlasticineV1()
+	}
+	prog := w.Build(workloads.Params{Par: *par, Scale: *scale})
+	c, err := core.Compile(prog, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compile:", err)
+		os.Exit(1)
+	}
+
 	var r *sim.Result
 	var rec *profile.Recording
 	switch {
@@ -72,8 +71,6 @@ func main() {
 		r, err = sim.Analytic(c.Design())
 	case profiling:
 		r, rec, err = sim.CycleProfiled(c.Design(), 0, kind)
-	case kind == sim.EngineParallel && *workers > 0:
-		r, err = sim.CycleParallel(c.Design(), 0, *workers)
 	default:
 		r, err = sim.CycleEngine(c.Design(), 0, kind)
 	}
@@ -135,10 +132,6 @@ func main() {
 	if len(r.Stalls) > 0 {
 		fmt.Printf("stalls     input-starved %d, output-blocked %d, token-wait %d (unit-cycles)\n",
 			r.Stalls["input-starved"], r.Stalls["output-blocked"], r.Stalls["token-wait"])
-	}
-	if r.Par != nil {
-		fmt.Printf("parallel   %d shards on %d workers, %d cut edges, %d windows, %d serial cycles\n",
-			r.Par.Shards, r.Par.Workers, r.Par.CutEdges, r.Par.Windows, r.Par.SerialCycles)
 	}
 	res := c.Resources()
 	fmt.Printf("resources  %d PUs (%d PCU / %d PMU / %d AG)\n", res.Total, res.PCU, res.PMU, res.AG)

@@ -157,61 +157,6 @@ func (r *Recording) Record(id int, c Cause, start, n int64, peer int32) {
 // Finish seals the recording with the run's cycle count.
 func (r *Recording) Finish(cycles int64) { r.Cycles = cycles }
 
-// MergeDisjoint combines recordings whose defined tracks occupy disjoint
-// slots — the shape the parallel simulation engine produces, one recording
-// per shard over a shared slot numbering. Track order (and so the merged
-// recording) is deterministic: slot id decides, not shard completion order.
-// A slot defined in two recordings is an error.
-func MergeDisjoint(parts ...*Recording) (*Recording, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("profile: nothing to merge")
-	}
-	n := len(parts[0].Tracks)
-	out := NewRecording(n)
-	for i, p := range parts {
-		if len(p.Tracks) != n {
-			return nil, fmt.Errorf("profile: recording %d has %d track slots, want %d", i, len(p.Tracks), n)
-		}
-		for id, t := range p.Tracks {
-			if t == nil {
-				continue
-			}
-			if out.Tracks[id] != nil {
-				return nil, fmt.Errorf("profile: track %d defined in more than one recording", id)
-			}
-			out.Tracks[id] = t
-		}
-		if p.Cycles > out.Cycles {
-			out.Cycles = p.Cycles
-		}
-	}
-	return out, nil
-}
-
-// Truncate clips every interval to [0, cycles) and seals the recording at
-// that length. The parallel engine needs this: a conservative window can run
-// a few cycles past the completion point before the barrier notices, and the
-// forwarder activity recorded in that tail has no serial counterpart.
-func (r *Recording) Truncate(cycles int64) {
-	for _, t := range r.Tracks {
-		if t == nil {
-			continue
-		}
-		ivs := t.Intervals[:0]
-		for _, iv := range t.Intervals {
-			if iv.Start >= cycles {
-				continue
-			}
-			if iv.End > cycles {
-				iv.End = cycles
-			}
-			ivs = append(ivs, iv)
-		}
-		t.Intervals = ivs
-	}
-	r.Cycles = cycles
-}
-
 // Live returns the defined tracks in ID order.
 func (r *Recording) Live() []*Track {
 	out := make([]*Track, 0, len(r.Tracks))

@@ -176,59 +176,3 @@ func TestCriticalPathEmpty(t *testing.T) {
 		t.Errorf("want nil path for empty recording, got %+v", p)
 	}
 }
-
-func TestMergeDisjoint(t *testing.T) {
-	shard0 := NewRecording(4)
-	shard0.Define(0, "a[0]", "vcu")
-	shard0.Record(0, CauseBusy, 0, 4, NoPeer)
-	shard0.Record(0, CauseUpstream, 4, 3, 1)
-	shard0.Finish(7)
-	shard1 := NewRecording(4)
-	shard1.Define(1, "m", "vmu")
-	shard1.Define(2, "dram[0]", "dram")
-	shard1.Record(1, CauseBusy, 2, 5, NoPeer)
-	shard1.Record(2, CauseBusy, 3, 9, NoPeer) // busy tail past the run end
-	shard1.Finish(10)
-
-	rec, err := MergeDisjoint(shard0, shard1)
-	if err != nil {
-		t.Fatalf("MergeDisjoint: %v", err)
-	}
-	if rec.Cycles != 10 {
-		t.Errorf("merged Cycles = %d, want max shard value 10", rec.Cycles)
-	}
-	if len(rec.Tracks) != 4 || rec.Tracks[3] != nil {
-		t.Fatalf("merged slots wrong: %d tracks, slot 3 = %v", len(rec.Tracks), rec.Tracks[3])
-	}
-	for _, id := range []int{0, 1, 2} {
-		if rec.Tracks[id] == nil {
-			t.Fatalf("slot %d lost in merge", id)
-		}
-	}
-	if got := rec.Tracks[0].Intervals; len(got) != 2 || got[1].Cause != CauseUpstream {
-		t.Errorf("track 0 intervals mangled: %v", got)
-	}
-
-	// Truncation clips the post-completion tail and drops fully-past intervals.
-	shard1.Record(1, CauseBusy, 11, 2, NoPeer)
-	rec.Truncate(10)
-	if ivs := rec.Tracks[2].Intervals; len(ivs) != 1 || ivs[0].End != 10 {
-		t.Errorf("tail not clipped to run end: %v", ivs)
-	}
-	if ivs := rec.Tracks[1].Intervals; len(ivs) != 1 {
-		t.Errorf("interval past run end not dropped: %v", ivs)
-	}
-
-	// A slot defined twice is a shard-ownership bug, not something to paper over.
-	dup := NewRecording(4)
-	dup.Define(0, "a[0]", "vcu")
-	if _, err := MergeDisjoint(shard0, dup); err == nil {
-		t.Error("duplicate track slot must fail the merge")
-	}
-	if _, err := MergeDisjoint(shard0, NewRecording(3)); err == nil {
-		t.Error("slot-count mismatch must fail the merge")
-	}
-	if _, err := MergeDisjoint(); err == nil {
-		t.Error("empty merge must fail")
-	}
-}

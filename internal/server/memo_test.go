@@ -318,17 +318,15 @@ func TestTimedOutJobFillsMemo(t *testing.T) {
 }
 
 // TestResultRecordRoundTrip: the memo's record encoding (encoding/json of
-// the plain-data Result) is an identity, down to nil versus empty containers
-// and the parallel engine's counters.
+// the plain-data Result) is an identity, down to nil versus empty containers.
 func TestResultRecordRoundTrip(t *testing.T) {
 	for label, want := range map[string]*sim.Result{
 		"nil containers":   {Cycles: 7, Engine: "dense"},
 		"empty containers": {Cycles: 7, Engine: "event", Stalls: map[string]int64{}, TopUnits: []sim.UnitStat{}},
-		"parallel": {
-			Cycles: 1 << 40, Engine: "parallel", BottleneckVU: "u[3]", BottleneckII: 1.0 / 3, ComputeBusy: 0.1,
+		"fully populated": {
+			Cycles: 1 << 40, Engine: "cycle", BottleneckVU: "u[3]", BottleneckII: 1.0 / 3, ComputeBusy: 0.1,
 			FiredTotal: 99, Stalls: map[string]int64{"token-wait": 5, "input-starved": 1},
 			TopUnits: []sim.UnitStat{{Name: "a", Fired: 3, Busy: 2.0 / 7, Stalls: 6, StallIn: 1, StallOut: 2, StallToken: 3}},
-			Par:      &sim.ParStats{Shards: 4, Workers: 2, CutEdges: 9, Windows: 11, SerialCycles: 1, BarrierWaitNs: 12345},
 		},
 	} {
 		want.DRAM.TotalBytes, want.DRAM.PeakBytesPerCycle = 1<<33, 102.4

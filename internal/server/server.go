@@ -338,13 +338,11 @@ type RunRequest struct {
 	Arch *arch.SpecJSON `json:"arch,omitempty"`
 	// Options toggles compiler passes.
 	Options *CompileOptionsJSON `json:"options,omitempty"`
-	// Engine is "auto" (default: dense for small token-free graphs, sharded
-	// parallel for big token-heavy graphs on multicore hosts, event otherwise
-	// — see sim.ChooseEngine), "cycle"/"event" (the event-driven engine),
-	// "dense" (the reference cycle-level engine), "parallel" (the sharded
-	// multicore engine; bit-identical to "cycle"), or "analytic"; ignored by
-	// /v1/compile. The response's result.engine reports which cycle engine
-	// actually ran, and parallel runs attach result.parallel shard counters.
+	// Engine is "auto" (default: dense for small token-free graphs, event
+	// otherwise — see sim.ChooseEngine), "cycle"/"event" (the event-driven
+	// engine), "dense" (the reference cycle-level engine), or "analytic";
+	// ignored by /v1/compile. The response's result.engine reports which cycle
+	// engine actually ran.
 	Engine string `json:"engine,omitempty"`
 	// Profile attaches the timeline profiler to the simulation and returns
 	// the analyzed report (per-unit stall attribution, critical path) inline
@@ -834,9 +832,9 @@ func memoEligible(req *RunRequest) bool {
 // memoKeyFor names the result record of simulating the design compiled under
 // key on req's engine. A Result is a pure function of (design, engine, cycle
 // cap, sim.Version) and the compile content address names the design. auto
-// is resolved with sim.ChooseEngine first, so it shares the record of the
-// engine it picks — and a node that would pick differently (GOMAXPROCS) or
-// runs another sim.Version computes another key.
+// is resolved with sim.ChooseEngine first, a function of the design alone, so
+// it shares the record of the engine it picks on every node; a node that runs
+// another sim.Version computes another key.
 func memoKeyFor(d *sim.Design, req *RunRequest, key string) (string, sim.EngineKind, error) {
 	kind, err := sim.ParseEngine(req.Engine) // canonical: normalize ran first
 	if err != nil {
@@ -925,16 +923,6 @@ func (s *Server) observeSimulation(result *sim.Result, wall time.Duration) {
 	// where the fleet's simulated cycles are going, not just how many ran.
 	for cause, n := range result.Stalls {
 		s.metrics.Add("sarad_sim_stall_cycles_"+metricName(cause)+"_total", n)
-	}
-	if result.Par != nil {
-		// Parallel-engine health: shard counts say how designs are being cut,
-		// window/serial-cycle ratios say whether the conservative windows are
-		// actually wide, and barrier wait is the synchronization overhead.
-		s.metrics.Add("sarad_sim_parallel_requests_total", 1)
-		s.metrics.Observe("sarad_sim_parallel_shards", float64(result.Par.Shards))
-		s.metrics.Add("sarad_sim_parallel_windows_total", result.Par.Windows)
-		s.metrics.Add("sarad_sim_parallel_serial_cycles_total", result.Par.SerialCycles)
-		s.metrics.Observe("sarad_sim_parallel_barrier_wait_seconds", float64(result.Par.BarrierWaitNs)/1e9)
 	}
 }
 

@@ -219,7 +219,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name string
 		req  RunRequest
@@ -228,6 +228,7 @@ func TestBadRequests(t *testing.T) {
 		{"both workload and program", RunRequest{Workload: "bs", Program: dotProgram()}},
 		{"unknown workload", RunRequest{Workload: "nope"}},
 		{"unknown engine", RunRequest{Workload: "bs", Engine: "quantum"}},
+		{"retired engine", RunRequest{Workload: "bs", Engine: "parallel"}},
 		{"unknown arch preset", RunRequest{Workload: "bs", Arch: archPreset("40x40")}},
 	}
 	for _, tc := range cases {
@@ -239,6 +240,9 @@ func TestBadRequests(t *testing.T) {
 			var e errorJSON
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Errorf("error body not JSON: %s", body)
+			}
+			if n := s.Metrics().Counter("sarad_compiles_total"); n != 0 {
+				t.Errorf("a refused request compiled: sarad_compiles_total = %d", n)
 			}
 		})
 	}

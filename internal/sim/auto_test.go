@@ -24,10 +24,9 @@ func designShape(d *sim.Design) (units, tokens int) {
 }
 
 // TestChooseEngineHeuristic checks the documented rule — dense for small
-// token-free graphs, parallel for big token-heavy graphs when the runtime
-// has cores to back the shards, event otherwise — against every registered
-// workload, and requires the dense/non-dense split to be non-vacuous (so the
-// heuristic actually discriminates).
+// token-free graphs, event otherwise — against every registered workload,
+// and requires the dense/non-dense split to be non-vacuous (so the heuristic
+// actually discriminates).
 func TestChooseEngineHeuristic(t *testing.T) {
 	var sawDense, sawOther bool
 	for _, w := range workloads.All() {
@@ -42,15 +41,12 @@ func TestChooseEngineHeuristic(t *testing.T) {
 		units, tokens := designShape(d)
 		got := sim.ChooseEngine(d)
 		want := sim.EngineEvent
-		switch {
-		case units <= 32 && tokens == 0:
+		if units <= 32 && tokens == 0 {
 			want = sim.EngineDense
-		case units >= 64 && tokens > 0 && runtime.GOMAXPROCS(0) >= 4:
-			want = sim.EngineParallel
 		}
 		if got != want {
-			t.Errorf("%s: ChooseEngine = %v with %d units / %d token streams at GOMAXPROCS %d, want %v",
-				w.Name, got, units, tokens, runtime.GOMAXPROCS(0), want)
+			t.Errorf("%s: ChooseEngine = %v with %d units / %d token streams, want %v",
+				w.Name, got, units, tokens, want)
 		}
 		if got == sim.EngineDense {
 			sawDense = true
@@ -60,6 +56,35 @@ func TestChooseEngineHeuristic(t *testing.T) {
 	}
 	if !sawDense || !sawOther {
 		t.Errorf("heuristic is vacuous over the workload suite: dense=%v other=%v", sawDense, sawOther)
+	}
+}
+
+// TestChooseEngineIgnoresHost requires auto selection to be a function of the
+// design alone: the twelve workloads at par 4 / scale 64 and the four placed
+// par-128 kernels designs resolve to the same engine at GOMAXPROCS 1 and 8, so
+// two ring members on different hosts agree on every memo key.
+func TestChooseEngineIgnoresHost(t *testing.T) {
+	designs := map[string]*sim.Design{}
+	for _, w := range workloads.All() {
+		cfg := core.DefaultConfig()
+		cfg.SkipPlace = true
+		c, err := core.Compile(w.Build(workloads.Params{Par: 4, Scale: 64}), cfg)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", w.Name, err)
+		}
+		designs[w.Name+"/p4"] = c.Design()
+	}
+	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
+		designs[name+"/p128"] = compilePlaced(t, name, 128, 8)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, d := range designs {
+		runtime.GOMAXPROCS(1)
+		one := sim.ChooseEngine(d)
+		runtime.GOMAXPROCS(8)
+		if eight := sim.ChooseEngine(d); eight != one {
+			t.Errorf("%s: ChooseEngine = %v at GOMAXPROCS 1, %v at 8", name, one, eight)
+		}
 	}
 }
 
@@ -95,8 +120,9 @@ func TestAutoMatchesExplicitEngines(t *testing.T) {
 
 // TestParseEngine pins the one engine-name table: every canonical wire name
 // round-trips through String, "" means auto, "event" aliases "cycle", and
-// anything else — including "analytic", which is not a cycle-level engine —
-// is an error that names the offender.
+// anything else — including "analytic", which is not a cycle-level engine,
+// and the retired "parallel" — is an error that names the offender and lists
+// the engines there are.
 func TestParseEngine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -107,7 +133,6 @@ func TestParseEngine(t *testing.T) {
 		{"cycle", sim.EngineEvent},
 		{"event", sim.EngineEvent},
 		{"dense", sim.EngineDense},
-		{"parallel", sim.EngineParallel},
 	}
 	for _, tc := range cases {
 		got, err := sim.ParseEngine(tc.name)
@@ -115,14 +140,16 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
-	for _, k := range []sim.EngineKind{sim.EngineEvent, sim.EngineDense, sim.EngineAuto, sim.EngineParallel} {
+	for _, k := range []sim.EngineKind{sim.EngineEvent, sim.EngineDense, sim.EngineAuto} {
 		if got, err := sim.ParseEngine(k.String()); err != nil || got != k {
 			t.Errorf("ParseEngine(%v.String()) = %v, %v", k, got, err)
 		}
 	}
-	for _, name := range []string{"quantum", "analytic", "Auto", "engine(7)"} {
-		if _, err := sim.ParseEngine(name); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
-			t.Errorf("ParseEngine(%q) err = %v, want an error naming it", name, err)
+	for _, name := range []string{"quantum", "analytic", "parallel", "Auto", "engine(7)"} {
+		_, err := sim.ParseEngine(name)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) ||
+			!strings.Contains(err.Error(), "auto, cycle, event or dense") {
+			t.Errorf("ParseEngine(%q) err = %v, want an error naming it and listing the engines", name, err)
 		}
 	}
 }

@@ -14,12 +14,6 @@ import (
 // fast-forwards). It is the simulator's profiling entry point:
 //
 //	go test -run '^$' -bench Simulate -cpuprofile cpu.out ./internal/sim/
-//
-// The engines/ entries time the serial event engine against the parallel
-// engine at two workers on the four par-128 kernels designs, alternated
-// under -count (ROADMAP 5b's keep-or-delete measurement):
-//
-//	go test -run '^$' -bench 'Simulate/engines' -count 10 ./internal/sim/
 func BenchmarkSimulate(b *testing.B) {
 	run := func(b *testing.B, d *sim.Design, simulate func(*sim.Design) (*sim.Result, error)) {
 		b.ReportAllocs()
@@ -42,18 +36,6 @@ func BenchmarkSimulate(b *testing.B) {
 		b.Run(k.name+"/p"+itoa(k.par), func(b *testing.B) {
 			run(b, compilePlaced(b, k.name, k.par, k.scale), func(d *sim.Design) (*sim.Result, error) {
 				return sim.CycleEngine(d, 0, sim.EngineAuto)
-			})
-		})
-	}
-	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
-		name := name
-		b.Run("engines/"+name+"/p128", func(b *testing.B) {
-			d := compilePlaced(b, name, 128, 8)
-			b.Run("event", func(b *testing.B) {
-				run(b, d, func(d *sim.Design) (*sim.Result, error) { return sim.CycleEngine(d, 0, sim.EngineEvent) })
-			})
-			b.Run("parallel-2", func(b *testing.B) {
-				run(b, d, func(d *sim.Design) (*sim.Result, error) { return sim.CycleParallel(d, 0, 2) })
 			})
 		})
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 
 	"sara/internal/dfg"
@@ -31,11 +30,6 @@ const (
 	// (where per-cycle scanning is near-free and the event queue is pure
 	// overhead), the event engine everywhere else. See ChooseEngine.
 	EngineAuto
-	// EngineParallel is the sharded conservative discrete-event engine: the
-	// unit graph is cut into shards that run on worker goroutines under
-	// conservative time windows (see parallel.go). Bit-identical to
-	// EngineEvent at any GOMAXPROCS and worker count.
-	EngineParallel
 )
 
 // String returns the engine's canonical wire name (the sarad `engine` request
@@ -46,8 +40,6 @@ func (k EngineKind) String() string {
 		return "cycle"
 	case EngineDense:
 		return "dense"
-	case EngineParallel:
-		return "parallel"
 	case EngineAuto:
 		return "auto"
 	}
@@ -65,25 +57,14 @@ func ParseEngine(name string) (EngineKind, error) {
 		return EngineEvent, nil
 	case "dense":
 		return EngineDense, nil
-	case "parallel":
-		return EngineParallel, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want auto, cycle, event, dense or parallel)", name)
+	return 0, fmt.Errorf("unknown engine %q (want auto, cycle, event or dense)", name)
 }
 
 // autoDenseMaxUnits is the unit-count ceiling below which the dense scan is
 // considered for auto selection: scanning a handful of units per cycle costs
 // less than the event engine's queue and wake-list bookkeeping.
 const autoDenseMaxUnits = 32
-
-// autoParallelMinUnits and autoParallelMinProcs gate auto-escalation to the
-// sharded engine: below ~64 units a cut cannot yield shards with enough work
-// to amortize window barriers, and below 4 schedulable cores the workers
-// would time-slice a single core for no gain.
-const (
-	autoParallelMinUnits = 64
-	autoParallelMinProcs = 4
-)
 
 // ChooseEngine resolves EngineAuto with a units×activity heuristic. Dense
 // per-cycle cost scales with unit/edge count; event cost scales with
@@ -92,7 +73,8 @@ const (
 // entirely (BENCH_sim.json: rf with 216k token-wait stalls runs 4x faster
 // under event, while the small token-free bs graph is ~2x faster under the
 // dense scan). A small graph with no token streams is busy nearly every
-// cycle, so dense wins there; everything else goes to the event engine.
+// cycle, so dense wins there; everything else goes to the event engine. The
+// choice is a function of the design alone, never of the host.
 func ChooseEngine(d *Design) EngineKind {
 	units := len(d.G.LiveVUs())
 	tokens := 0
@@ -103,13 +85,6 @@ func ChooseEngine(d *Design) EngineKind {
 	}
 	if units <= autoDenseMaxUnits && tokens == 0 {
 		return EngineDense
-	}
-	// Big token-heavy graphs are the parallel engine's target regime: enough
-	// units to cut into balanced shards, and token stalls supplying the idle
-	// stretches that keep cross-shard windows wide. Escalate only when the
-	// runtime actually has cores to put behind the shards.
-	if units >= autoParallelMinUnits && tokens > 0 && runtime.GOMAXPROCS(0) >= autoParallelMinProcs {
-		return EngineParallel
 	}
 	return EngineEvent
 }
@@ -124,9 +99,6 @@ func Cycle(d *Design, maxCycles int64) (*Result, error) {
 func CycleEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, error) {
 	if kind == EngineAuto {
 		kind = ChooseEngine(d)
-	}
-	if kind == EngineParallel {
-		return CycleParallel(d, maxCycles, 0)
 	}
 	cs, err := newCycleSim(d)
 	if err != nil {
@@ -167,11 +139,6 @@ type edgeState struct {
 	// armed marks that the event engine holds a queued event for this edge's
 	// earliest undelivered arrival (at most one event per edge is in flight).
 	armed bool
-	// x, when non-nil, marks this edgeState as one half of a cut edge under
-	// the parallel engine: the source shard holds a mirror half and the
-	// destination shard the original, linked through x (see parallel.go).
-	// Nil in every single-threaded run.
-	x *xlink
 }
 
 // inflight returns the undelivered element count. The counter is maintained
@@ -280,9 +247,8 @@ type cycleSim struct {
 
 	// Engine hooks: every element scheduled onto an edge and every pop of a
 	// receiver buffer flows through schedule/pop below, so the event engine
-	// can maintain its arrival queue and wake the edge's waiters, and the
-	// parallel engine can additionally forward cross-shard traffic. Nil for
-	// the dense engine.
+	// can maintain its arrival queue and wake the edge's waiters. Nil for the
+	// dense engine.
 	onSchedule func(es *edgeState, at int64)
 	onPop      func(es *edgeState, n int)
 

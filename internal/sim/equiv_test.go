@@ -89,7 +89,7 @@ func compilePlaced(tb testing.TB, name string, par, scale int) *sim.Design {
 	return c.Design()
 }
 
-// TestEngineEquivalenceKernels holds all three engines to one another on the
+// TestEngineEquivalenceKernels holds both engines to one another on the
 // designs the benchmark's `kernels` workload simulates: every registered
 // workload placed at par 64 / scale 8 (sort at 32: par 64 needs more AGs than
 // the chip has) plus the four par-128 designs, where merge trees and VMUs are
@@ -118,7 +118,6 @@ func TestEngineEquivalenceKernels(t *testing.T) {
 		t.Run(k.name+"/p"+itoa(k.par), func(t *testing.T) {
 			d := compilePlaced(t, k.name, k.par, 8)
 			assertEnginesMatch(t, d, 30_000_000)
-			assertParallelMatches(t, d, 30_000_000)
 		})
 	}
 }
@@ -148,7 +147,6 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 			t.Fatalf("long-haul run: %+v, %v: want at least fill latency + 3000 cycles", r, err)
 		}
 		assertEnginesMatch(t, d, 20_000_000)
-		assertParallelMatches(t, d, 20_000_000)
 	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -247,30 +245,41 @@ func drainedSinkDesign() *sim.Design {
 	return &sim.Design{G: g, Spec: arch.SARA20x20()}
 }
 
-// assertSameOutcome requires all three engines to agree on a design that may
-// not complete: either every engine finishes and the Results are identical,
-// or every engine fails with a byte-identical error string.
+// fullBufferDeadlockDesign is the second deadlock shape: a producer/consumer
+// pair where the consumer holds a do-while style hold-in it can never
+// satisfy, so the intermediate buffer fills and the producer parks
+// output-blocked forever.
+func fullBufferDeadlockDesign() *sim.Design {
+	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
+	a := g.AddVU(dfg.VCUCompute, "src")
+	a.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1), Trip: 64}}
+	b := g.AddVU(dfg.VCUCompute, "snk")
+	b.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2), Trip: 64}}
+	data := g.AddEdge(a.ID, b.ID, dfg.EData)
+	data.Depth = 3
+	gate := g.AddEdge(a.ID, b.ID, dfg.EToken)
+	gate.PushCtrl = ir.CtrlID(1) // only granted when src's counter wraps — never reached
+	return &sim.Design{G: g, Spec: arch.SARA20x20()}
+}
+
+// assertSameOutcome requires both engines to agree on a design that may not
+// complete: either both finish and the Results are identical, or both fail
+// with a byte-identical error string.
 func assertSameOutcome(t *testing.T, d *sim.Design, maxCycles int64) {
 	t.Helper()
 	_, evtErr := sim.CycleEngine(d, maxCycles, sim.EngineEvent)
 	if evtErr == nil {
 		assertEnginesMatch(t, d, maxCycles)
-		assertParallelMatches(t, d, maxCycles)
 		return
 	}
 	if _, err := sim.CycleEngine(d, maxCycles, sim.EngineDense); err == nil || err.Error() != evtErr.Error() {
 		t.Errorf("outcomes differ:\n event: %v\n dense: %v", evtErr, err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		if _, err := sim.CycleParallel(d, maxCycles, workers); err == nil || err.Error() != evtErr.Error() {
-			t.Errorf("outcomes differ:\n event: %v\n parallel (workers=%d): %v", evtErr, workers, err)
-		}
-	}
 }
 
 // TestEngineEquivalenceDeadlock asserts both engines detect the starvation
-// at the same cycle with identical diagnostics, then holds all three engines
-// to one outcome on further designs that do not complete.
+// at the same cycle with identical diagnostics, then holds both engines to
+// one outcome on further designs that do not complete.
 func TestEngineEquivalenceDeadlock(t *testing.T) {
 	_, evtErr := sim.CycleEngine(deadlockDesign(), 1_000_000, sim.EngineEvent)
 	_, denErr := sim.CycleEngine(deadlockDesign(), 1_000_000, sim.EngineDense)
@@ -292,6 +301,10 @@ func TestEngineEquivalenceDeadlock(t *testing.T) {
 			t.Errorf("deadlock report does not name the starved group: %v", err)
 		}
 		assertSameOutcome(t, d, 1_000_000)
+	})
+	// A producer parked output-blocked forever on a full buffer.
+	t.Run("full-buffer", func(t *testing.T) {
+		assertSameOutcome(t, fullBufferDeadlockDesign(), 1_000_000)
 	})
 	// The deadlock cycle is one past the last progress even when that progress
 	// was a forwarder draining its input, and a cycle limit at or below it
@@ -319,4 +332,52 @@ func TestEngineEquivalenceDeadlock(t *testing.T) {
 			assertSameOutcome(t, compilePlaced(t, k.name, k.par, k.scale), 30_000_000)
 		})
 	}
+}
+
+// TestStallFreeFastPath is the guard for the analytic fast path: with the
+// skip disabled, every workload must produce a bit-identical report —
+// proving the elided bookkeeping is a no-op on proven-stall-free units.
+func TestStallFreeFastPath(t *testing.T) {
+	for _, w := range workloads.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			d := compileWorkload(t, w)
+			fast, err := sim.CycleEngine(d, 30_000_000, sim.EngineEvent)
+			if err != nil {
+				t.Fatalf("event engine: %v", err)
+			}
+			slow, err := sim.CycleEngineNoFastPath(d, 30_000_000)
+			if err != nil {
+				t.Fatalf("event engine (fast path off): %v", err)
+			}
+			if fast.Cycles != slow.Cycles || fast.FiredTotal != slow.FiredTotal {
+				t.Fatalf("fast path diverged: cycles %d/%d fired %d/%d",
+					fast.Cycles, slow.Cycles, fast.FiredTotal, slow.FiredTotal)
+			}
+			for _, kind := range []string{"input-starved", "output-blocked", "token-wait"} {
+				if fast.Stalls[kind] != slow.Stalls[kind] {
+					t.Errorf("Stalls[%s]: fast %d, slow %d", kind, fast.Stalls[kind], slow.Stalls[kind])
+				}
+			}
+			for i := range fast.TopUnits {
+				if fast.TopUnits[i] != slow.TopUnits[i] {
+					t.Errorf("TopUnits[%d]: fast %+v, slow %+v", i, fast.TopUnits[i], slow.TopUnits[i])
+				}
+			}
+		})
+	}
+}
+
+func itoa(n int) string {
+	if n == 0 {
+		return "0"
+	}
+	var b [8]byte
+	i := len(b)
+	for n > 0 {
+		i--
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	return string(b[i:])
 }

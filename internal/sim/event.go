@@ -57,11 +57,6 @@ import (
 type eventSim struct {
 	cs *cycleSim
 
-	// owned, when non-nil, restricts this instance to a shard of the unit
-	// graph under the parallel engine: only owned units are seeded, woken, or
-	// stepped, and deliveries on mirror halves of cut edges (whose Dst lives
-	// in another shard) wake nobody here. Nil means the whole graph.
-	owned []bool
 	// noStall marks units the analytic model proves can never block (see
 	// StallFreeUnits): their evaluation skips the blockCause check and the
 	// stall-interval bookkeeping entirely.
@@ -110,19 +105,11 @@ type eventSim struct {
 	// work counts deliveries and unit visits, the engine effort the
 	// fast-forward's capture cost is measured against.
 	work int64
-
-	// lastActive/progAtLast track the most recent cycle this instance
-	// processed any event and whether that cycle made progress — the inputs
-	// to the parallel engine's global deadlock-cycle reconstruction (the
-	// serial driver keeps the equivalent in its loop variables).
-	lastActive int64
-	progAtLast bool
 }
 
-// newEventSim builds the event-engine state over cs. owned, when non-nil,
-// restricts the instance to one shard (see the field doc); the caller still
-// must install cs.onSchedule/cs.onPop and seed with seedWakes.
-func newEventSim(cs *cycleSim, owned []bool) *eventSim {
+// newEventSim builds the event-engine state over cs; the caller still must
+// install cs.onSchedule/cs.onPop and seed with seedWakes.
+func newEventSim(cs *cycleSim) *eventSim {
 	n := len(cs.vus)
 	noStall := make([]bool, n)
 	if !noFastPaths {
@@ -130,7 +117,6 @@ func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 	}
 	ev := &eventSim{
 		cs:           cs,
-		owned:        owned,
 		noStall:      noStall,
 		curr:         make([]uint64, (n+63)/64),
 		timerAt:      make([]int64, n),
@@ -141,7 +127,6 @@ func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 		blockedPeer:  make([]int32, n),
 		processing:   -1,
 		lastFire:     -1,
-		lastActive:   -1,
 	}
 	for i := range ev.blockedSince {
 		ev.blockedSince[i] = -1
@@ -151,14 +136,12 @@ func newEventSim(cs *cycleSim, owned []bool) *eventSim {
 	return ev
 }
 
-func (ev *eventSim) owns(id int) bool { return ev.owned == nil || ev.owned[id] }
-
-// seedWakes marks every (owned) live unit a candidate at cycle 0 — the dense
+// seedWakes marks every live unit a candidate at cycle 0 — the dense
 // engine's first full pass — and counts the units that must complete.
 func (ev *eventSim) seedWakes() {
 	ev.remaining = 0
 	for id, vs := range ev.cs.vus {
-		if vs == nil || !ev.owns(id) {
+		if vs == nil {
 			continue
 		}
 		if vs.isCounterDriven() && vs.total > 0 {
@@ -168,21 +151,17 @@ func (ev *eventSim) seedWakes() {
 	}
 }
 
-// wakeDue turns every timer due at ev.now into a wake for this cycle and
-// returns how many fired.
-func (ev *eventSim) wakeDue() int {
-	n := 0
+// wakeDue turns every timer due at ev.now into a wake for this cycle.
+func (ev *eventSim) wakeDue() {
 	for id := ev.timers.popDue(ev.now); id >= 0; id = ev.timers.popDue(ev.now) {
 		ev.wakeNow(int(id))
-		n++
 	}
-	return n
 }
 
-// deliverDue delivers every arrival due at ev.now and wakes each (owned)
-// receiver. All deliveries precede unit evaluation, as in the dense engine.
-// Each edge holds one armed event at its earliest undelivered arrival;
-// delivering re-arms it for the next one. Returns the deliveries performed.
+// deliverDue delivers every arrival due at ev.now and wakes each receiver.
+// All deliveries precede unit evaluation, as in the dense engine. Each edge
+// holds one armed event at its earliest undelivered arrival; delivering
+// re-arms it for the next one. Returns the deliveries performed.
 func (ev *eventSim) deliverDue() int {
 	cs := ev.cs
 	n := 0
@@ -194,9 +173,7 @@ func (ev *eventSim) deliverDue() int {
 		} else {
 			es.armed = false
 		}
-		if dst := int(es.e.Dst); ev.owns(dst) {
-			ev.wakeUnit(dst)
-		}
+		ev.wakeUnit(int(es.e.Dst))
 		n++
 	}
 	return n
@@ -204,9 +181,7 @@ func (ev *eventSim) deliverDue() int {
 
 // scanCurr steps the woken units in ascending ID order. Same-cycle wakes only
 // ever target IDs above the actor, so one forward pass over the bitset sees
-// every woken unit. Returns the number of bits consumed (visits, not steps —
-// a stale wake still marks the cycle as processed, matching the serial loop
-// which only ever lands on event cycles).
+// every woken unit. Returns the number of bits consumed (visits, not steps).
 func (ev *eventSim) scanCurr() int {
 	cs := ev.cs
 	ev.progressed = false
@@ -245,7 +220,7 @@ func (ev *eventSim) nextEventAt() int64 {
 // runEvent advances the simulation to completion, event by event, and whole
 // periods at a time once its state recurs (fastforward.go).
 func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
-	ev := newEventSim(cs, nil)
+	ev := newEventSim(cs)
 	cs.onSchedule = ev.onSchedule
 	cs.onPop = ev.onPop
 	ev.seedWakes()
@@ -283,34 +258,6 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 		}
 		ev.now = next
 		ev.wakeDue()
-	}
-}
-
-// runWindow advances one shard through every event cycle in [start, limit):
-// the body of runEvent's loop without its termination decisions, which the
-// parallel reducer takes globally at the window barrier. The reducer has
-// already drained cross-shard traffic into the queues and applied barrier
-// wakes (curr bits), so the shard runs free of shared state until it returns.
-// lastActive/progAtLast record the last cycle that actually processed an
-// event, for the reducer's deadlock-cycle reconstruction.
-func (ev *eventSim) runWindow(start, limit int64) {
-	now := start
-	for now < limit {
-		ev.now = now
-		ev.cs.now = now
-		ev.processing = -1
-		acted := ev.wakeDue()
-		acted += ev.deliverDue()
-		acted += ev.scanCurr()
-		if acted > 0 {
-			ev.lastActive = now
-			ev.progAtLast = ev.progressed
-		}
-		next := ev.nextEventAt()
-		if next < 0 || next >= limit {
-			return
-		}
-		now = next
 	}
 }
 
@@ -483,13 +430,6 @@ func (ev *eventSim) batchSize(vs *vuState) int64 {
 		return 1
 	}
 	for _, es := range vs.inFire {
-		// Cut edges under the parallel engine: the producer's done flag and
-		// buffer state live on another shard, so the cross-shard batching
-		// proof does not hold. Fire one at a time — the decision is static
-		// per edge, hence identical at every worker count.
-		if es.x != nil {
-			return 1
-		}
 		if int64(es.occ) < k {
 			k = int64(es.occ)
 		}

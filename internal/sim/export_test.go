@@ -1,6 +1,6 @@
 package sim
 
-// CycleEventSkipped runs the serial event engine and also returns how many
+// CycleEventSkipped runs the event engine and also returns how many
 // cycles its steady-state fast-forward advanced arithmetically.
 func CycleEventSkipped(d *Design, maxCycles int64) (*Result, int64, error) {
 	cs, err := newCycleSim(d)

@@ -50,9 +50,9 @@ package sim
 // sixteenth), so a run that never repeats pays almost nothing. A repeated
 // hash stores the full state there (ref), and the jump waits for the next
 // repeat to match ref word for word, so runs that never repeat allocate
-// nothing either. Runs that record a profile or a trace, the dense engine
-// and the parallel engine's windows never fast-forward;
-// CycleEngineNoFastPath turns it off for the equivalence guard.
+// nothing either. Runs that record a profile or a trace and the dense engine
+// never fast-forward; CycleEngineNoFastPath turns it off for the equivalence
+// guard.
 
 import (
 	"math/bits"
@@ -102,8 +102,8 @@ type fastForward struct {
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
 
-// newFastForward returns the detector for a serial event run, or nil when the
-// run must not fast-forward.
+// newFastForward returns the detector for an event run, or nil when the run
+// must not fast-forward.
 func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	cs := ev.cs
 	if noFastPaths || cs.rec != nil || cs.trace != nil {

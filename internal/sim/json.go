@@ -17,19 +17,6 @@ type ResultJSON struct {
 	DRAM         *DRAMStatsJSON   `json:"dram,omitempty"`
 	Stalls       map[string]int64 `json:"stalls,omitempty"`
 	TopUnits     []UnitStatJSON   `json:"top_units,omitempty"`
-	Parallel     *ParStatsJSON    `json:"parallel,omitempty"`
-}
-
-// ParStatsJSON is the wire encoding of the parallel engine's sharding and
-// synchronization counters. barrier_wait_ns is wall-clock and therefore the
-// one nondeterministic field in the shape.
-type ParStatsJSON struct {
-	Shards        int   `json:"shards"`
-	Workers       int   `json:"workers"`
-	CutEdges      int   `json:"cut_edges"`
-	Windows       int64 `json:"windows"`
-	SerialCycles  int64 `json:"serial_cycles"`
-	BarrierWaitNs int64 `json:"barrier_wait_ns"`
 }
 
 // DRAMStatsJSON is the wire encoding of the memory-system counters.
@@ -79,16 +66,6 @@ func (r *Result) JSON(spec *arch.Spec) *ResultJSON {
 			d.AchievedBytesPerCycle = float64(r.DRAM.TotalBytes) / float64(r.Cycles)
 		}
 		out.DRAM = d
-	}
-	if r.Par != nil {
-		out.Parallel = &ParStatsJSON{
-			Shards:        r.Par.Shards,
-			Workers:       r.Par.Workers,
-			CutEdges:      r.Par.CutEdges,
-			Windows:       r.Par.Windows,
-			SerialCycles:  r.Par.SerialCycles,
-			BarrierWaitNs: r.Par.BarrierWaitNs,
-		}
 	}
 	if len(r.Stalls) > 0 {
 		out.Stalls = make(map[string]int64, len(r.Stalls))

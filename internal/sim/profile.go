@@ -20,9 +20,6 @@ func CycleProfiled(d *Design, maxCycles int64, kind EngineKind) (*Result, *profi
 	if kind == EngineAuto {
 		kind = ChooseEngine(d)
 	}
-	if kind == EngineParallel {
-		return cycleProfiledParallel(d, maxCycles)
-	}
 	cs, err := newCycleSim(d)
 	if err != nil {
 		return nil, nil, err
@@ -56,32 +53,5 @@ func CycleProfiled(d *Design, maxCycles int64, kind EngineKind) (*Result, *profi
 		return nil, nil, err
 	}
 	rec.Finish(r.Cycles)
-	return r, rec, nil
-}
-
-// cycleProfiledParallel profiles a sharded run. Each shard records onto its
-// own Recording over the shared slot numbering (a unit's track lives on its
-// owner shard; a DRAM channel's on its address generators' shard), so every
-// track has a single writer and the merge is a deterministic slot union.
-// Intervals are truncated to the run length: a window can execute forwarder
-// moves a few cycles past the completion point before the barrier notices,
-// and that tail has no serial counterpart. Truncation only ever touches busy
-// tails — stall intervals settle when their unit wakes, which cannot happen
-// after the last firing — so coarse stall sums still equal Result.Stalls.
-func cycleProfiledParallel(d *Design, maxCycles int64) (*Result, *profile.Recording, error) {
-	ps, err := newParSim(d, maxCycles, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	recs := ps.recordings()
-	r, err := ps.run()
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, err := profile.MergeDisjoint(recs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec.Truncate(r.Cycles)
 	return r, rec, nil
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"sara/internal/core"
@@ -109,7 +110,53 @@ func TestProfileStallExactness(t *testing.T) {
 			d := compileWorkload(t, w)
 			t.Run("event", func(t *testing.T) { assertProfileExact(t, d, sim.EngineEvent, 30_000_000) })
 			t.Run("dense", func(t *testing.T) { assertProfileExact(t, d, sim.EngineDense, 30_000_000) })
-			t.Run("parallel", func(t *testing.T) { assertProfileExact(t, d, sim.EngineParallel, 30_000_000) })
+		})
+	}
+}
+
+// TestParallelProfiled runs the profiler's accounting gate on the
+// auto-selected engine under GOMAXPROCS 1, 2 and NumCPU. Engine choice is a
+// function of the design alone, so the profiled Result must match the event
+// engine and the recording must settle against it at every setting.
+func TestParallelProfiled(t *testing.T) {
+	for _, w := range workloads.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			d := compileWorkload(t, w)
+			evt, err := sim.CycleEngine(d, 30_000_000, sim.EngineEvent)
+			if err != nil {
+				t.Fatalf("event engine: %v", err)
+			}
+			atGOMAXPROCS(t, func(t *testing.T) {
+				r, _, err := sim.CycleProfiled(d, 30_000_000, sim.EngineAuto)
+				if err != nil {
+					t.Fatalf("CycleProfiled(auto): %v", err)
+				}
+				if r.Cycles != evt.Cycles || r.FiredTotal != evt.FiredTotal {
+					t.Fatalf("profiled auto diverged from event: cycles %d/%d fired %d/%d",
+						r.Cycles, evt.Cycles, r.FiredTotal, evt.FiredTotal)
+				}
+				assertProfileExact(t, d, sim.EngineAuto, 30_000_000)
+			})
+		})
+	}
+}
+
+// atGOMAXPROCS reruns f under GOMAXPROCS 1, 2 and NumCPU (when larger),
+// restoring the original setting afterwards.
+func atGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	procs := []int{1, 2, runtime.NumCPU()}
+	if runtime.NumCPU() <= 2 {
+		procs = procs[:2]
+	}
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	for _, p := range procs {
+		p := p
+		t.Run("procs="+itoa(p), func(t *testing.T) {
+			runtime.GOMAXPROCS(p)
+			defer runtime.GOMAXPROCS(orig)
+			f(t)
 		})
 	}
 }

@@ -2,7 +2,7 @@
 // accelerator cycles, standing in for the paper's cycle-accurate
 // Plasticine + Ramulator simulator (paper §IV-a).
 //
-// Four engines share one input. Three are cycle-level and execute the same
+// Three engines share one input. Two are cycle-level and execute the same
 // semantics of the placed VUDFG — chained counters, stream buffers with
 // finite depth and network fill latency, CMMC tokens and credits with
 // push/pop at counter wraps, per-port VMU service with single-read-stream
@@ -11,16 +11,13 @@
 //
 //   - Dense (EngineDense, cycle.go): scans every edge and steps every unit
 //     each cycle. Linear in cycles x graph size; the reference oracle the
-//     others are tested against, the only engine that records port traces,
-//     and the fastest one on small busy graphs.
+//     event engine is tested against, the only engine that records port
+//     traces, and the fastest one on small busy graphs.
 //   - Event (EngineEvent, event.go): a calendar queue of arrivals and timers,
 //     wake lists, parking and batch firing make cost proportional to
 //     activity, and a steady state that recurs exactly is advanced whole
 //     periods at a time (fastforward.go). The default for everything but
 //     small token-free graphs.
-//   - Parallel (EngineParallel, parallel.go): the event engine sharded over
-//     worker goroutines under conservative time windows, for big token-heavy
-//     graphs on hosts with cores to spare.
 //   - Analytic (analytic.go): a steady-state bottleneck model — per-unit
 //     initiation intervals from DRAM bandwidth shares, VMU read
 //     serialization, credit round trips, unretimed slack, and do-while
@@ -28,8 +25,8 @@
 //     the cycle engines in the test suite and used for the paper-scale sweeps
 //     and the tuner's pruning, where cycle simulation would be too slow.
 //
-// EngineAuto (ChooseEngine) picks among the three cycle-level engines per
-// design. All four report the same Result shape so the evaluation harness
+// EngineAuto (ChooseEngine) picks between the two cycle-level engines per
+// design. All three report the same Result shape so the evaluation harness
 // can swap them.
 package sim
 
@@ -47,7 +44,7 @@ import (
 // fix, a new or renamed Result field, a changed stall attribution), or stale
 // records keep being served. testdata/result_digests.json pins the twelve
 // workloads' Results to the version and fails the suite when they move alone.
-const Version = 1
+const Version = 2
 
 // Design bundles everything needed to execute a compiled program.
 type Design struct {
@@ -110,26 +107,6 @@ type Result struct {
 	// TopUnits lists the busiest units (cycle engine only), most active
 	// first — where the machine's time actually went.
 	TopUnits []UnitStat
-	// Par reports the parallel engine's sharding and synchronization
-	// counters; nil for every other engine.
-	Par *ParStats
-}
-
-// ParStats describes one parallel-engine run. Everything except
-// BarrierWaitNs is deterministic for a given design; the wait time depends
-// on scheduling and is informational only.
-type ParStats struct {
-	Shards   int   // graph shards (a function of the design, not of workers)
-	Workers  int   // goroutines the shards were multiplexed onto
-	CutEdges int   // edges crossing a shard boundary
-	Windows  int64 // conservative windows executed
-	// SerialCycles counts cycles that fell back to the merged single-threaded
-	// path because no safe window width existed (a cut edge was full or had
-	// zero lookahead headroom).
-	SerialCycles int64
-	// BarrierWaitNs is the summed wall-clock time workers spent spinning at
-	// window barriers.
-	BarrierWaitNs int64
 }
 
 // UnitStat is one unit's activity summary from a cycle-level run.

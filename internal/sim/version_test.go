@@ -26,7 +26,7 @@ type resultDigests struct {
 
 // TestResultDigests is the memo's staleness guard. Every registered workload
 // at the daemon's defaults (par 16, scale 16, placed) runs on the event
-// engine — dense ≡ event ≡ parallel makes one engine enough — and the digest
+// engine — dense ≡ event makes one engine enough — and the digest
 // of its Result must match the record. A Result that moves while sim.Version
 // stands still would leave every persisted record silently stale. Re-record
 // on purpose with `go test ./internal/sim -run ResultDigests -update`.
