@@ -41,13 +41,16 @@ bench:
 # serving hit path's — one in-process /v1/run answered from the LRU and the
 # result memo, time and allocations per request — and BenchmarkRunProxied the
 # proxy hop's: a design's first request at a non-owner of a 2-node cluster,
-# answered with the owner's artifact and result record. The smoke compile report
+# answered with the owner's artifact and result record; BenchmarkCompile is the
+# compile path's — cold traversal compiles of ./bench's serve-sweep designs,
+# time and allocations per 24 compiles. The smoke compile report
 # goes to a scratch path — only `make bench` refreshes the committed BENCH
 # files. (The incremental cross-mode equivalence suite runs under the `race`
 # target, which ci already includes.)
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkCycleEngine -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkPlace -benchtime 1x ./internal/place/
+	$(GO) test -run '^$$' -bench BenchmarkCompile -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkSolver -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunHit|BenchmarkRunProxied' -benchtime 1x -benchmem ./internal/server/

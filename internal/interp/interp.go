@@ -6,6 +6,8 @@
 // truth to validate those analyses against, access by access:
 //
 //   - Bounds: every address an access generates falls inside its memory.
+//     CheckBounds, the compile-time gate, computes each access's extreme
+//     addresses analytically; the enumeration is its test oracle.
 //   - Coverage: wherever the consistency pass relaxed a credit beyond 1, the
 //     later accessor's address set per iteration of the LCD loop really is
 //     covered by the earlier accessor's.
@@ -13,6 +15,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"sara/internal/consistency"
 	"sara/internal/ir"
@@ -95,24 +98,94 @@ func AddressSet(p *ir.Program, acc *ir.Access, anc ir.CtrlID) map[int]bool {
 	return out
 }
 
-// CheckBounds verifies every statically analyzable access stays inside its
-// memory. Streaming DRAM accesses are exempt (their address is the stream
-// position, bounded by construction).
+// boundsChecked reports whether CheckBounds checks acc: DRAM accesses are
+// exempt (their address is the stream position, bounded by construction),
+// as are streaming and random patterns.
+func boundsChecked(p *ir.Program, acc *ir.Access) bool {
+	return p.Mem(acc.Mem).Kind != ir.MemDRAM && acc.Pat.Kind != ir.PatRandom && acc.Pat.Kind != ir.PatStreaming
+}
+
+// CheckBounds verifies every statically analyzable access of a valid program
+// stays inside its memory. The check is analytic — O(loops) per access and
+// allocation-free (see addressRange) — and names an out-of-bounds access by
+// its extreme address: the lowest if that is negative, else the highest. An
+// access whose address arithmetic overflows int64 is refused as such.
 func CheckBounds(p *ir.Program) error {
 	for _, acc := range p.Accs {
-		m := p.Mem(acc.Mem)
-		if m.Kind == ir.MemDRAM || acc.Pat.Kind == ir.PatRandom || acc.Pat.Kind == ir.PatStreaming {
+		if !boundsChecked(p, acc) {
 			continue
 		}
-		set := AddressSet(p, acc, 0)
-		for addr := range set {
-			if addr < 0 || int64(addr) >= m.Size() {
-				return fmt.Errorf("interp: access %s reaches %d outside %s[0,%d)",
-					acc.Name, addr, m.Name, m.Size())
-			}
+		m := p.Mem(acc.Mem)
+		lo, hi, ok := addressRange(p, acc)
+		if !ok {
+			return fmt.Errorf("interp: access %s to %s: address arithmetic overflows int64", acc.Name, m.Name)
+		}
+		addr := hi
+		if lo < 0 {
+			addr = lo
+		}
+		if addr < 0 || addr >= m.Size() {
+			return fmt.Errorf("interp: access %s reaches %d outside %s[0,%d)",
+				acc.Name, addr, m.Name, m.Size())
 		}
 	}
 	return nil
+}
+
+// addressRange returns the lowest and highest address a constant or affine
+// access reaches over every iteration of its enclosing loops. An affine
+// function over a box of iterators takes its extremes at the box's corners
+// (AddressSet's corner sampling relies on the same fact), so the range is the
+// offset plus, per loop, the smaller and the larger of coef·first and
+// coef·last iterator. ok is false when any step of that arithmetic — an
+// iterator, a product, or a partial sum taken innermost loop first —
+// overflows int64.
+func addressRange(p *ir.Program, acc *ir.Access) (lo, hi int64, ok bool) {
+	lo, hi, ok = int64(acc.Pat.Offset), int64(acc.Pat.Offset), true
+	if acc.Pat.Kind == ir.PatConstant {
+		return lo, hi, true
+	}
+	for id := acc.Block; id != 0 && id != ir.NoCtrl; id = p.Ctrl(id).Parent {
+		l := p.Ctrl(id)
+		coef := int64(acc.Pat.Coeffs[id])
+		if !l.IsLoop() || coef == 0 {
+			continue
+		}
+		// A counted loop's iterator runs Min, Min+Step, …; dynamic and
+		// do-while loops count theirs from zero.
+		first, last := int64(0), int64(l.Trip-1)
+		if l.Kind == ir.CtrlLoop {
+			first = int64(l.Min)
+			last = checkedAdd(first, checkedMul(last, int64(l.Step), &ok), &ok)
+		}
+		a, b := checkedMul(coef, first, &ok), checkedMul(coef, last, &ok)
+		if a > b {
+			a, b = b, a
+		}
+		lo, hi = checkedAdd(lo, a, &ok), checkedAdd(hi, b, &ok)
+	}
+	return lo, hi, ok
+}
+
+// checkedAdd returns a+b, clearing *ok if the sum overflows int64.
+func checkedAdd(a, b int64, ok *bool) int64 {
+	s := a + b
+	if (s > a) != (b > 0) {
+		*ok = false
+	}
+	return s
+}
+
+// checkedMul returns a·b, clearing *ok if the product overflows int64.
+func checkedMul(a, b int64, ok *bool) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	c := a * b
+	if c/b != a || (a == math.MinInt64 && b == -1) {
+		*ok = false
+	}
+	return c
 }
 
 // Violation reports one unsound credit relaxation.

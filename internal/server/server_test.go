@@ -277,6 +277,36 @@ func TestBadRequests(t *testing.T) {
 	})
 }
 
+// TestRunRefusesDeepOutOfBoundsNest: an inline program 40 loops deep (3^40
+// iterations) whose innermost write leaves its SRAM gets its 422, naming the
+// extreme address, well inside a second. The bounds gate's cost must not grow
+// with the iteration space or with 2^depth, or such a request holds a worker
+// for days.
+func TestRunRefusesDeepOutOfBoundsNest(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	pat := &PatternJSON{Kind: "affine"}
+	node := NodeJSON{Kind: "block", Name: "w", Ops: []OpJSON{{Op: "write", Mem: "m", Pattern: pat}}}
+	for d := 39; d >= 0; d-- {
+		name := fmt.Sprintf("l%d", d)
+		pat.Terms = append(pat.Terms, TermJSON{Loop: name, Coeff: 1})
+		node = NodeJSON{Kind: "loop", Name: name, Max: 3, Body: []NodeJSON{node}}
+	}
+	prog := &ProgramJSON{Name: "deep", Mems: []MemJSON{{Kind: "sram", Name: "m", Dims: []int{64}}}, Body: []NodeJSON{node}}
+	start := time.Now()
+	resp, body := postRun(t, ts, "/v1/run", RunRequest{Program: prog})
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", resp.StatusCode, body)
+	}
+	// 40 loops × coefficient 1 × last iterator 2.
+	if want := "access W0.m reaches 80 outside m[0,64)"; !strings.Contains(string(body), want) {
+		t.Errorf("body %s does not name the extreme address %q", body, want)
+	}
+	if elapsed > time.Second {
+		t.Errorf("422 after %v, want under a second", elapsed)
+	}
+}
+
 func TestWorkloadsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/workloads")

@@ -76,6 +76,12 @@ func TestSimAllocationIndependentOfRunLength(t *testing.T) {
 		if lb > 256<<10 {
 			t.Errorf("%v: one run allocated %d B, want at most 256 KB", kind, lb)
 		}
+		// Under the race detector sync.Pool drops pooled values at random, so
+		// one run may rebuild the fast-forward detector (about 5.5 KB) that
+		// the other got from the pool: only the ceiling holds there.
+		if raceEnabled {
+			continue
+		}
 		if diff := float64(lb) - float64(sb); diff > 0.1*float64(sb) || diff < -0.1*float64(sb) {
 			t.Errorf("%v: %d-cycle run allocated %d B, %d-cycle run %d B: more than 10%% apart", kind, lc, lb, sc, sb)
 		}
