@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench benchsmoke profilesmoke servesmoke tunesmoke serve
+.PHONY: ci fmt vet build test race fuzz bench benchsmoke profilesmoke servesmoke tunesmoke serve
 
 ci: fmt vet build race benchsmoke profilesmoke servesmoke tunesmoke
 
@@ -23,6 +23,14 @@ test:
 
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# Every native fuzz target, FUZZTIME each (go test runs one target per
+# invocation). Their seed corpora under testdata/fuzz/ already run in plain
+# `go test`, so this is exploration, not a gate, and stays out of ci.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckBounds$$' -fuzztime $(FUZZTIME) ./internal/interp/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimRecord$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) run ./cmd/sarabench -o BENCH_sim.json -compile-o BENCH_compile.json \
@@ -59,7 +67,7 @@ benchsmoke:
 
 # Cluster serving smoke: boots a tiny in-process 3-node sarad cluster under
 # the race detector and replays a short cut of every request mix (hot/cold
-# cache, mixed engines, profile toggle, incremental recompiles) through the
+# cache, profile toggle, incremental recompiles) through the
 # consistent-hash proxy path. Any failed request fails the target. The
 # cluster fault-injection and cross-node single-flight suites run under the
 # `race` target, which ci already includes.

@@ -17,7 +17,7 @@
 // Serve mode benchmarks the serving layer itself: it boots an in-process
 // 3-node sarad cluster (consistent-hash sharded, persistent stores in a
 // scratch directory) and replays realistic request mixes — hot cache, cold
-// cache, mixed engines, profile on/off, and one-knob incremental
+// cache, profile on/off, and one-knob incremental
 // recompiles — recording p50/p99 latency, RPS, and cluster-wide
 // unique-compile counts to BENCH_serve.json.
 //
@@ -94,9 +94,6 @@ type Row struct {
 	Bottleneck       string `json:"bottleneck,omitempty"`
 	BottleneckCause  string `json:"bottleneck_cause,omitempty"`
 	BottleneckStalls int64  `json:"bottleneck_stall_cycles,omitempty"`
-	// AutoEngine records which engine EngineAuto resolves to for this design,
-	// so heuristic regressions show up in the committed trajectory.
-	AutoEngine string `json:"auto_engine"`
 }
 
 // Report is the BENCH_sim.json document. The meta stamp pins the host
@@ -271,8 +268,7 @@ func runSim(reps int, out string) error {
 			Cycles: er.Cycles, Fired: er.FiredTotal,
 			TokenWt: er.Stalls["token-wait"],
 			Event:   ev, Dense: de,
-			Speedup:    float64(de.NsPerOp) / float64(ev.NsPerOp),
-			AutoEngine: sim.ChooseEngine(d).String(),
+			Speedup: float64(de.NsPerOp) / float64(ev.NsPerOp),
 		}
 		// One untimed profiled run attributes where the cycles went.
 		if _, rec, err := sim.CycleProfiled(d, 0, sim.EngineEvent); err == nil {
@@ -291,7 +287,7 @@ func runSim(reps int, out string) error {
 			fmt.Printf("  bottleneck %s (%s, %d stall cycles)",
 				row.Bottleneck, row.BottleneckCause, row.BottleneckStalls)
 		}
-		fmt.Printf("  auto=%s\n", row.AutoEngine)
+		fmt.Println()
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sarasim -workload bs -par 64 [-engine auto|cycle|dense|analytic]
+//	sarasim -workload bs -par 64 [-engine auto|cycle|event|analytic]
 //	        [-chip 20x20|v1] [-scale 1] [-json] [-profile trace.json] [-profile-report]
 package main
 
@@ -28,10 +28,10 @@ func main() {
 		par     = flag.Int("par", 16, "total parallelization factor")
 		scale   = flag.Int("scale", 16, "problem-size divisor (cycle engine wants >= 16)")
 		chip    = flag.String("chip", "20x20", "target chip: 20x20 (HBM2) or v1 (DDR3)")
-		engine  = flag.String("engine", "auto", "execution engine: auto (pick per design), cycle (event-driven), dense (reference), or analytic")
+		engine  = flag.String("engine", "auto", "execution engine: auto, cycle or event (all the event-driven cycle-level engine), or analytic")
 		top     = flag.Bool("top", false, "show the busiest units")
 		asJSON  = flag.Bool("json", false, "emit the result as JSON (the sarad wire encoding)")
-		profOut = flag.String("profile", "", "record a timeline profile and write it as Chrome trace-event JSON to this path (load in Perfetto / chrome://tracing; cycle engines only)")
+		profOut = flag.String("profile", "", "record a timeline profile and write it as Chrome trace-event JSON to this path (load in Perfetto / chrome://tracing; cycle engine only)")
 		profRep = flag.Bool("profile-report", false, "print the profile's stall-attribution and critical-path report (implies profiling)")
 	)
 	flag.Parse()

@@ -95,25 +95,6 @@ func buildServeMixes(smoke bool) []serveMix {
 			server.RunRequest{Workload: "mlp", Par: 2 + 2*i, Scale: 96, Engine: "cycle"})
 	}
 
-	mixed := serveMix{name: "mixed-engine"}
-	designs := []server.RunRequest{
-		{Workload: "bs", Par: 4, Scale: 80},
-		{Workload: "mlp", Par: 8, Scale: 80},
-		{Workload: "ms", Par: 4, Scale: 80},
-	}
-	if smoke {
-		designs = designs[:2]
-	}
-	for rep := 0; rep < n(3, 1); rep++ {
-		for _, d := range designs {
-			for _, engine := range []string{"cycle", "dense", "analytic"} {
-				r := d
-				r.Engine = engine
-				mixed.timed = append(mixed.timed, r)
-			}
-		}
-	}
-
 	profDesign := server.RunRequest{Workload: "mlp", Par: 8, Scale: 40, Engine: "cycle"}
 	prof := serveMix{name: "profile-toggle"}
 	for i := 0; i < n(40, 4); i++ {
@@ -128,7 +109,7 @@ func buildServeMixes(smoke bool) []serveMix {
 			server.RunRequest{Workload: "ms", Par: 2 + 2*i, Scale: 48, Engine: "cycle"})
 	}
 
-	return []serveMix{hot, cold, mixed, prof, incr}
+	return []serveMix{hot, cold, prof, incr}
 }
 
 // clusterCounters sums one named counter across all nodes.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -74,68 +75,102 @@ func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string 
 	return string(b)
 }
 
-// TestMemoEqualsFresh: for every registered workload on every engine name the
-// bench and the CLIs use, the response answered from the memo is the response
-// that simulated, byte for byte, and both carry the Result a direct
-// sim.CycleEngine run produces.
+// TestMemoEqualsFresh: for every registered workload, the response answered
+// from the memo is the response that simulated, byte for byte, and both carry
+// the Result a direct sim.CycleEngine run produces.
 func TestMemoEqualsFresh(t *testing.T) {
 	for _, name := range workloads.Names() {
-		for _, engine := range []string{"auto", "cycle", "dense"} {
-			name, engine := name, engine
-			t.Run(name+"/"+engine, func(t *testing.T) {
-				t.Parallel()
-				s, ts := newTestServer(t, Options{Workers: 2})
-				req := RunRequest{Workload: name, Par: 16, Scale: 16, Engine: engine}
-				first := mustRun(t, ts, req)
-				second := mustRun(t, ts, req)
-				if first.CacheHit || first.SimCached {
-					t.Errorf("cold request: cache_hit %v, sim_cached %v", first.CacheHit, first.SimCached)
-				}
-				if !second.CacheHit || !second.SimCached {
-					t.Errorf("repeat: cache_hit %v, sim_cached %v, want both", second.CacheHit, second.SimCached)
-				}
-				if second.SimCyclesPerSec != 0 {
-					t.Errorf("memo hit reports sim_cycles_per_sec %g; no engine ran", second.SimCyclesPerSec)
-				}
-				if a, b := stableJSON(t, first), stableJSON(t, second); a != b {
-					t.Errorf("memo hit differs from the run that simulated\nfresh: %s\n memo: %s", a, b)
-				}
-				kind, err := sim.ParseEngine(engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(second.Result)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := directResultJSON(t, req, kind); string(got) != want {
-					t.Errorf("served result differs from a direct run\n got: %s\nwant: %s", got, want)
-				}
-				if hits, misses := memoCounters(s); hits != 1 || misses != 1 {
-					t.Errorf("memo counters %d hits / %d misses, want 1 / 1", hits, misses)
-				}
-			})
-		}
+		name := name
+		t.Run(name+"/cycle", func(t *testing.T) {
+			t.Parallel()
+			s, ts := newTestServer(t, Options{Workers: 2})
+			req := RunRequest{Workload: name, Par: 16, Scale: 16, Engine: "cycle"}
+			first := mustRun(t, ts, req)
+			second := mustRun(t, ts, req)
+			if first.CacheHit || first.SimCached {
+				t.Errorf("cold request: cache_hit %v, sim_cached %v", first.CacheHit, first.SimCached)
+			}
+			if !second.CacheHit || !second.SimCached {
+				t.Errorf("repeat: cache_hit %v, sim_cached %v, want both", second.CacheHit, second.SimCached)
+			}
+			if second.SimCyclesPerSec != 0 {
+				t.Errorf("memo hit reports sim_cycles_per_sec %g; no engine ran", second.SimCyclesPerSec)
+			}
+			if a, b := stableJSON(t, first), stableJSON(t, second); a != b {
+				t.Errorf("memo hit differs from the run that simulated\nfresh: %s\n memo: %s", a, b)
+			}
+			if got, want := resultJSON(t, second), directResultJSON(t, req, sim.EngineEvent); got != want {
+				t.Errorf("served result differs from a direct run\n got: %s\nwant: %s", got, want)
+			}
+			if hits, misses := memoCounters(s); hits != 1 || misses != 1 {
+				t.Errorf("memo counters %d hits / %d misses, want 1 / 1", hits, misses)
+			}
+		})
 	}
 }
 
-// TestMemoAutoSharesResolvedEngineRecord: auto is resolved before the key is
-// formed, so it and the explicit name of the engine it picked are one record.
-func TestMemoAutoSharesResolvedEngineRecord(t *testing.T) {
+// TestMemoOneRecordPerDesign: every engine name a request can spell runs the
+// event engine, so the memo key leaves the engine out — one design is one
+// record, whichever name asks for it first.
+func TestMemoOneRecordPerDesign(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
-	for _, name := range []string{"bs", "rf"} { // auto picks dense for bs, event for rf
-		auto := mustRun(t, ts, RunRequest{Workload: name, Engine: "auto"})
-		explicit := mustRun(t, ts, RunRequest{Workload: name, Engine: auto.Result.Engine})
-		if auto.SimCached || !explicit.SimCached {
-			t.Errorf("%s: auto sim_cached %v, engine %q sim_cached %v; want false, true",
-				name, auto.SimCached, auto.Result.Engine, explicit.SimCached)
+	var want string
+	for i, engine := range []string{"", "auto", "cycle", "event"} {
+		rr := mustRun(t, ts, RunRequest{Workload: "bs", Par: 8, Scale: 16, Engine: engine})
+		if rr.SimCached != (i > 0) {
+			t.Errorf("engine %q: sim_cached %v, want %v", engine, rr.SimCached, i > 0)
 		}
-		if !reflect.DeepEqual(auto.Result, explicit.Result) {
-			t.Errorf("%s: results differ: %+v vs %+v", name, auto.Result, explicit.Result)
+		if rr.Result.Engine != "cycle" {
+			t.Errorf("engine %q: result.engine %q, want cycle", engine, rr.Result.Engine)
+		}
+		got := resultJSON(t, rr)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("engine %q: result differs from the first\n got: %s\nwant: %s", engine, got, want)
 		}
 	}
-	if hits, misses := memoCounters(s); hits != 2 || misses != 2 {
-		t.Errorf("memo counters %d hits / %d misses, want 2 / 2", hits, misses)
+	if hits, misses := memoCounters(s); hits != 3 || misses != 1 {
+		t.Errorf("memo counters %d hits / %d misses, want 3 / 1", hits, misses)
+	}
+	if keys := s.store.ListKeys(store.SimStage); len(keys) != 1 {
+		t.Errorf("sim tier holds %d records, want 1: %v", len(keys), keys)
+	}
+}
+
+// TestMemoProfiledRunMatchesRecord: a profiled request bypasses the memo but
+// runs the same engine, so it answers the Result the memo holds for its
+// design, and the record decodes to it.
+func TestMemoProfiledRunMatchesRecord(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	req := RunRequest{Workload: "bs", Par: 8, Scale: 16}
+	memo := mustRun(t, ts, req)
+	req.Profile = true
+	profiled := mustRun(t, ts, req)
+	if profiled.SimCached || profiled.Profile == nil {
+		t.Errorf("profiled request: sim_cached %v, profile present %v; want false, true", profiled.SimCached, profiled.Profile != nil)
+	}
+	if got, want := resultJSON(t, profiled), resultJSON(t, memo); got != want {
+		t.Errorf("profiled result differs from the memoised one\n got: %s\nwant: %s", got, want)
+	}
+	keys := s.store.ListKeys(store.SimStage)
+	if len(keys) != 1 {
+		t.Fatalf("sim tier holds %d records, want 1", len(keys))
+	}
+	data, _ := s.store.Get(store.SimStage, keys[0])
+	rec, err := decodeSimRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := specFor(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(rec.JSON(spec)); err != nil || string(b) != resultJSON(t, profiled) {
+		t.Errorf("memo record %s (err %v), profiled result %s", b, err, resultJSON(t, profiled))
+	}
+	if hits, misses := memoCounters(s); hits != 0 || misses != 1 {
+		t.Errorf("memo counters %d hits / %d misses, want 0 / 1", hits, misses)
 	}
 }
 
@@ -318,7 +353,9 @@ func TestTimedOutJobFillsMemo(t *testing.T) {
 }
 
 // TestResultRecordRoundTrip: the memo's record encoding (encoding/json of
-// the plain-data Result) is an identity, down to nil versus empty containers.
+// the plain-data Result, engine name left out) is an identity down to nil
+// versus empty containers, and decoding stamps the served engine whatever
+// engine produced the Result.
 func TestResultRecordRoundTrip(t *testing.T) {
 	for label, want := range map[string]*sim.Result{
 		"nil containers":   {Cycles: 7, Engine: "dense"},
@@ -330,16 +367,47 @@ func TestResultRecordRoundTrip(t *testing.T) {
 		},
 	} {
 		want.DRAM.TotalBytes, want.DRAM.PeakBytesPerCycle = 1<<33, 102.4
-		data, err := json.Marshal(want)
+		data, err := encodeSimRecord(want)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got := &sim.Result{}
-		if err := json.Unmarshal(data, got); err != nil {
+		if bytes.Contains(data, []byte(`"Engine"`)) {
+			t.Errorf("%s: record %s names the engine", label, data)
+		}
+		got, err := decodeSimRecord(data)
+		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		want.Engine = "cycle"
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded %+v, want %+v", label, got, want)
 		}
 	}
+}
+
+// FuzzSimRecord: decodeSimRecord never panics on arbitrary bytes, and a
+// record that decodes re-encodes to bytes that decode to the same Result.
+// The seed corpus in testdata/fuzz/FuzzSimRecord (a real record, a truncated
+// one, garbage, and a record from before sim.Version 3 that still names its
+// engine) runs under plain go test; explore with
+//
+//	go test -run '^$' -fuzz FuzzSimRecord -fuzztime 30s ./internal/server/
+func FuzzSimRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeSimRecord(data)
+		if err != nil {
+			return
+		}
+		again, err := encodeSimRecord(r)
+		if err != nil {
+			t.Fatalf("a decoded record does not re-encode: %v", err)
+		}
+		back, err := decodeSimRecord(again)
+		if err != nil {
+			t.Fatalf("a re-encoded record does not decode: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Errorf("re-encoding changed the Result\n got %+v\nwant %+v", back, r)
+		}
+	})
 }

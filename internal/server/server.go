@@ -338,11 +338,10 @@ type RunRequest struct {
 	Arch *arch.SpecJSON `json:"arch,omitempty"`
 	// Options toggles compiler passes.
 	Options *CompileOptionsJSON `json:"options,omitempty"`
-	// Engine is "auto" (default: dense for small token-free graphs, event
-	// otherwise — see sim.ChooseEngine), "cycle"/"event" (the event-driven
-	// engine), "dense" (the reference cycle-level engine), or "analytic";
-	// ignored by /v1/compile. The response's result.engine reports which cycle
-	// engine actually ran.
+	// Engine is "auto" (the default), "cycle" or "event" — three names of the
+	// event-driven engine, so result.engine reads "cycle" for all of them —
+	// or "analytic"; ignored by /v1/compile. The dense reference engine is a
+	// test oracle and is refused.
 	Engine string `json:"engine,omitempty"`
 	// Profile attaches the timeline profiler to the simulation and returns
 	// the analyzed report (per-unit stall attribution, critical path) inline
@@ -572,7 +571,7 @@ func (s *Server) normalize(req *RunRequest) error {
 		if err != nil {
 			return fmt.Errorf("%w, or analytic", err)
 		}
-		// Canonical wire name: "" becomes "auto", the alias "event" "cycle".
+		// Canonical wire name: "", "auto" and "event" become "cycle".
 		req.Engine = kind.String()
 	}
 	if req.Profile && req.Engine == "analytic" {
@@ -584,7 +583,7 @@ func (s *Server) normalize(req *RunRequest) error {
 			return errors.New("tune requests name a registered workload; inline programs are not tunable")
 		case req.Profile:
 			return errors.New("tune requests cannot set profile: every point already carries bottleneck attribution")
-		case req.Engine != "auto" && req.Engine != "cycle":
+		case req.Engine == "analytic":
 			return fmt.Errorf("tune requests cannot pick engine %q: candidates are pruned analytically and finalists validate on the event engine", req.Engine)
 		}
 	}
@@ -830,20 +829,31 @@ func memoEligible(req *RunRequest) bool {
 }
 
 // memoKeyFor names the result record of simulating the design compiled under
-// key on req's engine. A Result is a pure function of (design, engine, cycle
-// cap, sim.Version) and the compile content address names the design. auto
-// is resolved with sim.ChooseEngine first, a function of the design alone, so
-// it shares the record of the engine it picks on every node; a node that runs
-// another sim.Version computes another key.
-func memoKeyFor(d *sim.Design, req *RunRequest, key string) (string, sim.EngineKind, error) {
-	kind, err := sim.ParseEngine(req.Engine) // canonical: normalize ran first
-	if err != nil {
-		return "", kind, err
+// key. A Result is a pure function of (design, cycle cap, sim.Version) and the
+// compile content address names the design, so every engine name a request
+// can spell shares one record; a node that runs another sim.Version computes
+// another key.
+func memoKeyFor(key string) string {
+	return store.NewHasher(store.SimStage, key).Int(sim.Version).I64(simMaxCycles).Sum()
+}
+
+// encodeSimRecord is the result memo's record of r: the encoding/json bytes
+// of the plain-data Result, which leave out the engine name (sim.Result.Engine
+// is not encoded).
+func encodeSimRecord(r *sim.Result) ([]byte, error) {
+	return json.Marshal(r)
+}
+
+// decodeSimRecord reads a record encodeSimRecord wrote — from this node's sim
+// tier or a cluster owner's envelope — and stamps the engine every memoised
+// run is served from.
+func decodeSimRecord(data []byte) (*sim.Result, error) {
+	r := &sim.Result{}
+	if err := json.Unmarshal(data, r); err != nil {
+		return nil, err
 	}
-	if kind == sim.EngineAuto {
-		kind = sim.ChooseEngine(d)
-	}
-	return store.NewHasher(store.SimStage, key).Int(sim.Version).Str(kind.String()).I64(simMaxCycles).Sum(), kind, nil
+	r.Engine = sim.EngineEvent.String()
+	return r, nil
 }
 
 // simulate is the second half of execute: run req's engine on the compiled
@@ -855,33 +865,21 @@ func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.S
 	var rec *profile.Recording
 	var err error
 	design := compiled.Design()
-	ranHere := false // memoised runs count themselves, on the node they ran on
+	// Memoised runs count themselves, on the node they ran on.
+	ranHere := owner == nil && !memoEligible(req)
 	switch {
 	case owner != nil:
 		result, resp.SimCached = owner.result, !owner.ran
 	case memoEligible(req):
-		var memoKey string
-		var kind sim.EngineKind
-		if memoKey, kind, err = memoKeyFor(design, req, key); err != nil {
-			return err
-		}
 		var ans simAnswer
-		ans, err = s.simulateMemo(design, memoKey, kind, nil)
+		ans, err = s.simulateMemo(design, memoKeyFor(key), nil)
 		result, resp.SimCached = ans.result, !ans.ran
 	case req.Engine == "analytic":
 		result, err = sim.Analytic(design)
-		ranHere = true
+	case req.Profile:
+		result, rec, err = sim.CycleProfiled(design, simMaxCycles, sim.EngineEvent)
 	default:
-		var kind sim.EngineKind
-		if kind, err = sim.ParseEngine(req.Engine); err != nil {
-			return err
-		}
-		if req.Profile {
-			result, rec, err = sim.CycleProfiled(design, simMaxCycles, kind)
-		} else {
-			result, err = sim.CycleEngine(design, simMaxCycles, kind)
-		}
-		ranHere = true
+		result, err = sim.CycleEngine(design, simMaxCycles, sim.EngineEvent)
 	}
 	if err != nil {
 		return err
@@ -893,7 +891,7 @@ func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.S
 	if owner != nil {
 		simWall = owner.wall
 	}
-	s.metrics.Add("sarad_sim_requests_"+req.Engine+"_total", 1)
+	s.metrics.Add("sarad_sim_requests_total", 1)
 	resp.SimMS, resp.Result = msOf(simWall), result.JSON(spec)
 	if sec := simWall.Seconds(); !resp.SimCached && sec > 0 {
 		resp.SimCyclesPerSec = float64(result.Cycles) / sec
@@ -957,7 +955,7 @@ var errSimBudget = errors.New("simulation still running past the wait budget")
 // /v1/artifact uses it). Errors are never stored — a deadlocking design
 // deadlocks every time — and an undecodable record is simulated afresh and
 // overwritten. Hits count asks answered without starting an engine.
-func (s *Server) simulateMemo(d *sim.Design, memoKey string, kind sim.EngineKind, deadline <-chan time.Time) (simAnswer, error) {
+func (s *Server) simulateMemo(d *sim.Design, memoKey string, deadline <-chan time.Time) (simAnswer, error) {
 	// The flight table and the record are read under one lock, and a run Puts
 	// its record before it leaves the table: an ask sees one or the other.
 	s.simMu.Lock()
@@ -965,8 +963,7 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, kind sim.EngineKind
 	if !joined {
 		if data, ok := s.store.Get(store.SimStage, memoKey); ok {
 			s.simMu.Unlock()
-			result := &sim.Result{}
-			if json.Unmarshal(data, result) == nil {
+			if result, err := decodeSimRecord(data); err == nil {
 				s.metrics.Add("sarad_sim_memo_hits_total", 1)
 				return simAnswer{result: result, record: data}, nil
 			}
@@ -976,7 +973,7 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, kind sim.EngineKind
 		if !joined {
 			f = &simFlight{done: make(chan struct{})}
 			s.simFlights[memoKey] = f
-			go s.runSim(f, d, memoKey, kind)
+			go s.runSim(f, d, memoKey)
 		}
 	}
 	s.simMu.Unlock()
@@ -995,15 +992,15 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, kind sim.EngineKind
 
 // runSim executes f, counts it on this node, Puts its record and only then
 // leaves the flight table (the order simulateMemo's lookup relies on).
-func (s *Server) runSim(f *simFlight, d *sim.Design, memoKey string, kind sim.EngineKind) {
+func (s *Server) runSim(f *simFlight, d *sim.Design, memoKey string) {
 	if s.simGate != nil {
 		s.simGate()
 	}
 	t0 := time.Now()
-	f.result, f.err = sim.CycleEngine(d, simMaxCycles, kind)
+	f.result, f.err = sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
 	if f.err == nil {
 		s.observeSimulation(f.result, time.Since(t0))
-		if data, err := json.Marshal(f.result); err == nil {
+		if data, err := encodeSimRecord(f.result); err == nil {
 			f.record = data
 			s.store.Put(store.SimStage, memoKey, data)
 		}
@@ -1134,22 +1131,22 @@ func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRe
 	s.store.Put(store.FinalStage, key, env.Artifact)
 	c := compiledFromArtifact(a)
 	c.StageHits = env.StageCache
-	return c, s.acceptSimRecord(env, c.Design(), req, key), true
+	return c, s.acceptSimRecord(env, key), true
 }
 
 // acceptSimRecord stores the owner's simulation record in this node's sim
 // tier and returns it — only when it is the record this node would have
-// stored itself: the memo key recomputed here from the decoded design
-// (engine choice, sim.Version, cycle cap) equals the owner's and the bytes
-// decode. Anything else is dropped and counted, and the request simulates
-// locally as if the owner had sent no record.
-func (s *Server) acceptSimRecord(env *artifactEnvelope, d *sim.Design, req *RunRequest, key string) *ownerSim {
+// stored itself: the memo key recomputed here (compile key, sim.Version,
+// cycle cap) equals the owner's and the bytes decode. Anything else is
+// dropped and counted, and the request simulates locally as if the owner had
+// sent no record.
+func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
 	if env.SimKey == "" {
 		return nil
 	}
-	memoKey, _, err := memoKeyFor(d, req, key)
-	result := &sim.Result{}
-	if err != nil || env.SimKey != memoKey || json.Unmarshal(env.SimRecord, result) != nil {
+	memoKey := memoKeyFor(key)
+	result, err := decodeSimRecord(env.SimRecord)
+	if env.SimKey != memoKey || err != nil {
 		s.metrics.Add("sarad_proxy_sim_records_rejected_total", 1)
 		return nil
 	}
@@ -1220,7 +1217,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	env := &artifactEnvelope{Key: key, CacheHit: hit, StageCache: c.StageHits}
 	if r.Header.Get(simHeader) != "" && memoEligible(req) {
-		s.attachSimRecord(env, c.Design(), req, key, arrived.Add(s.opts.ProxyTimeout/2))
+		s.attachSimRecord(env, c.Design(), key, arrived.Add(s.opts.ProxyTimeout/2))
 	}
 	env.Artifact = encodeArtifact(c)
 	s.metrics.Add("sarad_artifact_served_total", 1)
@@ -1235,15 +1232,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // simulates as it did before records travelled, and the run still finishes
 // into this node's memo. A failed simulation ships nothing: the requester
 // runs it again and answers the same error.
-func (s *Server) attachSimRecord(env *artifactEnvelope, d *sim.Design, req *RunRequest, key string, deadline time.Time) {
-	memoKey, kind, err := memoKeyFor(d, req, key)
-	if err != nil {
-		return
-	}
+func (s *Server) attachSimRecord(env *artifactEnvelope, d *sim.Design, key string, deadline time.Time) {
+	memoKey := memoKeyFor(key)
 	t0 := time.Now()
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
-	ans, err := s.simulateMemo(d, memoKey, kind, timer.C)
+	ans, err := s.simulateMemo(d, memoKey, timer.C)
 	if ans.ran {
 		s.metrics.Add("sarad_artifact_sims_total", 1)
 	}

@@ -65,10 +65,9 @@ func TestRunInlineProgramEndToEnd(t *testing.T) {
 	if rr.Result == nil || rr.Result.Cycles <= 0 {
 		t.Fatalf("missing simulation result: %s", body)
 	}
-	// The default engine is auto; the result reports whichever cycle-level
-	// engine the heuristic resolved to.
-	if rr.Result.Engine != "cycle" && rr.Result.Engine != "dense" {
-		t.Errorf("engine = %q, want a cycle-level engine under the auto default", rr.Result.Engine)
+	// The default engine, auto, is the event engine, reported as "cycle".
+	if rr.Result.Engine != "cycle" {
+		t.Errorf("engine = %q, want cycle under the auto default", rr.Result.Engine)
 	}
 	if rr.CacheHit {
 		t.Error("first request should be a cache miss")
@@ -229,6 +228,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown workload", RunRequest{Workload: "nope"}},
 		{"unknown engine", RunRequest{Workload: "bs", Engine: "quantum"}},
 		{"retired engine", RunRequest{Workload: "bs", Engine: "parallel"}},
+		{"retired dense", RunRequest{Workload: "bs", Engine: "dense"}},
 		{"unknown arch preset", RunRequest{Workload: "bs", Arch: archPreset("40x40")}},
 	}
 	for _, tc := range cases {
@@ -450,33 +450,4 @@ func ExampleMetrics_Render() {
 	// sarad_compiles_total 1
 	// sarad_requests_total{endpoint="/v1/run",status="200"} 1
 	// sarad_request_seconds_bucket{le="0.001"} 0
-}
-
-// TestRunWorkloadDenseEngine exercises the reference dense engine end to end
-// and checks it matches the default event engine's cycle count — the
-// service-level view of the cross-engine equivalence contract.
-func TestRunWorkloadDenseEngine(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	resp, body := postRun(t, ts, "/v1/run", RunRequest{Workload: "bs", Par: 4, Scale: 64, Engine: "dense"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	dense := decodeRun(t, body)
-	if dense.Result == nil || dense.Result.Cycles <= 0 || dense.Result.Engine != "dense" {
-		t.Fatalf("bad dense result: %s", body)
-	}
-	if dense.SimCyclesPerSec <= 0 {
-		t.Errorf("sim_cycles_per_sec = %v, want > 0", dense.SimCyclesPerSec)
-	}
-	resp, body = postRun(t, ts, "/v1/run", RunRequest{Workload: "bs", Par: 4, Scale: 64, Engine: "event"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	event := decodeRun(t, body)
-	if event.Result == nil || event.Result.Engine != "cycle" {
-		t.Fatalf("bad event result: %s", body)
-	}
-	if event.Result.Cycles != dense.Result.Cycles {
-		t.Errorf("engines disagree: event %d cycles, dense %d", event.Result.Cycles, dense.Result.Cycles)
-	}
 }

@@ -139,7 +139,7 @@ func TestTuneValidation(t *testing.T) {
 		},
 		{
 			name:    "engine override",
-			req:     RunRequest{Workload: "ms", Engine: "dense", Tune: tuneTestParams()},
+			req:     RunRequest{Workload: "ms", Engine: "analytic", Tune: tuneTestParams()},
 			status:  http.StatusBadRequest,
 			errFrag: "cannot pick engine",
 		},

@@ -20,86 +20,53 @@ type EngineKind int
 const (
 	// EngineEvent is the event-driven engine: a calendar queue of arrival
 	// events, per-edge wake lists, and batch firing make its cost proportional
-	// to activity rather than to cycles x (edges + units). It is the default.
+	// to activity rather than to cycles x (edges + units), and a steady state
+	// that recurs exactly is advanced whole periods at a time. It is the one
+	// engine every served, CLI and API path runs.
 	EngineEvent EngineKind = iota
 	// EngineDense is the original dense engine: every cycle scans all edges
-	// for deliveries and steps all units. Linear in cycles; kept as the
-	// reference oracle the event engine is validated against.
+	// for deliveries and steps all units. Linear in cycles; kept only as the
+	// reference oracle the event engine is validated against and as the
+	// engine that records port traces (CycleWithTrace).
 	EngineDense
-	// EngineAuto picks per design: the dense scan for small busy graphs
-	// (where per-cycle scanning is near-free and the event queue is pure
-	// overhead), the event engine everywhere else. See ChooseEngine.
-	EngineAuto
 )
 
-// String returns the engine's canonical wire name (the sarad `engine` request
-// values and the sarasim -engine flag).
+// EngineAuto is the default engine's name: the event engine.
+const EngineAuto = EngineEvent
+
+// String returns the engine's canonical name: "cycle" for the event engine
+// (the sarad `engine` value and the sarasim -engine flag), "dense" for the
+// oracle.
 func (k EngineKind) String() string {
 	switch k {
 	case EngineEvent:
 		return "cycle"
 	case EngineDense:
 		return "dense"
-	case EngineAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("engine(%d)", int(k))
 }
 
-// ParseEngine resolves a cycle-level engine's wire name: every name String
-// returns, plus "" for auto and "event" as an alias of "cycle". The analytic
-// model is not an EngineKind; callers that offer it check for it first.
+// ParseEngine resolves a served engine's wire name: "", "auto", "cycle" and
+// "event" all name the event engine. The dense oracle has no wire name, and
+// the analytic model is not an EngineKind; callers that offer it check for it
+// first.
 func ParseEngine(name string) (EngineKind, error) {
 	switch name {
-	case "", "auto":
-		return EngineAuto, nil
-	case "cycle", "event":
+	case "", "auto", "cycle", "event":
 		return EngineEvent, nil
-	case "dense":
-		return EngineDense, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want auto, cycle, event or dense)", name)
+	return 0, fmt.Errorf("unknown engine %q (want auto, cycle or event)", name)
 }
 
-// autoDenseMaxUnits is the unit-count ceiling below which the dense scan is
-// considered for auto selection: scanning a handful of units per cycle costs
-// less than the event engine's queue and wake-list bookkeeping.
-const autoDenseMaxUnits = 32
-
-// ChooseEngine resolves EngineAuto with a units×activity heuristic. Dense
-// per-cycle cost scales with unit/edge count; event cost scales with
-// activity. The static activity proxy is CMMC token streams: they gate
-// firing on credits and produce long idle stretches the event engine skips
-// entirely (BENCH_sim.json: rf with 216k token-wait stalls runs 4x faster
-// under event, while the small token-free bs graph is ~2x faster under the
-// dense scan). A small graph with no token streams is busy nearly every
-// cycle, so dense wins there; everything else goes to the event engine. The
-// choice is a function of the design alone, never of the host.
-func ChooseEngine(d *Design) EngineKind {
-	units := len(d.G.LiveVUs())
-	tokens := 0
-	for _, e := range d.G.LiveEdges() {
-		if e.Kind == dfg.EToken {
-			tokens++
-		}
-	}
-	if units <= autoDenseMaxUnits && tokens == 0 {
-		return EngineDense
-	}
-	return EngineEvent
-}
-
-// Cycle runs the cycle-level engine with auto selection. maxCycles guards
-// against runaways (0 = 200M cycles).
+// Cycle runs the event engine. maxCycles guards against runaways (0 = 200M
+// cycles).
 func Cycle(d *Design, maxCycles int64) (*Result, error) {
-	return CycleEngine(d, maxCycles, EngineAuto)
+	return CycleEngine(d, maxCycles, EngineEvent)
 }
 
 // CycleEngine runs the cycle-level simulation on the selected engine.
 func CycleEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, error) {
-	if kind == EngineAuto {
-		kind = ChooseEngine(d)
-	}
 	cs, err := newCycleSim(d)
 	if err != nil {
 		return nil, err

@@ -17,9 +17,6 @@ import (
 // Track IDs 0..len(VUs)-1 are the design's virtual units (holes where VUs
 // were removed); DRAM channel tracks follow at len(VUs)+ch.
 func CycleProfiled(d *Design, maxCycles int64, kind EngineKind) (*Result, *profile.Recording, error) {
-	if kind == EngineAuto {
-		kind = ChooseEngine(d)
-	}
 	cs, err := newCycleSim(d)
 	if err != nil {
 		return nil, nil, err

@@ -229,16 +229,17 @@ func TestProfileDeadlock(t *testing.T) {
 	}
 }
 
-// TestTraceEngineGate pins the satellite fix: requesting a memory-port trace
-// from the event engine fails with the documented sentinel instead of
-// silently tracing on dense (or silently truncating).
+// TestTraceEngineGate: requesting a memory-port trace from the event engine
+// (EngineAuto names it) fails with the documented sentinel instead of
+// silently tracing on dense (or silently truncating), and CycleWithTrace
+// names the dense engine itself.
 func TestTraceEngineGate(t *testing.T) {
 	d := compileWorkload(t, pickWorkload(t, "mlp"))
-	if _, _, err := sim.CycleWithTraceEngine(d, 30_000_000, sim.EngineEvent); !errors.Is(err, sim.ErrTraceNeedsDense) {
+	if _, _, err := sim.CycleWithTraceEngine(d, 30_000_000, sim.EngineAuto); !errors.Is(err, sim.ErrTraceNeedsDense) {
 		t.Errorf("event-engine trace request: got %v, want ErrTraceNeedsDense", err)
 	}
-	if _, tr, err := sim.CycleWithTraceEngine(d, 30_000_000, sim.EngineAuto); err != nil || len(tr.Events) == 0 {
-		t.Errorf("auto-engine trace request: err=%v events=%d, want dense trace", err, len(tr.Events))
+	if _, tr, err := sim.CycleWithTrace(d, 30_000_000); err != nil || len(tr.Events) == 0 {
+		t.Errorf("CycleWithTrace: err=%v events=%d, want dense trace", err, len(tr.Events))
 	}
 }
 

@@ -9,15 +9,16 @@
 // arbitration, DRAM channel queueing — with bit-identical Results and
 // deadlock reports; they differ only in what a run costs on the host:
 //
-//   - Dense (EngineDense, cycle.go): scans every edge and steps every unit
-//     each cycle. Linear in cycles x graph size; the reference oracle the
-//     event engine is tested against, the only engine that records port
-//     traces, and the fastest one on small busy graphs.
 //   - Event (EngineEvent, event.go): a calendar queue of arrivals and timers,
 //     wake lists, parking and batch firing make cost proportional to
 //     activity, and a steady state that recurs exactly is advanced whole
-//     periods at a time (fastforward.go). The default for everything but
-//     small token-free graphs.
+//     periods at a time (fastforward.go). The one engine every served, CLI
+//     and API path runs; EngineAuto and the wire names auto, cycle and event
+//     all name it.
+//   - Dense (EngineDense, cycle.go): scans every edge and steps every unit
+//     each cycle. Linear in cycles x graph size; the reference oracle the
+//     event engine is tested and timed against, and the only engine that
+//     records port traces (CycleWithTrace).
 //   - Analytic (analytic.go): a steady-state bottleneck model — per-unit
 //     initiation intervals from DRAM bandwidth shares, VMU read
 //     serialization, credit round trips, unretimed slack, and do-while
@@ -25,9 +26,8 @@
 //     the cycle engines in the test suite and used for the paper-scale sweeps
 //     and the tuner's pruning, where cycle simulation would be too slow.
 //
-// EngineAuto (ChooseEngine) picks between the two cycle-level engines per
-// design. All three report the same Result shape so the evaluation harness
-// can swap them.
+// All three report the same Result shape so the evaluation harness can swap
+// them.
 package sim
 
 import (
@@ -39,12 +39,12 @@ import (
 )
 
 // Version identifies the cycle-level engines' semantics. A Result is a pure
-// function of (Design, engine, cycle cap, Version), and sarad memoises Results
-// under it — bump it whenever any design's Result can change (a semantics
+// function of (Design, cycle cap, Version) — both engines agree on every field
+// but Engine — and sarad memoises Results under it — bump it whenever any design's Result can change (a semantics
 // fix, a new or renamed Result field, a changed stall attribution), or stale
 // records keep being served. testdata/result_digests.json pins the twelve
 // workloads' Results to the version and fails the suite when they move alone.
-const Version = 2
+const Version = 3
 
 // Design bundles everything needed to execute a compiled program.
 type Design struct {
@@ -89,8 +89,10 @@ func (d *Design) edgeLatency(e *dfg.Edge) int {
 type Result struct {
 	// Cycles is the end-to-end runtime in accelerator cycles.
 	Cycles int64
-	// Engine names the engine that produced the result.
-	Engine string
+	// Engine names the engine that produced the result. It is not part of
+	// the JSON encoding, which is sarad's result-memo record: the record is
+	// one per design, and the served response names the event engine.
+	Engine string `json:"-"`
 	// BottleneckVU names the unit that bounds steady-state throughput.
 	BottleneckVU string
 	// BottleneckII is that unit's effective initiation interval.

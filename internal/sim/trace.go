@@ -36,11 +36,11 @@ func (t *Trace) PortHistory(access string) []int64 {
 	return out
 }
 
-// CycleWithTrace runs the cycle engine while recording every memory-port
+// CycleWithTrace runs the dense engine while recording every memory-port
 // service event. Traces always come from the dense engine — see
-// CycleWithTraceEngine for why, and for the explicit-engine variant.
+// ErrTraceNeedsDense for why.
 func CycleWithTrace(d *Design, maxCycles int64) (*Result, *Trace, error) {
-	return CycleWithTraceEngine(d, maxCycles, EngineAuto)
+	return CycleWithTraceEngine(d, maxCycles, EngineDense)
 }
 
 // ErrTraceNeedsDense is returned when a memory-port trace is requested from
@@ -54,9 +54,9 @@ var ErrTraceNeedsDense = fmt.Errorf(
 	"sim: memory-port tracing requires the dense engine (EngineDense); " +
 		"the event engine's batch firing may end a run before tail VMU services are recorded")
 
-// CycleWithTraceEngine is CycleWithTrace with an explicit engine choice.
-// EngineAuto resolves to the dense engine (tracing overrides the usual
-// units×activity heuristic); EngineEvent returns ErrTraceNeedsDense.
+// CycleWithTraceEngine is CycleWithTrace with an explicit engine choice:
+// EngineDense records the trace, and EngineEvent (which EngineAuto names)
+// returns ErrTraceNeedsDense.
 func CycleWithTraceEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, *Trace, error) {
 	if kind == EngineEvent {
 		return nil, nil, ErrTraceNeedsDense

@@ -160,16 +160,12 @@ func Compile(prog *spatial.Program, options ...Option) (*Design, error) {
 type Engine int
 
 const (
-	// EngineCycle is the cycle-level dataflow simulator: exact, linear in
-	// simulated cycles.
+	// EngineCycle is the event-driven cycle-level dataflow simulator: exact,
+	// its cost proportional to activity rather than to simulated cycles.
 	EngineCycle Engine = iota
 	// EngineAnalytic is the steady-state bottleneck model, validated against
 	// EngineCycle and suitable for paper-scale sweeps.
 	EngineAnalytic
-	// EngineDense is the dense reference implementation of the cycle-level
-	// simulator: same results as EngineCycle, cost linear in cycles. Use it
-	// to cross-check the default event-driven engine.
-	EngineDense
 )
 
 // String returns the wire name of the simulator engine e selects, as the
@@ -177,11 +173,9 @@ const (
 func (e Engine) String() string {
 	switch e {
 	case EngineCycle:
-		return "auto"
+		return "cycle"
 	case EngineAnalytic:
 		return "analytic"
-	case EngineDense:
-		return "dense"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
 }
