@@ -75,44 +75,51 @@ func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string 
 	return string(b)
 }
 
-// TestMemoEqualsFresh: for every registered workload, the response answered
-// from the memo is the response that simulated, byte for byte, and both carry
-// the Result a direct sim.CycleEngine run produces.
+// TestMemoEqualsFresh: for every registered workload, asked for by both
+// engine names the bench and the CLIs spell, the response answered from the
+// memo is the response that simulated, byte for byte, and both carry the
+// Result a direct sim.CycleEngine run produces.
 func TestMemoEqualsFresh(t *testing.T) {
 	for _, name := range workloads.Names() {
-		name := name
-		t.Run(name+"/cycle", func(t *testing.T) {
-			t.Parallel()
-			s, ts := newTestServer(t, Options{Workers: 2})
-			req := RunRequest{Workload: name, Par: 16, Scale: 16, Engine: "cycle"}
-			first := mustRun(t, ts, req)
-			second := mustRun(t, ts, req)
-			if first.CacheHit || first.SimCached {
-				t.Errorf("cold request: cache_hit %v, sim_cached %v", first.CacheHit, first.SimCached)
-			}
-			if !second.CacheHit || !second.SimCached {
-				t.Errorf("repeat: cache_hit %v, sim_cached %v, want both", second.CacheHit, second.SimCached)
-			}
-			if second.SimCyclesPerSec != 0 {
-				t.Errorf("memo hit reports sim_cycles_per_sec %g; no engine ran", second.SimCyclesPerSec)
-			}
-			if a, b := stableJSON(t, first), stableJSON(t, second); a != b {
-				t.Errorf("memo hit differs from the run that simulated\nfresh: %s\n memo: %s", a, b)
-			}
-			if got, want := resultJSON(t, second), directResultJSON(t, req, sim.EngineEvent); got != want {
-				t.Errorf("served result differs from a direct run\n got: %s\nwant: %s", got, want)
-			}
-			if hits, misses := memoCounters(s); hits != 1 || misses != 1 {
-				t.Errorf("memo counters %d hits / %d misses, want 1 / 1", hits, misses)
-			}
-		})
+		for _, engine := range []string{"auto", "cycle"} {
+			name, engine := name, engine
+			t.Run(name+"/"+engine, func(t *testing.T) {
+				t.Parallel()
+				s, ts := newTestServer(t, Options{Workers: 2})
+				req := RunRequest{Workload: name, Par: 16, Scale: 16, Engine: engine}
+				first := mustRun(t, ts, req)
+				second := mustRun(t, ts, req)
+				if first.CacheHit || first.SimCached {
+					t.Errorf("cold request: cache_hit %v, sim_cached %v", first.CacheHit, first.SimCached)
+				}
+				if !second.CacheHit || !second.SimCached {
+					t.Errorf("repeat: cache_hit %v, sim_cached %v, want both", second.CacheHit, second.SimCached)
+				}
+				if second.SimCyclesPerSec != 0 {
+					t.Errorf("memo hit reports sim_cycles_per_sec %g; no engine ran", second.SimCyclesPerSec)
+				}
+				if a, b := stableJSON(t, first), stableJSON(t, second); a != b {
+					t.Errorf("memo hit differs from the run that simulated\nfresh: %s\n memo: %s", a, b)
+				}
+				kind, err := sim.ParseEngine(engine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := resultJSON(t, second), directResultJSON(t, req, kind); got != want {
+					t.Errorf("served result differs from a direct run\n got: %s\nwant: %s", got, want)
+				}
+				if hits, misses := memoCounters(s); hits != 1 || misses != 1 {
+					t.Errorf("memo counters %d hits / %d misses, want 1 / 1", hits, misses)
+				}
+			})
+		}
 	}
 }
 
-// TestMemoOneRecordPerDesign: every engine name a request can spell runs the
-// event engine, so the memo key leaves the engine out — one design is one
-// record, whichever name asks for it first.
-func TestMemoOneRecordPerDesign(t *testing.T) {
+// TestMemoAutoSharesResolvedEngineRecord: auto and every other engine name a
+// request can spell resolve to the event engine, so the memo key leaves the
+// engine out — one design is one record, whichever name asks for it first.
+func TestMemoAutoSharesResolvedEngineRecord(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
 	var want string
 	for i, engine := range []string{"", "auto", "cycle", "event"} {
