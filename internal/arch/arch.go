@@ -157,6 +157,18 @@ func (s *Spec) PUSpecFor(t PUType) PUSpec {
 	}
 }
 
+// Ceilings on the knobs a request or a tune point can set. Every preset ×
+// scale a test, tune space or experiment uses sits far below them (the 20×20
+// chip at scale 64 has a 1280×20 grid, 12 800 PCUs and 1 024 DRAM channels);
+// above them the compiler and simulator would allocate or loop in proportion
+// to the number, so Validate refuses before any work starts.
+const (
+	MaxGridCells    = 1 << 16 // Rows × Cols
+	MaxUnits        = 1 << 16 // each of NumPCU, NumPMU, NumAG
+	MaxDRAMChannels = 1 << 12
+	MaxStreamDepth  = 1 << 16 // every unit type's InBufDepth
+)
+
 // Validate checks internal consistency of the spec. The autotuner mutates
 // specs programmatically, so every knob it can reach must fail loudly with a
 // descriptive error rather than simulate garbage.
@@ -164,6 +176,16 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.Rows <= 0 || s.Cols <= 0:
 		return fmt.Errorf("arch %s: grid %dx%d invalid: rows and cols must be positive", s.Name, s.Rows, s.Cols)
+	case s.Rows > MaxGridCells || s.Cols > MaxGridCells || s.Rows*s.Cols > MaxGridCells:
+		return fmt.Errorf("arch %s: grid %dx%d invalid: rows × cols must be at most %d", s.Name, s.Rows, s.Cols, MaxGridCells)
+	case s.NumPCU > MaxUnits || s.NumPMU > MaxUnits || s.NumAG > MaxUnits:
+		return fmt.Errorf("arch %s: num_pcu %d / num_pmu %d / num_ag %d invalid: each must be at most %d",
+			s.Name, s.NumPCU, s.NumPMU, s.NumAG, MaxUnits)
+	case s.DRAM.Channels > MaxDRAMChannels:
+		return fmt.Errorf("arch %s: dram_channels %d invalid: must be at most %d", s.Name, s.DRAM.Channels, MaxDRAMChannels)
+	case s.PCU.InBufDepth > MaxStreamDepth || s.PMU.InBufDepth > MaxStreamDepth || s.AG.InBufDepth > MaxStreamDepth:
+		return fmt.Errorf("arch %s: stream_depth invalid (PCU %d, PMU %d, AG %d): each must be at most %d",
+			s.Name, s.PCU.InBufDepth, s.PMU.InBufDepth, s.AG.InBufDepth, MaxStreamDepth)
 	case s.NumPCU <= 0:
 		return fmt.Errorf("arch %s: num_pcu %d invalid: chip needs at least one PCU", s.Name, s.NumPCU)
 	case s.NumPMU <= 0:

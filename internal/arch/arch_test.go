@@ -85,6 +85,10 @@ func TestValidateRejectsBroken(t *testing.T) {
 		{"negative DRAM channels", func(s *Spec) { s.DRAM.Channels = -16 }},
 		{"zero DRAM bandwidth", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = 0 }},
 		{"zero clock", func(s *Spec) { s.ClockGHz = 0 }},
+		{"grid above the ceiling", func(s *Spec) { s.Rows = MaxGridCells }},
+		{"PMUs above the ceiling", func(s *Spec) { s.NumPMU = MaxUnits + 1 }},
+		{"DRAM channels above the ceiling", func(s *Spec) { s.DRAM.Channels = MaxDRAMChannels + 1 }},
+		{"PMU in-buf depth above the ceiling", func(s *Spec) { s.PMU.InBufDepth = MaxStreamDepth + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,8 +12,8 @@ import "fmt"
 type SpecJSON struct {
 	// Preset selects the base configuration: "20x20" (default) or "v1".
 	Preset string `json:"preset,omitempty"`
-	// Scale applies Spec.Scaled with the given factor (≥ 2 to take effect),
-	// emulating larger chip generations.
+	// Scale applies Spec.Scaled with the given factor (≥ 2 to take effect,
+	// at most MaxScale), emulating larger chip generations.
 	Scale int `json:"scale,omitempty"`
 
 	ClockGHz            float64 `json:"clock_ghz,omitempty"`
@@ -30,11 +30,18 @@ type SpecJSON struct {
 	StreamDepth int `json:"stream_depth,omitempty"`
 }
 
+// MaxScale bounds SpecJSON.Scale, so Spec.Scaled cannot overflow a unit
+// count into range; Validate's ceilings then bound the scaled chip.
+const MaxScale = 64
+
 // checkOverrides rejects negative (and other nonsensical) override values
 // with descriptive errors. Zero means "keep the preset's setting", so only
 // explicitly bad values fail; the tuner mutates these fields programmatically
 // and a bad knob combo must fail loudly, not simulate garbage.
 func (j *SpecJSON) checkOverrides() error {
+	if j.Scale > MaxScale {
+		return fmt.Errorf("arch: scale %d invalid: must be at most %d", j.Scale, MaxScale)
+	}
 	for _, f := range []struct {
 		name string
 		v    int

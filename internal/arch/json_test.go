@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,6 +96,16 @@ func TestSpecJSONRejectsBadKnobs(t *testing.T) {
 		{"negative clock", SpecJSON{ClockGHz: -1.0}, "clock_ghz"},
 		{"negative hop latency", SpecJSON{NetHopLatencyCycles: -2}, "net_hop_latency_cycles"},
 		{"negative stream hops", SpecJSON{DefaultStreamHops: -4}, "default_stream_hops"},
+		// Above the ceilings: each of these once crashed or wedged sarad.
+		{"huge dram_channels", SpecJSON{DRAMChannels: 1 << 44}, "dram_channels"},
+		{"huge rows", SpecJSON{Rows: 1 << 50, Cols: 4}, "rows"},
+		{"huge cols", SpecJSON{Cols: 1 << 40}, "cols"},
+		{"too many grid cells", SpecJSON{Rows: 1024, Cols: 1024}, "rows × cols"},
+		{"huge num_pcu", SpecJSON{NumPCU: 1 << 40}, "num_pcu"},
+		{"huge num_ag", SpecJSON{NumAG: MaxUnits + 1}, "num_ag"},
+		{"huge stream_depth", SpecJSON{StreamDepth: 1 << 30}, "stream_depth"},
+		{"scale above the ceiling", SpecJSON{Scale: MaxScale + 1}, "scale"},
+		{"scale that wraps the unit counts", SpecJSON{Scale: 1 << 62}, "scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,4 +118,60 @@ func TestSpecJSONRejectsBadKnobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpecJSONCeilingsAdmitEveryPresetScale: every preset at every scale a
+// request may ask for passes Validate, so the ceilings refuse only what no
+// preset reaches.
+func TestSpecJSONCeilingsAdmitEveryPresetScale(t *testing.T) {
+	for _, preset := range []string{"20x20", "v1"} {
+		for scale := 1; scale <= MaxScale; scale++ {
+			if _, err := (&SpecJSON{Preset: preset, Scale: scale}).Spec(); err != nil {
+				t.Errorf("preset %s scale %d: %v", preset, scale, err)
+			}
+		}
+	}
+}
+
+// FuzzSpecJSON: arbitrary bytes decoded as a request's arch member never
+// panic Spec(); a spec it accepts passes Validate and sits inside the
+// ceilings; and re-encoding an accepted SpecJSON yields the same Spec. The
+// seed corpus in testdata/fuzz/FuzzSpecJSON (among it the two arch members
+// that once crashed and wedged sarad) runs under plain go test; explore with
+//
+//	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 30s ./internal/arch/
+func FuzzSpecJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var j SpecJSON
+		if json.Unmarshal(data, &j) != nil {
+			return
+		}
+		s, err := j.Spec()
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Spec() returned a spec Validate refuses: %v", err)
+		}
+		if s.Rows*s.Cols > MaxGridCells || s.NumPCU > MaxUnits || s.NumPMU > MaxUnits || s.NumAG > MaxUnits ||
+			s.DRAM.Channels > MaxDRAMChannels || s.PCU.InBufDepth > MaxStreamDepth ||
+			s.PMU.InBufDepth > MaxStreamDepth || s.AG.InBufDepth > MaxStreamDepth {
+			t.Fatalf("accepted spec above a ceiling: %+v", s)
+		}
+		again, err := json.Marshal(&j)
+		if err != nil {
+			t.Fatalf("an accepted SpecJSON does not encode: %v", err)
+		}
+		var j2 SpecJSON
+		if err := json.Unmarshal(again, &j2); err != nil {
+			t.Fatalf("a re-encoded SpecJSON does not decode: %v\n%s", err, again)
+		}
+		s2, err := j2.Spec()
+		if err != nil {
+			t.Fatalf("re-encoding %s made the spec invalid: %v", again, err)
+		}
+		if !reflect.DeepEqual(s, s2) {
+			t.Errorf("re-encoding changed the spec\n got %+v\nwant %+v", s2, s)
+		}
+	})
 }

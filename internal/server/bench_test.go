@@ -11,43 +11,75 @@ import (
 	"time"
 )
 
+// warmHit returns a function that posts one /v1/run of workload (par 16,
+// scale 16) through s.Handler().ServeHTTP, no sockets, after checking that
+// the request is already answered from memory: an LRU hit for the design and
+// a memo hit for the result.
+func warmHit(tb testing.TB, s *Server, workload string) func() *httptest.ResponseRecorder {
+	tb.Helper()
+	body, err := json.Marshal(&RunRequest{Workload: workload, Par: 16, Scale: 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := s.Handler()
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			tb.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		return w
+	}
+	post() // compile and simulate once
+	var rr RunResponse
+	if err := json.Unmarshal(post().Body.Bytes(), &rr); err != nil || !rr.CacheHit || !rr.SimCached {
+		tb.Fatalf("warm request is not a hit on both tiers (err %v): %+v", err, rr)
+	}
+	return post
+}
+
 // BenchmarkRunHit times one /v1/run answered entirely from memory — LRU hit
 // for the design, memo hit for the result — through Handler().ServeHTTP, no
 // sockets. What is left is the hit path itself: decode, canonicalise and
-// hash, the pool hop, store.Stats(), the result's wire conversion and the
-// indented encode. It is that path's profiling entry point:
+// hash, the pool hop, store.Stats(), the stored result spliced in as it is
+// and the compact encode. It is that path's profiling entry point:
 //
 //	go test -run '^$' -bench RunHit -benchmem -cpuprofile cpu.out ./internal/server/
 func BenchmarkRunHit(b *testing.B) {
-	for _, name := range []string{"bs", "rf"} { // auto resolves to dense and to event
+	for _, name := range []string{"bs", "rf"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			s := New(Options{Workers: 2})
 			defer s.Close(context.Background()) //nolint:errcheck // nothing in flight
-			body, err := json.Marshal(&RunRequest{Workload: name, Par: 16, Scale: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := s.Handler()
-			post := func() *httptest.ResponseRecorder {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
-				if w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body)
-				}
-				return w
-			}
-			post() // compile and simulate once
-			var rr RunResponse
-			if err := json.Unmarshal(post().Body.Bytes(), &rr); err != nil || !rr.CacheHit || !rr.SimCached {
-				b.Fatalf("warm request is not a hit on both tiers (err %v): %+v", err, rr)
-			}
+			post := warmHit(b, s, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				post()
 			}
 		})
+	}
+}
+
+// maxHitAllocs bounds the allocations of one warm hit. Decoding the memo
+// record and re-encoding it with an indent cost about 228; splicing the record
+// as it is and answering compact JSON, about 113. What remains is mostly the
+// request decode, the key hashes, the phase_ms, stage_cache and store maps
+// and httptest's own request and recorder.
+const maxHitAllocs = 150
+
+// TestRunHitAllocs is BenchmarkRunHit's gate: a warm LRU-and-memo hit stays
+// under maxHitAllocs allocations. The race detector adds its own, so it is
+// skipped there.
+func TestRunHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := New(Options{Workers: 2})
+	defer s.Close(context.Background()) //nolint:errcheck // nothing in flight
+	post := warmHit(t, s, "bs")
+	if n := testing.AllocsPerRun(200, func() { post() }); n > maxHitAllocs {
+		t.Errorf("a warm hit allocates %.0f times, want at most %d", n, maxHitAllocs)
 	}
 }
 

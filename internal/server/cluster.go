@@ -182,9 +182,11 @@ type artifactEnvelope struct {
 
 	// The simulation record, when the request carried simHeader and the
 	// owner had or finished it within its wait budget: SimKey is the memo key
-	// the owner stored SimRecord (encoding/json of the sim.Result) under,
-	// SimNS its simulation wall time for this request, SimRan whether it ran
-	// the engine for this request or already had the record.
+	// the owner stored SimRecord under — the wire result, compact
+	// sim.ResultJSON bytes from encodeResult, which the requester stores and
+	// splices into its response unchanged — SimNS its simulation wall time
+	// for this request, SimRan whether it ran the engine for this request or
+	// already had the record.
 	SimKey    string        `json:"sim_key,omitempty"`
 	SimRecord []byte        `json:"sim_record,omitempty"`
 	SimNS     time.Duration `json:"sim_ns,omitempty"`

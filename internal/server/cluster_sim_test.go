@@ -17,14 +17,24 @@ import (
 	"sara/internal/workloads"
 )
 
-// resultJSON is the canonical encoding of a response's simulation result.
+// resultJSON is a response's simulation result exactly as it came off the
+// wire.
 func resultJSON(t *testing.T, rr *RunResponse) string {
 	t.Helper()
-	b, err := json.Marshal(rr.Result)
-	if err != nil {
-		t.Fatal(err)
+	if rr.Result == nil {
+		t.Fatal("response carries no result")
 	}
-	return string(b)
+	return string(rr.Result)
+}
+
+// decodeResult is the one place a test reads fields of a response's result.
+func decodeResult(t *testing.T, rr *RunResponse) *sim.ResultJSON {
+	t.Helper()
+	r := &sim.ResultJSON{}
+	if err := json.Unmarshal(rr.Result, r); err != nil {
+		t.Fatalf("result %q does not decode: %v", rr.Result, err)
+	}
+	return r
 }
 
 // runNode posts req to a node's /v1/run and decodes the 200 response.
@@ -95,7 +105,7 @@ func TestClusterOneSimulationPerDesign(t *testing.T) {
 							if rr.SimMS <= 0 || rr.SimCyclesPerSec <= 0 {
 								t.Errorf("%s: ran the simulation but reports sim_ms %g, sim_cycles_per_sec %g", label, rr.SimMS, rr.SimCyclesPerSec)
 							}
-							cycles += rr.Result.Cycles
+							cycles += decodeResult(t, rr).Cycles
 						} else if rr.SimCyclesPerSec != 0 {
 							t.Errorf("%s: no engine ran but sim_cycles_per_sec is %g", label, rr.SimCyclesPerSec)
 						}
@@ -143,7 +153,8 @@ func TestClusterOwnerSimulationAccounting(t *testing.T) {
 	}
 	// sim_ms is whole microseconds of the owner's time, sim_cycles_per_sec
 	// comes from the time itself.
-	if want := float64(rr.Result.Cycles) / (rr.SimMS / 1e3); math.Abs(rr.SimCyclesPerSec/want-1) > 1e-5 {
+	cycles := decodeResult(t, rr).Cycles
+	if want := float64(cycles) / (rr.SimMS / 1e3); math.Abs(rr.SimCyclesPerSec/want-1) > 1e-5 {
 		t.Errorf("sim_cycles_per_sec %g, want cycles / owner's seconds ≈ %g", rr.SimCyclesPerSec, want)
 	}
 	mustEqualResults(t, "owner-simulated", rr, standaloneResult(t, req))
@@ -152,8 +163,8 @@ func TestClusterOwnerSimulationAccounting(t *testing.T) {
 	if n := requester.Metrics().Counter("sarad_cycles_simulated_total"); n != 0 {
 		t.Errorf("requester counted %d simulated cycles; it ran no engine", n)
 	}
-	if n := ownerNode.Metrics().Counter("sarad_cycles_simulated_total"); n != rr.Result.Cycles {
-		t.Errorf("owner counted %d simulated cycles, want %d", n, rr.Result.Cycles)
+	if n := ownerNode.Metrics().Counter("sarad_cycles_simulated_total"); n != cycles {
+		t.Errorf("owner counted %d simulated cycles, want %d", n, cycles)
 	}
 	if text := rendered(requester); strings.Contains(text, "sarad_sim_seconds_count") {
 		t.Error("requester observed sarad_sim_seconds for a run it did not execute")

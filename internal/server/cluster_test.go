@@ -100,19 +100,11 @@ func standaloneResult(t *testing.T, req RunRequest) *RunResponse {
 	return decodeRun(t, body)
 }
 
-// mustEqualResults asserts the simulation payloads are bit-identical by
-// comparing their canonical JSON encodings.
+// mustEqualResults asserts the simulation payloads are byte-identical on the
+// wire.
 func mustEqualResults(t *testing.T, label string, got, want *RunResponse) {
 	t.Helper()
-	gb, err := json.Marshal(got.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := json.Marshal(want.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gb) != string(wb) {
+	if gb, wb := resultJSON(t, got), resultJSON(t, want); gb != wb {
 		t.Errorf("%s: result differs from standalone sarad\n got: %s\nwant: %s", label, gb, wb)
 	}
 	if got.Resources != want.Resources {
@@ -207,16 +199,9 @@ func TestClusterCrossNodeSingleFlight(t *testing.T) {
 	if got := clusterCounter(lc, "sarad_sim_memo_misses_total"); got != 1 {
 		t.Errorf("cluster-wide simulations = %d for %d concurrent identical requests, want 1", got, m)
 	}
-	ref, err := json.Marshal(results[0].Result)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := resultJSON(t, results[0])
 	for i := 1; i < m; i++ {
-		b, err := json.Marshal(results[i].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != string(ref) {
+		if b := resultJSON(t, results[i]); b != ref {
 			t.Errorf("request %d result differs:\n%s\nvs\n%s", i, b, ref)
 		}
 	}

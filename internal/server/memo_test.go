@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"sara/internal/arch"
 	"sara/internal/core"
 	"sara/internal/sim"
 	"sara/internal/store"
@@ -48,9 +49,8 @@ func stableJSON(t *testing.T, rr *RunResponse) string {
 	return string(b)
 }
 
-// directResultJSON compiles and simulates req without a server, the way
-// sarasim does, and returns the wire encoding of its Result.
-func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string {
+// compileDesign compiles req without a server, the way sarasim does.
+func compileDesign(t *testing.T, req RunRequest) *sim.Design {
 	t.Helper()
 	spec, err := specFor(&req)
 	if err != nil {
@@ -64,11 +64,19 @@ func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.CycleEngine(c.Design(), simMaxCycles, kind)
+	return c.Design()
+}
+
+// directResultJSON compiles and simulates req without a server and returns
+// json.Marshal of its Result's wire encoding.
+func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string {
+	t.Helper()
+	d := compileDesign(t, req)
+	r, err := sim.CycleEngine(d, simMaxCycles, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r.JSON(spec))
+	b, err := json.Marshal(r.JSON(d.Spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +85,9 @@ func directResultJSON(t *testing.T, req RunRequest, kind sim.EngineKind) string 
 
 // TestMemoEqualsFresh: for every registered workload, asked for by both
 // engine names the bench and the CLIs spell, the response answered from the
-// memo is the response that simulated, byte for byte, and both carry the
-// Result a direct sim.CycleEngine run produces.
+// memo is the response that simulated, byte for byte, and its result is the
+// sim-tier record and the bytes json.Marshal makes of a direct
+// sim.CycleEngine run's ResultJSON.
 func TestMemoEqualsFresh(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, engine := range []string{"auto", "cycle"} {
@@ -108,6 +117,11 @@ func TestMemoEqualsFresh(t *testing.T) {
 				if got, want := resultJSON(t, second), directResultJSON(t, req, kind); got != want {
 					t.Errorf("served result differs from a direct run\n got: %s\nwant: %s", got, want)
 				}
+				if keys := s.store.ListKeys(store.SimStage); len(keys) != 1 {
+					t.Errorf("sim tier holds %d records, want 1", len(keys))
+				} else if rec, _ := s.store.Get(store.SimStage, keys[0]); string(rec) != resultJSON(t, second) {
+					t.Errorf("memo hit is not the stored record\n got: %s\nrecord: %s", resultJSON(t, second), rec)
+				}
 				if hits, misses := memoCounters(s); hits != 1 || misses != 1 {
 					t.Errorf("memo counters %d hits / %d misses, want 1 / 1", hits, misses)
 				}
@@ -127,8 +141,8 @@ func TestMemoAutoSharesResolvedEngineRecord(t *testing.T) {
 		if rr.SimCached != (i > 0) {
 			t.Errorf("engine %q: sim_cached %v, want %v", engine, rr.SimCached, i > 0)
 		}
-		if rr.Result.Engine != "cycle" {
-			t.Errorf("engine %q: result.engine %q, want cycle", engine, rr.Result.Engine)
+		if got := decodeResult(t, rr).Engine; got != "cycle" {
+			t.Errorf("engine %q: result.engine %q, want cycle", engine, got)
 		}
 		got := resultJSON(t, rr)
 		if i == 0 {
@@ -146,8 +160,8 @@ func TestMemoAutoSharesResolvedEngineRecord(t *testing.T) {
 }
 
 // TestMemoProfiledRunMatchesRecord: a profiled request bypasses the memo but
-// runs the same engine, so it answers the Result the memo holds for its
-// design, and the record decodes to it.
+// runs the same engine and encodes its Result with the same encodeResult, so
+// its result is the memo's record byte for byte.
 func TestMemoProfiledRunMatchesRecord(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
 	req := RunRequest{Workload: "bs", Par: 8, Scale: 16}
@@ -164,17 +178,8 @@ func TestMemoProfiledRunMatchesRecord(t *testing.T) {
 	if len(keys) != 1 {
 		t.Fatalf("sim tier holds %d records, want 1", len(keys))
 	}
-	data, _ := s.store.Get(store.SimStage, keys[0])
-	rec, err := decodeSimRecord(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := specFor(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, err := json.Marshal(rec.JSON(spec)); err != nil || string(b) != resultJSON(t, profiled) {
-		t.Errorf("memo record %s (err %v), profiled result %s", b, err, resultJSON(t, profiled))
+	if data, _ := s.store.Get(store.SimStage, keys[0]); string(data) != resultJSON(t, profiled) {
+		t.Errorf("memo record %s, profiled result %s", data, resultJSON(t, profiled))
 	}
 	if hits, misses := memoCounters(s); hits != 0 || misses != 1 {
 		t.Errorf("memo counters %d hits / %d misses, want 0 / 1", hits, misses)
@@ -205,8 +210,9 @@ func TestMemoBypasses(t *testing.T) {
 	}
 }
 
-// TestMemoCorruptRecordFallsThrough: a truncated and a garbage record each
-// cost one fresh simulation, answer correctly, and are rewritten in place.
+// TestMemoCorruptRecordFallsThrough: a truncated record, garbage and valid
+// JSON that is not an object each cost one fresh simulation, answer
+// correctly, and are rewritten in place.
 func TestMemoCorruptRecordFallsThrough(t *testing.T) {
 	dir := t.TempDir()
 	req := RunRequest{Workload: "gda", Par: 4, Scale: 16}
@@ -221,8 +227,9 @@ func TestMemoCorruptRecordFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, bad := range map[string][]byte{
-		"truncated": good[:len(good)/2],
-		"garbage":   []byte("\x00not a result\xff"),
+		"truncated":     good[:len(good)/2],
+		"garbage":       []byte("\x00not a result\xff"),
+		"not an object": []byte(`[1,2]`),
 	} {
 		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
 			t.Fatal(err)
@@ -234,8 +241,8 @@ func TestMemoCorruptRecordFallsThrough(t *testing.T) {
 		if got.SimCached {
 			t.Errorf("%s record was served as a memo hit", label)
 		}
-		if !reflect.DeepEqual(got.Result, want.Result) {
-			t.Errorf("%s record: result %+v, want %+v", label, got.Result, want.Result)
+		if got, want := resultJSON(t, got), resultJSON(t, want); got != want {
+			t.Errorf("%s record: result %s, want %s", label, got, want)
 		}
 		if _, misses := memoCounters(s); misses != 1 {
 			t.Errorf("%s record: %d memo misses, want 1", label, misses)
@@ -291,8 +298,8 @@ func TestMemoSurvivesRestart(t *testing.T) {
 	if hits, misses := memoCounters(s2); hits != 1 || misses != 0 {
 		t.Errorf("restarted server: %d memo hits / %d misses, want 1 / 0", hits, misses)
 	}
-	if !reflect.DeepEqual(first.Result, second.Result) {
-		t.Errorf("restart changed the result: %+v vs %+v", first.Result, second.Result)
+	if a, b := resultJSON(t, first), resultJSON(t, second); a != b {
+		t.Errorf("restart changed the result: %s vs %s", a, b)
 	}
 }
 
@@ -315,11 +322,7 @@ func TestMemoConcurrentColdRequests(t *testing.T) {
 				t.Errorf("status %d: %s", resp.StatusCode, body)
 				return
 			}
-			b, err := json.Marshal(decodeRun(t, body).Result)
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = string(b)
+			results[i] = string(decodeRun(t, body).Result)
 		}()
 	}
 	wg.Wait()
@@ -359,62 +362,118 @@ func TestTimedOutJobFillsMemo(t *testing.T) {
 	}
 }
 
-// TestResultRecordRoundTrip: the memo's record encoding (encoding/json of
-// the plain-data Result, engine name left out) is an identity down to nil
-// versus empty containers, and decoding stamps the served engine whatever
-// engine produced the Result.
+// TestResultRecordRoundTrip: the memo's record is the wire result —
+// encodeResult's compact bytes of the ResultJSON, engine name included — and
+// decodeSimRecord, the check a peer's record passes, reads it back to bytes
+// that re-encode identically, down to nil versus empty containers.
 func TestResultRecordRoundTrip(t *testing.T) {
-	for label, want := range map[string]*sim.Result{
-		"nil containers":   {Cycles: 7, Engine: "dense"},
-		"empty containers": {Cycles: 7, Engine: "event", Stalls: map[string]int64{}, TopUnits: []sim.UnitStat{}},
+	spec := arch.SARA20x20()
+	for label, r := range map[string]*sim.Result{
+		"nil containers":   {Cycles: 7, Engine: "cycle"},
+		"empty containers": {Cycles: 7, Engine: "cycle", Stalls: map[string]int64{}, TopUnits: []sim.UnitStat{}},
 		"fully populated": {
 			Cycles: 1 << 40, Engine: "cycle", BottleneckVU: "u[3]", BottleneckII: 1.0 / 3, ComputeBusy: 0.1,
 			FiredTotal: 99, Stalls: map[string]int64{"token-wait": 5, "input-starved": 1},
-			TopUnits: []sim.UnitStat{{Name: "a", Fired: 3, Busy: 2.0 / 7, Stalls: 6, StallIn: 1, StallOut: 2, StallToken: 3}},
+			TopUnits: []sim.UnitStat{{Name: "a<b>", Fired: 3, Busy: 2.0 / 7, Stalls: 6, StallIn: 1, StallOut: 2, StallToken: 3}},
 		},
 	} {
-		want.DRAM.TotalBytes, want.DRAM.PeakBytesPerCycle = 1<<33, 102.4
-		data, err := encodeSimRecord(want)
+		r.DRAM.TotalBytes, r.DRAM.PeakBytesPerCycle = 1<<33, 102.4
+		data, err := encodeResult(r, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if bytes.Contains(data, []byte(`"Engine"`)) {
-			t.Errorf("%s: record %s names the engine", label, data)
+		want, err := json.Marshal(r.JSON(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) || !bytes.Contains(data, []byte(`"engine":"cycle"`)) {
+			t.Errorf("%s: record %s, want the wire result %s", label, data, want)
 		}
 		got, err := decodeSimRecord(data)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		want.Engine = "cycle"
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded %+v, want %+v", label, got, want)
+		if again, err := json.Marshal(got); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s: decoded record re-encodes to %s (err %v), want %s", label, again, err, data)
 		}
 	}
 }
 
-// FuzzSimRecord: decodeSimRecord never panics on arbitrary bytes, and a
-// record that decodes re-encodes to bytes that decode to the same Result.
-// The seed corpus in testdata/fuzz/FuzzSimRecord (a real record, a truncated
-// one, garbage, and a record from before sim.Version 3 that still names its
-// engine) runs under plain go test; explore with
+// TestMemoParentRecordNotServed: a record in the format earlier builds wrote
+// (encoding/json of the plain-data sim.Result, Go field names), planted under
+// the key formula they used, is never spliced into a response: the key now
+// carries the record format, so the request simulates and answers the wire
+// result.
+func TestMemoParentRecordNotServed(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	req := RunRequest{Workload: "bs", Par: 8, Scale: 16}
+	key, err := KeyFor(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentKey := store.NewHasher(store.SimStage, key).Int(sim.Version).I64(simMaxCycles).Sum()
+	if parentKey == memoKeyFor(key) {
+		t.Fatal("the memo key does not carry the record format")
+	}
+	d := compileDesign(t, req)
+	r, err := sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.store.Put(store.SimStage, parentKey, parent)
+	rr := mustRun(t, ts, req)
+	if rr.SimCached {
+		t.Error("the parent-format record was served as a memo hit")
+	}
+	if got, want := resultJSON(t, rr), directResultJSON(t, req, sim.EngineEvent); got != want {
+		t.Errorf("result %s, want %s", got, want)
+	}
+	if again := mustRun(t, ts, req); !again.SimCached || resultJSON(t, again) != resultJSON(t, rr) {
+		t.Errorf("repeat: sim_cached %v, result %s", again.SimCached, resultJSON(t, again))
+	}
+}
+
+// FuzzSimRecord: the record checks never panic on arbitrary bytes, a record
+// a peer's check accepts is one the hit path accepts, and a record the hit
+// path accepts, spliced into a response, yields a response that decodes to
+// the same JSON value. The seed corpus in testdata/fuzz/FuzzSimRecord (a real
+// record, a truncated one, garbage, a record in the earlier plain-data
+// format and one from before sim.Version 3 that still names its engine) runs
+// under plain go test; explore with
 //
 //	go test -run '^$' -fuzz FuzzSimRecord -fuzztime 30s ./internal/server/
 func FuzzSimRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeSimRecord(data)
-		if err != nil {
+		_, err := decodeSimRecord(data)
+		ok := isSimRecord(data)
+		if err == nil && !ok {
+			t.Fatalf("a peer's record passes the trust check but not the hit path's: %q", data)
+		}
+		if !ok {
 			return
 		}
-		again, err := encodeSimRecord(r)
-		if err != nil {
-			t.Fatalf("a decoded record does not re-encode: %v", err)
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, &RunResponse{Result: data})
+		if w.Code != http.StatusOK {
+			t.Fatalf("splicing an accepted record answered %d: %s", w.Code, w.Body)
 		}
-		back, err := decodeSimRecord(again)
-		if err != nil {
-			t.Fatalf("a re-encoded record does not decode: %v\n%s", err, again)
+		var rr RunResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
+			t.Fatalf("the spliced response does not decode: %v\n%s", err, w.Body)
 		}
-		if !reflect.DeepEqual(back, r) {
-			t.Errorf("re-encoding changed the Result\n got %+v\nwant %+v", back, r)
+		var got, want any
+		if err := json.Unmarshal(rr.Result, &got); err != nil {
+			t.Fatalf("the spliced result does not decode: %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("splicing changed the record\n got %v\nwant %v", got, want)
 		}
 	})
 }

@@ -30,14 +30,15 @@ func TestRunProfiled(t *testing.T) {
 	if rr.Profile == nil {
 		t.Fatalf("profiled run missing profile: %s", body)
 	}
-	if rr.Profile.Cycles != rr.Result.Cycles {
-		t.Errorf("profile cycles %d, result cycles %d", rr.Profile.Cycles, rr.Result.Cycles)
+	cycles := decodeResult(t, rr).Cycles
+	if rr.Profile.Cycles != cycles {
+		t.Errorf("profile cycles %d, result cycles %d", rr.Profile.Cycles, cycles)
 	}
 	if len(rr.Profile.StallsByCause) == 0 || len(rr.Profile.Units) == 0 || len(rr.Profile.CriticalPath) == 0 {
 		t.Errorf("profile report incomplete: %+v", rr.Profile)
 	}
-	if rr.Result.Cycles != plain.Result.Cycles {
-		t.Errorf("profiling changed the simulation: %d vs %d cycles", rr.Result.Cycles, plain.Result.Cycles)
+	if plainCycles := decodeResult(t, plain).Cycles; cycles != plainCycles {
+		t.Errorf("profiling changed the simulation: %d vs %d cycles", cycles, plainCycles)
 	}
 	// Profile is a simulation option, not a compile option: same cache entry.
 	if rr.CacheKey != plain.CacheKey || !rr.CacheHit {

@@ -8,17 +8,17 @@
 // (program, arch, options), §V of the paper: requests are canonicalized and
 // SHA-256 content-addressed, so identical work compiles once (single-flight)
 // and is reused from an LRU cache, and a cycle-level simulation — as pure a
-// function of its design — runs once per engine and is answered from the
-// design store's result memo afterwards. A bounded worker pool caps concurrent
-// compilation/simulation at what the host can parallelize and sheds load
-// with 429 + Retry-After once its queue fills. /metrics exposes counters and
+// function of its design — runs once and is answered from the design store's
+// result memo afterwards, its stored wire result spliced into the response. A
+// bounded worker pool caps concurrent compilation/simulation at what the host
+// can parallelize and sheds load with 429 + Retry-After once its queue fills. /metrics exposes counters and
 // latency histograms in the Prometheus text format.
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -475,8 +475,8 @@ type RunResponse struct {
 	// proxied compile excludes the owner's simulation time (that is SimMS).
 	CompileMS float64 `json:"compile_ms"`
 	// SimCached marks a result no engine ran for: an earlier or concurrent
-	// request simulated this design on this engine, here or on the cluster
-	// owner, and its stored Result was returned. SimMS is the simulation
+	// request simulated this design, here or on the cluster owner, and its
+	// stored result was spliced in. SimMS is the simulation
 	// time of this request — ~0 on a memo hit; when the owner ran the
 	// engine for this request, the owner's time (SimCached false).
 	SimCached bool    `json:"sim_cached,omitempty"`
@@ -499,9 +499,12 @@ type RunResponse struct {
 	StageCache map[string]bool `json:"stage_cache,omitempty"`
 	// Store is a point-in-time snapshot of the design store's per-stage
 	// hit/miss/byte counters and disk footprint.
-	Store     *store.Stats    `json:"store,omitempty"`
-	Resources ResourcesJSON   `json:"resources"`
-	Result    *sim.ResultJSON `json:"result,omitempty"`
+	Store     *store.Stats  `json:"store,omitempty"`
+	Resources ResourcesJSON `json:"resources"`
+	// Result is the simulation's sim.ResultJSON, compact encoding/json bytes
+	// from encodeResult. A memo hit splices the stored record in unchanged,
+	// so it is byte-identical to the answer of the run that simulated.
+	Result json.RawMessage `json:"result,omitempty"`
 	// Profile is the analyzed timeline profile, present when the request set
 	// profile: true.
 	Profile *profile.ReportJSON `json:"profile,omitempty"`
@@ -543,8 +546,7 @@ func cacheKey(req *RunRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return store.HexDigest(sha256.Sum256(b)), nil
 }
 
 // normalize validates the request and fills defaults.
@@ -623,12 +625,32 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// responseBufs recycles writeJSON's response bodies.
+var responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf keeps an occasional large body (a tune front, an artifact
+// envelope) from pinning its buffer in the pool.
+const maxPooledBuf = 256 << 10
+
+// writeJSON answers v as compact JSON. It encodes before it commits a status,
+// so a value that does not encode (an invalid raw result) answers 500 with a
+// JSON error instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := responseBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			buf.Reset()
+			responseBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(errorJSON{Error: "encoding response: " + err.Error()}) //nolint:errcheck // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	w.Write(buf.Bytes()) //nolint:errcheck // client went away; nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -795,7 +817,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
-	if err := s.simulate(req, compiled, spec, key, via.sim, resp); err != nil {
+	if err := s.simulate(req, compiled, key, via.sim, resp); err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	return resp, http.StatusOK, nil
@@ -828,73 +850,96 @@ func memoEligible(req *RunRequest) bool {
 	return !req.Profile && req.Engine != "analytic" && (req.Options == nil || !req.Options.Solver)
 }
 
+// simRecordFormat names what a sim-tier record holds: the wire result, which
+// encodeResult writes. It is part of the memo key, so a record in another
+// format (the plain-data sim.Result earlier builds stored, Go field names and
+// all) lives under another key and is never spliced into a response.
+const simRecordFormat = "result-json"
+
 // memoKeyFor names the result record of simulating the design compiled under
 // key. A Result is a pure function of (design, cycle cap, sim.Version) and the
 // compile content address names the design, so every engine name a request
-// can spell shares one record; a node that runs another sim.Version computes
-// another key.
+// can spell shares one record; a node that runs another sim.Version or record
+// format computes another key.
 func memoKeyFor(key string) string {
-	return store.NewHasher(store.SimStage, key).Int(sim.Version).I64(simMaxCycles).Sum()
+	return store.NewHasher(store.SimStage, key).Str(simRecordFormat).Int(sim.Version).I64(simMaxCycles).Sum()
 }
 
-// encodeSimRecord is the result memo's record of r: the encoding/json bytes
-// of the plain-data Result, which leave out the engine name (sim.Result.Engine
-// is not encoded).
-func encodeSimRecord(r *sim.Result) ([]byte, error) {
-	return json.Marshal(r)
+// encodeResult is the one encoder of a response's result member: the compact
+// encoding/json bytes of r's sim.ResultJSON, with spec's clock. The result
+// memo stores exactly these bytes as its record, so a hit answers them
+// without decoding or encoding anything.
+func encodeResult(r *sim.Result, spec *arch.Spec) (json.RawMessage, error) {
+	return json.Marshal(r.JSON(spec))
 }
 
-// decodeSimRecord reads a record encodeSimRecord wrote — from this node's sim
-// tier or a cluster owner's envelope — and stamps the engine every memoised
-// run is served from.
-func decodeSimRecord(data []byte) (*sim.Result, error) {
-	r := &sim.Result{}
+// isSimRecord is the check a local memo hit makes before it splices a record
+// into a response: the bytes are one JSON object. Anything else is simulated
+// again and overwritten.
+func isSimRecord(data []byte) bool {
+	return len(data) > 0 && data[0] == '{' && json.Valid(data)
+}
+
+// decodeSimRecord reads a record a cluster owner shipped: acceptSimRecord's
+// trust check, and the cycle count behind sim_cycles_per_sec.
+func decodeSimRecord(data []byte) (*sim.ResultJSON, error) {
+	if !isSimRecord(data) {
+		return nil, errors.New("sim record is not a JSON object")
+	}
+	r := &sim.ResultJSON{}
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, err
 	}
-	r.Engine = sim.EngineEvent.String()
 	return r, nil
 }
 
 // simulate is the second half of execute: run req's engine on the compiled
-// design — or take the result the cluster owner answered with for this
+// design — or take the record the cluster owner answered with for this
 // request, owner — and fill the simulation fields of resp.
-func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, spec *arch.Spec, key string, owner *ownerSim, resp *RunResponse) error {
+func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, key string, owner *ownerSim, resp *RunResponse) error {
 	t1 := time.Now()
-	var result *sim.Result
-	var rec *profile.Recording
-	var err error
-	design := compiled.Design()
-	// Memoised runs count themselves, on the node they ran on.
-	ranHere := owner == nil && !memoEligible(req)
+	var (
+		record json.RawMessage
+		cycles int64
+		rec    *profile.Recording
+		err    error
+	)
 	switch {
 	case owner != nil:
-		result, resp.SimCached = owner.result, !owner.ran
+		record, cycles, resp.SimCached = owner.record, owner.cycles, !owner.ran
 	case memoEligible(req):
+		// Memoised runs count themselves, on the node they ran on.
 		var ans simAnswer
-		ans, err = s.simulateMemo(design, memoKeyFor(key), nil)
-		result, resp.SimCached = ans.result, !ans.ran
-	case req.Engine == "analytic":
-		result, err = sim.Analytic(design)
-	case req.Profile:
-		result, rec, err = sim.CycleProfiled(design, simMaxCycles, sim.EngineEvent)
+		ans, err = s.simulateMemo(compiled, memoKeyFor(key), nil)
+		record, cycles, resp.SimCached = ans.record, ans.cycles, !ans.ran
 	default:
-		result, err = sim.CycleEngine(design, simMaxCycles, sim.EngineEvent)
+		design := compiled.Design()
+		var result *sim.Result
+		switch {
+		case req.Engine == "analytic":
+			result, err = sim.Analytic(design)
+		case req.Profile:
+			result, rec, err = sim.CycleProfiled(design, simMaxCycles, sim.EngineEvent)
+		default:
+			result, err = sim.CycleEngine(design, simMaxCycles, sim.EngineEvent)
+		}
+		if err == nil {
+			s.observeSimulation(result, time.Since(t1))
+			cycles = result.Cycles
+			record, err = encodeResult(result, design.Spec)
+		}
 	}
 	if err != nil {
 		return err
 	}
 	simWall := time.Since(t1)
-	if ranHere {
-		s.observeSimulation(result, simWall)
-	}
 	if owner != nil {
 		simWall = owner.wall
 	}
 	s.metrics.Add("sarad_sim_requests_total", 1)
-	resp.SimMS, resp.Result = msOf(simWall), result.JSON(spec)
+	resp.SimMS, resp.Result = msOf(simWall), record
 	if sec := simWall.Seconds(); !resp.SimCached && sec > 0 {
-		resp.SimCyclesPerSec = float64(result.Cycles) / sec
+		resp.SimCyclesPerSec = float64(cycles) / sec
 	}
 	if rec != nil {
 		rep := profile.Analyze(rec)
@@ -928,17 +973,18 @@ func (s *Server) observeSimulation(result *sim.Result, wall time.Duration) {
 // that arrive meanwhile wait on done instead of running the engine again.
 type simFlight struct {
 	done   chan struct{}
-	result *sim.Result
 	record []byte // the bytes Put under the memo key; nil on error
+	cycles int64
 	err    error
 }
 
-// simAnswer is simulateMemo's reply: the Result, the record bytes stored for
-// it, and whether this call started the engine (false on a memo hit and when
-// it joined a run another call had started).
+// simAnswer is simulateMemo's reply: the record (encodeResult's bytes),
+// whether this call started the engine (false on a memo hit and when it
+// joined a run another call had started) and, when it did, the cycles it
+// simulated.
 type simAnswer struct {
-	result *sim.Result
 	record []byte
+	cycles int64
 	ran    bool
 }
 
@@ -953,9 +999,11 @@ var errSimBudget = errors.New("simulation still running past the wait budget")
 // deadline, when non-nil, bounds the wait, past which the caller gets
 // errSimBudget while the run still finishes into the memo (the owner side of
 // /v1/artifact uses it). Errors are never stored — a deadlocking design
-// deadlocks every time — and an undecodable record is simulated afresh and
-// overwritten. Hits count asks answered without starting an engine.
-func (s *Server) simulateMemo(d *sim.Design, memoKey string, deadline <-chan time.Time) (simAnswer, error) {
+// deadlocks every time. A hit splices the record as it is: it checks only that
+// the bytes are a JSON object (isSimRecord), and anything else is simulated
+// afresh and overwritten. Hits count asks answered without starting an
+// engine.
+func (s *Server) simulateMemo(c *core.Compiled, memoKey string, deadline <-chan time.Time) (simAnswer, error) {
 	// The flight table and the record are read under one lock, and a run Puts
 	// its record before it leaves the table: an ask sees one or the other.
 	s.simMu.Lock()
@@ -963,9 +1011,9 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, deadline <-chan tim
 	if !joined {
 		if data, ok := s.store.Get(store.SimStage, memoKey); ok {
 			s.simMu.Unlock()
-			if result, err := decodeSimRecord(data); err == nil {
+			if isSimRecord(data) {
 				s.metrics.Add("sarad_sim_memo_hits_total", 1)
-				return simAnswer{result: result, record: data}, nil
+				return simAnswer{record: data}, nil
 			}
 			s.simMu.Lock()
 			f, joined = s.simFlights[memoKey]
@@ -973,7 +1021,7 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, deadline <-chan tim
 		if !joined {
 			f = &simFlight{done: make(chan struct{})}
 			s.simFlights[memoKey] = f
-			go s.runSim(f, d, memoKey)
+			go s.runSim(f, c.Design(), memoKey)
 		}
 	}
 	s.simMu.Unlock()
@@ -984,26 +1032,28 @@ func (s *Server) simulateMemo(d *sim.Design, memoKey string, deadline <-chan tim
 	}
 	select {
 	case <-f.done:
-		return simAnswer{result: f.result, record: f.record, ran: !joined}, f.err
+		return simAnswer{record: f.record, cycles: f.cycles, ran: !joined}, f.err
 	case <-deadline:
 		return simAnswer{ran: !joined}, errSimBudget
 	}
 }
 
-// runSim executes f, counts it on this node, Puts its record and only then
+// runSim executes f, counts it on this node, writes its record — the wire
+// result, clock from d.Spec, engine "cycle" — once, Puts it and only then
 // leaves the flight table (the order simulateMemo's lookup relies on).
 func (s *Server) runSim(f *simFlight, d *sim.Design, memoKey string) {
 	if s.simGate != nil {
 		s.simGate()
 	}
 	t0 := time.Now()
-	f.result, f.err = sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
-	if f.err == nil {
-		s.observeSimulation(f.result, time.Since(t0))
-		if data, err := encodeSimRecord(f.result); err == nil {
-			f.record = data
-			s.store.Put(store.SimStage, memoKey, data)
-		}
+	result, err := sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
+	if err == nil {
+		s.observeSimulation(result, time.Since(t0))
+		f.cycles = result.Cycles
+		f.record, err = encodeResult(result, d.Spec)
+	}
+	if f.err = err; err == nil {
+		s.store.Put(store.SimStage, memoKey, f.record)
 	}
 	s.simMu.Lock()
 	delete(s.simFlights, memoKey)
@@ -1042,10 +1092,12 @@ type compileVia struct {
 }
 
 // ownerSim is the simulation the cluster owner answered with alongside the
-// artifact: its Result, whether it ran the engine for this request (false:
-// it already had the record) and its simulation wall time for this request.
+// artifact: its record (the wire result), the cycles the record reports,
+// whether it ran the engine for this request (false: it already had the
+// record) and its simulation wall time for this request.
 type ownerSim struct {
-	result *sim.Result
+	record []byte
+	cycles int64
 	ran    bool
 	wall   time.Duration
 }
@@ -1136,8 +1188,9 @@ func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRe
 
 // acceptSimRecord stores the owner's simulation record in this node's sim
 // tier and returns it — only when it is the record this node would have
-// stored itself: the memo key recomputed here (compile key, sim.Version,
-// cycle cap) equals the owner's and the bytes decode. Anything else is
+// stored itself: the memo key recomputed here (compile key, record format,
+// sim.Version, cycle cap) equals the owner's and the bytes decode as a
+// sim.ResultJSON (decodeSimRecord). Anything else is
 // dropped and counted, and the request simulates locally as if the owner had
 // sent no record.
 func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
@@ -1152,7 +1205,7 @@ func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
 	}
 	s.store.Put(store.SimStage, memoKey, env.SimRecord)
 	s.metrics.Add("sarad_proxy_sim_records_total", 1)
-	return &ownerSim{result: result, ran: env.SimRan, wall: env.SimNS}
+	return &ownerSim{record: env.SimRecord, cycles: result.Cycles, ran: env.SimRan, wall: env.SimNS}
 }
 
 // handleArtifact is the owner side of the cluster proxy protocol: compile
@@ -1217,7 +1270,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	env := &artifactEnvelope{Key: key, CacheHit: hit, StageCache: c.StageHits}
 	if r.Header.Get(simHeader) != "" && memoEligible(req) {
-		s.attachSimRecord(env, c.Design(), key, arrived.Add(s.opts.ProxyTimeout/2))
+		s.attachSimRecord(env, c, key, arrived.Add(s.opts.ProxyTimeout/2))
 	}
 	env.Artifact = encodeArtifact(c)
 	s.metrics.Add("sarad_artifact_served_total", 1)
@@ -1232,12 +1285,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // simulates as it did before records travelled, and the run still finishes
 // into this node's memo. A failed simulation ships nothing: the requester
 // runs it again and answers the same error.
-func (s *Server) attachSimRecord(env *artifactEnvelope, d *sim.Design, key string, deadline time.Time) {
+func (s *Server) attachSimRecord(env *artifactEnvelope, c *core.Compiled, key string, deadline time.Time) {
 	memoKey := memoKeyFor(key)
 	t0 := time.Now()
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
-	ans, err := s.simulateMemo(d, memoKey, timer.C)
+	ans, err := s.simulateMemo(c, memoKey, timer.C)
 	if ans.ran {
 		s.metrics.Add("sarad_artifact_sims_total", 1)
 	}

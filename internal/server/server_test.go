@@ -62,12 +62,13 @@ func TestRunInlineProgramEndToEnd(t *testing.T) {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	rr := decodeRun(t, body)
-	if rr.Result == nil || rr.Result.Cycles <= 0 {
+	result := decodeResult(t, rr)
+	if result.Cycles <= 0 {
 		t.Fatalf("missing simulation result: %s", body)
 	}
 	// The default engine, auto, is the event engine, reported as "cycle".
-	if rr.Result.Engine != "cycle" {
-		t.Errorf("engine = %q, want cycle under the auto default", rr.Result.Engine)
+	if result.Engine != "cycle" {
+		t.Errorf("engine = %q, want cycle under the auto default", result.Engine)
 	}
 	if rr.CacheHit {
 		t.Error("first request should be a cache miss")
@@ -110,7 +111,7 @@ func TestRunWorkloadAnalytic(t *testing.T) {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	rr := decodeRun(t, body)
-	if rr.Result == nil || rr.Result.Cycles <= 0 || rr.Result.Engine != "analytic" {
+	if r := decodeResult(t, rr); r.Cycles <= 0 || r.Engine != "analytic" {
 		t.Fatalf("bad analytic result: %s", body)
 	}
 }
@@ -230,12 +231,20 @@ func TestBadRequests(t *testing.T) {
 		{"retired engine", RunRequest{Workload: "bs", Engine: "parallel"}},
 		{"retired dense", RunRequest{Workload: "bs", Engine: "dense"}},
 		{"unknown arch preset", RunRequest{Workload: "bs", Arch: archPreset("40x40")}},
+		// Past the arch ceilings: the first once panicked the process in the
+		// DRAM model, the second spun in the placer long after its 504.
+		{"huge dram_channels", RunRequest{Workload: "bs", Par: 2, Scale: 64, Arch: &arch.SpecJSON{DRAMChannels: 1 << 44}}},
+		{"huge grid", RunRequest{Workload: "bs", Arch: &arch.SpecJSON{Rows: 1 << 50, Cols: 4}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t0 := time.Now()
 			resp, body := postRun(t, ts, "/v1/run", tc.req)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400: %s", resp.StatusCode, body)
+			}
+			if d := time.Since(t0); d > time.Second {
+				t.Errorf("refusing took %v", d)
 			}
 			var e errorJSON
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
@@ -275,6 +284,42 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("status = %d, want 405", resp.StatusCode)
 		}
 	})
+	t.Run("still serving", func(t *testing.T) {
+		resp, body := postRun(t, ts, "/v1/run", RunRequest{Workload: "bs", Par: 2, Scale: 64, Engine: "analytic"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d after the refusals: %s", resp.StatusCode, body)
+		}
+	})
+}
+
+// TestWriteJSONEncodesBeforeStatus: a response is encoded before its status
+// is written, so one that does not encode — here an invalid raw result —
+// answers 500 with a JSON error body, not a 200 with an empty one; one that
+// does is compact JSON.
+func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, &RunResponse{Result: json.RawMessage(`{"cycles":`)})
+	if w.Code != http.StatusInternalServerError {
+		t.Errorf("invalid raw result answered %d, want 500", w.Code)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("error body %q (err %v), want a JSON error", w.Body, err)
+	}
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("content type %q", ct)
+	}
+
+	w = httptest.NewRecorder()
+	ok := &RunResponse{Program: "p", Result: json.RawMessage(`{"engine":"cycle","cycles":7}`)}
+	writeJSON(w, http.StatusOK, ok)
+	want, err := json.Marshal(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || w.Body.String() != string(want)+"\n" {
+		t.Errorf("answered %d %q, want 200 %s", w.Code, w.Body, want)
+	}
 }
 
 // TestRunRefusesDeepOutOfBoundsNest: an inline program 40 loops deep (3^40

@@ -54,8 +54,14 @@ func (h *Hasher) Dur(d time.Duration) *Hasher { h.w.i64(int64(d)); return h }
 
 // Sum returns the content address as a hex string.
 func (h *Hasher) Sum() string {
-	s := sha256.Sum256(h.w.buf)
-	return hex.EncodeToString(s[:])
+	return HexDigest(sha256.Sum256(h.w.buf))
+}
+
+// HexDigest is the hex form of a SHA-256 sum, in one allocation.
+func HexDigest(sum [sha256.Size]byte) string {
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
 }
 
 // ProgramDigest returns a canonical content hash of the program. When
@@ -68,8 +74,7 @@ func ProgramDigest(p *ir.Program, includePar bool) string {
 	w.int(FormatVersion)
 	w.bool(includePar)
 	encodeProgramCanonical(&w, p, includePar)
-	s := sha256.Sum256(w.buf)
-	return hex.EncodeToString(s[:])
+	return HexDigest(sha256.Sum256(w.buf))
 }
 
 func encodeProgramCanonical(w *writer, p *ir.Program, includePar bool) {

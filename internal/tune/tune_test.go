@@ -288,3 +288,22 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 		t.Fatal("unknown workload should error")
 	}
 }
+
+// TestPointAboveCeilingRefused: a point whose knob exceeds an arch ceiling
+// is refused before it compiles — recorded as an error naming the knob —
+// while the rest of the space is searched as usual.
+func TestPointAboveCeilingRefused(t *testing.T) {
+	r := runOrFatal(t, Options{Workload: "ms", Scale: 16, Space: Space{
+		Pars:         []int{4},
+		DRAMChannels: []int{16, 1 << 44},
+	}})
+	if len(r.Points) != 2 {
+		t.Fatalf("%d points, want 2", len(r.Points))
+	}
+	for _, p := range r.Points {
+		huge := p.Point.DRAMChannels > arch.MaxDRAMChannels
+		if refused := p.Status == StatusError && strings.Contains(p.Err, "dram_channels"); refused != huge {
+			t.Errorf("point %s: status %s, err %q", p.Point.Label(), p.Status, p.Err)
+		}
+	}
+}
