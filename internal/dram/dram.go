@@ -16,14 +16,8 @@ import (
 	"sara/internal/arch"
 )
 
-// Model is an off-chip memory system instance.
-//
-// All mutable request-path state (queue positions and counters) lives in the
-// per-channel structs: two goroutines driving disjoint channels never share a
-// cache line of mutable state, which is what lets the parallel simulation
-// engine co-locate each channel with the shard that owns its address
-// generators and issue requests without locks. Aggregate Stats sums the
-// channels on demand.
+// Model is an off-chip memory system instance. Queue positions and counters
+// live in the per-channel structs; Stats sums the channels on demand.
 type Model struct {
 	Spec arch.DRAMSpec
 	ch   []channel
@@ -47,7 +41,6 @@ type channel struct {
 	// per-channel counters, summed by Stats
 	reqs        int64
 	stallCycles int64
-	_           [4]int64 // pad to a cache line: channels are written concurrently
 }
 
 // New returns a model for the given DRAM technology.

@@ -87,11 +87,30 @@ func (g *Grid) RouteXY(a, b Coord) []Coord {
 }
 
 // AddTraffic accumulates a stream's offered load along its XY route.
-// lanesPerCycle is the stream's average occupancy in lanes per cycle.
+// lanesPerCycle is the stream's average occupancy in lanes per cycle. It
+// walks the route RouteXY returns, link by link in the same order, without
+// building the path.
 func (g *Grid) AddTraffic(a, b Coord, lanesPerCycle float64) {
-	path := g.RouteXY(a, b)
-	for i := 0; i+1 < len(path); i++ {
-		g.load[link{path[i], path[i+1]}] += lanesPerCycle
+	cur := a
+	for cur.C != b.C {
+		next := cur
+		if b.C > cur.C {
+			next.C++
+		} else {
+			next.C--
+		}
+		g.load[link{cur, next}] += lanesPerCycle
+		cur = next
+	}
+	for cur.R != b.R {
+		next := cur
+		if b.R > cur.R {
+			next.R++
+		} else {
+			next.R--
+		}
+		g.load[link{cur, next}] += lanesPerCycle
+		cur = next
 	}
 }
 

@@ -53,3 +53,34 @@ func TestCongestionAccounting(t *testing.T) {
 		t.Errorf("congestion after reset = %v, want 0", c)
 	}
 }
+
+// TestAddTrafficFollowsRouteXY pins AddTraffic's in-place walk to RouteXY:
+// every pair of coordinates on a small grid loads exactly the links of the
+// routed path, each by the stream's rate.
+func TestAddTrafficFollowsRouteXY(t *testing.T) {
+	g := New(4, 5, 1, 16)
+	for ar := 0; ar < g.Rows; ar++ {
+		for ac := 0; ac < g.Cols; ac++ {
+			for br := 0; br < g.Rows; br++ {
+				for bc := 0; bc < g.Cols; bc++ {
+					a, b := Coord{ar, ac}, Coord{br, bc}
+					g.ResetTraffic()
+					g.AddTraffic(a, b, 3)
+					want := map[link]float64{}
+					path := g.RouteXY(a, b)
+					for i := 0; i+1 < len(path); i++ {
+						want[link{path[i], path[i+1]}] += 3
+					}
+					if len(g.load) != len(want) {
+						t.Fatalf("%v->%v: %d links loaded, want %d", a, b, len(g.load), len(want))
+					}
+					for l, v := range want {
+						if g.load[l] != v {
+							t.Errorf("%v->%v: link %v->%v load %v, want %v", a, b, l.from, l.to, g.load[l], v)
+						}
+					}
+				}
+			}
+		}
+	}
+}

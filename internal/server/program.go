@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"sara/internal/arch"
 	"sara/spatial"
 )
 
@@ -127,10 +128,45 @@ func DecodeProgram(pj *ProgramJSON) (prog *spatial.Program, err error) {
 	return b.Build()
 }
 
+// defaultFIFODepth is a fifo memory's depth when its dims are empty.
+const defaultFIFODepth = 16
+
+// fifoDepth returns a fifo memory's depth: Dims[0], or defaultFIFODepth when
+// no dims are given. A depth below 1 or above arch.MaxStreamDepth is refused:
+// it sizes stream buffers, which the arch ceilings bound everywhere else.
+func (m *MemJSON) fifoDepth() (int, error) {
+	depth := defaultFIFODepth
+	if len(m.Dims) > 0 {
+		depth = m.Dims[0]
+	}
+	if depth < 1 || depth > arch.MaxStreamDepth {
+		return 0, fmt.Errorf("server: fifo %q: depth %d outside [1, %d]", m.Name, depth, arch.MaxStreamDepth)
+	}
+	return depth, nil
+}
+
+// checkLimits refuses a program whose sizes are out of bounds before anything
+// is built from it: today, the depth of every fifo memory.
+func (pj *ProgramJSON) checkLimits() error {
+	for i := range pj.Mems {
+		if m := &pj.Mems[i]; m.Kind == "fifo" {
+			if _, err := m.fifoDepth(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// maxProgramOps bounds the ops a program's chains may ask for in total, so
+// that a few bytes of JSON cannot make the decoder allocate gigabytes.
+const maxProgramOps = 1 << 16
+
 type decoder struct {
 	b     *spatial.Builder
 	mems  map[string]*spatial.Mem
 	iters map[string]spatial.Iter
+	ops   int // ops the chains so far asked for
 }
 
 func (d *decoder) addMem(m MemJSON) error {
@@ -148,9 +184,9 @@ func (d *decoder) addMem(m MemJSON) error {
 	case "reg":
 		d.mems[m.Name] = d.b.Reg(m.Name)
 	case "fifo":
-		depth := 16
-		if len(m.Dims) > 0 {
-			depth = m.Dims[0]
+		depth, err := m.fifoDepth()
+		if err != nil {
+			return err
 		}
 		d.mems[m.Name] = d.b.FIFO(m.Name, depth)
 	default:
@@ -257,9 +293,10 @@ func (d *decoder) blockOps(n *NodeJSON, blk *spatial.Block) error {
 			if !ok {
 				return fmt.Errorf("server: block %q op %d: chain of unknown op %q", n.Name, i, op.Of)
 			}
-			if op.N < 1 {
-				return fmt.Errorf("server: block %q op %d: chain needs n >= 1", n.Name, i)
+			if op.N < 1 || op.N > maxProgramOps-d.ops {
+				return fmt.Errorf("server: block %q op %d: chain needs 1 <= n <= %d", n.Name, i, maxProgramOps-d.ops)
 			}
+			d.ops += op.N
 			blk.OpChain(kind, op.N)
 			count += op.N
 		case "counter":

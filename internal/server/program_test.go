@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"sara/internal/arch"
 	"sara/internal/core"
 	"sara/internal/sim"
 )
@@ -31,6 +34,36 @@ func dotProgram() *ProgramJSON {
 				},
 			}},
 		}},
+	}
+}
+
+// fifoProgram is dotProgram with one more memory: a fifo of the given depth.
+func fifoProgram(depth int) *ProgramJSON {
+	pj := dotProgram()
+	pj.Mems = append(pj.Mems, MemJSON{Kind: "fifo", Name: "q", Dims: []int{depth}})
+	return pj
+}
+
+// TestDecodeProgramFIFODepth holds a fifo's depth to [1, arch.MaxStreamDepth],
+// with 16 when the dims are empty.
+func TestDecodeProgramFIFODepth(t *testing.T) {
+	for _, depth := range []int{1, 16, arch.MaxStreamDepth} {
+		if _, err := DecodeProgram(fifoProgram(depth)); err != nil {
+			t.Errorf("depth %d: %v", depth, err)
+		}
+	}
+	for _, depth := range []int{0, -1, arch.MaxStreamDepth + 1, 1 << 40} {
+		if _, err := DecodeProgram(fifoProgram(depth)); err == nil {
+			t.Errorf("depth %d decoded", depth)
+		}
+		if err := fifoProgram(depth).checkLimits(); err == nil {
+			t.Errorf("depth %d passed checkLimits", depth)
+		}
+	}
+	pj := dotProgram()
+	pj.Mems = append(pj.Mems, MemJSON{Kind: "fifo", Name: "q"})
+	if d, err := pj.Mems[len(pj.Mems)-1].fifoDepth(); err != nil || d != defaultFIFODepth {
+		t.Errorf("empty dims: depth %d, %v; want %d", d, err, defaultFIFODepth)
 	}
 }
 
@@ -112,6 +145,10 @@ func TestDecodeProgramErrors(t *testing.T) {
 		{"empty body", func(p *ProgramJSON) { p.Body = nil }},
 		{"unknown mem kind", func(p *ProgramJSON) { p.Mems[0].Kind = "tape" }},
 		{"duplicate mem", func(p *ProgramJSON) { p.Mems[1].Name = "x" }},
+		{"chain past the op ceiling", func(p *ProgramJSON) {
+			p.Body[0].Body[0].Ops = append(p.Body[0].Body[0].Ops,
+				OpJSON{Op: "chain", Of: "add", N: maxProgramOps / 2}, OpJSON{Op: "chain", Of: "add", N: maxProgramOps/2 + 1})
+		}},
 		{"affine term names non-enclosing loop", func(p *ProgramJSON) {
 			p.Body[0].Body[0].Ops[0].Pattern = &PatternJSON{Kind: "affine", Terms: []TermJSON{{Loop: "zz", Coeff: 1}}}
 		}},
@@ -125,4 +162,34 @@ func TestDecodeProgramErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzProgramJSON feeds arbitrary bytes through an inline program's decode
+// path: JSON into ProgramJSON, then DecodeProgram. Neither may panic, the
+// server's pre-compile checks must refuse every fifo DecodeProgram refuses
+// for its depth, and the same bytes must decode to the same program (or the
+// same error) twice. The seed corpus under testdata/fuzz/FuzzProgramJSON
+// (the dot product, a chained block, fifo depths at and past both ends)
+// runs under plain go test; explore with
+//
+//	go test -run '^$' -fuzz FuzzProgramJSON -fuzztime 30s ./internal/server/
+func FuzzProgramJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pj ProgramJSON
+		if json.Unmarshal(data, &pj) != nil {
+			return
+		}
+		limitErr := pj.checkLimits()
+		p1, err1 := DecodeProgram(&pj)
+		p2, err2 := DecodeProgram(&pj)
+		if limitErr != nil && err1 == nil {
+			t.Fatalf("checkLimits refuses a program DecodeProgram accepts: %v", limitErr)
+		}
+		if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+			t.Fatalf("two decodes disagree: %v / %v", err1, err2)
+		}
+		if !reflect.DeepEqual(p1, p2) {
+			t.Fatalf("two decodes built different programs")
+		}
+	})
 }

@@ -557,6 +557,11 @@ func (s *Server) normalize(req *RunRequest) error {
 	case req.Workload != "" && req.Program != nil:
 		return errors.New("request must set exactly one of workload and program")
 	}
+	if req.Program != nil {
+		if err := req.Program.checkLimits(); err != nil {
+			return err
+		}
+	}
 	if req.Workload != "" {
 		if _, err := workloads.ByName(req.Workload); err != nil {
 			return err

@@ -235,6 +235,10 @@ func TestBadRequests(t *testing.T) {
 		// DRAM model, the second spun in the placer long after its 504.
 		{"huge dram_channels", RunRequest{Workload: "bs", Par: 2, Scale: 64, Arch: &arch.SpecJSON{DRAMChannels: 1 << 44}}},
 		{"huge grid", RunRequest{Workload: "bs", Arch: &arch.SpecJSON{Rows: 1 << 50, Cols: 4}}},
+		// Inline fifo depths size stream buffers outside the arch ceilings.
+		{"zero fifo depth", RunRequest{Program: fifoProgram(0)}},
+		{"negative fifo depth", RunRequest{Program: fifoProgram(-4)}},
+		{"huge fifo depth", RunRequest{Program: fifoProgram(arch.MaxStreamDepth + 1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

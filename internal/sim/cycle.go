@@ -223,8 +223,10 @@ type cycleSim struct {
 	busyCycles int64 // Σ over compute units of cycles spent firing
 	nCompute   int64
 	// skipped counts the cycles the event engine's fast-forward advanced
-	// arithmetically (fastforward.go); tests read it to see that it fired.
-	skipped int64
+	// arithmetically (fastforward.go), and spanned the cycles its runs
+	// covered, summed over components (component.go); tests read both to see
+	// that it fired.
+	skipped, spanned int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element

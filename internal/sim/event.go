@@ -33,10 +33,18 @@ package sim
 //     back-to-back times (see batchSize), the k firings collapse into one
 //     scheduling step with the out-arrivals staggered exactly as dense would
 //     have produced them.
-//   - Steady-state fast-forward (runEvent only; fastforward.go): when the
-//     state relative to now recurs with period P, k whole periods are
-//     advanced arithmetically — pending times shift by k·P, counters that
-//     only grow add k times the period's increment. Exact because the
+//   - Component runs (component.go): a design whose parts share no stream
+//     and no DRAM channel — the independent instances an unrolled outer loop
+//     compiles to — runs one part after another on the one state, each from
+//     cycle 0, and the run lasts as long as its longest part. Exact because
+//     no unit reads or writes anything outside its part, and every Result
+//     field is a sum or a maximum over parts. Profiled and traced runs, a
+//     part that deadlocks or reaches the cycle cap, and the few designs
+//     component.go lists run as one loop over the whole design instead.
+//   - Steady-state fast-forward (fastforward.go): when the state of the
+//     part being run, relative to now, recurs with period P, k whole periods
+//     are advanced arithmetically — pending times shift by k·P, counters
+//     that only grow add k times the period's increment. Exact because the
 //     engine's future is a pure function of the relative state while no
 //     unit nears its last firing and DRAM float timing stays in one binade.
 //
@@ -56,6 +64,10 @@ import (
 
 type eventSim struct {
 	cs *cycleSim
+	// c is the component being run; lo and hi bound the words of curr its
+	// units' bits live in.
+	c      *component
+	lo, hi int
 
 	// noStall marks units the analytic model proves can never block (see
 	// StallFreeUnits): their evaluation skips the blockCause check and the
@@ -108,7 +120,7 @@ type eventSim struct {
 }
 
 // newEventSim builds the event-engine state over cs; the caller still must
-// install cs.onSchedule/cs.onPop and seed with seedWakes.
+// install cs.onSchedule/cs.onPop, and each run starts with start.
 func newEventSim(cs *cycleSim) *eventSim {
 	n := len(cs.vus)
 	noStall := make([]bool, n)
@@ -136,18 +148,24 @@ func newEventSim(cs *cycleSim) *eventSim {
 	return ev
 }
 
-// seedWakes marks every live unit a candidate at cycle 0 — the dense
-// engine's first full pass — and counts the units that must complete.
-func (ev *eventSim) seedWakes() {
-	ev.remaining = 0
-	for id, vs := range ev.cs.vus {
-		if vs == nil {
-			continue
-		}
-		if vs.isCounterDriven() && vs.total > 0 {
-			ev.remaining++
-		}
-		ev.wakeNow(id)
+// start readies a run of component c from cycle 0: both queues and curr are
+// empty, and every unit of c is a candidate at cycle 0 — the dense engine's
+// first full pass. Units outside c keep whatever state an earlier run left.
+func (ev *eventSim) start(c *component) {
+	ev.c = c
+	ev.lo, ev.hi = 0, -1
+	if n := len(c.vus); n > 0 {
+		ev.lo, ev.hi = int(c.vus[0].u.ID)>>6, int(c.vus[n-1].u.ID)>>6
+	}
+	ev.now, ev.lastFire, ev.work = 0, -1, 0
+	ev.processing, ev.progressed = -1, false
+	ev.arrivals.clear()
+	ev.timers.clear()
+	clear(ev.curr)
+	ev.currAny = false
+	ev.remaining = c.remaining
+	for _, vs := range c.vus {
+		ev.wakeNow(int(vs.u.ID))
 	}
 }
 
@@ -188,7 +206,7 @@ func (ev *eventSim) scanCurr() int {
 	n := 0
 	if ev.currAny {
 		ev.currAny = false
-		for w := 0; w < len(ev.curr); w++ {
+		for w := ev.lo; w <= ev.hi; w++ {
 			for ev.curr[w] != 0 {
 				b := bits.TrailingZeros64(ev.curr[w])
 				ev.curr[w] &^= 1 << uint(b)
@@ -217,13 +235,50 @@ func (ev *eventSim) nextEventAt() int64 {
 	return next
 }
 
-// runEvent advances the simulation to completion, event by event, and whole
-// periods at a time once its state recurs (fastforward.go).
+// runEvent advances the simulation to completion. A design whose components
+// share no stream and no DRAM channel (component.go) runs one component after
+// another, each from cycle 0; the run's length is the longest component's.
+// Otherwise — and, on a fresh copy of the state, whenever a component
+// deadlocks or reaches the cycle cap — it runs as one loop over the whole
+// design, which reports a stuck run exactly as it always has.
 func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
+	if comps := cs.components(); comps != nil {
+		if r, err := cs.runComponents(comps, maxCycles); err == nil {
+			return r, nil
+		}
+		fresh, err := newCycleSim(cs.d)
+		if err != nil {
+			return nil, err
+		}
+		*cs = *fresh
+	}
+	return cs.runComponents([]*component{cs.whole()}, maxCycles)
+}
+
+// runComponents runs each component to completion in turn on one
+// event-engine state.
+func (cs *cycleSim) runComponents(comps []*component, maxCycles int64) (*Result, error) {
 	ev := newEventSim(cs)
 	cs.onSchedule = ev.onSchedule
 	cs.onPop = ev.onPop
-	ev.seedWakes()
+	end := int64(0)
+	for _, c := range comps {
+		e, err := ev.run(c, maxCycles)
+		if err != nil {
+			return nil, err
+		}
+		end = max(end, e)
+	}
+	return cs.buildResult(end+1, "cycle"), nil
+}
+
+// run advances component c from cycle 0 until its last counter-driven unit
+// completes, event by event, and whole periods at a time once its state
+// recurs (fastforward.go). It returns the cycle the component's last firing
+// ends on.
+func (ev *eventSim) run(c *component, maxCycles int64) (int64, error) {
+	cs := ev.cs
+	ev.start(c)
 	ff := newFastForward(ev, maxCycles)
 	defer ff.release()
 	for {
@@ -231,14 +286,12 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 		ev.processing = -1
 		ev.work += int64(ev.deliverDue() + ev.scanCurr())
 		if ev.remaining == 0 {
-			end := ev.now
-			if ev.lastFire > end {
-				end = ev.lastFire
-			}
+			end := max(ev.now, ev.lastFire)
 			if end+1 >= maxCycles {
-				return nil, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
+				return 0, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
 			}
-			return cs.buildResult(end+1, "cycle"), nil
+			cs.spanned += end + 1
+			return end, nil
 		}
 		if ff != nil {
 			ff.afterCycle()
@@ -251,10 +304,10 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 			next = ev.now + 1
 		}
 		if next < 0 {
-			return nil, fmt.Errorf("sim: deadlock at cycle %d: %s", cs.now, cs.describeStuck())
+			return 0, fmt.Errorf("sim: deadlock at cycle %d: %s", cs.now, cs.describeStuck())
 		}
 		if next >= maxCycles {
-			return nil, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
+			return 0, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
 		}
 		ev.now = next
 		ev.wakeDue()

@@ -3,13 +3,44 @@ package sim
 // CycleEventSkipped runs the event engine and also returns how many
 // cycles its steady-state fast-forward advanced arithmetically.
 func CycleEventSkipped(d *Design, maxCycles int64) (*Result, int64, error) {
+	r, skipped, _, err := CycleEventSpan(d, maxCycles)
+	return r, skipped, err
+}
+
+// CycleEventSpan is CycleEventSkipped that also returns the cycles the
+// engine's runs covered, summed over the design's components: the share the
+// fast-forward skipped is skipped/spanned.
+func CycleEventSpan(d *Design, maxCycles int64) (r *Result, skipped, spanned int64, err error) {
 	cs, err := newCycleSim(d)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if maxCycles <= 0 {
 		maxCycles = 200_000_000
 	}
-	r, err := cs.runEvent(maxCycles)
-	return r, cs.skipped, err
+	r, err = cs.runEvent(maxCycles)
+	return r, cs.skipped, cs.spanned, err
+}
+
+// CycleEventSingleLoop runs the event engine, fast paths on, as one loop
+// over the whole design: the reference its component runs are held to.
+func CycleEventSingleLoop(d *Design, maxCycles int64) (*Result, error) {
+	cs, err := newCycleSim(d)
+	if err != nil {
+		return nil, err
+	}
+	if maxCycles <= 0 {
+		maxCycles = 200_000_000
+	}
+	return cs.runComponents([]*component{cs.whole()}, maxCycles)
+}
+
+// ComponentCount returns how many components the event engine runs d as
+// one after another; 0 means it runs d as one loop.
+func ComponentCount(d *Design) (int, error) {
+	cs, err := newCycleSim(d)
+	if err != nil {
+		return 0, err
+	}
+	return len(cs.components()), nil
 }

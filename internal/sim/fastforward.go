@@ -1,23 +1,27 @@
 package sim
 
-// Steady-state fast-forward for the serial event engine. Long runs settle
-// into a state that repeats exactly, shifted in time: every unit is at the
-// same point of its inner loops with the same pending timer or blocking
-// cause, every buffer holds as many elements with the same in-flight arrival
-// offsets. The engine's future is a pure function of that relative state, so
-// if the state at cycle c2 equals the state at c1 < c2 up to the shift
-// P = c2-c1, the next period replays the last one, and so does every period
-// after it. The engine then advances k periods at once: it shifts every
-// pending time by k·P and adds k times the last period's increment to every
-// counter that only grows.
+// Steady-state fast-forward for the event engine, one component at a time
+// (component.go). Everything below is about the component being run: its
+// units, its edges, the DRAM channels its VAGs use. Parallel instances drift
+// out of phase, so the state of a whole design seldom repeats while each
+// instance's does. Long runs settle into a state that repeats exactly,
+// shifted in time: every unit is at the same point of its inner loops with
+// the same pending timer or blocking cause, every buffer holds as many
+// elements with the same in-flight arrival offsets. The engine's future is
+// a pure function of that relative state, so if the state at cycle c2
+// equals the state at c1 < c2 up to the shift P = c2-c1, the next period
+// replays the last one, and so does every period after it. The engine then
+// advances k periods at once: it shifts every pending time by k·P and adds k
+// times the last period's increment to every counter that only grows.
 //
 //   - The signature (state) is the state relative to now: per unit, done,
 //     parked, or the offset of its timer, and the cause of a stall not yet
 //     settled; its inner counter levels (all but level 0); a VMU's
 //     round-robin positions modulo their fan and its decimation phase. Per
 //     edge, occupancy and the arrival offsets of its in-flight elements. The
-//     offset of the last firing's end. Every DRAM channel must be idle: a
-//     queued channel's fractional busyUntil is not part of the signature.
+//     offset of the last firing's end. Every DRAM channel of the component
+//     must be idle: a queued channel's fractional busyUntil is not part of
+//     the signature.
 //   - Stall starts are compared apart from the signature. A unit with an
 //     unsettled stall at both captures either began it inside the period
 //     (equal offsets; the start shifts with the jump) or stayed parked
@@ -50,9 +54,10 @@ package sim
 // sixteenth), so a run that never repeats pays almost nothing. A repeated
 // hash stores the full state there (ref), and the jump waits for the next
 // repeat to match ref word for word, so runs that never repeat allocate
-// nothing either. Runs that record a profile or a trace and the dense engine
-// never fast-forward; CycleEngineNoFastPath turns it off for the equivalence
-// guard.
+// nothing either. Each component run has its own detector, so its captures
+// walk only the component. Runs that record a profile or a trace and the
+// dense engine never fast-forward; CycleEngineNoFastPath turns it off (and
+// with it the split into components) for the equivalence guard.
 
 import (
 	"math/bits"
@@ -116,24 +121,24 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	return ff
 }
 
-// release records the skipped cycles on the run and returns the detector to
+// release adds the skipped cycles to the run's and returns the detector to
 // the pool.
 func (ff *fastForward) release() {
 	if ff == nil {
 		return
 	}
-	ff.ev.cs.skipped = ff.skipped
+	ff.ev.cs.skipped += ff.skipped
 	ff.ev, ff.anchor = nil, nil
 	ffPool.Put(ff)
 }
 
-// pickAnchor chooses the live counter-driven unit with the fewest firings
-// (lowest ID on ties) and restarts the search. Such a unit exists whenever
-// the run has not completed, which is when afterCycle runs.
+// pickAnchor chooses the component's live counter-driven unit with the
+// fewest firings (lowest ID on ties) and restarts the search. Such a unit
+// exists whenever the run has not completed, which is when afterCycle runs.
 func (ff *fastForward) pickAnchor() {
 	ff.anchor = nil
-	for _, vs := range ff.ev.cs.vus {
-		if vs == nil || !vs.isCounterDriven() || vs.done || vs.total <= 0 {
+	for _, vs := range ff.ev.c.vus {
+		if !vs.isCounterDriven() || vs.done || vs.total <= 0 {
 			continue
 		}
 		if ff.anchor == nil || vs.total < ff.anchor.total {
@@ -176,8 +181,8 @@ func (ff *fastForward) anchorFiring() {
 // doubles.
 func (ff *fastForward) sample() {
 	ev, cs := ff.ev, ff.ev.cs
-	for c := 0; c < cs.dram.Channels(); c++ {
-		if !cs.dram.IdleAt(c, ev.now+1) {
+	for _, ch := range ev.c.chans {
+		if !cs.dram.IdleAt(ch, ev.now+1) {
 			return
 		}
 	}
@@ -222,21 +227,17 @@ func (ff *fastForward) keepRef() {
 	w := sigWalk{keep: true, words: r.sig[:0]}
 	ff.state(&w)
 	r.sig = w.words
-	r.since = append(r.since[:0], ev.blockedSince...)
-	r.fired = r.fired[:0]
-	for _, vs := range ev.cs.vus {
-		var f int64
-		if vs != nil {
-			f = vs.fired
-		}
-		r.fired = append(r.fired, f)
+	r.since, r.fired = r.since[:0], r.fired[:0]
+	for _, vs := range ev.c.vus {
+		r.since = append(r.since, ev.blockedSince[vs.u.ID])
+		r.fired = append(r.fired, vs.fired)
 	}
 	r.lin = r.lin[:0]
 	ff.linear(func(v int64) int64 {
 		r.lin = append(r.lin, v)
 		return v
 	})
-	r.at, r.reqs = ev.now, ev.cs.dram.Stats().TotalReqs
+	r.at, r.reqs = ev.now, ff.reqs()
 	ff.haveRef = true
 }
 
@@ -251,8 +252,8 @@ func (ff *fastForward) matchesRef() bool {
 	// The signature says which units are parked or due; a pending stall must
 	// have begun as long ago (inside the period) or at the same cycle
 	// (parked throughout).
-	for id, s1 := range r.since {
-		s2 := ff.ev.blockedSince[id]
+	for i, s1 := range r.since {
+		s2 := ff.ev.blockedSince[ff.ev.c.vus[i].u.ID]
 		if s2 != s1 && (s1 < 0 || s2 < 0 || s2-ff.ev.now != s1-r.at) {
 			return false
 		}
@@ -263,20 +264,20 @@ func (ff *fastForward) matchesRef() bool {
 // jumpCount returns how many periods the run may skip from here, and the
 // period. See the file comment for each bound.
 func (ff *fastForward) jumpCount() (k, p int64) {
-	ev, cs, r := ff.ev, ff.ev.cs, &ff.ref
+	ev, r := ff.ev, &ff.ref
 	p = ev.now - r.at
 	k = (ff.maxCycles - 1 - ev.now) / p
-	for id, vs := range cs.vus {
-		if vs == nil || !vs.isCounterDriven() || vs.done {
+	for i, vs := range ev.c.vus {
+		if !vs.isCounterDriven() || vs.done {
 			continue
 		}
-		if d := vs.fired - r.fired[id]; d > 0 {
+		if d := vs.fired - r.fired[i]; d > 0 {
 			if m := (vs.total-vs.fired-1)/d - ffMarginPeriods; m < k {
 				k = m
 			}
 		}
 	}
-	if cs.dram.Stats().TotalReqs != r.reqs {
+	if ff.reqs() != r.reqs {
 		hi := int64(1) << bits.Len64(uint64(r.at))
 		if hi > 1<<51 {
 			return 0, p
@@ -303,8 +304,8 @@ func (ff *fastForward) jump(k, p int64) {
 	ev.lastFire += shift
 	ev.arrivals.clear()
 	ev.timers.clear()
-	for _, es := range cs.edges {
-		if es == nil || es.infl == 0 {
+	for _, es := range ev.c.edges {
+		if es.infl == 0 {
 			continue
 		}
 		for j := 0; j < es.infl; j++ {
@@ -312,10 +313,11 @@ func (ff *fastForward) jump(k, p int64) {
 		}
 		ev.arrivals.push(ev.now, es.ring[es.head], int32(es.e.ID))
 	}
-	for id, vs := range cs.vus {
-		if vs == nil || vs.done {
+	for _, vs := range ev.c.vus {
+		if vs.done {
 			continue
 		}
+		id := vs.u.ID
 		// A pending stall: the unit is parked, or a pop from a lower ID woke
 		// it for the next cycle.
 		if s := ev.blockedSince[id]; s > r.at {
@@ -358,14 +360,13 @@ func (w *sigWalk) put(x int64) {
 	w.n++
 }
 
-// state walks the relative state at the end of the current cycle.
+// state walks the component's relative state at the end of the current
+// cycle.
 func (ff *fastForward) state(w *sigWalk) {
-	ev, cs := ff.ev, ff.ev.cs
+	ev := ff.ev
 	now := ev.now
-	for id, vs := range cs.vus {
-		if vs == nil {
-			continue
-		}
+	for _, vs := range ev.c.vus {
+		id := vs.u.ID
 		// Done, parked, or due after a timer; a pending stall's cause.
 		var s int64
 		switch {
@@ -392,10 +393,7 @@ func (ff *fastForward) state(w *sigWalk) {
 			}
 		}
 	}
-	for _, es := range cs.edges {
-		if es == nil {
-			continue
-		}
+	for _, es := range ev.c.edges {
 		w.put(int64(es.occ) | int64(es.infl)<<32)
 		for i := 0; i < es.infl; i++ {
 			w.put(es.ring[(es.head+i)&(len(es.ring)-1)] - now)
@@ -405,13 +403,11 @@ func (ff *fastForward) state(w *sigWalk) {
 }
 
 // linear visits every counter that grows by a fixed amount each period, in
-// one fixed order, replacing each with f's answer.
+// one fixed order, replacing each with f's answer: the component's, and the
+// run's totals (which only the component moves while it runs).
 func (ff *fastForward) linear(f func(int64) int64) {
 	cs := ff.ev.cs
-	for _, vs := range cs.vus {
-		if vs == nil {
-			continue
-		}
+	for _, vs := range ff.ev.c.vus {
 		vs.fired = f(vs.fired)
 		vs.stallIn, vs.stallOut, vs.stallToken = f(vs.stallIn), f(vs.stallOut), f(vs.stallToken)
 		if len(vs.idx) > 0 {
@@ -425,8 +421,18 @@ func (ff *fastForward) linear(f func(int64) int64) {
 		}
 	}
 	cs.firedTotal, cs.busyCycles = f(cs.firedTotal), f(cs.busyCycles)
-	for c := 0; c < cs.dram.Channels(); c++ {
-		b, r, s := cs.dram.Counters(c)
-		cs.dram.SetCounters(c, f(b), f(r), f(s))
+	for _, ch := range ff.ev.c.chans {
+		b, r, s := cs.dram.Counters(ch)
+		cs.dram.SetCounters(ch, f(b), f(r), f(s))
 	}
+}
+
+// reqs returns the DRAM requests the component's channels have served.
+func (ff *fastForward) reqs() int64 {
+	var n int64
+	for _, ch := range ff.ev.c.chans {
+		_, r, _ := ff.ev.cs.dram.Counters(ch)
+		n += r
+	}
+	return n
 }
