@@ -8,7 +8,10 @@
 // DDR3 at 49 GB/s, used for the vanilla-compiler comparison (§IV-C).
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PUType enumerates the physical-unit types of the RDA fabric.
 type PUType int
@@ -93,6 +96,30 @@ type DRAMSpec struct {
 	// BurstBytes is the minimum transfer granule; smaller or misaligned
 	// requests waste bandwidth.
 	BurstBytes int
+}
+
+// The DRAM bandwidths the simulator holds exactly. It keeps channel time in
+// integer ticks (internal/dram): a bandwidth of n/2^j bytes per cycle makes a
+// cycle n ticks and a byte 2^j. A multiple of DRAMBandwidthStep at most
+// MaxDRAMBandwidth keeps a cycle at most 2^24 ticks, so int64 ticks cover
+// 2^39 cycles.
+const (
+	DRAMBandwidthStep = 1.0 / (1 << 10) // bytes per cycle per channel
+	MaxDRAMBandwidth  = 1 << 14         // bytes per cycle per channel
+)
+
+// CheckBandwidth refuses a per-channel bandwidth the simulator's integer
+// channel time cannot hold: one that is not a positive finite multiple of
+// DRAMBandwidthStep at most MaxDRAMBandwidth.
+func (d DRAMSpec) CheckBandwidth() error {
+	bw := d.BytesPerCyclePerChannel
+	switch {
+	case !(bw > 0) || bw > MaxDRAMBandwidth:
+		return fmt.Errorf("DRAM bandwidth %v bytes/cycle/channel invalid: must be positive and at most %d", bw, MaxDRAMBandwidth)
+	case bw/DRAMBandwidthStep != math.Trunc(bw/DRAMBandwidthStep):
+		return fmt.Errorf("DRAM bandwidth %v bytes/cycle/channel invalid: must be a multiple of 2^-10", bw)
+	}
+	return nil
 }
 
 // TotalBytesPerCycle returns the aggregate peak bandwidth in bytes/cycle.
@@ -201,10 +228,11 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("arch %s: PMU scratch capacity %d invalid: must be positive", s.Name, s.PMU.ScratchElems)
 	case s.DRAM.Channels <= 0:
 		return fmt.Errorf("arch %s: dram_channels %d invalid: must be positive", s.Name, s.DRAM.Channels)
-	case s.DRAM.BytesPerCyclePerChannel <= 0:
-		return fmt.Errorf("arch %s: DRAM bandwidth %v bytes/cycle/channel invalid: must be positive", s.Name, s.DRAM.BytesPerCyclePerChannel)
 	case s.ClockGHz <= 0:
 		return fmt.Errorf("arch %s: clock %v GHz invalid: must be positive", s.Name, s.ClockGHz)
+	}
+	if err := s.DRAM.CheckBandwidth(); err != nil {
+		return fmt.Errorf("arch %s: %w", s.Name, err)
 	}
 	return nil
 }

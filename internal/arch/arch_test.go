@@ -1,6 +1,9 @@
 package arch
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestSARA20x20MatchesPaper(t *testing.T) {
 	s := SARA20x20()
@@ -84,6 +87,12 @@ func TestValidateRejectsBroken(t *testing.T) {
 		{"zero DRAM channels", func(s *Spec) { s.DRAM.Channels = 0 }},
 		{"negative DRAM channels", func(s *Spec) { s.DRAM.Channels = -16 }},
 		{"zero DRAM bandwidth", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = 0 }},
+		{"negative DRAM bandwidth", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = -62.5 }},
+		{"NaN DRAM bandwidth", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = math.NaN() }},
+		{"infinite DRAM bandwidth", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = math.Inf(1) }},
+		{"DRAM bandwidth off the 2^-10 grid", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = 62.3 }},
+		{"DRAM bandwidth below the grid step", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = DRAMBandwidthStep / 2 }},
+		{"DRAM bandwidth above the ceiling", func(s *Spec) { s.DRAM.BytesPerCyclePerChannel = MaxDRAMBandwidth + 1 }},
 		{"zero clock", func(s *Spec) { s.ClockGHz = 0 }},
 		{"grid above the ceiling", func(s *Spec) { s.Rows = MaxGridCells }},
 		{"PMUs above the ceiling", func(s *Spec) { s.NumPMU = MaxUnits + 1 }},
@@ -98,6 +107,18 @@ func TestValidateRejectsBroken(t *testing.T) {
 				t.Errorf("broken spec (%s) passed validation", tc.name)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsGridBandwidths keeps the edges of the bandwidth grid
+// valid: its step, its ceiling and both presets' fractional bandwidths.
+func TestValidateAcceptsGridBandwidths(t *testing.T) {
+	for _, bw := range []float64{DRAMBandwidthStep, 3 * DRAMBandwidthStep, 0.5, 12.25, 62.5, 64, MaxDRAMBandwidth} {
+		s := SARA20x20()
+		s.DRAM.BytesPerCyclePerChannel = bw
+		if err := s.Validate(); err != nil {
+			t.Errorf("bandwidth %v: %v", bw, err)
+		}
 	}
 }
 

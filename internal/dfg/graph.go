@@ -57,6 +57,17 @@ const (
 	VAG
 )
 
+// CounterDriven reports whether units of the kind fire a fixed number of
+// times, stepped by their counter chain (VU.Firings). Memories, merges,
+// syncs and retime buffers instead forward whatever arrives.
+func (k VUKind) CounterDriven() bool {
+	switch k {
+	case VMU, VCUMerge, VCURetime, VCUSync:
+		return false
+	}
+	return true
+}
+
 // String returns a short mnemonic for the kind.
 func (k VUKind) String() string {
 	switch k {

@@ -167,6 +167,24 @@ func TestValidateNeedsInitOnLCDToken(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesZeroTrip refuses a counter-driven unit whose counter
+// never iterates, and leaves a forwarder's counters alone.
+func TestValidateRefusesZeroTrip(t *testing.T) {
+	for _, kind := range []VUKind{VCUCompute, VAG, VCUResponse} {
+		g := NewGraph(ir.NewProgram("t"))
+		u := g.AddVU(kind, "z")
+		u.Counters = []Counter{{Ctrl: ir.CtrlID(1), Trip: 4}, {Ctrl: ir.CtrlID(2), Trip: 0}}
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "trip 0") {
+			t.Errorf("%s with a zero trip: %v, want a refusal", kind, err)
+		}
+	}
+	g := NewGraph(ir.NewProgram("t"))
+	g.AddVU(VMU, "m").Counters = []Counter{{Ctrl: ir.CtrlID(1), Trip: 0}}
+	if err := g.Validate(); err != nil {
+		t.Errorf("forwarder with a zero trip: %v", err)
+	}
+}
+
 func TestStats(t *testing.T) {
 	g := NewGraph(ir.NewProgram("t"))
 	v := g.AddVU(VCUCompute, "v")

@@ -145,9 +145,21 @@ func (g *Graph) Reachable(src VUID) map[VUID]bool {
 }
 
 // Validate checks structural invariants of a synthesized VUDFG: no non-LCD
-// cycles, edges reference live endpoints, token inits are non-negative, and
-// data lanes are positive.
+// cycles, edges reference live endpoints, token inits are non-negative, data
+// lanes are positive, and every counter of a counter-driven unit iterates at
+// least once (the builder clamps trips to 1; a zero trip would make a unit
+// that never fires yet must complete).
 func (g *Graph) Validate() error {
+	for _, u := range g.VUs {
+		if u == nil || !u.Kind.CounterDriven() {
+			continue
+		}
+		for _, c := range u.Counters {
+			if c.Trip < 1 {
+				return fmt.Errorf("dfg: %s unit %s%s has a counter of trip %d", u.Kind, u.Name, u.Instance, c.Trip)
+			}
+		}
+	}
 	for _, e := range g.Edges {
 		if e == nil {
 			continue

@@ -8,6 +8,14 @@
 // requests. Aggregate behaviour reproduces what the evaluation depends on:
 // a hard roofline at 1 TB/s (HBM2) or 49 GB/s (DDR3), per-channel queueing
 // when demand concentrates, and latency that grows once a channel saturates.
+//
+// Channel time is kept in integer ticks. The per-channel bandwidth is exactly
+// tpc/tpb bytes per cycle, with a cycle tpc ticks long and a byte tpb: HBM2's
+// 62.5 B/cycle makes a cycle 125 ticks and a byte 2, DDR3's 12.25 makes them
+// 49 and 4. A transfer's occupancy, a queue's backlog and a shift of a whole
+// queue by some cycles are then exact integers at any magnitude, which is what
+// lets the simulator's steady-state fast-forward capture a busy channel and
+// jump it forward (internal/sim/fastforward.go).
 package dram
 
 import (
@@ -21,6 +29,9 @@ import (
 type Model struct {
 	Spec arch.DRAMSpec
 	ch   []channel
+	// tpc and tpb are the lengths of a cycle and of a byte's transfer in
+	// ticks: the bandwidth is exactly tpc/tpb bytes per cycle.
+	tpc, tpb int64
 	// rrNext assigns streams to channels round-robin.
 	rrNext int
 
@@ -34,18 +45,36 @@ type Model struct {
 }
 
 type channel struct {
-	// busyUntil is fractional: back-to-back streaming requests occupy the
-	// channel continuously instead of rounding each to whole cycles.
-	busyUntil float64
+	// busyUntil is the tick the channel's queue drains at. It is finer than a
+	// cycle: back-to-back streaming requests occupy the channel continuously
+	// instead of rounding each to whole cycles.
+	busyUntil int64
 	bytes     int64
 	// per-channel counters, summed by Stats
 	reqs        int64
 	stallCycles int64
 }
 
-// New returns a model for the given DRAM technology.
-func New(spec arch.DRAMSpec) *Model {
-	return &Model{Spec: spec, ch: make([]channel, spec.Channels)}
+// New returns a model for the given DRAM technology. It refuses a spec
+// without channels or with a bandwidth ticks cannot hold
+// (arch.DRAMSpec.CheckBandwidth).
+func New(spec arch.DRAMSpec) (*Model, error) {
+	if spec.Channels <= 0 || spec.Channels > arch.MaxDRAMChannels {
+		return nil, fmt.Errorf("dram: %d channels invalid: must be in 1..%d", spec.Channels, arch.MaxDRAMChannels)
+	}
+	if err := spec.CheckBandwidth(); err != nil {
+		return nil, fmt.Errorf("dram: %w", err)
+	}
+	// Double a byte's ticks until a cycle's, tpb times the bandwidth, is
+	// whole; a multiple of 2^-10 gets there within ten doublings.
+	m := &Model{Spec: spec, ch: make([]channel, spec.Channels), tpb: 1}
+	bw := spec.BytesPerCyclePerChannel
+	for bw != float64(int64(bw)) {
+		bw *= 2
+		m.tpb *= 2
+	}
+	m.tpc = int64(bw)
+	return m, nil
 }
 
 // BindStream assigns a request stream to a channel (round-robin), returning
@@ -83,24 +112,29 @@ func (m *Model) request(ch int, bytes int, now int64, coalesced bool) int64 {
 	if !coalesced {
 		b = ((bytes + m.Spec.BurstBytes - 1) / m.Spec.BurstBytes) * m.Spec.BurstBytes
 	}
-	service := float64(b) / m.Spec.BytesPerCyclePerChannel
 	c := &m.ch[ch]
-	start := float64(now)
+	start := now * m.tpc
 	if c.busyUntil > start {
-		c.stallCycles += int64(c.busyUntil - start)
+		c.stallCycles += (c.busyUntil - start) / m.tpc
 		start = c.busyUntil
 	}
-	c.busyUntil = start + service
+	c.busyUntil = start + int64(b)*m.tpb
 	c.bytes += int64(b)
 	c.reqs++
+	end := m.ceilCycle(c.busyUntil)
 	if m.OnService != nil {
-		m.OnService(ch, int64(start), int64(c.busyUntil+0.9999))
+		m.OnService(ch, start/m.tpc, end)
 	}
-	done := int64(c.busyUntil+0.9999) + int64(m.Spec.LatencyCycles)
+	done := end + int64(m.Spec.LatencyCycles)
 	if done <= now {
 		done = now + 1
 	}
 	return done
+}
+
+// ceilCycle returns the first cycle boundary at or after tick t ≥ 0.
+func (m *Model) ceilCycle(t int64) int64 {
+	return (t + m.tpc - 1) / m.tpc
 }
 
 // StreamRate returns the sustainable elements-per-cycle rate for a stream of
@@ -124,14 +158,22 @@ func (m *Model) NextReady(ch int) int64 {
 	if ch < 0 || ch >= len(m.ch) {
 		panic(fmt.Sprintf("dram: channel %d out of range", ch))
 	}
-	return int64(m.ch[ch].busyUntil + 0.9999)
+	return m.ceilCycle(m.ch[ch].busyUntil)
 }
 
-// IdleAt reports whether a request issued on the channel at cycle `at` or
-// later starts at once: the channel's queue has drained by then, so its
-// fractional position no longer affects anything.
-func (m *Model) IdleAt(ch int, at int64) bool {
-	return m.ch[ch].busyUntil <= float64(at)
+// Backlog returns the ticks of transfer the channel still has queued past the
+// start of cycle at, 0 when a request issued then starts at once. Every
+// request issued at cycle at or later answers as a function of it, so the
+// simulator's fast-forward puts it in its signature.
+func (m *Model) Backlog(ch int, at int64) int64 {
+	return max(m.ch[ch].busyUntil-at*m.tpc, 0)
+}
+
+// Shift moves the channel's queue the given number of cycles later: after
+// it, a request issued that many cycles later answers as one issued now
+// would have. The fast-forward uses it to jump whole periods.
+func (m *Model) Shift(ch int, cycles int64) {
+	m.ch[ch].busyUntil += cycles * m.tpc
 }
 
 // Counters returns one channel's running totals: bytes moved, requests

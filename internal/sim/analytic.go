@@ -304,9 +304,7 @@ func CycleEngineNoFastPath(d *Design, maxCycles int64) (*Result, error) {
 func stallFreeStates(cs *cycleSim) []bool {
 	free := make([]bool, len(cs.vus))
 	for id, vs := range cs.vus {
-		// A unit with no firings (a zero trip) is left unproven: its pushes
-		// per wrap period divide by a zero period.
-		if vs == nil || !vs.isCounterDriven() || vs.total <= 0 {
+		if vs == nil || !vs.isCounterDriven() {
 			continue
 		}
 		if len(vs.inFire) > 0 || len(vs.holdIn) > 0 || len(vs.inAny) > 0 {

@@ -28,10 +28,8 @@ package sim
 // The single loop over the whole design stays the engine's reference, and
 // runs instead when the split could be told apart from it: a run that
 // records a profile or a trace (forwarders keep recording after their
-// component completes), CycleEngineNoFastPath, a counter-driven unit with no
-// firings (it completes without being counted, so the single loop's count of
-// units left is not a sum over components), and a component that deadlocks or
-// reaches the cycle cap (the single loop's error names the whole design's
+// component completes), CycleEngineNoFastPath, and a component that deadlocks
+// or reaches the cycle cap (the single loop's error names the whole design's
 // state).
 
 import "sara/internal/dfg"
@@ -107,8 +105,6 @@ func (cs *cycleSim) components() []*component {
 	for id, vs := range cs.vus {
 		switch {
 		case vs == nil:
-		case vs.isCounterDriven() && vs.total <= 0:
-			return nil
 		case vs.u.Kind == dfg.VAG:
 			if first := chanVAG[vs.agChan]; first >= 0 {
 				union(first, int32(id))

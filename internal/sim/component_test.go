@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"sara/internal/arch"
@@ -136,10 +137,14 @@ func TestComponentRunsExact(t *testing.T) {
 	})
 	t.Run("zero-trip-counter", func(t *testing.T) {
 		d := zeroTripDesign()
-		if n, _ := sim.ComponentCount(d); n != 0 {
-			t.Errorf("runs as %d components, want one loop", n)
+		_, evtErr := sim.CycleEngine(d, 1_000_000, sim.EngineEvent)
+		_, denseErr := sim.CycleEngine(d, 1_000_000, sim.EngineDense)
+		if evtErr == nil || !strings.Contains(evtErr.Error(), "trip 0") {
+			t.Fatalf("event engine: %v, want a refused zero trip", evtErr)
 		}
-		assertComponentsExact(t, d, 1_000_000)
+		if denseErr == nil || denseErr.Error() != evtErr.Error() {
+			t.Errorf("refusals differ:\n event: %v\n dense: %v", evtErr, denseErr)
+		}
 	})
 	// Two VAG pipelines of different lengths: split on two channels, one
 	// component on a shared one.
@@ -167,7 +172,7 @@ func forwarderOnlyDesign() *sim.Design {
 }
 
 // zeroTripDesign puts a unit whose counter never iterates beside an
-// independent producer/consumer pair.
+// independent producer/consumer pair: a graph dfg.Graph.Validate refuses.
 func zeroTripDesign() *sim.Design {
 	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
 	z := g.AddVU(dfg.VCUCompute, "zero")

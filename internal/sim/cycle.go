@@ -259,7 +259,11 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 	if err := d.G.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	cs := &cycleSim{d: d, dram: dram.New(d.Spec.DRAM)}
+	mem, err := dram.New(d.Spec.DRAM)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	cs := &cycleSim{d: d, dram: mem}
 	cs.edges = make([]*edgeState, len(d.G.Edges))
 	ringTotal := 0
 	for _, e := range d.G.LiveEdges() {
@@ -586,11 +590,7 @@ func (cs *cycleSim) buildResult(cycles int64, engine string) *Result {
 }
 
 func (vs *vuState) isCounterDriven() bool {
-	switch vs.u.Kind {
-	case dfg.VMU, dfg.VCUMerge, dfg.VCURetime, dfg.VCUSync:
-		return false
-	}
-	return true
+	return vs.u.Kind.CounterDriven()
 }
 
 // blockCause returns why a counter-driven unit cannot fire this cycle —

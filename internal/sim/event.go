@@ -43,10 +43,13 @@ package sim
 //     component.go lists run as one loop over the whole design instead.
 //   - Steady-state fast-forward (fastforward.go): when the state of the
 //     part being run, relative to now, recurs with period P, k whole periods
-//     are advanced arithmetically — pending times shift by k·P, counters
-//     that only grow add k times the period's increment. Exact because the
-//     engine's future is a pure function of the relative state while no
-//     unit nears its last firing and DRAM float timing stays in one binade.
+//     are advanced arithmetically — pending times and busy DRAM queues shift
+//     by k·P, counters that only grow add k times the period's increment.
+//     Exact because the engine's future is a pure function of the relative
+//     state, DRAM backlogs in integer ticks included, while no unit nears
+//     its last firing. Captures come every stride-th firing of an anchor
+//     unit, the stride set by their cost and changed only where the cycle
+//     search moves its checkpoint.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
 // woken units are stepped in ascending ID order off a bitset, and a pop

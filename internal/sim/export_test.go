@@ -1,13 +1,7 @@
 package sim
 
-// CycleEventSkipped runs the event engine and also returns how many
-// cycles its steady-state fast-forward advanced arithmetically.
-func CycleEventSkipped(d *Design, maxCycles int64) (*Result, int64, error) {
-	r, skipped, _, err := CycleEventSpan(d, maxCycles)
-	return r, skipped, err
-}
-
-// CycleEventSpan is CycleEventSkipped that also returns the cycles the
+// CycleEventSpan runs the event engine and also returns how many cycles its
+// steady-state fast-forward advanced arithmetically and the cycles the
 // engine's runs covered, summed over the design's components: the share the
 // fast-forward skipped is skipped/spanned.
 func CycleEventSpan(d *Design, maxCycles int64) (r *Result, skipped, spanned int64, err error) {

@@ -19,9 +19,11 @@ package sim
 //     settled; its inner counter levels (all but level 0); a VMU's
 //     round-robin positions modulo their fan and its decimation phase. Per
 //     edge, occupancy and the arrival offsets of its in-flight elements. The
-//     offset of the last firing's end. Every DRAM channel of the component
-//     must be idle: a queued channel's fractional busyUntil is not part of
-//     the signature.
+//     offset of the last firing's end. Per DRAM channel of the component,
+//     the ticks of transfer still queued past the next cycle
+//     (dram.Model.Backlog): channel time is an integer count of ticks, so a
+//     busy channel's state is exact and the jump shifts its queue by k·P
+//     cycles like any pending time.
 //   - Stall starts are compared apart from the signature. A unit with an
 //     unsettled stall at both captures either began it inside the period
 //     (equal offsets; the start shifts with the jump) or stayed parked
@@ -29,7 +31,9 @@ package sim
 //     interval when it wakes).
 //   - Linear counters grow by the same amount each period: fired counts and
 //     the level-0 index, stall sums, the fired and busy totals, DRAM bytes,
-//     requests and queueing cycles, VMU port counters.
+//     requests and queueing cycles, VMU port counters. Every value a period
+//     touches moves by a whole number of cycles or ticks, so no
+//     floating-point argument is needed.
 //   - Distance-to-end quantities are the one way a linear counter feeds back
 //     into the dynamics: a batch never runs past a unit's last firing, and
 //     only the last firing wraps level 0. k leaves every unit that fires in
@@ -38,20 +42,22 @@ package sim
 //     observed one; a unit already inside its margin vetoes the jump. k also
 //     keeps the run under its cycle cap, so a cap inside the skipped range
 //     still ends the run with the same error.
-//   - DRAM timing is float64 arithmetic on absolute cycles. Adding an integer
-//     shift to it is exact only while every value stays in one binade
-//     [2^m, 2^(m+1)): there the float grid is uniform and contains the
-//     integers, so each sum and its rounding move with the shift. A period
-//     that issued DRAM requests therefore jumps only within the binade of its
-//     start.
 //
 // Detection is Brent's cycle search on state hashes, over captures taken at
 // firings of an anchor unit: the live counter-driven unit with the fewest
 // firings, re-chosen when it completes. A capture is one pass over units,
-// edges and in-flight elements; it is taken every stride-th anchor firing,
-// and the stride doubles while a capture costs more than a quarter of the
-// engine work since the previous one (and halves while it costs less than a
-// sixteenth), so a run that never repeats pays almost nothing. A repeated
+// edges, in-flight elements and channels; it is taken every stride-th anchor
+// firing. The stride changes only where the search's checkpoint moves after
+// limit captures, so the captures compared with one checkpoint are evenly
+// spaced, and it follows the cost of the captures since the last such move:
+// it doubles while they walked more words than a quarter of the engine work
+// in that window, and halves below a sixteenth, so a run that never repeats
+// pays little. The windows double with limit, which averages over an anchor
+// that fires in bursts (rf p128's consecutive intervals cost 3k and 33k
+// events; judged per capture, its stride flips every other capture). The
+// stride may double only while 16·stride is at most the anchor's firings so
+// far: while pipelines fill, the engine does almost no work per firing, and
+// the stride would otherwise race ahead of any period. A repeated
 // hash stores the full state there (ref), and the jump waits for the next
 // repeat to match ref word for word, so runs that never repeat allocate
 // nothing either. Each component run has its own detector, so its captures
@@ -59,10 +65,7 @@ package sim
 // dense engine never fast-forward; CycleEngineNoFastPath turns it off (and
 // with it the split into components) for the equivalence guard.
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
 // ffMarginPeriods is how many periods of firings every firing unit must still
 // have ahead of it after a jump. One period plus one firing is what
@@ -78,7 +81,6 @@ type ffState struct {
 	since []int64 // per unit: blockedSince, -1 when no stall is pending
 	fired []int64 // per unit: fired
 	lin   []int64 // the linear counters, in linear's order
-	reqs  int64   // DRAM requests issued so far
 }
 
 // fastForward is one run's detector. Instances are pooled across runs with
@@ -90,7 +92,9 @@ type fastForward struct {
 	anchor      *vuState // the unit whose firings trigger captures
 	anchorFired int64    // its fired count at the last look
 	stride, due int64    // capture every stride-th anchor firing; due counts down
-	workAt      int64    // ev.work at the last capture
+	// The cost rule's window: ev.work when the checkpoint last moved on its
+	// own, and the state words captures have walked since.
+	workAt, walked int64
 
 	// Brent's search on hashes: the checkpoint, how many captures have been
 	// compared with it, and how many it waits for before moving on.
@@ -116,7 +120,7 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	}
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
-	ff.stride, ff.due, ff.workAt, ff.skipped = 1, 1, 0, 0
+	ff.stride, ff.due, ff.workAt, ff.walked, ff.skipped = 1, 1, 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
@@ -138,7 +142,7 @@ func (ff *fastForward) release() {
 func (ff *fastForward) pickAnchor() {
 	ff.anchor = nil
 	for _, vs := range ff.ev.c.vus {
-		if !vs.isCounterDriven() || vs.done || vs.total <= 0 {
+		if !vs.isCounterDriven() || vs.done {
 			continue
 		}
 		if ff.anchor == nil || vs.total < ff.anchor.total {
@@ -177,24 +181,12 @@ func (ff *fastForward) anchorFiring() {
 // sample captures the state and advances the search. A hash equal to the
 // checkpoint's either confirms ref, which jumps (or, vetoed, starts over
 // here), or stores the state here as ref to be confirmed one period on.
-// Otherwise the checkpoint moves here after limit captures, and limit
-// doubles.
+// Otherwise the checkpoint moves here after limit captures, limit doubles,
+// and the stride may change.
 func (ff *fastForward) sample() {
-	ev, cs := ff.ev, ff.ev.cs
-	for _, ch := range ev.c.chans {
-		if !cs.dram.IdleAt(ch, ev.now+1) {
-			return
-		}
-	}
 	w := sigWalk{h: fnvOffset}
 	ff.state(&w)
-	switch work := ev.work - ff.workAt; {
-	case 4*int64(w.n) > work:
-		ff.stride *= 2
-	case 16*int64(w.n) < work && ff.stride > 1:
-		ff.stride /= 2
-	}
-	ff.workAt = ev.work
+	ff.walked += int64(w.n)
 	switch {
 	case !ff.haveChk:
 		ff.limit = 1
@@ -211,8 +203,24 @@ func (ff *fastForward) sample() {
 		if ff.n++; ff.n >= ff.limit {
 			ff.checkpoint(w.h)
 			ff.limit *= 2
+			ff.adjustStride()
 		}
 	}
+}
+
+// adjustStride applies the cost rule (see the file comment) to the window of
+// captures since the checkpoint last moved on its own, and opens the next.
+// It runs only where the checkpoint has just moved, so the captures compared
+// with one checkpoint are evenly spaced.
+func (ff *fastForward) adjustStride() {
+	work := ff.ev.work - ff.workAt
+	switch {
+	case 4*ff.walked > work && 16*ff.stride <= ff.anchor.fired:
+		ff.stride *= 2
+	case 16*ff.walked < work && ff.stride > 1:
+		ff.stride /= 2
+	}
+	ff.due, ff.workAt, ff.walked = ff.stride, ff.ev.work, 0
 }
 
 // checkpoint makes the current capture, of hash h, Brent's checkpoint.
@@ -237,7 +245,7 @@ func (ff *fastForward) keepRef() {
 		r.lin = append(r.lin, v)
 		return v
 	})
-	r.at, r.reqs = ev.now, ff.reqs()
+	r.at = ev.now
 	ff.haveRef = true
 }
 
@@ -277,15 +285,6 @@ func (ff *fastForward) jumpCount() (k, p int64) {
 			}
 		}
 	}
-	if ff.reqs() != r.reqs {
-		hi := int64(1) << bits.Len64(uint64(r.at))
-		if hi > 1<<51 {
-			return 0, p
-		}
-		if m := (hi - 3 - ev.now) / p; m < k {
-			k = m
-		}
-	}
 	return k, p
 }
 
@@ -299,6 +298,13 @@ func (ff *fastForward) jump(k, p int64) {
 		i++
 		return v
 	})
+	// A busy channel's queue moves with the jump; where an idle one drained
+	// no longer affects any request.
+	for _, ch := range ev.c.chans {
+		if cs.dram.Backlog(ch, ev.now+1) > 0 {
+			cs.dram.Shift(ch, shift)
+		}
+	}
 	ev.now += shift
 	cs.now = ev.now
 	ev.lastFire += shift
@@ -400,6 +406,9 @@ func (ff *fastForward) state(w *sigWalk) {
 		}
 	}
 	w.put(ev.lastFire - now)
+	for _, ch := range ev.c.chans {
+		w.put(ev.cs.dram.Backlog(ch, now+1))
+	}
 }
 
 // linear visits every counter that grows by a fixed amount each period, in
@@ -425,14 +434,4 @@ func (ff *fastForward) linear(f func(int64) int64) {
 		b, r, s := cs.dram.Counters(ch)
 		cs.dram.SetCounters(ch, f(b), f(r), f(s))
 	}
-}
-
-// reqs returns the DRAM requests the component's channels have served.
-func (ff *fastForward) reqs() int64 {
-	var n int64
-	for _, ch := range ff.ev.c.chans {
-		_, r, _ := ff.ev.cs.dram.Counters(ch)
-		n += r
-	}
-	return n
 }

@@ -44,7 +44,7 @@ import (
 // fix, a new or renamed Result field, a changed stall attribution), or stale
 // records keep being served. testdata/result_digests.json pins the twelve
 // workloads' Results to the version and fails the suite when they move alone.
-const Version = 3
+const Version = 4
 
 // Design bundles everything needed to execute a compiled program.
 type Design struct {

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sara/internal/consistency"
@@ -368,5 +370,27 @@ func TestWhileInsideForLoop(t *testing.T) {
 	}
 	if ana.Cycles <= 0 {
 		t.Error("analytic failed on nested do-while")
+	}
+}
+
+// TestSimRefusesOffGridBandwidth: a DRAM bandwidth the integer channel time
+// cannot hold, in a spec no one validated (the design store and a peer
+// decode specs as they were written), is an error from every cycle-level
+// entry point, not a panic or a run on a rounded clock.
+func TestSimRefusesOffGridBandwidth(t *testing.T) {
+	for _, bw := range []float64{62.3, math.NaN(), math.Inf(1)} {
+		d := twoStreamDesign(2)
+		d.Spec.DRAM.BytesPerCyclePerChannel = bw
+		for _, kind := range []sim.EngineKind{sim.EngineEvent, sim.EngineDense} {
+			if _, err := sim.CycleEngine(d, 1_000_000, kind); err == nil || !strings.Contains(err.Error(), "DRAM bandwidth") {
+				t.Errorf("%v B/cycle on engine %d: %v, want a refused bandwidth", bw, kind, err)
+			}
+		}
+		if _, _, err := sim.CycleProfiled(d, 1_000_000, sim.EngineEvent); err == nil {
+			t.Errorf("%v B/cycle profiled: ran", bw)
+		}
+		if _, _, err := sim.CycleWithTrace(d, 1_000_000); err == nil {
+			t.Errorf("%v B/cycle traced: ran", bw)
+		}
 	}
 }
