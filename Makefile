@@ -31,6 +31,8 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckBounds$$' -fuzztime $(FUZZTIME) ./internal/interp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSimRecord$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunResponseJSON$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzArtifactEnvelope$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/arch/
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMExact$$' -fuzztime $(FUZZTIME) ./internal/dram/

@@ -41,8 +41,10 @@ func warmHit(tb testing.TB, s *Server, workload string) func() *httptest.Respons
 // BenchmarkRunHit times one /v1/run answered entirely from memory — LRU hit
 // for the design, memo hit for the result — through Handler().ServeHTTP, no
 // sockets. What is left is the hit path itself: decode, canonicalise and
-// hash, the pool hop, store.Stats(), the stored result spliced in as it is
-// and the compact encode. It is that path's profiling entry point:
+// hash, the LRU and memory-tier lookups in the handler goroutine (no pool
+// hop), store.Stats(), and the writer appending the per-request members
+// between the design's stored compile half and the stored result, spliced
+// as they are. It is that path's profiling entry point:
 //
 //	go test -run '^$' -bench RunHit -benchmem -cpuprofile cpu.out ./internal/server/
 func BenchmarkRunHit(b *testing.B) {
@@ -63,10 +65,11 @@ func BenchmarkRunHit(b *testing.B) {
 
 // maxHitAllocs bounds the allocations of one warm hit. Decoding the memo
 // record and re-encoding it with an indent cost about 228; splicing the record
-// as it is and answering compact JSON, about 113. What remains is mostly the
-// request decode, the key hashes, the phase_ms, stage_cache and store maps
-// and httptest's own request and recorder.
-const maxHitAllocs = 150
+// as it is and answering compact JSON, about 113; appending the response
+// instead of reflecting it, with the compile half encoded once per design and
+// no pool hop, 49. What remains is mostly the request decode, the key hashes,
+// the store snapshot and httptest's own request and recorder.
+const maxHitAllocs = 56
 
 // TestRunHitAllocs is BenchmarkRunHit's gate: a warm LRU-and-memo hit stays
 // under maxHitAllocs allocations. The race detector adds its own, so it is

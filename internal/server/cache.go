@@ -23,15 +23,43 @@ type Cache struct {
 	hits, misses, evictions int64
 }
 
+// design is one LRU entry: a compiled design and the compile half of every
+// RunResponse that names it — its fields, and their encoded bytes — made
+// once, when the design enters the cache.
+type design struct {
+	c    *core.Compiled
+	resp RunResponse // Program, Arch, CacheKey, PhaseMS, MIPNodesExplored, StageCache, Resources and wire
+}
+
+// newDesign builds the LRU entry of c, compiled under key.
+func newDesign(key string, c *core.Compiled) *design {
+	d := &design{c: c, resp: RunResponse{
+		Program:          c.Prog.Name,
+		Arch:             c.Spec.Name,
+		CacheKey:         key,
+		PhaseMS:          make(map[string]float64, len(c.PhaseTimes)),
+		MIPNodesExplored: c.MIPNodes(),
+		StageCache:       c.StageHits,
+		Resources:        resourcesJSON(c.Resources()),
+	}}
+	for phase, t := range c.PhaseTimes {
+		d.resp.PhaseMS[phase] = msOf(t)
+	}
+	// A compile half that does not encode (it always does) is left to each
+	// response's writer, which answers its error.
+	d.resp.wire, _ = encodeCompileHalf(&d.resp)
+	return d
+}
+
 type cacheEntry struct {
 	key string
-	c   *core.Compiled
+	d   *design
 }
 
 // flight is one in-progress compilation; waiters block on done.
 type flight struct {
 	done chan struct{}
-	c    *core.Compiled
+	d    *design
 	err  error
 }
 
@@ -54,53 +82,70 @@ func NewCache(capacity int) *Cache {
 // in-flight compilation started by another caller). Failed compilations are
 // not cached: every waiter of the failing flight receives the error, but the
 // next request retries.
-func (c *Cache) GetOrCompile(key string, compile func() (*core.Compiled, error)) (*core.Compiled, bool, error) {
+func (c *Cache) GetOrCompile(key string, compile func() (*design, error)) (*design, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		compiled := el.Value.(*cacheEntry).c
+	if d := c.resident(key); d != nil {
 		c.mu.Unlock()
-		return compiled, true, nil
+		return d, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-f.done
-		return f.c, true, f.err
+		return f.d, true, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.misses++
 	c.mu.Unlock()
 
-	f.c, f.err = compile()
+	f.d, f.err = compile()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		c.insert(key, f.c)
+		c.insert(key, f.d)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.c, false, f.err
+	return f.d, false, f.err
+}
+
+// Get returns the design resident under key, counted as a hit, or nil — an
+// absent key and one still compiling alike — without counting a miss.
+func (c *Cache) Get(key string) *design {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resident(key)
+}
+
+// resident returns the design cached under key, moved to the front and
+// counted as a hit, or nil. Caller holds mu.
+func (c *Cache) resident(key string) *design {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	c.hits++
+	return el.Value.(*cacheEntry).d
 }
 
 // Seed inserts a pre-built design (a persisted artifact replayed at
 // startup) without touching the hit/miss counters.
-func (c *Cache) Seed(key string, compiled *core.Compiled) {
+func (c *Cache) Seed(key string, d *design) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(key, compiled)
+	c.insert(key, d)
 }
 
 // insert adds an entry and evicts beyond capacity. Caller holds mu.
-func (c *Cache) insert(key string, compiled *core.Compiled) {
+func (c *Cache) insert(key string, d *design) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, c: compiled})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, d: d})
 	for c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

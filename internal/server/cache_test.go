@@ -6,24 +6,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sara/internal/core"
 )
 
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache(8)
 	var compiles int64
 	const n = 16
-	results := make([]*core.Compiled, n)
+	results := make([]*design, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, _, err := c.GetOrCompile("k", func() (*core.Compiled, error) {
+			got, _, err := c.GetOrCompile("k", func() (*design, error) {
 				atomic.AddInt64(&compiles, 1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
-				return &core.Compiled{}, nil
+				return &design{}, nil
 			})
 			if err != nil {
 				t.Errorf("GetOrCompile: %v", err)
@@ -48,7 +46,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	compile := func() (*core.Compiled, error) { return &core.Compiled{}, nil }
+	compile := func() (*design, error) { return &design{}, nil }
 	mustMiss := func(key string) {
 		t.Helper()
 		if _, hit, _ := c.GetOrCompile(key, compile); hit {
@@ -75,10 +73,10 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(2)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompile("k", func() (*core.Compiled, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrCompile("k", func() (*design, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	compiled, hit, err := c.GetOrCompile("k", func() (*core.Compiled, error) { return &core.Compiled{}, nil })
+	compiled, hit, err := c.GetOrCompile("k", func() (*design, error) { return &design{}, nil })
 	if err != nil || hit || compiled == nil {
 		t.Fatalf("retry after error: compiled=%v hit=%v err=%v, want fresh successful compile", compiled, hit, err)
 	}

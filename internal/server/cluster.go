@@ -254,12 +254,21 @@ func (c *cluster) fetchOnce(ctx context.Context, p *peer, key string, req *RunRe
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("cluster: %s/v1/artifact status %d: %s", p.url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	env, err := decodeEnvelope(resp.Body, key)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: owner %s: %w", p.url, err)
+	}
+	return env, nil
+}
+
+// decodeEnvelope reads an owner's /v1/artifact answer to a request for key.
+func decodeEnvelope(r io.Reader, key string) (*artifactEnvelope, error) {
 	env := &artifactEnvelope{}
-	if err := json.NewDecoder(resp.Body).Decode(env); err != nil {
-		return nil, fmt.Errorf("cluster: decoding artifact envelope from %s: %w", p.url, err)
+	if err := json.NewDecoder(r).Decode(env); err != nil {
+		return nil, fmt.Errorf("decoding artifact envelope: %w", err)
 	}
 	if env.Key != key {
-		return nil, fmt.Errorf("cluster: owner %s answered key %s for request key %s", p.url, env.Key, key)
+		return nil, fmt.Errorf("answered key %s for request key %s", env.Key, key)
 	}
 	return env, nil
 }

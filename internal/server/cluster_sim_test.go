@@ -363,3 +363,64 @@ func TestClusterUnfinishedDesignThroughProxy(t *testing.T) {
 		}
 	}
 }
+
+// FuzzArtifactEnvelope feeds arbitrary bodies through the requester's half of
+// /v1/artifact: decodeEnvelope, then admitEnvelope — store.DecodeArtifact and
+// acceptSimRecord. Peer records are spliced into responses as they are
+// stored, so the record check is the whole defence. The properties: nothing
+// panics; a record is stored, and spliced, only if checkSimRecord accepts
+// it, and then in the form checkSimRecord gives it, which splices to
+// encoding/json's bytes for the record as sent; and every artifact accepted
+// re-encodes to its own bytes (EncodeArtifact∘DecodeArtifact = id). The seed
+// corpus in testdata/fuzz/FuzzArtifactEnvelope (a real envelope for the
+// inline dot-product program with and without its record, records that are
+// not objects, need escaping or do not decode as a result, a truncated
+// artifact, a foreign key and garbage) runs under plain go test; explore with
+//
+//	go test -run '^$' -fuzz FuzzArtifactEnvelope -fuzztime 30s ./internal/server/
+func FuzzArtifactEnvelope(f *testing.F) {
+	key, err := KeyFor(&RunRequest{Program: dotProgram()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(Options{Workers: 1})
+	f.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck // nothing in flight
+	f.Fuzz(func(t *testing.T, body []byte) {
+		env, err := decodeEnvelope(bytes.NewReader(body), key)
+		if err != nil {
+			return
+		}
+		s.store, _ = store.Open("") // each input starts from an empty store
+		_, own, err := s.admitEnvelope(env, key)
+		stored, inTier := s.store.Get(store.SimStage, memoKeyFor(key))
+		if err != nil {
+			if inTier || own != nil {
+				t.Fatalf("an artifact that does not decode left a record: %q", env.SimRecord)
+			}
+			return
+		}
+		a, err := store.DecodeArtifact(env.Artifact)
+		if err != nil {
+			t.Fatalf("admitted artifact does not decode again: %v", err)
+		}
+		if again := store.EncodeArtifact(a); !bytes.Equal(again, env.Artifact) {
+			t.Fatalf("an accepted artifact re-encodes to %d other bytes (%d sent)", len(again), len(env.Artifact))
+		}
+		rec, checkErr := checkSimRecord(env.SimRecord)
+		if own == nil {
+			if inTier {
+				t.Fatalf("a refused record was stored: %q", stored)
+			}
+			return
+		}
+		if checkErr != nil {
+			t.Fatalf("a record the check refuses was accepted: %q", env.SimRecord)
+		}
+		if !bytes.Equal(own.record, rec) || !bytes.Equal(stored, rec) {
+			t.Fatalf("record kept as %q and stored as %q, the check's form is %q", own.record, stored, rec)
+		}
+		spliced := &RunResponse{}
+		spliced.setSim(own.record, 0, true, 0)
+		assertWriterMatches(t, "spliced peer record", spliced, &RunResponse{SimCached: true, Result: env.SimRecord})
+	})
+}

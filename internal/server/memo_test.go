@@ -2,12 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -437,43 +437,64 @@ func TestMemoParentRecordNotServed(t *testing.T) {
 	}
 }
 
-// FuzzSimRecord: the record checks never panic on arbitrary bytes, a record
-// a peer's check accepts is one the hit path accepts, and a record the hit
-// path accepts, spliced into a response, yields a response that decodes to
-// the same JSON value. The seed corpus in testdata/fuzz/FuzzSimRecord (a real
-// record, a truncated one, garbage, a record in the earlier plain-data
-// format and one from before sim.Version 3 that still names its engine) runs
-// under plain go test; explore with
+// FuzzSimRecord: the record checks never panic on arbitrary bytes; a record
+// checkSimRecord accepts comes back in the form it keeps (checking it again
+// changes nothing), a peer's record is accepted only if checkSimRecord
+// accepts it, and an accepted record spliced into a response — with no
+// second scan — gives exactly the bytes encoding/json writes for the raw
+// record as a response's result. The seed corpus in
+// testdata/fuzz/FuzzSimRecord (a real record, a truncated one, garbage, a
+// record in the earlier plain-data format and one from before sim.Version 3
+// that still names its engine) runs under plain go test; explore with
 //
 //	go test -run '^$' -fuzz FuzzSimRecord -fuzztime 30s ./internal/server/
 func FuzzSimRecord(f *testing.F) {
+	s := New(Options{Workers: 1})
+	f.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck // nothing in flight
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := decodeSimRecord(data)
-		ok := isSimRecord(data)
-		if err == nil && !ok {
-			t.Fatalf("a peer's record passes the trust check but not the hit path's: %q", data)
-		}
-		if !ok {
+		rec, err := checkSimRecord(data)
+		env := &artifactEnvelope{SimKey: memoKeyFor("k"), SimRecord: data}
+		own := s.acceptSimRecord(env, "k")
+		if err != nil {
+			if own != nil {
+				t.Fatalf("a peer's record the check refuses was accepted: %q", data)
+			}
 			return
 		}
-		w := httptest.NewRecorder()
-		writeJSON(w, http.StatusOK, &RunResponse{Result: data})
-		if w.Code != http.StatusOK {
-			t.Fatalf("splicing an accepted record answered %d: %s", w.Code, w.Body)
+		if again, err := checkSimRecord(rec); err != nil || !bytes.Equal(again, rec) {
+			t.Fatalf("checking an accepted record again gives %q (err %v), want %q", again, err, rec)
 		}
-		var rr RunResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
-			t.Fatalf("the spliced response does not decode: %v\n%s", err, w.Body)
+		if own != nil && !bytes.Equal(own.record, rec) {
+			t.Fatalf("a peer's record is kept as %q, the check's form is %q", own.record, rec)
 		}
-		var got, want any
-		if err := json.Unmarshal(rr.Result, &got); err != nil {
-			t.Fatalf("the spliced result does not decode: %v", err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("splicing changed the record\n got %v\nwant %v", got, want)
-		}
+		spliced := &RunResponse{}
+		spliced.setSim(rec, 0, true, 0)
+		assertWriterMatches(t, "spliced record", spliced, &RunResponse{SimCached: true, Result: data})
 	})
+}
+
+// TestHitHoldsNoWorker: with the one worker held and no waiting room, a
+// request whose design is in the LRU and whose record is in memory still
+// answers, from the handler goroutine, while one that would have to compute
+// is shed with 429.
+func TestHitHoldsNoWorker(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: -1})
+	hot := RunRequest{Workload: "bs", Par: 4, Scale: 16}
+	mustRun(t, ts, hot)
+	release := make(chan struct{})
+	s.jobGate = func() { <-release }
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		postRun(t, ts, "/v1/run", RunRequest{Workload: "gda", Par: 4, Scale: 16})
+	}()
+	waitFor(t, "the worker held", func() bool { return s.pool.Active() == 1 })
+	if rr := mustRun(t, ts, hot); !rr.CacheHit || !rr.SimCached {
+		t.Errorf("hit: cache_hit %v, sim_cached %v, want both", rr.CacheHit, rr.SimCached)
+	}
+	if resp, body := postRun(t, ts, "/v1/run", RunRequest{Workload: "bs", Par: 8, Scale: 16}); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("a miss with the worker held answered %d, want 429: %s", resp.StatusCode, body)
+	}
+	close(release)
+	<-held
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -171,6 +172,7 @@ func New(opts Options) *Server {
 		// Memory-only fallback: Open("") cannot fail.
 		s.store, _ = store.Open("")
 	}
+	s.store.SetLoadCheck(store.SimStage, checkSimRecord)
 	warmed := s.warmCache()
 	if len(opts.Peers) > 0 && opts.SelfURL != "" {
 		s.cluster = newCluster(opts, s.metrics)
@@ -228,7 +230,7 @@ func (s *Server) warmCache() int {
 		if err != nil {
 			continue
 		}
-		s.cache.Seed(key, compiledFromArtifact(a))
+		s.cache.Seed(key, newDesign(key, compiledFromArtifact(a)))
 		warmed++
 	}
 	return warmed
@@ -508,6 +510,24 @@ type RunResponse struct {
 	// Profile is the analyzed timeline profile, present when the request set
 	// profile: true.
 	Profile *profile.ReportJSON `json:"profile,omitempty"`
+
+	// wire is the compile half encoded when the design entered the LRU (see
+	// design); nil on a response built by hand, which the writer encodes in
+	// full. resultChecked marks a Result that came through a record entry
+	// point and is spliced without a second scan.
+	wire          *compileWire
+	resultChecked bool
+}
+
+// setSim fills the simulation members: record is a checked record (see
+// checkSimRecord), cycles what it simulated when an engine ran for this
+// request, wall the simulation time of this request.
+func (r *RunResponse) setSim(record []byte, cycles int64, cached bool, wall time.Duration) {
+	r.Result, r.resultChecked = record, true
+	r.SimCached, r.SimMS = cached, msOf(wall)
+	if sec := wall.Seconds(); !cached && sec > 0 {
+		r.SimCyclesPerSec = float64(cycles) / sec
+	}
 }
 
 type errorJSON struct {
@@ -637,9 +657,11 @@ var responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // envelope) from pinning its buffer in the pool.
 const maxPooledBuf = 256 << 10
 
-// writeJSON answers v as compact JSON. It encodes before it commits a status,
-// so a value that does not encode (an invalid raw result) answers 500 with a
-// JSON error instead of a 200 with an empty body.
+// writeJSON answers v as compact JSON with its Content-Length. It encodes
+// before it commits a status, so a value that does not encode (an invalid raw
+// result) answers 500 with a JSON error instead of a 200 with an empty body.
+// A *RunResponse goes through appendRunResponse, everything else through
+// encoding/json; the bytes are the same either way.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := responseBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -648,12 +670,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 			responseBufs.Put(buf)
 		}
 	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	var err error
+	if r, ok := v.(*RunResponse); ok {
+		var b []byte
+		if b, err = appendRunResponse(buf.AvailableBuffer(), r); err == nil {
+			buf.Write(append(b, '\n')) //nolint:errcheck // a bytes.Buffer write cannot fail
+		}
+	} else {
+		err = json.NewEncoder(buf).Encode(v)
+	}
+	if err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		json.NewEncoder(buf).Encode(errorJSON{Error: "encoding response: " + err.Error()}) //nolint:errcheck // a string always encodes
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes()) //nolint:errcheck // client went away; nothing to do
 }
@@ -690,8 +723,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.serve(w, r, false)
 }
 
-// serve is the shared run/compile path: decode, hash, schedule on the pool,
-// and wait for the job or the request deadline.
+// serve is the shared run/compile path: decode, hash, answer from memory
+// when both halves are there, else schedule on the pool and wait for the job
+// or the request deadline.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -715,6 +749,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	var resident *design
+	if simulate && memoEligible(req) {
+		var resp *RunResponse
+		if resp, resident = s.answerFromMemory(key); resp != nil {
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+	}
 
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 && time.Duration(req.TimeoutMS)*time.Millisecond < timeout {
@@ -733,7 +775,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 		if s.jobGate != nil {
 			s.jobGate()
 		}
-		resp, status, err := s.execute(ctx, req, spec, key, simulate)
+		resp, status, err := s.execute(ctx, req, spec, key, simulate, resident)
 		done <- outcome{resp, status, err}
 	}
 	if err := s.pool.Submit(job); err != nil {
@@ -770,51 +812,60 @@ func specFor(req *RunRequest) (*arch.Spec, error) {
 	return aj.Spec()
 }
 
+// answerFromMemory answers a memo-eligible /v1/run whose design is in the
+// LRU and whose record is in the store's memory tier, in the handler
+// goroutine: it compiles nothing, reads no disk, proxies nothing and
+// simulates nothing, so it holds no worker. Otherwise resp is nil, and d is
+// the LRU's design, if it had one, for the pooled job to simulate without
+// looking it up again.
+func (s *Server) answerFromMemory(key string) (resp *RunResponse, d *design) {
+	t0 := time.Now()
+	if d = s.cache.Get(key); d == nil {
+		return nil, nil
+	}
+	resp = s.newResponse(d, true, compileVia{}, time.Since(t0))
+	t1 := time.Now()
+	record, ok := s.store.Cached(store.SimStage, memoKeyFor(key))
+	if !ok {
+		return nil, d
+	}
+	s.metrics.Add("sarad_cache_hits_total", 1)
+	s.metrics.Add("sarad_sim_memo_hits_total", 1)
+	s.metrics.Add("sarad_sim_requests_total", 1)
+	resp.setSim(record, 0, true, time.Since(t1))
+	return resp, d
+}
+
 // execute runs inside a pool worker: compile via the content-addressed
-// cache, then simulate.
-func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, simulate bool) (*RunResponse, int, error) {
+// cache — unless the handler already found the design there, resident —
+// then simulate.
+func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, simulate bool, resident *design) (*RunResponse, int, error) {
 	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
 	t0 := time.Now()
-	ask := proxyDesign
-	if simulate && memoEligible(req) {
-		ask = proxyDesignAndSim
-	}
-	compiled, hit, via, err := s.compileForRequest(ctx, req, spec, key, ask)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
+	d, hit, via := resident, true, compileVia{}
+	if d == nil {
+		ask := proxyDesign
+		if simulate && memoEligible(req) {
+			ask = proxyDesignAndSim
+		}
+		var err error
+		if d, hit, via, err = s.compileForRequest(ctx, req, spec, key, ask); err != nil {
+			return nil, http.StatusUnprocessableEntity, err
+		}
 	}
 	compileWall := time.Since(t0)
-	if via.sim != nil {
-		// The proxy round trip waited out the owner's simulation too.
-		compileWall = max(0, compileWall-via.sim.wall)
-	}
 	if hit {
 		s.metrics.Add("sarad_cache_hits_total", 1)
 	} else {
 		s.metrics.Add("sarad_cache_misses_total", 1)
 	}
-
-	resp := &RunResponse{
-		Program:    compiled.Prog.Name,
-		Arch:       spec.Name,
-		CacheKey:   key,
-		CacheHit:   hit,
-		Proxied:    via.proxyOwner != "",
-		ProxyOwner: via.proxyOwner,
-		StoreHit:   via.storeHit,
-		CompileMS:  msOf(compileWall),
-		Resources:  resourcesJSON(compiled.Resources()),
+	if via.sim != nil {
+		// The proxy round trip waited out the owner's simulation too.
+		compileWall = max(0, compileWall-via.sim.wall)
 	}
-	resp.PhaseMS = map[string]float64{}
-	for phase, d := range compiled.PhaseTimes {
-		resp.PhaseMS[phase] = msOf(d)
-	}
-	resp.MIPNodesExplored = compiled.MIPNodes()
-	resp.StageCache = compiled.StageHits
-	storeStats := s.store.Stats()
-	resp.Store = &storeStats
+	resp := s.newResponse(d, hit, via, compileWall)
 	if !simulate {
 		return resp, http.StatusOK, nil
 	}
@@ -822,10 +873,23 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
-	if err := s.simulate(req, compiled, key, via.sim, resp); err != nil {
+	if err := s.simulate(req, d.c, key, via.sim, resp); err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	return resp, http.StatusOK, nil
+}
+
+// newResponse starts the answer naming d: its compile half, this request's
+// compile flags and time, and a store snapshot.
+func (s *Server) newResponse(d *design, hit bool, via compileVia, compileWall time.Duration) *RunResponse {
+	resp := new(RunResponse)
+	*resp = d.resp
+	resp.CacheHit, resp.StoreHit = hit, via.storeHit
+	resp.Proxied, resp.ProxyOwner = via.proxyOwner != "", via.proxyOwner
+	resp.CompileMS = msOf(compileWall)
+	st := s.store.Stats()
+	resp.Store = &st
+	return resp
 }
 
 // msOf is a duration in the wire's milliseconds (microsecond resolution).
@@ -849,8 +913,8 @@ const simMaxCycles = 0
 // memo. Three requests run their engine directly because the premise does not
 // hold for them: a profiled run (the recording is the point and is not
 // stored), the analytic model (microseconds — a lookup saves nothing) and a
-// solver compile (until the solver's gap search is node-capped, ROADMAP 3a, a
-// solver request's key does not determine its design).
+// solver compile (until the solver's search is bounded by a counted budget,
+// ROADMAP item 13, a solver request's key does not determine its design).
 func memoEligible(req *RunRequest) bool {
 	return !req.Profile && req.Engine != "analytic" && (req.Options == nil || !req.Options.Solver)
 }
@@ -873,24 +937,16 @@ func memoKeyFor(key string) string {
 // encodeResult is the one encoder of a response's result member: the compact
 // encoding/json bytes of r's sim.ResultJSON, with spec's clock. The result
 // memo stores exactly these bytes as its record, so a hit answers them
-// without decoding or encoding anything.
+// without decoding or encoding anything. They are json.Marshal's, so already
+// in the form checkSimRecord gives a record: this entry point needs no check.
 func encodeResult(r *sim.Result, spec *arch.Spec) (json.RawMessage, error) {
 	return json.Marshal(r.JSON(spec))
 }
 
-// isSimRecord is the check a local memo hit makes before it splices a record
-// into a response: the bytes are one JSON object. Anything else is simulated
-// again and overwritten.
-func isSimRecord(data []byte) bool {
-	return len(data) > 0 && data[0] == '{' && json.Valid(data)
-}
-
-// decodeSimRecord reads a record a cluster owner shipped: acceptSimRecord's
-// trust check, and the cycle count behind sim_cycles_per_sec.
+// decodeSimRecord is the second half of a peer record's check (the first is
+// checkSimRecord): the record decodes as a sim.ResultJSON, whose cycle count
+// is the one behind sim_cycles_per_sec.
 func decodeSimRecord(data []byte) (*sim.ResultJSON, error) {
-	if !isSimRecord(data) {
-		return nil, errors.New("sim record is not a JSON object")
-	}
 	r := &sim.ResultJSON{}
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, err
@@ -906,17 +962,18 @@ func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, key string, 
 	var (
 		record json.RawMessage
 		cycles int64
+		cached bool
 		rec    *profile.Recording
 		err    error
 	)
 	switch {
 	case owner != nil:
-		record, cycles, resp.SimCached = owner.record, owner.cycles, !owner.ran
+		record, cycles, cached = owner.record, owner.cycles, !owner.ran
 	case memoEligible(req):
 		// Memoised runs count themselves, on the node they ran on.
 		var ans simAnswer
 		ans, err = s.simulateMemo(compiled, memoKeyFor(key), nil)
-		record, cycles, resp.SimCached = ans.record, ans.cycles, !ans.ran
+		record, cycles, cached = ans.record, ans.cycles, !ans.ran
 	default:
 		design := compiled.Design()
 		var result *sim.Result
@@ -942,10 +999,7 @@ func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, key string, 
 		simWall = owner.wall
 	}
 	s.metrics.Add("sarad_sim_requests_total", 1)
-	resp.SimMS, resp.Result = msOf(simWall), record
-	if sec := simWall.Seconds(); !resp.SimCached && sec > 0 {
-		resp.SimCyclesPerSec = float64(cycles) / sec
-	}
+	resp.setSim(record, cycles, cached, simWall)
 	if rec != nil {
 		rep := profile.Analyze(rec)
 		// Refined attribution (upstream vs network vs DRAM, token vs credit)
@@ -1004,10 +1058,11 @@ var errSimBudget = errors.New("simulation still running past the wait budget")
 // deadline, when non-nil, bounds the wait, past which the caller gets
 // errSimBudget while the run still finishes into the memo (the owner side of
 // /v1/artifact uses it). Errors are never stored — a deadlocking design
-// deadlocks every time. A hit splices the record as it is: it checks only that
-// the bytes are a JSON object (isSimRecord), and anything else is simulated
-// afresh and overwritten. Hits count asks answered without starting an
-// engine.
+// deadlocks every time. A hit splices the record as it is: every record in
+// the memory tier was checked where it entered the process (checkSimRecord,
+// the sim stage's load check on a disk read), and a disk record that fails
+// the check reads as a miss, is simulated afresh and overwritten. Hits count
+// asks answered without starting an engine.
 func (s *Server) simulateMemo(c *core.Compiled, memoKey string, deadline <-chan time.Time) (simAnswer, error) {
 	// The flight table and the record are read under one lock, and a run Puts
 	// its record before it leaves the table: an ask sees one or the other.
@@ -1016,12 +1071,8 @@ func (s *Server) simulateMemo(c *core.Compiled, memoKey string, deadline <-chan 
 	if !joined {
 		if data, ok := s.store.Get(store.SimStage, memoKey); ok {
 			s.simMu.Unlock()
-			if isSimRecord(data) {
-				s.metrics.Add("sarad_sim_memo_hits_total", 1)
-				return simAnswer{record: data}, nil
-			}
-			s.simMu.Lock()
-			f, joined = s.simFlights[memoKey]
+			s.metrics.Add("sarad_sim_memo_hits_total", 1)
+			return simAnswer{record: data}, nil
 		}
 		if !joined {
 			f = &simFlight{done: make(chan struct{})}
@@ -1127,19 +1178,19 @@ const (
 // cluster-wide too. Any proxy failure (dead peer, timeout after one retry,
 // saturation, decode error) falls back to compiling locally, i.e. standalone
 // sarad behavior.
-func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, ask proxyAsk) (*core.Compiled, bool, compileVia, error) {
+func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, ask proxyAsk) (*design, bool, compileVia, error) {
 	var via compileVia
-	compiled, hit, err := s.cache.GetOrCompile(key, func() (*core.Compiled, error) {
+	d, hit, err := s.cache.GetOrCompile(key, func() (*design, error) {
 		if c, ok := s.compiledFromStore(key); ok {
 			via.storeHit = true
 			s.metrics.Add("sarad_store_final_serves_total", 1)
-			return c, nil
+			return newDesign(key, c), nil
 		}
 		if ask != proxyNone && s.cluster != nil {
 			if owner, local := s.cluster.route(key); !local {
 				if c, owned, ok := s.proxyCompile(ctx, owner, key, req, ask == proxyDesignAndSim); ok {
 					via.proxyOwner, via.sim = owner, owned
-					return c, nil
+					return newDesign(key, c), nil
 				}
 				s.metrics.Add("sarad_proxy_fallback_local_total", 1)
 			}
@@ -1163,9 +1214,9 @@ func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *a
 			s.metrics.Observe("sarad_compile_phase_seconds_"+phase, d.Seconds())
 		}
 		s.metrics.Add("sarad_mip_nodes_explored_total", int64(c.MIPNodes()))
-		return c, nil
+		return newDesign(key, c), nil
 	})
-	return compiled, hit, via, err
+	return d, hit, via, err
 }
 
 // proxyCompile fetches key's artifact from its cluster owner. On success
@@ -1180,37 +1231,53 @@ func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRe
 	if err != nil {
 		return nil, nil, false
 	}
-	a, err := store.DecodeArtifact(env.Artifact)
+	c, own, err := s.admitEnvelope(env, key)
 	if err != nil {
 		s.metrics.Add("sarad_proxy_decode_errors_total", 1)
 		return nil, nil, false
 	}
+	return c, own, true
+}
+
+// admitEnvelope takes in an owner's envelope for key: the artifact decodes
+// and is persisted into this node's final tier, and its record goes through
+// acceptSimRecord. An artifact that does not decode is refused whole.
+func (s *Server) admitEnvelope(env *artifactEnvelope, key string) (*core.Compiled, *ownerSim, error) {
+	a, err := store.DecodeArtifact(env.Artifact)
+	if err != nil {
+		return nil, nil, err
+	}
 	s.store.Put(store.FinalStage, key, env.Artifact)
 	c := compiledFromArtifact(a)
 	c.StageHits = env.StageCache
-	return c, s.acceptSimRecord(env, key), true
+	return c, s.acceptSimRecord(env, key), nil
 }
 
 // acceptSimRecord stores the owner's simulation record in this node's sim
 // tier and returns it — only when it is the record this node would have
 // stored itself: the memo key recomputed here (compile key, record format,
-// sim.Version, cycle cap) equals the owner's and the bytes decode as a
-// sim.ResultJSON (decodeSimRecord). Anything else is
-// dropped and counted, and the request simulates locally as if the owner had
-// sent no record.
+// sim.Version, cycle cap) equals the owner's, and the bytes pass
+// checkSimRecord and decode as a sim.ResultJSON (decodeSimRecord). What is
+// stored and spliced from then on is checkSimRecord's form of the bytes.
+// Anything else is dropped and counted, and the request simulates locally as
+// if the owner had sent no record.
 func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
 	if env.SimKey == "" {
 		return nil
 	}
 	memoKey := memoKeyFor(key)
-	result, err := decodeSimRecord(env.SimRecord)
+	record, err := checkSimRecord(env.SimRecord)
+	var result *sim.ResultJSON
+	if err == nil {
+		result, err = decodeSimRecord(record)
+	}
 	if env.SimKey != memoKey || err != nil {
 		s.metrics.Add("sarad_proxy_sim_records_rejected_total", 1)
 		return nil
 	}
-	s.store.Put(store.SimStage, memoKey, env.SimRecord)
+	s.store.Put(store.SimStage, memoKey, record)
 	s.metrics.Add("sarad_proxy_sim_records_total", 1)
-	return &ownerSim{record: env.SimRecord, cycles: result.Cycles, ran: env.SimRan, wall: env.SimNS}
+	return &ownerSim{record: record, cycles: result.Cycles, ran: env.SimRan, wall: env.SimNS}
 }
 
 // handleArtifact is the owner side of the cluster proxy protocol: compile
@@ -1268,11 +1335,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if s.jobGate != nil {
 		s.jobGate()
 	}
-	c, hit, _, err := s.compileForRequest(ctx, req, spec, key, proxyNone)
+	d, hit, _, err := s.compileForRequest(ctx, req, spec, key, proxyNone)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	c := d.c
 	env := &artifactEnvelope{Key: key, CacheHit: hit, StageCache: c.StageHits}
 	if r.Header.Get(simHeader) != "" && memoEligible(req) {
 		s.attachSimRecord(env, c, key, arrived.Add(s.opts.ProxyTimeout/2))

@@ -164,8 +164,11 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 				if err != nil {
 					return nil, err
 				}
-				c, _, _, err := s.compileForRequest(ctx, dreq, cfg.Spec, key, proxyDesign)
-				return c, err
+				d, _, _, err := s.compileForRequest(ctx, dreq, cfg.Spec, key, proxyDesign)
+				if err != nil {
+					return nil, err
+				}
+				return d.c, nil
 			},
 		})
 		s.metrics.Observe("sarad_tune_seconds", time.Since(t0).Seconds())

@@ -64,6 +64,9 @@ type Store struct {
 	solver map[string]*partition.Result
 	basis  map[string]lp.Basis
 
+	// checks holds each stage's load check (SetLoadCheck).
+	checks map[string]func([]byte) ([]byte, error)
+
 	stages      map[string]*StageStats
 	solverHits  int64
 	solverMiss  int64
@@ -83,6 +86,7 @@ func Open(dir string) (*Store, error) {
 		solver: map[string]*partition.Result{},
 		basis:  map[string]lp.Basis{},
 		stages: map[string]*StageStats{},
+		checks: map[string]func([]byte) ([]byte, error){},
 	}
 	if dir == "" {
 		return s, nil
@@ -154,6 +158,17 @@ func (s *Store) diskPath(stage, key string) string {
 	return filepath.Join(s.dir, stage, key+".bin")
 }
 
+// SetLoadCheck makes check the gate of every entry of stage read from disk:
+// Get remembers and returns the bytes check returns — a normalised copy, or
+// the input — and an entry it refuses is deleted and answered as a miss, so
+// the caller recomputes and Puts it afresh. Bytes Put in this process are the
+// caller's and are not checked again. Call it before the store is shared.
+func (s *Store) SetLoadCheck(stage string, check func([]byte) ([]byte, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.checks[stage] = check
+}
+
 // Get returns the bytes stored under (stage, key) and whether they were
 // found, updating the stage's hit/miss counters.
 func (s *Store) Get(stage, key string) ([]byte, bool) {
@@ -166,7 +181,7 @@ func (s *Store) Get(stage, key string) ([]byte, bool) {
 		return b, true
 	}
 	if s.dir != "" {
-		if b, err := os.ReadFile(s.diskPath(stage, key)); err == nil {
+		if b, ok := s.load(stage, key); ok {
 			s.remember(stage, key, b)
 			st.Hits++
 			st.BytesRead += int64(len(b))
@@ -174,6 +189,43 @@ func (s *Store) Get(stage, key string) ([]byte, bool) {
 		}
 	}
 	st.Misses++
+	return nil, false
+}
+
+// Cached is Get confined to the memory tier: it never reads disk, and an
+// absent entry counts nothing, so a caller that falls back to Get counts one
+// miss, not two.
+func (s *Store) Cached(stage, key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.mem[memKey(stage, key)]
+	if ok {
+		st := s.stat(stage)
+		st.Hits++
+		st.BytesRead += int64(len(b))
+	}
+	return b, ok
+}
+
+// load reads (stage, key) from disk through the stage's load check. A file
+// the check refuses is removed. Caller holds s.mu.
+func (s *Store) load(stage, key string) ([]byte, bool) {
+	path := s.diskPath(stage, key)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	check := s.checks[stage]
+	if check == nil {
+		return b, true
+	}
+	if nb, err := check(b); err == nil {
+		return nb, true
+	}
+	if os.Remove(path) == nil {
+		s.diskEntries--
+		s.diskBytes -= int64(len(b))
+	}
 	return nil, false
 }
 

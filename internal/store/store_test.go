@@ -280,3 +280,59 @@ func TestSolverCacheRoundTrip(t *testing.T) {
 		t.Error("LookupResult returns aliased memory")
 	}
 }
+
+// TestLoadCheck: a stage's load check gates its disk reads. A file the check
+// accepts is remembered and answered in the form the check returns; a file it
+// refuses is deleted, read as a miss and written afresh by the next Put, with
+// the footprint gauges kept exact. Cached answers the memory tier only and
+// counts nothing for an absent entry.
+func TestLoadCheck(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(store.SimStage, "good", []byte(" ok "))
+	s.Put(store.SimStage, "bad", []byte("bad"))
+	trim := func(b []byte) ([]byte, error) {
+		if !bytes.HasPrefix(bytes.TrimSpace(b), []byte("ok")) {
+			return nil, os.ErrInvalid
+		}
+		return bytes.TrimSpace(b), nil
+	}
+
+	s2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.SetLoadCheck(store.SimStage, trim)
+	if b, ok := s2.Cached(store.SimStage, "good"); ok {
+		t.Fatalf("Cached read disk: %q", b)
+	}
+	if st := s2.Stats().Stages[store.SimStage]; st != (store.StageStats{}) {
+		t.Errorf("an absent Cached entry counted %+v", st)
+	}
+	if b, ok := s2.Get(store.SimStage, "good"); !ok || string(b) != "ok" {
+		t.Errorf("Get of an accepted file: %q, %v; want the check's form", b, ok)
+	}
+	if b, ok := s2.Cached(store.SimStage, "good"); !ok || string(b) != "ok" {
+		t.Errorf("Cached after the load: %q, %v", b, ok)
+	}
+	if b, ok := s2.Get(store.SimStage, "bad"); ok {
+		t.Errorf("Get of a refused file answered %q", b)
+	}
+	path := filepath.Join(dir, store.SimStage, "bad.bin")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the refused file is still there (err %v)", err)
+	}
+	s2.Put(store.SimStage, "bad", []byte("ok again"))
+	if b, _ := os.ReadFile(path); string(b) != "ok again" {
+		t.Errorf("the refused record was not written again: %q", b)
+	}
+	if st := s2.Stats(); st.DiskEntries != 2 || st.DiskBytes != int64(len(" ok ")+len("ok again")) {
+		t.Errorf("footprint: %d entries, %d bytes", st.DiskEntries, st.DiskBytes)
+	}
+	if st := s2.Stats().Stages[store.SimStage]; st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("sim stage counters %+v, want 2 hits and 1 miss", st)
+	}
+}
