@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/arch/
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMExact$$' -fuzztime $(FUZZTIME) ./internal/dram/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 bench:
 	$(GO) run ./cmd/sarabench -o BENCH_sim.json -compile-o BENCH_compile.json \

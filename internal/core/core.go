@@ -89,81 +89,89 @@ func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	c := &Compiled{Prog: prog, Spec: cfg.Spec, PhaseTimes: map[string]time.Duration{}}
+	steps := c.steps(prog, &cfg)
 	if cfg.Memo != nil {
 		pc := &progCtx{
 			prog:        prog,
 			digestPar:   store.ProgramDigest(prog, true),
 			digestNoPar: store.ProgramDigest(prog, false),
 		}
-		if err := compileIncremental(pc, cfg, c); err != nil {
+		if err := compileIncremental(pc, &cfg, steps, c); err != nil {
 			return nil, err
 		}
 		return c, nil
 	}
-	phase := func(name string, f func() error) error {
-		t0 := time.Now()
-		err := f()
-		c.PhaseTimes[name] = time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", name, err)
-		}
-		return nil
-	}
-
-	if err := phase("consistency", func() error {
-		c.Plan = consistency.Analyze(prog, cfg.Consistency)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("lower", func() error {
-		var err error
-		c.Lowered, err = lower.Lower(prog, c.Plan, cfg.Spec, lower.Options{})
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("opt-early", func() error {
-		return opt.ApplyEarly(c.Lowered.G, cfg.Opt, &c.OptStats)
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("membank", func() error {
-		var err error
-		c.BankStats, err = membank.Apply(c.Lowered.G, cfg.Spec, cfg.Membank)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("partition", func() error {
-		var err error
-		c.PartStats, err = partition.Apply(c.Lowered.G, cfg.Partition)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("opt-late", func() error {
-		return opt.ApplyLate(c.Lowered.G, cfg.Spec, cfg.Opt, &c.OptStats)
-	}); err != nil {
-		return nil, err
-	}
-	if err := phase("merge", func() error {
-		var err error
-		c.Merged, err = merge.Merge(c.Lowered.G, cfg.Spec, cfg.Merge)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if !cfg.SkipPlace {
-		if err := phase("place", func() error {
-			var err error
-			c.Placement, err = place.Place(c.Lowered.G, c.Merged, cfg.Spec, cfg.Place)
-			return err
-		}); err != nil {
+	for _, st := range steps {
+		if err := c.run(st); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// step is one stage of the compile pipeline: its StageNames entry and the
+// pass it runs on the Compiled being built.
+type step struct {
+	name string
+	run  func() error
+}
+
+// steps lists the pipeline stages of compiling prog under cfg into c, in
+// StageNames order. The cold driver runs them all; the incremental one runs
+// those past the deepest snapshot it restores.
+func (c *Compiled) steps(prog *ir.Program, cfg *Config) []step {
+	steps := []step{
+		{"consistency", func() error {
+			c.Plan = consistency.Analyze(prog, cfg.Consistency)
+			return nil
+		}},
+		{"lower", func() error {
+			var err error
+			c.Lowered, err = lower.Lower(prog, c.Plan, cfg.Spec, lower.Options{})
+			return err
+		}},
+		{"opt-early", func() error {
+			return opt.ApplyEarly(c.Lowered.G, cfg.Opt, &c.OptStats)
+		}},
+		{"membank", func() error {
+			var err error
+			c.BankStats, err = membank.Apply(c.Lowered.G, cfg.Spec, cfg.Membank)
+			return err
+		}},
+		{"partition", func() error {
+			var err error
+			c.PartStats, err = partition.Apply(c.Lowered.G, cfg.Partition)
+			return err
+		}},
+		{"opt-late", func() error {
+			return opt.ApplyLate(c.Lowered.G, cfg.Spec, cfg.Opt, &c.OptStats)
+		}},
+		{"merge", func() error {
+			var err error
+			c.Merged, err = merge.Merge(c.Lowered.G, cfg.Spec, cfg.Merge)
+			return err
+		}},
+	}
+	if !cfg.SkipPlace {
+		steps = append(steps, step{"place", func() error {
+			var err error
+			c.Placement, err = place.Place(c.Lowered.G, c.Merged, cfg.Spec, cfg.Place)
+			return err
+		}})
+	}
+	return steps
+}
+
+// run executes st, records its wall time in PhaseTimes — failed or not — and
+// names the stage in its error.
+func (c *Compiled) run(st step) error {
+	t0 := time.Now()
+	err := st.run()
+	c.PhaseTimes[st.name] = time.Since(t0)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", st.name, err)
+	}
+	return nil
 }
 
 // Design returns the simulator input for the compiled program.

@@ -1,18 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"sara/internal/arch"
-	"sara/internal/consistency"
 	"sara/internal/ir"
-	"sara/internal/lower"
-	"sara/internal/membank"
-	"sara/internal/merge"
-	"sara/internal/opt"
-	"sara/internal/partition"
-	"sara/internal/place"
 	"sara/internal/store"
 )
 
@@ -157,12 +149,28 @@ func (c *Compiled) applySnapshot(s *store.Snapshot) {
 	c.Placement = s.Placement
 }
 
+// Artifact is c's final-artifact form: what the design store persists under
+// a request's content address and what a cluster owner ships to a peer.
+func (c *Compiled) Artifact() *store.Artifact {
+	return &store.Artifact{Prog: c.Prog, Spec: c.Spec, State: c.snapshot(), PhaseTimes: c.PhaseTimes}
+}
+
+// FromArtifact rehydrates a decoded final artifact. The codec round-trip is
+// bit-exact (see internal/store), so a design restored here simulates
+// cycle-for-cycle like the compile that produced it.
+func FromArtifact(a *store.Artifact) *Compiled {
+	c := &Compiled{Prog: a.Prog, Spec: a.Spec, PhaseTimes: a.PhaseTimes}
+	c.applySnapshot(a.State)
+	return c
+}
+
 // compileIncremental is the memoized pipeline driver: it derives every
 // stage's content key, restores the deepest snapshot the store holds, and
-// runs only the stages past it, persisting a snapshot after each one. Output
-// is bit-identical to the cold driver — the equivalence suite in
-// incremental_test.go holds it to that across every workload family.
-func compileIncremental(prog *progCtx, cfg Config, c *Compiled) error {
+// runs only the steps past it, persisting a snapshot after each one. cfg is
+// the Config steps read. Output is bit-identical to the cold driver — the
+// equivalence suite in incremental_test.go holds it to that across every
+// workload family.
+func compileIncremental(prog *progCtx, cfg *Config, steps []step, c *Compiled) error {
 	memo := cfg.Memo
 	// Thread the solver-instance memo into the passes that solve instances;
 	// it fires even when a stage itself must re-run (e.g. partition after a
@@ -170,52 +178,7 @@ func compileIncremental(prog *progCtx, cfg Config, c *Compiled) error {
 	cfg.Partition.Cache = memo
 	cfg.Merge.Cache = memo
 
-	keys := stageKeys(prog.digestPar, prog.digestNoPar, &cfg)
-
-	type step struct {
-		name string
-		run  func() error
-	}
-	steps := []step{
-		{"consistency", func() error {
-			c.Plan = consistency.Analyze(prog.prog, cfg.Consistency)
-			return nil
-		}},
-		{"lower", func() error {
-			var err error
-			c.Lowered, err = lower.Lower(prog.prog, c.Plan, cfg.Spec, lower.Options{})
-			return err
-		}},
-		{"opt-early", func() error {
-			return opt.ApplyEarly(c.Lowered.G, cfg.Opt, &c.OptStats)
-		}},
-		{"membank", func() error {
-			var err error
-			c.BankStats, err = membank.Apply(c.Lowered.G, cfg.Spec, cfg.Membank)
-			return err
-		}},
-		{"partition", func() error {
-			var err error
-			c.PartStats, err = partition.Apply(c.Lowered.G, cfg.Partition)
-			return err
-		}},
-		{"opt-late", func() error {
-			return opt.ApplyLate(c.Lowered.G, cfg.Spec, cfg.Opt, &c.OptStats)
-		}},
-		{"merge", func() error {
-			var err error
-			c.Merged, err = merge.Merge(c.Lowered.G, cfg.Spec, cfg.Merge)
-			return err
-		}},
-	}
-	if !cfg.SkipPlace {
-		steps = append(steps, step{"place", func() error {
-			var err error
-			c.Placement, err = place.Place(c.Lowered.G, c.Merged, cfg.Spec, cfg.Place)
-			return err
-		}})
-	}
-
+	keys := stageKeys(prog.digestPar, prog.digestNoPar, cfg)
 	c.StageHits = make(map[string]bool, len(steps))
 
 	// Find the deepest stored snapshot. Each probe records a per-stage
@@ -247,13 +210,9 @@ func compileIncremental(prog *progCtx, cfg Config, c *Compiled) error {
 		c.PhaseTimes["restore"] = time.Since(t0)
 	}
 
-	for i := restored + 1; i < len(steps); i++ {
-		st := steps[i]
-		t := time.Now()
-		err := st.run()
-		c.PhaseTimes[st.name] = time.Since(t)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", st.name, err)
+	for _, st := range steps[restored+1:] {
+		if err := c.run(st); err != nil {
+			return err
 		}
 		c.StageHits[st.name] = false
 		memo.Put(st.name, keys[st.name], store.EncodeSnapshot(c.snapshot()))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sara/internal/arch"
+	"sara/internal/sweep"
 )
 
 // TestFig9aMLPScalesLinearly pins the paper's headline scalability claim:
@@ -263,10 +264,10 @@ func TestFig9bDeterministic(t *testing.T) {
 	}
 }
 
-// TestForEachIndexedLowestError pins the pool's error contract: the failure
+// TestForEachIndexedLowestError pins the sweep pool's error contract: the failure
 // with the lowest index wins, matching what a sequential loop would report.
 func TestForEachIndexedLowestError(t *testing.T) {
-	err := forEachIndexed(64, func(i int) error {
+	err := sweep.ForEachIndexed(64, 0, func(i int) error {
 		if i%7 == 3 {
 			return errAt(i)
 		}
@@ -275,7 +276,7 @@ func TestForEachIndexedLowestError(t *testing.T) {
 	if err == nil || err.Error() != "fail at 3" {
 		t.Errorf("err = %v, want fail at 3", err)
 	}
-	if err := forEachIndexed(16, func(int) error { return nil }); err != nil {
+	if err := sweep.ForEachIndexed(16, 0, func(int) error { return nil }); err != nil {
 		t.Errorf("err = %v, want nil", err)
 	}
 }

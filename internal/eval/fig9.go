@@ -8,6 +8,7 @@ import (
 	"sara/internal/arch"
 	"sara/internal/core"
 	"sara/internal/opt"
+	"sara/internal/sweep"
 	"sara/internal/workloads"
 )
 
@@ -50,7 +51,7 @@ func Fig9a(names []string, pars []int, spec *arch.Spec) (map[string][]ScalePoint
 	// independent compile-and-simulate. Results land in index-addressed slots
 	// and are normalized sequentially below, so output is deterministic.
 	grid := make([]ScalePoint, len(names)*len(pars))
-	err := forEachIndexed(len(grid), func(i int) error {
+	err := sweep.ForEachIndexed(len(grid), 0, func(i int) error {
 		w, par := ws[i/len(pars)], pars[i%len(pars)]
 		c, used, fit, err := compileFit(w, par, spec, cfg)
 		if err != nil {
@@ -158,7 +159,7 @@ func Fig9b(names []string, pars []int, spec *arch.Spec) ([]TradeoffPoint, string
 	// normalize per workload against its first point sequentially.
 	perW := len(pars) * len(optSets)
 	pts := make([]TradeoffPoint, len(names)*perW)
-	err := forEachIndexed(len(pts), func(i int) error {
+	err := sweep.ForEachIndexed(len(pts), 0, func(i int) error {
 		w := ws[i/perW]
 		par := pars[(i%perW)/len(optSets)]
 		os := optSets[i%len(optSets)]

@@ -9,6 +9,7 @@ import (
 	"sara/internal/ir"
 	"sara/internal/pc"
 	"sara/internal/sim"
+	"sara/internal/sweep"
 	"sara/internal/workloads"
 )
 
@@ -86,7 +87,7 @@ func Table5() ([]Table5Row, float64, string, error) {
 	// Each kernel's two compile-and-simulate runs (vanilla PC and SARA) are
 	// independent; fan them across the worker pool into index-addressed rows.
 	out := make([]Table5Row, len(table5Kernels))
-	err := forEachIndexed(len(table5Kernels), func(i int) error {
+	err := sweep.ForEachIndexed(len(table5Kernels), 0, func(i int) error {
 		name := table5Kernels[i]
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -169,6 +170,18 @@ type Table6Row struct {
 // table6Kernels mirrors the paper's GPU comparison set.
 var table6Kernels = []string{"snet", "lstm", "pr", "bs", "sort", "rf", "ms"}
 
+// Table6Design compiles w the way Table6 does: at its default
+// parallelization, lowered until the design fits the 20×20 chip, at scale 1
+// and unplaced. It returns the design and the factor that fit.
+func Table6Design(w *workloads.Workload) (*core.Compiled, int, error) {
+	spec := arch.SARA20x20()
+	cfg := core.DefaultConfig()
+	cfg.Spec = spec
+	cfg.SkipPlace = true
+	c, used, _, err := compileFit(w, w.DefaultPar, spec, cfg)
+	return c, used, err
+}
+
 // Table6 runs the GPU comparison.
 func Table6() ([]Table6Row, float64, string, error) {
 	spec := arch.SARA20x20()
@@ -176,16 +189,13 @@ func Table6() ([]Table6Row, float64, string, error) {
 	// Kernels are independent compile-and-simulate points; fan them across
 	// the worker pool into index-addressed rows.
 	out := make([]Table6Row, len(table6Kernels))
-	err := forEachIndexed(len(table6Kernels), func(i int) error {
+	err := sweep.ForEachIndexed(len(table6Kernels), 0, func(i int) error {
 		name := table6Kernels[i]
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Spec = spec
-		cfg.SkipPlace = true
-		c, used, _, err := compileFit(w, w.DefaultPar, spec, cfg)
+		c, used, err := Table6Design(w)
 		if err != nil {
 			return err
 		}

@@ -11,14 +11,13 @@ import (
 // compiled design. The SARA flow is a deterministic pure function of
 // (program, arch spec, options), so identical requests can safely share one
 // compilation. Entries are evicted least-recently-used beyond a fixed
-// capacity, and concurrent misses on the same key are deduplicated
-// single-flight style: one caller compiles, the rest wait for its result.
+// capacity; concurrent misses on one key share one run through the server's
+// flight table (see flights.design), which publishes here.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	entries  map[string]*list.Element
-	inflight map[string]*flight
 
 	hits, misses, evictions int64
 }
@@ -56,13 +55,6 @@ type cacheEntry struct {
 	d   *design
 }
 
-// flight is one in-progress compilation; waiters block on done.
-type flight struct {
-	done chan struct{}
-	d    *design
-	err  error
-}
-
 // NewCache returns a cache holding up to capacity compiled designs
 // (minimum 1).
 func NewCache(capacity int) *Cache {
@@ -73,74 +65,28 @@ func NewCache(capacity int) *Cache {
 		capacity: capacity,
 		lru:      list.New(),
 		entries:  map[string]*list.Element{},
-		inflight: map[string]*flight{},
 	}
 }
 
-// GetOrCompile returns the design cached under key, compiling it with
-// compile on a miss. The boolean reports a cache hit (including hitting an
-// in-flight compilation started by another caller). Failed compilations are
-// not cached: every waiter of the failing flight receives the error, but the
-// next request retries.
-func (c *Cache) GetOrCompile(key string, compile func() (*design, error)) (*design, bool, error) {
-	c.mu.Lock()
-	if d := c.resident(key); d != nil {
-		c.mu.Unlock()
-		return d, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-f.done
-		return f.d, true, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	f.d, f.err = compile()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.insert(key, f.d)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.d, false, f.err
-}
-
-// Get returns the design resident under key, counted as a hit, or nil — an
-// absent key and one still compiling alike — without counting a miss.
+// Get returns the design resident under key, moved to the front, or nil —
+// an absent key and one still compiling alike. The caller counts the ask.
 func (c *Cache) Get(key string) *design {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.resident(key)
-}
-
-// resident returns the design cached under key, moved to the front and
-// counted as a hit, or nil. Caller holds mu.
-func (c *Cache) resident(key string) *design {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
 	c.lru.MoveToFront(el)
-	c.hits++
 	return el.Value.(*cacheEntry).d
 }
 
-// Seed inserts a pre-built design (a persisted artifact replayed at
-// startup) without touching the hit/miss counters.
+// Seed inserts a design — one the flight table resolved below memory, or a
+// persisted artifact replayed at startup — and evicts beyond capacity,
+// without touching the hit/miss counters.
 func (c *Cache) Seed(key string, d *design) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(key, d)
-}
-
-// insert adds an entry and evicts beyond capacity. Caller holds mu.
-func (c *Cache) insert(key string, d *design) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return
@@ -151,6 +97,18 @@ func (c *Cache) insert(key string, d *design) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		c.evictions++
+	}
+}
+
+// count records an ask for a design: a hit when it found the design resident
+// or joined a run another ask had started, a miss when it started one.
+func (c *Cache) count(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
 	}
 }
 

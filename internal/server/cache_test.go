@@ -10,6 +10,7 @@ import (
 
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache(8)
+	var fl flights
 	var compiles int64
 	const n = 16
 	results := make([]*design, n)
@@ -18,15 +19,15 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, _, err := c.GetOrCompile("k", func() (*design, error) {
+			got, _, err := fl.design(c, "k", func() (resolved, error) {
 				atomic.AddInt64(&compiles, 1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
-				return &design{}, nil
+				return resolved{d: &design{}}, nil
 			})
 			if err != nil {
-				t.Errorf("GetOrCompile: %v", err)
+				t.Errorf("design: %v", err)
 			}
-			results[i] = got
+			results[i] = got.d
 		}(i)
 	}
 	wg.Wait()
@@ -46,16 +47,17 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	compile := func() (*design, error) { return &design{}, nil }
+	var fl flights
+	compile := func() (resolved, error) { return resolved{d: &design{}}, nil }
 	mustMiss := func(key string) {
 		t.Helper()
-		if _, hit, _ := c.GetOrCompile(key, compile); hit {
+		if _, started, _ := fl.design(c, key, compile); !started {
 			t.Fatalf("key %q: want miss, got hit", key)
 		}
 	}
 	mustHit := func(key string) {
 		t.Helper()
-		if _, hit, _ := c.GetOrCompile(key, compile); !hit {
+		if _, started, _ := fl.design(c, key, compile); started {
 			t.Fatalf("key %q: want hit, got miss", key)
 		}
 	}
@@ -72,12 +74,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(2)
+	var fl flights
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompile("k", func() (*design, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := fl.design(c, "k", func() (resolved, error) { return resolved{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	compiled, hit, err := c.GetOrCompile("k", func() (*design, error) { return &design{}, nil })
-	if err != nil || hit || compiled == nil {
+	r, started, err := fl.design(c, "k", func() (resolved, error) { return resolved{d: &design{}}, nil })
+	if compiled, hit := r.d, !started; err != nil || hit || compiled == nil {
 		t.Fatalf("retry after error: compiled=%v hit=%v err=%v, want fresh successful compile", compiled, hit, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -319,7 +320,7 @@ func TestClusterOwnerSimWaitBounded(t *testing.T) {
 	released = true
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := ownerNode.drainSims(ctx); err != nil {
+	if err := ownerNode.flights.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	again := runNode(t, lc.URLs[owner], req)
@@ -365,8 +366,9 @@ func TestClusterUnfinishedDesignThroughProxy(t *testing.T) {
 }
 
 // FuzzArtifactEnvelope feeds arbitrary bodies through the requester's half of
-// /v1/artifact: decodeEnvelope, then admitEnvelope — store.DecodeArtifact and
-// acceptSimRecord. Peer records are spliced into responses as they are
+// /v1/artifact: the owner layer of resolve — fetchArtifact's decodeEnvelope,
+// store.DecodeArtifact and acceptSimRecord — answered by a stand-in owner
+// that sends the body. Peer records are spliced into responses as they are
 // stored, so the record check is the whole defence. The properties: nothing
 // panics; a record is stored, and spliced, only if checkSimRecord accepts
 // it, and then in the form checkSimRecord gives it, which splices to
@@ -379,22 +381,34 @@ func TestClusterUnfinishedDesignThroughProxy(t *testing.T) {
 //
 //	go test -run '^$' -fuzz FuzzArtifactEnvelope -fuzztime 30s ./internal/server/
 func FuzzArtifactEnvelope(f *testing.F) {
-	key, err := KeyFor(&RunRequest{Program: dotProgram()})
+	req := &RunRequest{Program: dotProgram()}
+	key, err := KeyFor(req)
 	if err != nil {
 		f.Fatal(err)
 	}
+	const owner = "http://owner.invalid"
 	s := New(Options{Workers: 1})
 	f.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck // nothing in flight
+	s.cluster = newCluster(Options{Peers: []string{owner}, SelfURL: "http://requester.invalid"}.withDefaults(), s.metrics)
+	var answer []byte
+	s.cluster.client = &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(answer))}, nil
+	})}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		answer = body
+		s.store, _ = store.Open("")                 // each input starts from an empty store
+		s.cluster.byURL[owner].setHealth(true, nil) // and a healthy owner
+		own, ok := s.fromOwner(context.Background(), owner, key, req, true)
+		stored, inTier := s.store.Get(store.SimStage, memoKeyFor(key))
 		env, err := decodeEnvelope(bytes.NewReader(body), key)
 		if err != nil {
+			if ok || inTier {
+				t.Fatalf("an answer that is no envelope for the key was taken in: %q", body)
+			}
 			return
 		}
-		s.store, _ = store.Open("") // each input starts from an empty store
-		_, own, err := s.admitEnvelope(env, key)
-		stored, inTier := s.store.Get(store.SimStage, memoKeyFor(key))
-		if err != nil {
-			if inTier || own != nil {
+		if !ok {
+			if inTier || own.record != nil {
 				t.Fatalf("an artifact that does not decode left a record: %q", env.SimRecord)
 			}
 			return
@@ -407,7 +421,7 @@ func FuzzArtifactEnvelope(f *testing.F) {
 			t.Fatalf("an accepted artifact re-encodes to %d other bytes (%d sent)", len(again), len(env.Artifact))
 		}
 		rec, checkErr := checkSimRecord(env.SimRecord)
-		if own == nil {
+		if own.record == nil {
 			if inTier {
 				t.Fatalf("a refused record was stored: %q", stored)
 			}
@@ -424,3 +438,8 @@ func FuzzArtifactEnvelope(f *testing.F) {
 		assertWriterMatches(t, "spliced peer record", spliced, &RunResponse{SimCached: true, Result: env.SimRecord})
 	})
 }
+
+// roundTripFunc answers HTTP requests without a network.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

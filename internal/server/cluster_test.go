@@ -160,9 +160,9 @@ func TestClusterProxyCompilesOnceBitIdentical(t *testing.T) {
 
 // TestClusterCrossNodeSingleFlight: M concurrent identical requests fanned
 // across every node collapse to exactly one compile and one simulation
-// cluster-wide — local single-flight dedupes each node to at most one proxy
-// call, and the owner's single-flights (compile cache, simulation memo)
-// collapse those across nodes. Run under -race by `make ci`.
+// cluster-wide — each node's flight table dedupes it to at most one proxy
+// call, and the owner's (design and result alike) collapses those across
+// nodes. Run under -race by `make ci`.
 func TestClusterCrossNodeSingleFlight(t *testing.T) {
 	lc := startCluster(t, 3, clusterTestOptions())
 	req, owner := crossNodeRequest(t, lc, 0)

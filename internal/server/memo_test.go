@@ -456,7 +456,7 @@ func FuzzSimRecord(f *testing.F) {
 		env := &artifactEnvelope{SimKey: memoKeyFor("k"), SimRecord: data}
 		own := s.acceptSimRecord(env, "k")
 		if err != nil {
-			if own != nil {
+			if own.record != nil {
 				t.Fatalf("a peer's record the check refuses was accepted: %q", data)
 			}
 			return
@@ -464,7 +464,7 @@ func FuzzSimRecord(f *testing.F) {
 		if again, err := checkSimRecord(rec); err != nil || !bytes.Equal(again, rec) {
 			t.Fatalf("checking an accepted record again gives %q (err %v), want %q", again, err, rec)
 		}
-		if own != nil && !bytes.Equal(own.record, rec) {
+		if own.record != nil && !bytes.Equal(own.record, rec) {
 			t.Fatalf("a peer's record is kept as %q, the check's form is %q", own.record, rec)
 		}
 		spliced := &RunResponse{}

@@ -6,10 +6,12 @@
 //
 // The design leans on the flow being a deterministic pure function of
 // (program, arch, options), §V of the paper: requests are canonicalized and
-// SHA-256 content-addressed, so identical work compiles once (single-flight)
-// and is reused from an LRU cache, and a cycle-level simulation — as pure a
-// function of its design — runs once and is answered from the design store's
-// result memo afterwards, its stored wire result spliced into the response. A
+// SHA-256 content-addressed, and a cycle-level simulation is as pure a
+// function of its design, so a design and its result are two records of one
+// key. resolve finds both through the same layers — memory, the design
+// store, the cluster's ring owner, compute — with one run per key: identical
+// work compiles and simulates once, and a stored result is spliced into the
+// response as it is. A
 // bounded worker pool caps concurrent compilation/simulation at what the host
 // can parallelize and sheds load with 429 + Retry-After once its queue fills. /metrics exposes counters and
 // latency histograms in the Prometheus text format.
@@ -141,10 +143,9 @@ type Server struct {
 	// then runs memory-only); nil otherwise.
 	storeErr error
 
-	// simFlights holds the memoised simulations running now, by memo key, so
-	// concurrent asks for one record share one run (see simulateMemo).
-	simMu      sync.Mutex
-	simFlights map[string]*simFlight
+	// flights holds the designs and results being resolved now, so
+	// concurrent asks for one record share one run (see resolve).
+	flights flights
 
 	// jobGate, when set, runs at the start of every pooled job; tests use it
 	// to hold workers busy deterministically. simGate does the same for every
@@ -163,7 +164,6 @@ func New(opts Options) *Server {
 		metrics:     NewMetrics(),
 		mux:         http.NewServeMux(),
 		artifactSem: make(chan struct{}, opts.Workers+opts.QueueDepth),
-		simFlights:  map[string]*simFlight{},
 	}
 	if opts.StoreDir != "" {
 		s.store, s.storeErr = store.Open(opts.StoreDir)
@@ -222,54 +222,12 @@ func (s *Server) warmCache() int {
 		if warmed >= s.opts.CacheEntries {
 			break
 		}
-		data, ok := s.store.Get(store.FinalStage, key)
-		if !ok {
-			continue
+		if d := s.storedDesign(key); d != nil {
+			s.cache.Seed(key, d)
+			warmed++
 		}
-		a, err := store.DecodeArtifact(data)
-		if err != nil {
-			continue
-		}
-		s.cache.Seed(key, newDesign(key, compiledFromArtifact(a)))
-		warmed++
 	}
 	return warmed
-}
-
-// compiledFromArtifact rehydrates a decoded final artifact into the form
-// the serving path uses. The codec round-trip is bit-exact (see
-// internal/store), so a design restored here simulates cycle-for-cycle like
-// the compile that produced it — the property the cluster's bit-identical
-// proxy responses rest on.
-func compiledFromArtifact(a *store.Artifact) *core.Compiled {
-	return &core.Compiled{
-		Prog:       a.Prog,
-		Spec:       a.Spec,
-		Plan:       a.State.Plan,
-		Lowered:    a.State.Lowered,
-		OptStats:   a.State.OptStats,
-		BankStats:  a.State.BankStats,
-		PartStats:  a.State.PartStats,
-		Merged:     a.State.Merged,
-		Placement:  a.State.Placement,
-		PhaseTimes: a.PhaseTimes,
-	}
-}
-
-// compiledFromStore serves a final artifact persisted under key from the
-// local store tier (a design this node compiled or proxied in a past life),
-// skipping both recompilation and the cluster hop. Undecodable bytes fall
-// through to a fresh compile.
-func (s *Server) compiledFromStore(key string) (*core.Compiled, bool) {
-	data, ok := s.store.Get(store.FinalStage, key)
-	if !ok {
-		return nil, false
-	}
-	a, err := store.DecodeArtifact(data)
-	if err != nil {
-		return nil, false
-	}
-	return compiledFromArtifact(a), true
 }
 
 // registerStoreMetrics exposes the design store's per-stage cache traffic
@@ -312,9 +270,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the registry (for embedding and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close drains in-flight and queued jobs and the simulations they started,
-// waiting up to ctx's deadline. Call after http.Server.Shutdown so no new
-// work arrives while draining.
+// Close drains in-flight and queued jobs and the runs they started, waiting
+// up to ctx's deadline. Call after http.Server.Shutdown so no new work
+// arrives while draining.
 func (s *Server) Close(ctx context.Context) error {
 	if s.cluster != nil {
 		s.cluster.stop()
@@ -322,7 +280,7 @@ func (s *Server) Close(ctx context.Context) error {
 	if err := s.pool.Shutdown(ctx); err != nil {
 		return err
 	}
-	return s.drainSims(ctx)
+	return s.flights.drain(ctx)
 }
 
 // RunRequest is the body of /v1/run and /v1/compile. Exactly one of Workload
@@ -695,24 +653,32 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*RunRequest, bool) {
+// decodeRequest reads r's body as a normalized request and derives its chip
+// spec and content address, answering the error itself when one fails.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *RunRequest, spec *arch.Spec, key string, ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return nil, false
+		return nil, nil, "", false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	req := &RunRequest{}
-	if err := dec.Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return nil, false
+	req = &RunRequest{}
+	err := dec.Decode(req)
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else if err = s.normalize(req); err == nil {
+		spec, err = specFor(req)
 	}
-	if err := s.normalize(req); err != nil {
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, false
+		return nil, nil, "", false
 	}
-	return req, true
+	if key, err = cacheKey(req); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return nil, nil, "", false
+	}
+	return req, spec, key, true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -724,10 +690,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // serve is the shared run/compile path: decode, hash, answer from memory
-// when both halves are there, else schedule on the pool and wait for the job
-// or the request deadline.
+// when both halves are there, else resolve on the pool.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
-	req, ok := s.decodeRequest(w, r)
+	req, spec, key, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
@@ -736,17 +701,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 			writeError(w, http.StatusBadRequest, errors.New("tune requests go to /v1/run: a search validates candidates by simulating them"))
 			return
 		}
-		s.serveTune(w, r, req)
-		return
-	}
-	spec, err := specFor(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := cacheKey(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		s.serveTune(w, r, req, spec)
 		return
 	}
 	var resident *design
@@ -757,34 +712,41 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 			return
 		}
 	}
+	s.runPooled(w, r, req.TimeoutMS, func(ctx context.Context) (any, int, error) {
+		return s.execute(ctx, req, spec, key, simulate, resident)
+	})
+}
 
+// runPooled answers r with job's outcome, run on the worker pool under the
+// request's timeout (timeoutMS, at most the server default). A full pool
+// sheds with 429. Past the deadline the job keeps running (compilation is not
+// preemptible) and still populates the cache and the result memo; only the
+// response gives up, with 504.
+func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, timeoutMS int, job func(context.Context) (any, int, error)) {
 	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 && time.Duration(req.TimeoutMS)*time.Millisecond < timeout {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-
 	type outcome struct {
-		resp   *RunResponse
+		v      any
 		status int
 		err    error
 	}
 	done := make(chan outcome, 1)
-	job := func() {
+	err := s.pool.Submit(func() {
 		if s.jobGate != nil {
 			s.jobGate()
 		}
-		resp, status, err := s.execute(ctx, req, spec, key, simulate, resident)
-		done <- outcome{resp, status, err}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.metrics.Add("sarad_rejected_total", 1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
+		v, status, err := job(ctx)
+		done <- outcome{v, status, err}
+	})
+	switch {
+	case errors.Is(err, ErrSaturated):
+		s.shed(w, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -794,14 +756,18 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 			writeError(w, o.status, o.err)
 			return
 		}
-		writeJSON(w, o.status, o.resp)
+		writeJSON(w, o.status, o.v)
 	case <-ctx.Done():
-		// The job keeps running (compilation is not preemptible) and will
-		// still populate the cache and the result memo; only this response
-		// gives up.
 		s.metrics.Add("sarad_timeouts_total", 1)
 		writeError(w, http.StatusGatewayTimeout, ctx.Err())
 	}
+}
+
+// shed answers 429 with Retry-After: the server is saturated.
+func (s *Server) shed(w http.ResponseWriter, err error) {
+	s.metrics.Add("sarad_rejected_total", 1)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, err)
 }
 
 func specFor(req *RunRequest) (*arch.Spec, error) {
@@ -816,79 +782,88 @@ func specFor(req *RunRequest) (*arch.Spec, error) {
 // LRU and whose record is in the store's memory tier, in the handler
 // goroutine: it compiles nothing, reads no disk, proxies nothing and
 // simulates nothing, so it holds no worker. Otherwise resp is nil, and d is
-// the LRU's design, if it had one, for the pooled job to simulate without
-// looking it up again.
+// the LRU's design, if it had one, for the pooled job to resolve from
+// without looking it up again.
 func (s *Server) answerFromMemory(key string) (resp *RunResponse, d *design) {
 	t0 := time.Now()
 	if d = s.cache.Get(key); d == nil {
 		return nil, nil
 	}
-	resp = s.newResponse(d, true, compileVia{}, time.Since(t0))
+	s.cache.count(true)
+	r := resolved{d: d, compileWall: time.Since(t0)}
+	st := s.store.Stats()
+	r.stats = &st
 	t1 := time.Now()
-	record, ok := s.store.Cached(store.SimStage, memoKeyFor(key))
-	if !ok {
+	var ok bool
+	if r.record, ok = s.store.Cached(store.SimStage, memoKeyFor(key)); !ok {
 		return nil, d
 	}
+	r.simWall = time.Since(t1)
 	s.metrics.Add("sarad_cache_hits_total", 1)
 	s.metrics.Add("sarad_sim_memo_hits_total", 1)
 	s.metrics.Add("sarad_sim_requests_total", 1)
-	resp.setSim(record, 0, true, time.Since(t1))
-	return resp, d
+	return respond(&r), d
 }
 
-// execute runs inside a pool worker: compile via the content-addressed
-// cache — unless the handler already found the design there, resident —
-// then simulate.
+// execute runs inside a pool worker: resolve the design — from resident
+// when the handler already found it in the LRU — and, for a memo-eligible
+// /v1/run, its result; the memo's three bypasses run their engine here.
 func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, simulate bool, resident *design) (*RunResponse, int, error) {
 	if err := jobAbandoned(ctx); err != nil {
 		return nil, http.StatusGatewayTimeout, err
 	}
-	t0 := time.Now()
-	d, hit, via := resident, true, compileVia{}
-	if d == nil {
-		ask := proxyDesign
-		if simulate && memoEligible(req) {
-			ask = proxyDesignAndSim
-		}
-		var err error
-		if d, hit, via, err = s.compileForRequest(ctx, req, spec, key, ask); err != nil {
-			return nil, http.StatusUnprocessableEntity, err
-		}
+	memo := simulate && memoEligible(req)
+	r, err := s.resolve(ctx, req, spec, key, want{result: memo, proxy: true, resident: resident})
+	if r.d == nil {
+		return nil, http.StatusUnprocessableEntity, err
 	}
-	compileWall := time.Since(t0)
-	if hit {
+	if r.design == fromMemory {
 		s.metrics.Add("sarad_cache_hits_total", 1)
 	} else {
 		s.metrics.Add("sarad_cache_misses_total", 1)
 	}
-	if via.sim != nil {
-		// The proxy round trip waited out the owner's simulation too.
-		compileWall = max(0, compileWall-via.sim.wall)
+	var rec *profile.Recording
+	if err == nil && simulate && !memo {
+		if err = jobAbandoned(ctx); err == nil {
+			r.simulated, rec, err = s.runEngine(r.d.c, req.Engine == "analytic", req.Profile)
+		}
 	}
-	resp := s.newResponse(d, hit, via, compileWall)
-	if !simulate {
-		return resp, http.StatusOK, nil
-	}
-
-	if err := jobAbandoned(ctx); err != nil {
+	if errors.Is(err, context.Canceled) {
 		return nil, http.StatusGatewayTimeout, err
-	}
-	if err := s.simulate(req, d.c, key, via.sim, resp); err != nil {
+	} else if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
+	}
+	if simulate {
+		s.metrics.Add("sarad_sim_requests_total", 1)
+	}
+	resp := respond(&r)
+	if rec != nil {
+		rep := profile.Analyze(rec)
+		// Refined attribution (upstream vs network vs DRAM, token vs credit)
+		// exists only on profiled runs, so these counters cover the profiled
+		// subset of the coarse ones runEngine keeps.
+		for cause, n := range rep.StallsByCause {
+			s.metrics.Add("sarad_sim_profiled_stall_cycles_"+metricName(cause)+"_total", n)
+		}
+		s.metrics.Add("sarad_sim_profiled_requests_total", 1)
+		resp.Profile = rep.JSON()
 	}
 	return resp, http.StatusOK, nil
 }
 
-// newResponse starts the answer naming d: its compile half, this request's
-// compile flags and time, and a store snapshot.
-func (s *Server) newResponse(d *design, hit bool, via compileVia, compileWall time.Duration) *RunResponse {
+// respond is the answer naming r's design: its compile half, where this
+// request found it and how long that took, the store as the design half left
+// it, and the result when r has one.
+func respond(r *resolved) *RunResponse {
 	resp := new(RunResponse)
-	*resp = d.resp
-	resp.CacheHit, resp.StoreHit = hit, via.storeHit
-	resp.Proxied, resp.ProxyOwner = via.proxyOwner != "", via.proxyOwner
-	resp.CompileMS = msOf(compileWall)
-	st := s.store.Stats()
-	resp.Store = &st
+	*resp = r.d.resp
+	resp.CacheHit, resp.StoreHit = r.design == fromMemory, r.design == fromStore
+	resp.Proxied, resp.ProxyOwner = r.design == fromOwner, r.owner
+	resp.CompileMS = msOf(r.compileWall)
+	resp.Store = r.stats
+	if r.record != nil {
+		resp.setSim(r.record, r.cycles, !r.ran, r.simWall)
+	}
 	return resp
 }
 
@@ -954,335 +929,44 @@ func decodeSimRecord(data []byte) (*sim.ResultJSON, error) {
 	return r, nil
 }
 
-// simulate is the second half of execute: run req's engine on the compiled
-// design — or take the record the cluster owner answered with for this
-// request, owner — and fill the simulation fields of resp.
-func (s *Server) simulate(req *RunRequest, compiled *core.Compiled, key string, owner *ownerSim, resp *RunResponse) error {
-	t1 := time.Now()
+// runEngine simulates c on the analytic model or the event engine — with
+// the profiler when profiled — and encodes the record. It counts the run on
+// this node: memo hits and records taken from the cluster owner do not come
+// here, so sarad_sim_seconds, sarad_cycles_simulated_total and the stall
+// counters count each run once, on the node that ran it.
+func (s *Server) runEngine(c *core.Compiled, analytic, profiled bool) (simulated, *profile.Recording, error) {
+	t0 := time.Now()
+	d := c.Design()
 	var (
-		record json.RawMessage
-		cycles int64
-		cached bool
+		result *sim.Result
 		rec    *profile.Recording
 		err    error
 	)
 	switch {
-	case owner != nil:
-		record, cycles, cached = owner.record, owner.cycles, !owner.ran
-	case memoEligible(req):
-		// Memoised runs count themselves, on the node they ran on.
-		var ans simAnswer
-		ans, err = s.simulateMemo(compiled, memoKeyFor(key), nil)
-		record, cycles, cached = ans.record, ans.cycles, !ans.ran
+	case analytic:
+		result, err = sim.Analytic(d)
+	case profiled:
+		result, rec, err = sim.CycleProfiled(d, simMaxCycles, sim.EngineEvent)
 	default:
-		design := compiled.Design()
-		var result *sim.Result
-		switch {
-		case req.Engine == "analytic":
-			result, err = sim.Analytic(design)
-		case req.Profile:
-			result, rec, err = sim.CycleProfiled(design, simMaxCycles, sim.EngineEvent)
-		default:
-			result, err = sim.CycleEngine(design, simMaxCycles, sim.EngineEvent)
-		}
-		if err == nil {
-			s.observeSimulation(result, time.Since(t1))
-			cycles = result.Cycles
-			record, err = encodeResult(result, design.Spec)
-		}
+		result, err = sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
 	}
 	if err != nil {
-		return err
+		return simulated{}, nil, err
 	}
-	simWall := time.Since(t1)
-	if owner != nil {
-		simWall = owner.wall
-	}
-	s.metrics.Add("sarad_sim_requests_total", 1)
-	resp.setSim(record, cycles, cached, simWall)
-	if rec != nil {
-		rep := profile.Analyze(rec)
-		// Refined attribution (upstream vs network vs DRAM, token vs credit)
-		// exists only on profiled runs, so these counters cover the profiled
-		// subset of the coarse ones observeSimulation keeps.
-		for cause, n := range rep.StallsByCause {
-			s.metrics.Add("sarad_sim_profiled_stall_cycles_"+metricName(cause)+"_total", n)
-		}
-		s.metrics.Add("sarad_sim_profiled_requests_total", 1)
-		resp.Profile = rep.JSON()
-	}
-	return nil
-}
-
-// observeSimulation counts one simulation this node executed. Memo hits and
-// records taken from the cluster owner do not come here, so
-// sarad_sim_seconds, sarad_cycles_simulated_total and the stall counters count
-// each run once, on the node that ran it.
-func (s *Server) observeSimulation(result *sim.Result, wall time.Duration) {
-	s.metrics.Observe("sarad_sim_seconds", wall.Seconds())
+	s.metrics.Observe("sarad_sim_seconds", time.Since(t0).Seconds())
 	s.metrics.Add("sarad_cycles_simulated_total", result.Cycles)
 	// Per-cause stall counters come from every cycle-level run; a scrape sees
 	// where the fleet's simulated cycles are going, not just how many ran.
 	for cause, n := range result.Stalls {
 		s.metrics.Add("sarad_sim_stall_cycles_"+metricName(cause)+"_total", n)
 	}
+	record, err := encodeResult(result, d.Spec)
+	return simulated{record: record, ran: true, cycles: result.Cycles, simWall: time.Since(t0)}, rec, err
 }
 
-// simFlight is one memoised simulation in progress; asks for its memo key
-// that arrive meanwhile wait on done instead of running the engine again.
-type simFlight struct {
-	done   chan struct{}
-	record []byte // the bytes Put under the memo key; nil on error
-	cycles int64
-	err    error
-}
-
-// simAnswer is simulateMemo's reply: the record (encodeResult's bytes),
-// whether this call started the engine (false on a memo hit and when it
-// joined a run another call had started) and, when it did, the cycles it
-// simulated.
-type simAnswer struct {
-	record []byte
-	cycles int64
-	ran    bool
-}
-
-// errSimBudget: the caller stopped waiting before the shared run finished;
-// the run carries on into the memo.
-var errSimBudget = errors.New("simulation still running past the wait budget")
-
-// simulateMemo answers a cycle-level simulation from the result memo: the
-// record lives in the design store's sim tier under memoKey (memoKeyFor) —
-// memory and disk, outliving LRU eviction and restarts. On a miss one run per
-// memo key executes in its own goroutine and every concurrent ask shares it;
-// deadline, when non-nil, bounds the wait, past which the caller gets
-// errSimBudget while the run still finishes into the memo (the owner side of
-// /v1/artifact uses it). Errors are never stored — a deadlocking design
-// deadlocks every time. A hit splices the record as it is: every record in
-// the memory tier was checked where it entered the process (checkSimRecord,
-// the sim stage's load check on a disk read), and a disk record that fails
-// the check reads as a miss, is simulated afresh and overwritten. Hits count
-// asks answered without starting an engine.
-func (s *Server) simulateMemo(c *core.Compiled, memoKey string, deadline <-chan time.Time) (simAnswer, error) {
-	// The flight table and the record are read under one lock, and a run Puts
-	// its record before it leaves the table: an ask sees one or the other.
-	s.simMu.Lock()
-	f, joined := s.simFlights[memoKey]
-	if !joined {
-		if data, ok := s.store.Get(store.SimStage, memoKey); ok {
-			s.simMu.Unlock()
-			s.metrics.Add("sarad_sim_memo_hits_total", 1)
-			return simAnswer{record: data}, nil
-		}
-		if !joined {
-			f = &simFlight{done: make(chan struct{})}
-			s.simFlights[memoKey] = f
-			go s.runSim(f, c.Design(), memoKey)
-		}
-	}
-	s.simMu.Unlock()
-	if joined {
-		s.metrics.Add("sarad_sim_memo_hits_total", 1)
-	} else {
-		s.metrics.Add("sarad_sim_memo_misses_total", 1)
-	}
-	select {
-	case <-f.done:
-		return simAnswer{record: f.record, cycles: f.cycles, ran: !joined}, f.err
-	case <-deadline:
-		return simAnswer{ran: !joined}, errSimBudget
-	}
-}
-
-// runSim executes f, counts it on this node, writes its record — the wire
-// result, clock from d.Spec, engine "cycle" — once, Puts it and only then
-// leaves the flight table (the order simulateMemo's lookup relies on).
-func (s *Server) runSim(f *simFlight, d *sim.Design, memoKey string) {
-	if s.simGate != nil {
-		s.simGate()
-	}
-	t0 := time.Now()
-	result, err := sim.CycleEngine(d, simMaxCycles, sim.EngineEvent)
-	if err == nil {
-		s.observeSimulation(result, time.Since(t0))
-		f.cycles = result.Cycles
-		f.record, err = encodeResult(result, d.Spec)
-	}
-	if f.err = err; err == nil {
-		s.store.Put(store.SimStage, memoKey, f.record)
-	}
-	s.simMu.Lock()
-	delete(s.simFlights, memoKey)
-	s.simMu.Unlock()
-	close(f.done)
-}
-
-// drainSims waits until no memoised simulation is running.
-func (s *Server) drainSims(ctx context.Context) error {
-	for {
-		var f *simFlight
-		s.simMu.Lock()
-		for _, f = range s.simFlights {
-			break
-		}
-		s.simMu.Unlock()
-		if f == nil {
-			return nil
-		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// compileVia records how a compile request was satisfied when it missed the
-// LRU: proxied from the cluster owner (with the owner's simulation when it
-// answered one), served from the local persistent store, or (all zero)
-// compiled locally.
-type compileVia struct {
-	proxyOwner string
-	storeHit   bool
-	sim        *ownerSim
-}
-
-// ownerSim is the simulation the cluster owner answered with alongside the
-// artifact: its record (the wire result), the cycles the record reports,
-// whether it ran the engine for this request (false: it already had the
-// record) and its simulation wall time for this request.
-type ownerSim struct {
-	record []byte
-	cycles int64
-	ran    bool
-	wall   time.Duration
-}
-
-// proxyAsk says what a cache-and-store miss may fetch from the ring owner.
-type proxyAsk int
-
-const (
-	proxyNone         proxyAsk = iota // compile here: the owner side of /v1/artifact
-	proxyDesign                       // the compiled design
-	proxyDesignAndSim                 // the design and its memoised simulation
-)
-
-// compileForRequest resolves req's design through the full serving
-// hierarchy: LRU cache (with single-flight dedup) → local persistent store
-// → cluster owner via proxy (unless ask is proxyNone, and only when this node
-// does not own the key) → local compile. The proxy hop runs inside the
-// single-flight slot, so M concurrent identical requests on this node issue
-// at most one proxy call, and the owner's own single-flight collapses calls
-// from different nodes — each unique design compiles exactly once
-// cluster-wide, and with proxyDesignAndSim its memoised simulation runs once
-// cluster-wide too. Any proxy failure (dead peer, timeout after one retry,
-// saturation, decode error) falls back to compiling locally, i.e. standalone
-// sarad behavior.
-func (s *Server) compileForRequest(ctx context.Context, req *RunRequest, spec *arch.Spec, key string, ask proxyAsk) (*design, bool, compileVia, error) {
-	var via compileVia
-	d, hit, err := s.cache.GetOrCompile(key, func() (*design, error) {
-		if c, ok := s.compiledFromStore(key); ok {
-			via.storeHit = true
-			s.metrics.Add("sarad_store_final_serves_total", 1)
-			return newDesign(key, c), nil
-		}
-		if ask != proxyNone && s.cluster != nil {
-			if owner, local := s.cluster.route(key); !local {
-				if c, owned, ok := s.proxyCompile(ctx, owner, key, req, ask == proxyDesignAndSim); ok {
-					via.proxyOwner, via.sim = owner, owned
-					return newDesign(key, c), nil
-				}
-				s.metrics.Add("sarad_proxy_fallback_local_total", 1)
-			}
-		}
-		s.metrics.Add("sarad_compiles_total", 1)
-		prog, err := buildProgram(req)
-		if err != nil {
-			return nil, err
-		}
-		cfg := req.Options.config(spec)
-		cfg.Memo = s.store
-		c, err := core.Compile(prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Persist the finished design under the request's content address so
-		// a restarted server can warm its LRU without recompiling.
-		s.store.Put(store.FinalStage, key, encodeArtifact(c))
-		s.metrics.Observe("sarad_compile_seconds", c.CompileTime().Seconds())
-		for phase, d := range c.PhaseTimes {
-			s.metrics.Observe("sarad_compile_phase_seconds_"+phase, d.Seconds())
-		}
-		s.metrics.Add("sarad_mip_nodes_explored_total", int64(c.MIPNodes()))
-		return newDesign(key, c), nil
-	})
-	return d, hit, via, err
-}
-
-// proxyCompile fetches key's artifact from its cluster owner. On success
-// the artifact bytes are persisted into this node's local store tier —
-// after the owner dies, repeats of this request are still served locally —
-// and the decoded design carries the owner's per-stage cache flags so
-// stage_cache stays accurate through the proxy path. ok=false means the
-// caller should compile locally. askSim asks the owner for req's memoised
-// simulation too; the record it answers with is checked by acceptSimRecord.
-func (s *Server) proxyCompile(ctx context.Context, owner, key string, req *RunRequest, askSim bool) (*core.Compiled, *ownerSim, bool) {
-	env, err := s.cluster.fetchArtifact(ctx, owner, key, req, askSim)
-	if err != nil {
-		return nil, nil, false
-	}
-	c, own, err := s.admitEnvelope(env, key)
-	if err != nil {
-		s.metrics.Add("sarad_proxy_decode_errors_total", 1)
-		return nil, nil, false
-	}
-	return c, own, true
-}
-
-// admitEnvelope takes in an owner's envelope for key: the artifact decodes
-// and is persisted into this node's final tier, and its record goes through
-// acceptSimRecord. An artifact that does not decode is refused whole.
-func (s *Server) admitEnvelope(env *artifactEnvelope, key string) (*core.Compiled, *ownerSim, error) {
-	a, err := store.DecodeArtifact(env.Artifact)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.store.Put(store.FinalStage, key, env.Artifact)
-	c := compiledFromArtifact(a)
-	c.StageHits = env.StageCache
-	return c, s.acceptSimRecord(env, key), nil
-}
-
-// acceptSimRecord stores the owner's simulation record in this node's sim
-// tier and returns it — only when it is the record this node would have
-// stored itself: the memo key recomputed here (compile key, record format,
-// sim.Version, cycle cap) equals the owner's, and the bytes pass
-// checkSimRecord and decode as a sim.ResultJSON (decodeSimRecord). What is
-// stored and spliced from then on is checkSimRecord's form of the bytes.
-// Anything else is dropped and counted, and the request simulates locally as
-// if the owner had sent no record.
-func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
-	if env.SimKey == "" {
-		return nil
-	}
-	memoKey := memoKeyFor(key)
-	record, err := checkSimRecord(env.SimRecord)
-	var result *sim.ResultJSON
-	if err == nil {
-		result, err = decodeSimRecord(record)
-	}
-	if env.SimKey != memoKey || err != nil {
-		s.metrics.Add("sarad_proxy_sim_records_rejected_total", 1)
-		return nil
-	}
-	s.store.Put(store.SimStage, memoKey, record)
-	s.metrics.Add("sarad_proxy_sim_records_total", 1)
-	return &ownerSim{record: record, cycles: result.Cycles, ran: env.SimRan, wall: env.SimNS}
-}
-
-// handleArtifact is the owner side of the cluster proxy protocol: compile
-// the posted request (through this node's own cache, store, and
-// single-flight — never proxying onward, so requests cannot loop even under
+// handleArtifact is the owner side of the cluster proxy protocol: resolve
+// the posted request's design (through this node's own LRU, store and flight
+// table — never proxying onward, so requests cannot loop even under
 // disagreeing peer lists) and return the encoded final artifact.
 //
 // Artifact compiles deliberately run in the handler goroutine, NOT on the
@@ -1298,100 +982,61 @@ func (s *Server) acceptSimRecord(env *artifactEnvelope, key string) *ownerSim {
 // treats as a proxy failure and absorbs by compiling locally.
 //
 // A requester about to run a memoised simulation says so (simHeader); the
-// owner then answers with the result record too — see attachSimRecord.
+// owner then resolves the result too and answers with its record. It waits
+// for a run until half its ProxyTimeout after the ask arrived, so the
+// requester's attempt never times out on it; past that the envelope goes
+// without a record, the requester simulates itself, and the run still
+// finishes into this node's memo. A failed simulation ships nothing: the
+// requester runs it again and answers the same error.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
-	req, ok := s.decodeRequest(w, r)
+	req, spec, key, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	spec, err := specFor(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := cacheKey(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if want := r.Header.Get("X-Sara-Key"); want != "" && want != key {
+	if theirs := r.Header.Get("X-Sara-Key"); theirs != "" && theirs != key {
 		writeError(w, http.StatusConflict,
-			fmt.Errorf("content address mismatch: requester computed %s, this node %s (version skew?)", want, key))
+			fmt.Errorf("content address mismatch: requester computed %s, this node %s (version skew?)", theirs, key))
 		return
 	}
 	select {
 	case s.artifactSem <- struct{}{}:
 		defer func() { <-s.artifactSem }()
 	default:
-		s.metrics.Add("sarad_rejected_total", 1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, ErrSaturated)
+		s.shed(w, ErrSaturated)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.DefaultTimeout)
-	defer cancel()
-
 	if s.jobGate != nil {
 		s.jobGate()
 	}
-	d, hit, _, err := s.compileForRequest(ctx, req, spec, key, proxyNone)
-	if err != nil {
+	// The owner finishes both halves for a requester that hung up: its
+	// retry, or the next ask, finds them here.
+	ctx := context.WithoutCancel(r.Context())
+	ask := want{result: r.Header.Get(simHeader) != "" && memoEligible(req)}
+	if ask.result {
+		timer := time.NewTimer(time.Until(arrived.Add(s.opts.ProxyTimeout / 2)))
+		defer timer.Stop()
+		ask.wait = timer.C
+	}
+	res, err := s.resolve(ctx, req, spec, key, ask)
+	if res.d == nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	c := d.c
-	env := &artifactEnvelope{Key: key, CacheHit: hit, StageCache: c.StageHits}
-	if r.Header.Get(simHeader) != "" && memoEligible(req) {
-		s.attachSimRecord(env, c, key, arrived.Add(s.opts.ProxyTimeout/2))
-	}
-	env.Artifact = encodeArtifact(c)
-	s.metrics.Add("sarad_artifact_served_total", 1)
-	writeJSON(w, http.StatusOK, env)
-}
-
-// attachSimRecord answers the requester's simulation through this node's
-// memo — a stored record, a run another ask started, or a run started now —
-// and puts the record in env. It waits for a run until deadline (half this
-// node's ProxyTimeout after the request arrived, so the requester's attempt
-// never times out on it); past that env goes without a record, the requester
-// simulates as it did before records travelled, and the run still finishes
-// into this node's memo. A failed simulation ships nothing: the requester
-// runs it again and answers the same error.
-func (s *Server) attachSimRecord(env *artifactEnvelope, c *core.Compiled, key string, deadline time.Time) {
-	memoKey := memoKeyFor(key)
-	t0 := time.Now()
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	ans, err := s.simulateMemo(c, memoKey, timer.C)
-	if ans.ran {
+	c := res.d.c
+	env := &artifactEnvelope{Key: key, CacheHit: res.design == fromMemory, StageCache: c.StageHits}
+	if res.ran {
 		s.metrics.Add("sarad_artifact_sims_total", 1)
 	}
 	switch {
 	case errors.Is(err, errSimBudget):
 		s.metrics.Add("sarad_artifact_sim_budget_exceeded_total", 1)
-	case err == nil && ans.record != nil:
-		env.SimKey, env.SimRecord, env.SimRan, env.SimNS = memoKey, ans.record, ans.ran, time.Since(t0)
+	case err == nil && res.record != nil:
+		env.SimKey, env.SimRecord, env.SimRan, env.SimNS = memoKeyFor(key), res.record, res.ran, res.simWall
 	}
-}
-
-// encodeArtifact is the final-artifact encoding of a compiled design: what
-// the store persists and /v1/artifact ships.
-func encodeArtifact(c *core.Compiled) []byte {
-	return store.EncodeArtifact(&store.Artifact{
-		Prog: c.Prog,
-		Spec: c.Spec,
-		State: &store.Snapshot{
-			Plan:      c.Plan,
-			Lowered:   c.Lowered,
-			OptStats:  c.OptStats,
-			BankStats: c.BankStats,
-			PartStats: c.PartStats,
-			Merged:    c.Merged,
-			Placement: c.Placement,
-		},
-		PhaseTimes: c.PhaseTimes,
-	})
+	env.Artifact = store.EncodeArtifact(c.Artifact())
+	s.metrics.Add("sarad_artifact_served_total", 1)
+	writeJSON(w, http.StatusOK, env)
 }
 
 // metricName converts a stall-cause label to a Prometheus-safe name segment.

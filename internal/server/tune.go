@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -104,18 +103,13 @@ func candidateRequest(req *RunRequest, p tune.Point, scale int) *RunRequest {
 
 // serveTune runs a design-space search as one pooled job. The search fans
 // candidate compiles across its own deterministic worker pool, but each
-// compile resolves through compileForRequest — LRU, single-flight,
+// candidate's design resolves through resolve — LRU, flight table,
 // persistent store, and (in cluster mode) the ring owner — so the request
 // holds exactly one worker slot while reusing every layer of the serving
 // hierarchy. The search itself is bit-identical to cmd/saratune on the same
 // space: only wall-clock and cache-traffic fields differ.
-func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunRequest) {
+func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunRequest, base *arch.Spec) {
 	space, err := req.Tune.space()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	base, err := specFor(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -129,23 +123,7 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 			fmt.Errorf("tune space has %d points, this server caps searches at %d", sz, maxPoints))
 		return
 	}
-
-	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 && time.Duration(req.TimeoutMS)*time.Millisecond < timeout {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	type outcome struct {
-		result *tune.Result
-		err    error
-	}
-	done := make(chan outcome, 1)
-	job := func() {
-		if s.jobGate != nil {
-			s.jobGate()
-		}
+	s.runPooled(w, r, req.TimeoutMS, func(ctx context.Context) (any, int, error) {
 		s.metrics.Add("sarad_tune_requests_total", 1)
 		t0 := time.Now()
 		result, err := tune.Run(tune.Options{
@@ -164,43 +142,22 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 				if err != nil {
 					return nil, err
 				}
-				d, _, _, err := s.compileForRequest(ctx, dreq, cfg.Spec, key, proxyDesign)
+				r, err := s.resolve(ctx, dreq, cfg.Spec, key, want{proxy: true})
 				if err != nil {
 					return nil, err
 				}
-				return d.c, nil
+				return r.d.c, nil
 			},
 		})
 		s.metrics.Observe("sarad_tune_seconds", time.Since(t0).Seconds())
 		if err != nil {
 			s.metrics.Add("sarad_tune_errors_total", 1)
-		} else {
-			s.metrics.Add("sarad_tune_points_explored_total", int64(result.Stats.Explored))
-			s.metrics.Add("sarad_tune_points_pruned_total", int64(result.Stats.PrunedDominated+result.Stats.Unfit))
-			s.metrics.Add("sarad_tune_points_validated_total", int64(result.Stats.Validated))
-			s.metrics.Add("sarad_tune_cycle_sims_total", int64(result.Stats.CycleSims))
+			return nil, http.StatusUnprocessableEntity, err
 		}
-		done <- outcome{result, err}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.metrics.Add("sarad_rejected_total", 1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			writeError(w, http.StatusUnprocessableEntity, o.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, o.result)
-	case <-ctx.Done():
-		s.metrics.Add("sarad_timeouts_total", 1)
-		writeError(w, http.StatusGatewayTimeout, ctx.Err())
-	}
+		s.metrics.Add("sarad_tune_points_explored_total", int64(result.Stats.Explored))
+		s.metrics.Add("sarad_tune_points_pruned_total", int64(result.Stats.PrunedDominated+result.Stats.Unfit))
+		s.metrics.Add("sarad_tune_points_validated_total", int64(result.Stats.Validated))
+		s.metrics.Add("sarad_tune_cycle_sims_total", int64(result.Stats.CycleSims))
+		return result, http.StatusOK, nil
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"sara/internal/arch"
 	"sara/internal/core"
 	"sara/internal/dfg"
+	"sara/internal/eval"
 	"sara/internal/ir"
 	"sara/internal/partition"
 	"sara/internal/sim"
@@ -48,9 +49,9 @@ func solverConfig() core.Config {
 }
 
 // TestFastForwardExact is the fast-forward's guard: on every design the
-// benchmark simulates for long, on the deadlocking designs, and under a cycle
-// cap inside a skipped stretch, the run must be indistinguishable from one
-// without it. The long rf runs must also really skip most of their cycles,
+// benchmark simulates for long, on mlp p16/s1 and Table VI's ms, sort and
+// lstm points, on the deadlocking designs, and under a cycle cap inside a
+// skipped stretch, the run must be indistinguishable from one without it. The long rf runs must also really skip most of their cycles,
 // and so must logreg and pr at p64/s8, which skip only by capturing states
 // whose DRAM channels are still busy.
 func TestFastForwardExact(t *testing.T) {
@@ -59,6 +60,7 @@ func TestFastForwardExact(t *testing.T) {
 		group, name string
 		par, scale  int
 		mustSkip    int64 // percent of the spanned cycles skipped, at least
+		long        bool  // over 2 s for both runs: skipped under -short
 	}
 	floors := map[string]int64{"logreg": 60, "pr": 90}
 	var ds []design
@@ -67,26 +69,40 @@ func TestFastForwardExact(t *testing.T) {
 		if name == "sort" {
 			par = 32
 		}
-		ds = append(ds, design{"kernels", name, par, 8, floors[name]})
+		ds = append(ds, design{"kernels", name, par, 8, floors[name], false})
 	}
 	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
-		ds = append(ds, design{"kernels", name, 128, 8, 0})
+		ds = append(ds, design{"kernels", name, 128, 8, 0, false})
 	}
-	ds = append(ds, design{"solver", "rf", 16, 16, 80}, design{"solver", "rf", 32, 16, 80},
-		design{"solver", "ms", 16, 16, 0}, design{"solver", "rf", 64, 32, 0},
-		design{"solver", "ms", 32, 16, 0}, design{"solver", "ms", 64, 16, 0})
+	ds = append(ds, design{"kernels", "mlp", 16, 1, 0, true})
+	// Table VI's points, as eval.Table6 compiles them (par is the default
+	// it starts its fit from).
+	for _, name := range []string{"ms", "sort", "lstm"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, design{"table6", name, w.DefaultPar, 1, 0, false})
+	}
+	ds = append(ds, design{"solver", "rf", 16, 16, 80, false}, design{"solver", "rf", 32, 16, 80, false},
+		design{"solver", "ms", 16, 16, 0, false}, design{"solver", "rf", 64, 32, 0, false},
+		design{"solver", "ms", 32, 16, 0, false}, design{"solver", "ms", 64, 16, 0, false})
 	for _, name := range workloads.Names() {
 		var floor int64
 		if name == "rf" {
 			floor = 80
 		}
-		ds = append(ds, design{"serve-hot", name, 8, 16, floor})
+		ds = append(ds, design{"serve-hot", name, 8, 16, floor, false})
 	}
 	for _, k := range ds {
 		k := k
 		t.Run(k.group+"/"+k.name+"/p"+itoa(k.par), func(t *testing.T) {
+			if k.long && testing.Short() {
+				t.Skip("over 2 s; runs without -short")
+			}
 			var d *sim.Design
-			if k.group == "solver" {
+			switch k.group {
+			case "solver":
 				w, err := workloads.ByName(k.name)
 				if err != nil {
 					t.Fatal(err)
@@ -96,7 +112,17 @@ func TestFastForwardExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				d = c.Design()
-			} else {
+			case "table6":
+				w, err := workloads.ByName(k.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, _, err := eval.Table6Design(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d = c.Design()
+			default:
 				d = compilePlaced(t, k.name, k.par, k.scale)
 			}
 			skipped, spanned := assertFastForwardExact(t, d, maxCycles)

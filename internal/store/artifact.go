@@ -64,14 +64,17 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	a.Prog = decodeProgram(r)
 	a.Spec = decodeSpec(r)
 	snapBytes := r.bytesField()
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return nil, r.err
 	}
 	a.PhaseTimes = make(map[string]time.Duration, n)
-	for i := 0; i < n; i++ {
+	for i, prev := 0, ""; i < n; i++ {
 		k := r.str()
-		a.PhaseTimes[k] = time.Duration(r.i64())
+		if i > 0 && k <= prev {
+			r.fail("map key out of order")
+		}
+		a.PhaseTimes[k], prev = time.Duration(r.i64()), k
 	}
 	if err := r.done(); err != nil {
 		return nil, err
@@ -95,7 +98,7 @@ func decodeProgram(r *reader) *ir.Program {
 	p := &ir.Program{}
 	p.Name = r.str()
 	p.TypeBits = r.int()
-	nc := r.int()
+	nc := r.count()
 	if r.err != nil {
 		return p
 	}
@@ -106,7 +109,7 @@ func decodeProgram(r *reader) *ir.Program {
 		c.Kind = ir.CtrlKind(r.int())
 		c.Name = r.str()
 		c.Parent = ir.CtrlID(r.int())
-		nch := r.int()
+		nch := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -122,7 +125,7 @@ func decodeProgram(r *reader) *ir.Program {
 		c.Clause = ir.BranchClause(r.int())
 		c.CondBlock = ir.CtrlID(r.int())
 		c.BoundsBlock = ir.CtrlID(r.int())
-		nops := r.int()
+		nops := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -130,7 +133,7 @@ func decodeProgram(r *reader) *ir.Program {
 		for j := range c.Ops {
 			op := &ir.Op{}
 			op.Kind = ir.OpKind(r.int())
-			nin := r.int()
+			nin := r.count()
 			if r.err != nil {
 				return p
 			}
@@ -142,7 +145,7 @@ func decodeProgram(r *reader) *ir.Program {
 			op.LCD = r.bool()
 			c.Ops[j] = op
 		}
-		nacc := r.int()
+		nacc := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -152,7 +155,7 @@ func decodeProgram(r *reader) *ir.Program {
 		}
 		p.Ctrls[i] = c
 	}
-	nm := r.int()
+	nm := r.count()
 	if r.err != nil {
 		return p
 	}
@@ -162,7 +165,7 @@ func decodeProgram(r *reader) *ir.Program {
 		m.ID = ir.MemID(r.int())
 		m.Kind = ir.MemKind(r.int())
 		m.Name = r.str()
-		nd := r.int()
+		nd := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -170,7 +173,7 @@ func decodeProgram(r *reader) *ir.Program {
 		for j := range m.Dims {
 			m.Dims[j] = r.int()
 		}
-		na := r.int()
+		na := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -181,7 +184,7 @@ func decodeProgram(r *reader) *ir.Program {
 		m.MultiBuffer = r.int()
 		p.Mems[i] = m
 	}
-	nA := r.int()
+	nA := r.count()
 	if r.err != nil {
 		return p
 	}
@@ -203,16 +206,12 @@ func decodeProgram(r *reader) *ir.Program {
 func decodePattern(r *reader) ir.Pattern {
 	var pat ir.Pattern
 	pat.Kind = ir.PatternKind(r.int())
-	nonNil := r.bool()
-	n := r.int()
-	if r.err != nil {
-		return pat
-	}
-	if nonNil {
+	if n, nonNil := r.slice(); nonNil {
 		pat.Coeffs = make(map[ir.CtrlID]int, n)
-		for i := 0; i < n; i++ {
-			k := ir.CtrlID(r.int())
-			pat.Coeffs[k] = r.int()
+		for i, prev := 0, 0; i < n; i++ {
+			k := r.int()
+			r.ascending(i, prev, k)
+			pat.Coeffs[ir.CtrlID(k)], prev = r.int(), k
 		}
 	}
 	pat.Offset = r.int()

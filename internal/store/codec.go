@@ -49,9 +49,12 @@ func (w *writer) bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// reader decodes what writer encodes. The first malformed field latches err
-// and every subsequent read returns a zero value, so decode paths only need
-// one error check at the end.
+// reader decodes what writer encodes, and only that: a field in any other
+// form than the writer's (an overlong varint, a bool byte other than 0 or 1)
+// is malformed, so every value has one encoding and re-encodes to the bytes
+// it was read from. The first malformed field latches err and every
+// subsequent read returns a zero value, so decode paths only need one error
+// check at the end.
 type reader struct {
 	buf []byte
 	off int
@@ -60,17 +63,25 @@ type reader struct {
 
 func (r *reader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("store: corrupt encoding: truncated %s at offset %d", what, r.off)
+		r.err = fmt.Errorf("store: corrupt encoding: %s at offset %d", what, r.off)
 	}
 }
+
+// overlong reports whether the n-byte varint at r.off ends in a zero group,
+// which the writer's shortest form never does.
+func (r *reader) overlong(n int) bool { return n > 1 && r.buf[r.off+n-1] == 0 }
 
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("uvarint")
+	switch {
+	case n <= 0:
+		r.fail("truncated uvarint")
+		return 0
+	case r.overlong(n):
+		r.fail("overlong uvarint")
 		return 0
 	}
 	r.off += n
@@ -82,8 +93,12 @@ func (r *reader) varint() int64 {
 		return 0
 	}
 	x, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("varint")
+	switch {
+	case n <= 0:
+		r.fail("truncated varint")
+		return 0
+	case r.overlong(n):
+		r.fail("overlong varint")
 		return 0
 	}
 	r.off += n
@@ -93,17 +108,51 @@ func (r *reader) varint() int64 {
 func (r *reader) int() int   { return int(r.varint()) }
 func (r *reader) i64() int64 { return r.varint() }
 
+// count reads an element count: at most one per byte left, since every
+// element the writer counts takes at least one.
+func (r *reader) count() int {
+	n := r.int()
+	if r.err == nil && (n < 0 || n > len(r.buf)-r.off) {
+		r.fail("count out of range")
+		return 0
+	}
+	return n
+}
+
+// slice reads the presence bit and element count the writer puts before a
+// slice that may be nil: a nil slice has no elements.
+func (r *reader) slice() (n int, nonNil bool) {
+	nonNil = r.bool()
+	n = r.count()
+	if !nonNil && n != 0 {
+		r.fail("elements in a nil slice")
+	}
+	return n, nonNil && r.err == nil
+}
+
+// ascending latches an error unless map key k follows prev (i > 0): the
+// writer puts map keys in strictly increasing order.
+func (r *reader) ascending(i, prev, k int) {
+	if i > 0 && k <= prev {
+		r.fail("map key out of order")
+	}
+}
+
 func (r *reader) bool() bool {
 	if r.err != nil {
 		return false
 	}
 	if r.off >= len(r.buf) {
-		r.fail("bool")
+		r.fail("truncated bool")
 		return false
 	}
 	b := r.buf[r.off]
+	if b > 1 {
+		r.fail("bool byte above 1")
+		return false
+	}
 	r.off++
-	return b != 0
+	return b == 1
 }
 
 func (r *reader) f64() float64 {
@@ -111,7 +160,7 @@ func (r *reader) f64() float64 {
 		return 0
 	}
 	if r.off+8 > len(r.buf) {
-		r.fail("float64")
+		r.fail("truncated float64")
 		return 0
 	}
 	x := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
@@ -125,7 +174,7 @@ func (r *reader) str() string {
 		return ""
 	}
 	if uint64(len(r.buf)-r.off) < n {
-		r.fail("string")
+		r.fail("truncated string")
 		return ""
 	}
 	s := string(r.buf[r.off : r.off+int(n)])
@@ -139,7 +188,7 @@ func (r *reader) bytesField() []byte {
 		return nil
 	}
 	if uint64(len(r.buf)-r.off) < n {
-		r.fail("bytes")
+		r.fail("truncated bytes")
 		return nil
 	}
 	b := make([]byte, n)

@@ -125,7 +125,7 @@ func encodePlan(w *writer, p *consistency.Plan) {
 
 func decodePlan(r *reader, prog *ir.Program) *consistency.Plan {
 	p := &consistency.Plan{Prog: prog}
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return p
 	}
@@ -157,9 +157,8 @@ func encodeDeps(w *writer, deps []consistency.Dep) {
 }
 
 func decodeDeps(r *reader) []consistency.Dep {
-	nonNil := r.bool()
-	n := r.int()
-	if r.err != nil || !nonNil {
+	n, nonNil := r.slice()
+	if !nonNil {
 		return nil
 	}
 	deps := make([]consistency.Dep, n)
@@ -198,7 +197,7 @@ func decodeLowered(r *reader, prog *ir.Program, plan *consistency.Plan) *lower.R
 	l.AccessResp = decodeAccessVUMap(r)
 	l.BlockVUs = decodeBlockVUMap(r)
 	l.MemVMU = decodeMemVMUMap(r)
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return l
 	}
@@ -223,14 +222,15 @@ func encodeAccessVUMap(w *writer, m map[ir.AccessID][]dfg.VUID) {
 }
 
 func decodeAccessVUMap(r *reader) map[ir.AccessID][]dfg.VUID {
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return nil
 	}
 	m := make(map[ir.AccessID][]dfg.VUID, n)
-	for i := 0; i < n; i++ {
-		k := ir.AccessID(r.int())
-		m[k] = decodeVUIDs(r)
+	for i, prev := 0, 0; i < n; i++ {
+		k := r.int()
+		r.ascending(i, prev, k)
+		m[ir.AccessID(k)], prev = decodeVUIDs(r), k
 	}
 	return m
 }
@@ -249,14 +249,15 @@ func encodeBlockVUMap(w *writer, m map[ir.CtrlID][]dfg.VUID) {
 }
 
 func decodeBlockVUMap(r *reader) map[ir.CtrlID][]dfg.VUID {
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return nil
 	}
 	m := make(map[ir.CtrlID][]dfg.VUID, n)
-	for i := 0; i < n; i++ {
-		k := ir.CtrlID(r.int())
-		m[k] = decodeVUIDs(r)
+	for i, prev := 0, 0; i < n; i++ {
+		k := r.int()
+		r.ascending(i, prev, k)
+		m[ir.CtrlID(k)], prev = decodeVUIDs(r), k
 	}
 	return m
 }
@@ -275,14 +276,15 @@ func encodeMemVMUMap(w *writer, m map[ir.MemID]dfg.VUID) {
 }
 
 func decodeMemVMUMap(r *reader) map[ir.MemID]dfg.VUID {
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return nil
 	}
 	m := make(map[ir.MemID]dfg.VUID, n)
-	for i := 0; i < n; i++ {
-		k := ir.MemID(r.int())
-		m[k] = dfg.VUID(r.int())
+	for i, prev := 0, 0; i < n; i++ {
+		k := r.int()
+		r.ascending(i, prev, k)
+		m[ir.MemID(k)], prev = dfg.VUID(r.int()), k
 	}
 	return m
 }
@@ -296,9 +298,8 @@ func encodeVUIDs(w *writer, ids []dfg.VUID) {
 }
 
 func decodeVUIDs(r *reader) []dfg.VUID {
-	nonNil := r.bool()
-	n := r.int()
-	if r.err != nil || !nonNil {
+	n, nonNil := r.slice()
+	if !nonNil {
 		return nil
 	}
 	ids := make([]dfg.VUID, n)
@@ -369,7 +370,7 @@ func encodeGraph(w *writer, g *dfg.Graph) {
 
 func decodeGraph(r *reader, prog *ir.Program) *dfg.Graph {
 	g := dfg.NewGraph(prog)
-	nVU := r.int()
+	nVU := r.count()
 	if r.err != nil {
 		return g
 	}
@@ -390,7 +391,7 @@ func decodeGraph(r *reader, prog *ir.Program) *dfg.Graph {
 			Stages: r.int(),
 			Lanes:  r.int(),
 		}
-		nc := r.int()
+		nc := r.count()
 		if r.err != nil {
 			return g
 		}
@@ -408,7 +409,7 @@ func decodeGraph(r *reader, prog *ir.Program) *dfg.Graph {
 		u.Instance = r.str()
 		g.VUs[i] = u
 	}
-	nE := r.int()
+	nE := r.count()
 	if r.err != nil {
 		return g
 	}
@@ -455,7 +456,7 @@ func encodeAdjHalf(w *writer, ids []dfg.VUID, lists [][]dfg.EdgeID) {
 }
 
 func decodeAdjHalf(r *reader) ([]dfg.VUID, [][]dfg.EdgeID) {
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return nil, nil
 	}
@@ -463,7 +464,10 @@ func decodeAdjHalf(r *reader) ([]dfg.VUID, [][]dfg.EdgeID) {
 	lists := make([][]dfg.EdgeID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = dfg.VUID(r.int())
-		ne := r.int()
+		if i > 0 {
+			r.ascending(i, int(ids[i-1]), int(ids[i]))
+		}
+		ne := r.count()
 		if r.err != nil {
 			return ids, lists
 		}
@@ -556,7 +560,7 @@ func encodeMerged(w *writer, m *merge.Result) {
 
 func decodeMerged(r *reader) *merge.Result {
 	m := &merge.Result{}
-	n := r.int()
+	n := r.count()
 	if r.err != nil {
 		return m
 	}
@@ -565,14 +569,15 @@ func decodeMerged(r *reader) *merge.Result {
 		m.PUs[i].Type = arch.PUType(r.int())
 		m.PUs[i].Members = decodeVUIDs(r)
 	}
-	np := r.int()
+	np := r.count()
 	if r.err != nil {
 		return m
 	}
 	m.PUOf = make(map[dfg.VUID]int, np)
-	for i := 0; i < np; i++ {
-		k := dfg.VUID(r.int())
-		m.PUOf[k] = r.int()
+	for i, prev := 0, 0; i < np; i++ {
+		k := r.int()
+		r.ascending(i, prev, k)
+		m.PUOf[dfg.VUID(k)], prev = r.int(), k
 	}
 	m.MergedIntoPMU = r.int()
 	m.MIPNodes = r.int()
@@ -621,7 +626,7 @@ func decodePlacement(r *reader) *place.Placement {
 		hop := r.int()
 		lanes := r.int()
 		g := noc.New(rows, cols, hop, lanes)
-		nl := r.int()
+		nl := r.count()
 		if r.err != nil {
 			return p
 		}
@@ -632,20 +637,38 @@ func decodePlacement(r *reader) *place.Placement {
 				To:   noc.Coord{R: r.int(), C: r.int()},
 				Load: r.f64(),
 			}
+			// SnapshotTraffic writes one load per link, in (from, to) order.
+			if i > 0 && !linkBefore(loads[i-1], loads[i]) {
+				r.fail("link loads out of order")
+			}
 		}
 		g.RestoreTraffic(loads)
 		p.Grid = g
 	}
-	nc := r.int()
+	nc := r.count()
 	if r.err != nil {
 		return p
 	}
 	p.Coord = make(map[int]noc.Coord, nc)
-	for i := 0; i < nc; i++ {
+	for i, prev := 0, 0; i < nc; i++ {
 		k := r.int()
-		p.Coord[k] = noc.Coord{R: r.int(), C: r.int()}
+		r.ascending(i, prev, k)
+		p.Coord[k], prev = noc.Coord{R: r.int(), C: r.int()}, k
 	}
 	p.WireCost = r.f64()
 	p.MaxHop = r.int()
 	return p
+}
+
+// linkBefore orders link loads as noc's SnapshotTraffic does: by source,
+// then destination, rows before columns.
+func linkBefore(a, b noc.LinkLoad) bool {
+	x := [4]int{a.From.R, a.From.C, a.To.R, a.To.C}
+	y := [4]int{b.From.R, b.From.C, b.To.R, b.To.C}
+	for i := range x {
+		if x[i] != y[i] {
+			return x[i] < y[i]
+		}
+	}
+	return false
 }

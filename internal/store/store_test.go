@@ -29,18 +29,6 @@ func compileWorkload(t *testing.T, name string, par int, skipPlace bool) *core.C
 	return c
 }
 
-func snapshotOf(c *core.Compiled) *store.Snapshot {
-	return &store.Snapshot{
-		Plan:      c.Plan,
-		Lowered:   c.Lowered,
-		OptStats:  c.OptStats,
-		BankStats: c.BankStats,
-		PartStats: c.PartStats,
-		Merged:    c.Merged,
-		Placement: c.Placement,
-	}
-}
-
 // TestSnapshotRoundTrip is the codec property test: for several workloads
 // and par factors, encode → decode → re-encode must reproduce the exact
 // bytes, proving the decoder recovers every field (including adjacency-list
@@ -49,7 +37,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, name := range []string{"bs", "rf", "kmeans", "pr", "lstm"} {
 		for _, par := range []int{1, 4, 16} {
 			c := compileWorkload(t, name, par, par == 4) // mix placed and unplaced
-			enc := store.EncodeSnapshot(snapshotOf(c))
+			enc := store.EncodeSnapshot(c.Artifact().State)
 			dec, err := store.DecodeSnapshot(enc, c.Prog)
 			if err != nil {
 				t.Fatalf("%s par=%d: decode: %v", name, par, err)
@@ -71,13 +59,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // bit-identical execution to the original.
 func TestArtifactRoundTripSimulates(t *testing.T) {
 	c := compileWorkload(t, "ms", 4, false)
-	art := &store.Artifact{
-		Prog:       c.Prog,
-		Spec:       c.Spec,
-		State:      snapshotOf(c),
-		PhaseTimes: c.PhaseTimes,
-	}
-	enc := store.EncodeArtifact(art)
+	enc := store.EncodeArtifact(c.Artifact())
 	dec, err := store.DecodeArtifact(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -124,7 +106,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := store.DecodeArtifact([]byte("not an artifact")); err == nil {
 		t.Error("DecodeArtifact accepted garbage")
 	}
-	enc := store.EncodeSnapshot(snapshotOf(c))
+	enc := store.EncodeSnapshot(c.Artifact().State)
 	if _, err := store.DecodeSnapshot(enc[:len(enc)/2], c.Prog); err == nil {
 		t.Error("DecodeSnapshot accepted a truncated snapshot")
 	}

@@ -646,15 +646,7 @@ func stageTraffic(s *store.Store) [2]int64 {
 // a NumPCU sweep validate once.
 func designKey(c *core.Compiled) string {
 	h := sha256.New()
-	h.Write(store.EncodeSnapshot(&store.Snapshot{
-		Plan:      c.Plan,
-		Lowered:   c.Lowered,
-		OptStats:  c.OptStats,
-		BankStats: c.BankStats,
-		PartStats: c.PartStats,
-		Merged:    c.Merged,
-		Placement: c.Placement,
-	}))
+	h.Write(store.EncodeSnapshot(c.Artifact().State))
 	s := c.Spec
 	fmt.Fprintf(h, "|dram=%d,%d,%g,%d,%d|net=%d,%d,%d|pcu=%d,%d,%d|pmu=%d,%d,%d,%d|ag=%d,%d,%d",
 		int(s.DRAM.Kind), s.DRAM.Channels, s.DRAM.BytesPerCyclePerChannel, s.DRAM.LatencyCycles, s.DRAM.BurstBytes,
