@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"sara/internal/arch"
@@ -13,7 +11,9 @@ import (
 const FinalStage = "final"
 
 // SimStage is the store namespace for memoized simulation results: sarad
-// keeps the encoded sim.Result of each (design, engine, cycle cap) it has run.
+// keeps one record per design it has simulated, the compact wire JSON of the
+// response's result member, keyed by the design's compile key, the record
+// format, sim.Version and the cycle cap.
 const SimStage = "sim"
 
 // Artifact is a self-contained compiled design: unlike a stage Snapshot it
@@ -31,261 +31,119 @@ type Artifact struct {
 const artifactMagic = "SARADART"
 
 // EncodeArtifact serializes a final design artifact.
-func EncodeArtifact(a *Artifact) []byte {
-	var w writer
-	w.str(artifactMagic)
-	w.int(FormatVersion)
-	encodeProgram(&w, a.Prog)
-	encodeSpec(&w, a.Spec)
-	w.bytes(EncodeSnapshot(a.State))
-	keys := make([]string, 0, len(a.PhaseTimes))
-	for k := range a.PhaseTimes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.int(len(keys))
-	for _, k := range keys {
-		w.str(k)
-		w.i64(int64(a.PhaseTimes[k]))
-	}
-	return w.buf
-}
+func EncodeArtifact(a *Artifact) []byte { return write(a, walkArtifact) }
 
 // DecodeArtifact deserializes a final design artifact.
-func DecodeArtifact(data []byte) (*Artifact, error) {
-	r := &reader{buf: data}
-	if m := r.str(); r.err == nil && m != artifactMagic {
-		return nil, fmt.Errorf("store: bad artifact magic %q", m)
+func DecodeArtifact(data []byte) (*Artifact, error) { return read(data, nil, walkArtifact) }
+
+// walkArtifact walks the program and spec, then the snapshot as a nested,
+// length-prefixed record (read back against the decoded program), then the
+// phase times.
+func walkArtifact(c *codec, a *Artifact) {
+	c.header(artifactMagic, "artifact")
+	ptr(c, &a.Prog, walkProgram)
+	ptr(c, &a.Spec, walkSpec)
+	var snap []byte
+	if c.r == nil {
+		snap = EncodeSnapshot(a.State)
 	}
-	if v := r.int(); r.err == nil && v != FormatVersion {
-		return nil, fmt.Errorf("store: artifact format version %d, this build reads %d", v, FormatVersion)
+	c.bytes(&snap)
+	sorted(c, &a.PhaseTimes, (*codec).str, num[time.Duration])
+	if c.r != nil && c.r.err == nil {
+		a.State, c.r.err = DecodeSnapshot(snap, a.Prog)
 	}
-	a := &Artifact{}
-	a.Prog = decodeProgram(r)
-	a.Spec = decodeSpec(r)
-	snapBytes := r.bytesField()
-	n := r.count()
-	if r.err != nil {
-		return nil, r.err
-	}
-	a.PhaseTimes = make(map[string]time.Duration, n)
-	for i, prev := 0, ""; i < n; i++ {
-		k := r.str()
-		if i > 0 && k <= prev {
-			r.fail("map key out of order")
-		}
-		a.PhaseTimes[k], prev = time.Duration(r.i64()), k
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	state, err := DecodeSnapshot(snapBytes, a.Prog)
-	if err != nil {
-		return nil, err
-	}
-	a.State = state
-	return a, nil
 }
 
-// encodeProgram writes a full-fidelity program encoding (the canonical
-// hashing encoder with Par preserved — same field order, so the two can
-// never drift apart).
-func encodeProgram(w *writer, p *ir.Program) {
-	encodeProgramCanonical(w, p, true)
+func walkProgram(c *codec, p *ir.Program) {
+	c.str(&p.Name)
+	num(c, &p.TypeBits)
+	refs(c, &p.Ctrls, false, walkCtrl)
+	refs(c, &p.Mems, false, walkMem)
+	refs(c, &p.Accs, false, walkAccess)
 }
 
-func decodeProgram(r *reader) *ir.Program {
-	p := &ir.Program{}
-	p.Name = r.str()
-	p.TypeBits = r.int()
-	nc := r.count()
-	if r.err != nil {
-		return p
+func walkCtrl(c *codec, x *ir.Ctrl) {
+	num(c, &x.ID)
+	num(c, &x.Kind)
+	c.str(&x.Name)
+	num(c, &x.Parent)
+	list(c, &x.Children, num[ir.CtrlID])
+	num(c, &x.Min)
+	num(c, &x.Step)
+	num(c, &x.Max)
+	num(c, &x.Trip)
+	if c.parFree {
+		c.w.int(1)
+	} else {
+		num(c, &x.Par)
 	}
-	p.Ctrls = make([]*ir.Ctrl, nc)
-	for i := range p.Ctrls {
-		c := &ir.Ctrl{}
-		c.ID = ir.CtrlID(r.int())
-		c.Kind = ir.CtrlKind(r.int())
-		c.Name = r.str()
-		c.Parent = ir.CtrlID(r.int())
-		nch := r.count()
-		if r.err != nil {
-			return p
-		}
-		c.Children = make([]ir.CtrlID, nch)
-		for j := range c.Children {
-			c.Children[j] = ir.CtrlID(r.int())
-		}
-		c.Min = r.int()
-		c.Step = r.int()
-		c.Max = r.int()
-		c.Trip = r.int()
-		c.Par = r.int()
-		c.Clause = ir.BranchClause(r.int())
-		c.CondBlock = ir.CtrlID(r.int())
-		c.BoundsBlock = ir.CtrlID(r.int())
-		nops := r.count()
-		if r.err != nil {
-			return p
-		}
-		c.Ops = make([]*ir.Op, nops)
-		for j := range c.Ops {
-			op := &ir.Op{}
-			op.Kind = ir.OpKind(r.int())
-			nin := r.count()
-			if r.err != nil {
-				return p
-			}
-			op.Inputs = make([]int, nin)
-			for k := range op.Inputs {
-				op.Inputs[k] = r.int()
-			}
-			op.Acc = ir.AccessID(r.int())
-			op.LCD = r.bool()
-			c.Ops[j] = op
-		}
-		nacc := r.count()
-		if r.err != nil {
-			return p
-		}
-		c.Accesses = make([]ir.AccessID, nacc)
-		for j := range c.Accesses {
-			c.Accesses[j] = ir.AccessID(r.int())
-		}
-		p.Ctrls[i] = c
-	}
-	nm := r.count()
-	if r.err != nil {
-		return p
-	}
-	p.Mems = make([]*ir.Mem, nm)
-	for i := range p.Mems {
-		m := &ir.Mem{}
-		m.ID = ir.MemID(r.int())
-		m.Kind = ir.MemKind(r.int())
-		m.Name = r.str()
-		nd := r.count()
-		if r.err != nil {
-			return p
-		}
-		m.Dims = make([]int, nd)
-		for j := range m.Dims {
-			m.Dims[j] = r.int()
-		}
-		na := r.count()
-		if r.err != nil {
-			return p
-		}
-		m.Accessors = make([]ir.AccessID, na)
-		for j := range m.Accessors {
-			m.Accessors[j] = ir.AccessID(r.int())
-		}
-		m.MultiBuffer = r.int()
-		p.Mems[i] = m
-	}
-	nA := r.count()
-	if r.err != nil {
-		return p
-	}
-	p.Accs = make([]*ir.Access, nA)
-	for i := range p.Accs {
-		a := &ir.Access{}
-		a.ID = ir.AccessID(r.int())
-		a.Mem = ir.MemID(r.int())
-		a.Block = ir.CtrlID(r.int())
-		a.Dir = ir.Dir(r.int())
-		a.Pat = decodePattern(r)
-		a.Vec = r.int()
-		a.Name = r.str()
-		p.Accs[i] = a
-	}
-	return p
+	num(c, &x.Clause)
+	num(c, &x.CondBlock)
+	num(c, &x.BoundsBlock)
+	refs(c, &x.Ops, false, walkOp)
+	list(c, &x.Accesses, num[ir.AccessID])
 }
 
-func decodePattern(r *reader) ir.Pattern {
-	var pat ir.Pattern
-	pat.Kind = ir.PatternKind(r.int())
-	if n, nonNil := r.slice(); nonNil {
-		pat.Coeffs = make(map[ir.CtrlID]int, n)
-		for i, prev := 0, 0; i < n; i++ {
-			k := r.int()
-			r.ascending(i, prev, k)
-			pat.Coeffs[ir.CtrlID(k)], prev = r.int(), k
-		}
+func walkOp(c *codec, op *ir.Op) {
+	num(c, &op.Kind)
+	list(c, &op.Inputs, num[int])
+	num(c, &op.Acc)
+	c.bool(&op.LCD)
+}
+
+func walkMem(c *codec, m *ir.Mem) {
+	num(c, &m.ID)
+	num(c, &m.Kind)
+	c.str(&m.Name)
+	list(c, &m.Dims, num[int])
+	list(c, &m.Accessors, num[ir.AccessID])
+	num(c, &m.MultiBuffer)
+}
+
+func walkAccess(c *codec, a *ir.Access) {
+	num(c, &a.ID)
+	num(c, &a.Mem)
+	num(c, &a.Block)
+	num(c, &a.Dir)
+	num(c, &a.Pat.Kind)
+	if c.some(a.Pat.Coeffs != nil) {
+		sorted(c, &a.Pat.Coeffs, num[ir.CtrlID], num[int])
 	}
-	pat.Offset = r.int()
-	return pat
+	num(c, &a.Pat.Offset)
+	num(c, &a.Vec)
+	c.str(&a.Name)
 }
 
-func encodeSpec(w *writer, s *arch.Spec) {
-	w.str(s.Name)
-	w.int(s.Rows)
-	w.int(s.Cols)
-	w.int(s.NumPCU)
-	w.int(s.NumPMU)
-	w.int(s.NumAG)
-	encodePUSpec(w, s.PCU)
-	encodePUSpec(w, s.PMU)
-	encodePUSpec(w, s.AG)
-	w.int(int(s.DRAM.Kind))
-	w.int(s.DRAM.Channels)
-	w.f64(s.DRAM.BytesPerCyclePerChannel)
-	w.int(s.DRAM.LatencyCycles)
-	w.int(s.DRAM.BurstBytes)
-	w.f64(s.ClockGHz)
-	w.int(s.NetHopLatencyCycles)
-	w.int(s.DefaultStreamHops)
-	w.int(s.LinkLanes)
-	w.f64(s.ReconfigMicros)
-	w.f64(s.AreaMM2)
+func walkSpec(c *codec, s *arch.Spec) {
+	c.str(&s.Name)
+	num(c, &s.Rows)
+	num(c, &s.Cols)
+	num(c, &s.NumPCU)
+	num(c, &s.NumPMU)
+	num(c, &s.NumAG)
+	walkPUSpec(c, &s.PCU)
+	walkPUSpec(c, &s.PMU)
+	walkPUSpec(c, &s.AG)
+	num(c, &s.DRAM.Kind)
+	num(c, &s.DRAM.Channels)
+	c.f64(&s.DRAM.BytesPerCyclePerChannel)
+	num(c, &s.DRAM.LatencyCycles)
+	num(c, &s.DRAM.BurstBytes)
+	c.f64(&s.ClockGHz)
+	num(c, &s.NetHopLatencyCycles)
+	num(c, &s.DefaultStreamHops)
+	num(c, &s.LinkLanes)
+	c.f64(&s.ReconfigMicros)
+	c.f64(&s.AreaMM2)
 }
 
-func decodeSpec(r *reader) *arch.Spec {
-	s := &arch.Spec{}
-	s.Name = r.str()
-	s.Rows = r.int()
-	s.Cols = r.int()
-	s.NumPCU = r.int()
-	s.NumPMU = r.int()
-	s.NumAG = r.int()
-	s.PCU = decodePUSpec(r)
-	s.PMU = decodePUSpec(r)
-	s.AG = decodePUSpec(r)
-	s.DRAM.Kind = arch.DRAMKind(r.int())
-	s.DRAM.Channels = r.int()
-	s.DRAM.BytesPerCyclePerChannel = r.f64()
-	s.DRAM.LatencyCycles = r.int()
-	s.DRAM.BurstBytes = r.int()
-	s.ClockGHz = r.f64()
-	s.NetHopLatencyCycles = r.int()
-	s.DefaultStreamHops = r.int()
-	s.LinkLanes = r.int()
-	s.ReconfigMicros = r.f64()
-	s.AreaMM2 = r.f64()
-	return s
-}
-
-func encodePUSpec(w *writer, p arch.PUSpec) {
-	w.int(int(p.Type))
-	w.int(p.Lanes)
-	w.int(p.Stages)
-	w.int(p.MaxIn)
-	w.int(p.MaxOut)
-	w.int(p.InBufDepth)
-	w.i64(p.ScratchElems)
-	w.int(p.MaxCounters)
-}
-
-func decodePUSpec(r *reader) arch.PUSpec {
-	return arch.PUSpec{
-		Type:         arch.PUType(r.int()),
-		Lanes:        r.int(),
-		Stages:       r.int(),
-		MaxIn:        r.int(),
-		MaxOut:       r.int(),
-		InBufDepth:   r.int(),
-		ScratchElems: r.i64(),
-		MaxCounters:  r.int(),
-	}
+func walkPUSpec(c *codec, p *arch.PUSpec) {
+	num(c, &p.Type)
+	num(c, &p.Lanes)
+	num(c, &p.Stages)
+	num(c, &p.MaxIn)
+	num(c, &p.MaxOut)
+	num(c, &p.InBufDepth)
+	num(c, &p.ScratchElems)
+	num(c, &p.MaxCounters)
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"time"
 
 	"sara/internal/ir"
@@ -38,7 +37,7 @@ func NewHasher(stage, prev string) *Hasher {
 func (h *Hasher) Int(x int) *Hasher { h.w.int(x); return h }
 
 // I64 mixes an int64.
-func (h *Hasher) I64(x int64) *Hasher { h.w.i64(x); return h }
+func (h *Hasher) I64(x int64) *Hasher { h.w.varint(x); return h }
 
 // Bool mixes a bool.
 func (h *Hasher) Bool(b bool) *Hasher { h.w.bool(b); return h }
@@ -50,7 +49,7 @@ func (h *Hasher) Str(s string) *Hasher { h.w.str(s); return h }
 func (h *Hasher) F64(x float64) *Hasher { h.w.f64(x); return h }
 
 // Dur mixes a duration.
-func (h *Hasher) Dur(d time.Duration) *Hasher { h.w.i64(int64(d)); return h }
+func (h *Hasher) Dur(d time.Duration) *Hasher { h.w.varint(int64(d)); return h }
 
 // Sum returns the content address as a hex string.
 func (h *Hasher) Sum() string {
@@ -68,94 +67,12 @@ func HexDigest(sum [sha256.Size]byte) string {
 // includePar is false, every controller's parallelization factor is encoded
 // as a fixed 1, producing a digest that is invariant under par-only edits —
 // the consistency analysis never reads Par, so its stage key uses the
-// par-free digest and survives par sweeps.
+// par-free digest and survives par sweeps. The program walks as it does in
+// an artifact.
 func ProgramDigest(p *ir.Program, includePar bool) string {
-	var w writer
-	w.int(FormatVersion)
-	w.bool(includePar)
-	encodeProgramCanonical(&w, p, includePar)
-	return HexDigest(sha256.Sum256(w.buf))
-}
-
-func encodeProgramCanonical(w *writer, p *ir.Program, includePar bool) {
-	w.str(p.Name)
-	w.int(p.TypeBits)
-	w.int(len(p.Ctrls))
-	for _, c := range p.Ctrls {
-		w.int(int(c.ID))
-		w.int(int(c.Kind))
-		w.str(c.Name)
-		w.int(int(c.Parent))
-		w.int(len(c.Children))
-		for _, ch := range c.Children {
-			w.int(int(ch))
-		}
-		w.int(c.Min)
-		w.int(c.Step)
-		w.int(c.Max)
-		w.int(c.Trip)
-		if includePar {
-			w.int(c.Par)
-		} else {
-			w.int(1)
-		}
-		w.int(int(c.Clause))
-		w.int(int(c.CondBlock))
-		w.int(int(c.BoundsBlock))
-		w.int(len(c.Ops))
-		for _, op := range c.Ops {
-			w.int(int(op.Kind))
-			w.int(len(op.Inputs))
-			for _, in := range op.Inputs {
-				w.int(in)
-			}
-			w.int(int(op.Acc))
-			w.bool(op.LCD)
-		}
-		w.int(len(c.Accesses))
-		for _, a := range c.Accesses {
-			w.int(int(a))
-		}
-	}
-	w.int(len(p.Mems))
-	for _, m := range p.Mems {
-		w.int(int(m.ID))
-		w.int(int(m.Kind))
-		w.str(m.Name)
-		w.int(len(m.Dims))
-		for _, d := range m.Dims {
-			w.int(d)
-		}
-		w.int(len(m.Accessors))
-		for _, a := range m.Accessors {
-			w.int(int(a))
-		}
-		w.int(m.MultiBuffer)
-	}
-	w.int(len(p.Accs))
-	for _, a := range p.Accs {
-		w.int(int(a.ID))
-		w.int(int(a.Mem))
-		w.int(int(a.Block))
-		w.int(int(a.Dir))
-		encodePattern(w, a.Pat)
-		w.int(a.Vec)
-		w.str(a.Name)
-	}
-}
-
-func encodePattern(w *writer, pat ir.Pattern) {
-	w.int(int(pat.Kind))
-	w.bool(pat.Coeffs != nil)
-	keys := make([]ir.CtrlID, 0, len(pat.Coeffs))
-	for k := range pat.Coeffs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.int(len(keys))
-	for _, k := range keys {
-		w.int(int(k))
-		w.int(pat.Coeffs[k])
-	}
-	w.int(pat.Offset)
+	c := &codec{parFree: !includePar}
+	c.w.int(FormatVersion)
+	c.w.bool(includePar)
+	walkProgram(c, p)
+	return HexDigest(sha256.Sum256(c.w.buf))
 }

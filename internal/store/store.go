@@ -181,7 +181,7 @@ func (s *Store) Get(stage, key string) ([]byte, bool) {
 		return b, true
 	}
 	if s.dir != "" {
-		if b, ok := s.load(stage, key); ok {
+		if b, ok := s.load(stage, key, s.checks[stage]); ok {
 			s.remember(stage, key, b)
 			st.Hits++
 			st.BytesRead += int64(len(b))
@@ -207,15 +207,14 @@ func (s *Store) Cached(stage, key string) ([]byte, bool) {
 	return b, ok
 }
 
-// load reads (stage, key) from disk through the stage's load check. A file
-// the check refuses is removed. Caller holds s.mu.
-func (s *Store) load(stage, key string) ([]byte, bool) {
+// load reads (stage, key) from disk through check (nil accepts any bytes).
+// A file the check refuses is removed. Caller holds s.mu.
+func (s *Store) load(stage, key string, check func([]byte) ([]byte, error)) ([]byte, bool) {
 	path := s.diskPath(stage, key)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
-	check := s.checks[stage]
 	if check == nil {
 		return b, true
 	}
@@ -374,34 +373,30 @@ const SolverStage = "solver"
 
 // LookupResult returns a memoized solver result for a partition-instance
 // content key. Results round-trip through the disk tier, so a restarted
-// process still skips re-solving instances it has seen.
+// process still skips re-solving instances it has seen; a record on disk that
+// does not decode is deleted and answered as a miss, so the next StoreResult
+// writes it afresh.
 func (s *Store) LookupResult(key string) (*partition.Result, bool) {
 	s.mu.Lock()
-	if r, ok := s.solver[key]; ok {
-		s.solverHits++
-		s.mu.Unlock()
-		cp := *r
-		cp.Assign = append([]int(nil), r.Assign...)
-		return &cp, true
-	}
-	s.mu.Unlock()
-	if s.dir != "" {
-		if b, err := os.ReadFile(s.diskPath(SolverStage, key)); err == nil {
-			if r, derr := decodeSolverResult(b); derr == nil {
-				s.mu.Lock()
-				s.solver[key] = r
-				s.solverHits++
-				s.mu.Unlock()
-				cp := *r
-				cp.Assign = append([]int(nil), r.Assign...)
-				return &cp, true
-			}
+	defer s.mu.Unlock()
+	r, ok := s.solver[key]
+	if !ok && s.dir != "" {
+		_, ok = s.load(SolverStage, key, func(b []byte) (_ []byte, err error) {
+			r, err = read(b, nil, walkSolverResult)
+			return b, err
+		})
+		if ok {
+			s.solver[key] = r
 		}
 	}
-	s.mu.Lock()
-	s.solverMiss++
-	s.mu.Unlock()
-	return nil, false
+	if !ok {
+		s.solverMiss++
+		return nil, false
+	}
+	s.solverHits++
+	cp := *r
+	cp.Assign = append([]int(nil), r.Assign...)
+	return &cp, true
 }
 
 // StoreResult memoizes a solver result under its instance content key.
@@ -412,7 +407,7 @@ func (s *Store) StoreResult(key string, r *partition.Result) {
 	s.solver[key] = &cp
 	s.mu.Unlock()
 	if s.dir != "" {
-		s.Put(SolverStage, key, encodeSolverResult(&cp))
+		s.Put(SolverStage, key, write(&cp, walkSolverResult))
 		// Put counted this under the "solver" stage byte counters, which is
 		// where solver disk traffic belongs; hit/miss stay on the dedicated
 		// solver counters above.
@@ -444,41 +439,12 @@ func (s *Store) StoreBasis(shape string, b lp.Basis) {
 	s.basis[shape] = append(lp.Basis(nil), b...)
 }
 
-func encodeSolverResult(r *partition.Result) []byte {
-	var w writer
-	w.int(FormatVersion)
-	w.int(len(r.Assign))
-	for _, a := range r.Assign {
-		w.int(a)
-	}
-	w.int(r.NumParts)
-	w.int(r.RetimeUnits)
-	w.f64(r.Cost)
-	w.str(r.Algo)
-	w.int(r.MIPNodes)
-	return w.buf
-}
-
-func decodeSolverResult(b []byte) (*partition.Result, error) {
-	r := &reader{buf: b}
-	if v := r.int(); r.err == nil && v != FormatVersion {
-		return nil, fmt.Errorf("store: solver result format version %d, this build reads %d", v, FormatVersion)
-	}
-	n := r.int()
-	if r.err != nil {
-		return nil, r.err
-	}
-	res := &partition.Result{Assign: make([]int, n)}
-	for i := range res.Assign {
-		res.Assign[i] = r.int()
-	}
-	res.NumParts = r.int()
-	res.RetimeUnits = r.int()
-	res.Cost = r.f64()
-	res.Algo = r.str()
-	res.MIPNodes = r.int()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return res, nil
+func walkSolverResult(c *codec, r *partition.Result) {
+	c.header("", "solver result")
+	list(c, &r.Assign, num[int])
+	num(c, &r.NumParts)
+	num(c, &r.RetimeUnits)
+	c.f64(&r.Cost)
+	c.str(&r.Algo)
+	num(c, &r.MIPNodes)
 }

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -260,6 +261,63 @@ func TestSolverCacheRoundTrip(t *testing.T) {
 	again, _ := s2.LookupResult("instkey")
 	if again.Assign[0] == 99 {
 		t.Error("LookupResult returns aliased memory")
+	}
+}
+
+// TestSolverCorruptRecordIsReplaced: a solver record on disk that does not
+// decode — a negative count, or a truncated record — is a miss, never a
+// panic; the file is deleted, and the next StoreResult writes a good one that
+// a fresh process reads back.
+func TestSolverCorruptRecordIsReplaced(t *testing.T) {
+	res := &partition.Result{Assign: []int{0, 1, 1}, NumParts: 2, Cost: 1.5, Algo: "solver", MIPNodes: 3}
+	negCount := binary.AppendVarint(binary.AppendVarint(nil, store.FormatVersion), -1)
+	for name, corrupt := range map[string]func(good []byte) []byte{
+		"negative count": func([]byte) []byte { return negCount },
+		"truncated":      func(good []byte) []byte { return good[:len(good)-3] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, store.SolverStage, "inst.bin")
+			s, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.StoreResult("inst", res)
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, corrupt(good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s2.LookupResult("inst"); ok {
+				t.Fatalf("a corrupt record answered %+v", got)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("the corrupt record is still on disk (err %v)", err)
+			}
+			if st := s2.Stats(); st.SolverMiss != 1 || st.SolverHits != 0 || st.DiskEntries != 0 {
+				t.Errorf("after the refused load: %d misses, %d hits, %d disk entries", st.SolverMiss, st.SolverHits, st.DiskEntries)
+			}
+			s2.StoreResult("inst", res)
+			if b, _ := os.ReadFile(path); !bytes.Equal(b, good) {
+				t.Fatalf("StoreResult wrote %x, want %x", b, good)
+			}
+
+			s3, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := s3.LookupResult("inst")
+			if !ok || got.NumParts != res.NumParts || len(got.Assign) != len(res.Assign) {
+				t.Errorf("the rewritten record reads back as %+v, %v", got, ok)
+			}
+		})
 	}
 }
 
