@@ -51,8 +51,10 @@ bench:
 # outside ./bench; BenchmarkSimulate does the same for the simulator (time per
 # firing, bytes and allocations per run on five placed designs) and is its
 # profiling entry point (add -cpuprofile); BenchmarkSolver is the solver's —
-# the rf and ms par-64 compiles of ./bench's solver workload, time per
-# branch-and-bound node and allocations per compile; BenchmarkRunHit is the
+# the rf and ms par-64 compiles of ./bench's solver workload: ms/compile, the
+# wall time of one whole compile; us/node, that time over the branch-and-bound
+# nodes the compile explored (instances the passes' memo answered explore
+# none, so they are not counted); and allocations per compile; BenchmarkRunHit is the
 # serving hit path's — one in-process /v1/run answered from the LRU and the
 # result memo, time and allocations per request — and BenchmarkRunProxied the
 # proxy hop's: a design's first request at a non-owner of a 2-node cluster,

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -106,6 +107,12 @@ func (p *Problem) SetObj(i int, v float64) {
 // AddObj adds v to the objective coefficient of variable i.
 func (p *Problem) AddObj(i int, v float64) {
 	p.c[i] += v
+}
+
+// Grow reserves room for rows more constraints, so that many AddConstraint
+// calls append without reallocating. The problem itself does not change.
+func (p *Problem) Grow(rows int) {
+	p.rows = slices.Grow(p.rows, rows)
 }
 
 // AddConstraint appends the sparse row Σ coef[k]·x[idx[k]] rel rhs.

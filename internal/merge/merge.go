@@ -45,7 +45,8 @@ type Options struct {
 	// VU), the baseline for the merge-effectiveness ablation (Fig 10).
 	DisableMerging bool
 	// Cache memoizes per-group packing results and solver bases across
-	// compiles (nil = no memoization).
+	// compiles. Nil gives the pass its own instance memo
+	// (partition.PassCache): repeated groups of one compile are packed once.
 	Cache partition.SolverCache
 }
 
@@ -177,6 +178,7 @@ func Merge(g *dfg.Graph, spec *arch.Spec, opts Options) (*Result, error) {
 		groups[k] = append(groups[k], u)
 	}
 	sort.Strings(keys)
+	opts.Cache = partition.PassCache(opts.Cache)
 	for _, k := range keys {
 		nodes, err := packGroup(g, spec, opts, groups[k], addPU)
 		if err != nil {

@@ -463,6 +463,7 @@ func (rx *relaxation) solveNode(nd *node) (*lp.Solution, error) {
 			q.SetObj(i, v)
 		}
 	}
+	q.Grow(len(p.rowIdx) + len(rx.ubVars) + len(nd.loOrder)) // the warm shape's row count
 	for r := range p.rowIdx {
 		q.AddConstraint(p.rowIdx[r], p.rowCoef[r], p.rowRel[r], p.rowRHS[r])
 	}

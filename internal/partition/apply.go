@@ -58,7 +58,9 @@ type ApplyOptions struct {
 	// Plasticine limits (6 stages, 4 in, 4 out).
 	MaxOps, MaxIn, MaxOut int
 	// Cache memoizes per-instance partitioning results and solver bases
-	// across compiles (nil = no memoization; every compile is cold).
+	// across compiles. Nil gives the pass its own instance memo (PassCache):
+	// repeated instances of one compile are solved once, and no basis is
+	// carried from one instance to another.
 	Cache SolverCache
 }
 
@@ -96,6 +98,7 @@ type ApplyStats struct {
 func Apply(g *dfg.Graph, opts ApplyOptions) (*ApplyStats, error) {
 	maxOps, maxIn, maxOut := opts.limits()
 	stats := &ApplyStats{Algo: opts.Algo.String()}
+	opts.Cache = PassCache(opts.Cache)
 	// Snapshot the unit list: splitting appends new units.
 	units := g.LiveVUs()
 	for _, u := range units {

@@ -19,10 +19,17 @@ import (
 // hit here skips the dominant cost of a recompile even though the lowered
 // graph itself changed.
 //
-// Implementations must be safe for concurrent use and must return results
-// that the caller may mutate (i.e. defensive copies). The interface lives
-// here rather than in internal/store so that partition does not depend on
-// the store package (store imports partition for the Result type).
+// Two implementations exist. The design store (internal/store) keeps results
+// and root-LP bases across compiles and processes, and is the cache of every
+// incremental compile (core.Config.Memo). A pass given no cache makes its own
+// pass-local memo (PassCache), so a single cold compile solves each distinct
+// instance once — unrolling by par repeats them — and never seeds a basis.
+//
+// Implementations must return results that the caller may mutate (i.e.
+// defensive copies); one shared between compiles must also be safe for
+// concurrent use. The interface lives here rather than in internal/store so
+// that partition does not depend on the store package (store imports
+// partition for the Result type).
 type SolverCache interface {
 	// LookupResult returns the memoized result for an instance content key.
 	LookupResult(key string) (*Result, bool)
@@ -37,10 +44,13 @@ type SolverCache interface {
 }
 
 // ContentKey returns a canonical content hash of the instance plus the
-// algorithm and the solution-relevant solver options. Workers and ColdLP are
-// deliberately excluded: the solver is bit-identical across worker counts
-// and warm/cold LP modes (the PR 3 equivalence suites), so results cached
-// under one mode are valid under every other.
+// algorithm and the solution-relevant solver options. Workers, ColdLP and
+// Cache are deliberately excluded: the solver is bit-identical across worker
+// counts, warm/cold LP modes and seeded bases (the serial ≡ parallel and
+// incremental ≡ cold equivalence suites), so results cached under one mode are
+// valid under every other. Every cold compile treats two units with one key
+// as repeats (PassCache), so an input the solver reads must be in the key;
+// TestContentKeyCoversInputs fails when a field is added without it.
 func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 	var b []byte
 	app := func(x int64) { b = binary.AppendVarint(b, x) }
@@ -85,15 +95,53 @@ func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 	return hex.EncodeToString(s[:])
 }
 
-// RunInstance solves one partitioning instance with the selected algorithm,
-// memoized through cache when non-nil. It is the single entry point shared
-// by the compute-partitioning pass (Apply) and the global merger
-// (merge.Merge); cached results include MIPNodes, so reported solver stats
-// reproduce bit-identically on a warm cache.
-func RunInstance(in *Instance, algo Algorithm, sopts SolverOptions, cache SolverCache) (*Result, error) {
-	if cache == nil {
-		return runInstance(in, algo, sopts)
+// PassCache returns cache, or, when it is nil, a new pass-local instance
+// memo: Apply and merge.Merge call it once per pass, so a compile without a
+// store still solves each distinct instance once. The memo hands back a copy
+// of an instance's first Result, MIPNodes included, so a repeat reports
+// exactly what re-solving it would (the solver is deterministic under a node
+// budget). It holds no bases — LookupBasis always misses and StoreBasis
+// drops its argument — so every instance it does not answer is solved
+// exactly as with no cache at all. It is not safe for concurrent use; a pass
+// solves its instances one at a time.
+func PassCache(cache SolverCache) SolverCache {
+	if cache != nil {
+		return cache
 	}
+	return passMemo{}
+}
+
+// passMemo is the pass-local instance memo (PassCache).
+type passMemo map[string]*Result
+
+func (m passMemo) LookupResult(key string) (*Result, bool) {
+	r, ok := m[key]
+	if !ok {
+		return nil, false
+	}
+	return r.Clone(), true
+}
+
+func (m passMemo) StoreResult(key string, r *Result) { m[key] = r.Clone() }
+
+func (passMemo) LookupBasis(string) (lp.Basis, bool) { return nil, false }
+
+func (passMemo) StoreBasis(string, lp.Basis) {}
+
+// Clone returns a copy of r that shares no memory with it.
+func (r *Result) Clone() *Result {
+	cp := *r
+	cp.Assign = append([]int(nil), r.Assign...)
+	return &cp
+}
+
+// RunInstance solves one partitioning instance with the selected algorithm,
+// memoized through cache, which must not be nil (a pass without one uses
+// PassCache's). It is the single entry point shared by the
+// compute-partitioning pass (Apply) and the global merger (merge.Merge);
+// cached results include MIPNodes, so reported solver stats reproduce
+// bit-identically on a warm cache.
+func RunInstance(in *Instance, algo Algorithm, sopts SolverOptions, cache SolverCache) (*Result, error) {
 	key := in.ContentKey(algo, sopts)
 	if r, ok := cache.LookupResult(key); ok {
 		return r, nil

@@ -148,6 +148,10 @@ func solverConfig(workers, maxNodes int) core.Config {
 // equivalence suite, and requires identical compiled designs: same
 // resources, same partition statistics, same merge result, same node
 // counts — and the serial leg the design recorded in solver_golden.json.
+// Both legs answer repeated instances from the passes' memo. When the serial
+// leg's memo answered any, a third, serial leg solves every instance
+// (resolveConfig) and must match it too; a design without a repeated
+// instance (bs among them) solves the same instances either way.
 func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -164,29 +168,16 @@ func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
 				}
 				maxNodes = 2
 			}
-			serial, err := core.Compile(w.Build(workloads.Params{Par: 2, Scale: 16}), solverConfig(1, maxNodes))
-			if err != nil {
-				t.Fatalf("serial compile: %v", err)
-			}
-			par, err := core.Compile(w.Build(workloads.Params{Par: 2, Scale: 16}), solverConfig(8, maxNodes))
-			if err != nil {
-				t.Fatalf("parallel compile: %v", err)
-			}
-			if serial.Resources() != par.Resources() {
-				t.Errorf("resources: serial %+v, parallel %+v", serial.Resources(), par.Resources())
-			}
-			if !reflect.DeepEqual(serial.PartStats, par.PartStats) {
-				t.Errorf("partition stats: serial %+v, parallel %+v", serial.PartStats, par.PartStats)
-			}
-			sc, pc := serial.Merged.Counts, par.Merged.Counts
-			if sp, pp := scCounts(sc), scCounts(pc); sp != pp {
-				t.Errorf("merge counts: serial %v, parallel %v", sp, pp)
-			}
-			if serial.Merged.MIPNodes != par.Merged.MIPNodes {
-				t.Errorf("merge nodes: serial %d, parallel %d", serial.Merged.MIPNodes, par.Merged.MIPNodes)
-			}
-			if serial.MIPNodes() != par.MIPNodes() {
-				t.Errorf("total MIP nodes: serial %d, parallel %d", serial.MIPNodes(), par.MIPNodes())
+			p := workloads.Params{Par: 2, Scale: 16}
+			cfg := solverConfig(1, maxNodes)
+			part, merged := newCounting(), newCounting()
+			cfg.Partition.Cache, cfg.Merge.Cache = part, merged
+			serial := mustCompileSolver(t, w.Name, p, cfg)
+			par := mustCompileSolver(t, w.Name, p, solverConfig(8, maxNodes))
+			requireSameCompile(t, "serial", "parallel", serial, par)
+			if part.hits()+merged.hits() > 0 {
+				full := mustCompileSolver(t, w.Name, p, resolveConfig(solverConfig(1, maxNodes)))
+				requireSameCompile(t, "memo", "re-solve", serial, full)
 			}
 			if serial.MIPNodes() == 0 {
 				t.Logf("note: %s never reached the MIP solver at this size", w.Name)

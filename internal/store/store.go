@@ -394,20 +394,17 @@ func (s *Store) LookupResult(key string) (*partition.Result, bool) {
 		return nil, false
 	}
 	s.solverHits++
-	cp := *r
-	cp.Assign = append([]int(nil), r.Assign...)
-	return &cp, true
+	return r.Clone(), true
 }
 
 // StoreResult memoizes a solver result under its instance content key.
 func (s *Store) StoreResult(key string, r *partition.Result) {
-	cp := *r
-	cp.Assign = append([]int(nil), r.Assign...)
+	cp := r.Clone()
 	s.mu.Lock()
-	s.solver[key] = &cp
+	s.solver[key] = cp
 	s.mu.Unlock()
 	if s.dir != "" {
-		s.Put(SolverStage, key, write(&cp, walkSolverResult))
+		s.Put(SolverStage, key, write(cp, walkSolverResult))
 		// Put counted this under the "solver" stage byte counters, which is
 		// where solver disk traffic belongs; hit/miss stay on the dedicated
 		// solver counters above.
