@@ -94,10 +94,7 @@ func checkGolden(t *testing.T, key string, c *core.Compiled) {
 // The twelve par-2 designs of TestSolverSerialParallelEquivalenceWorkloads
 // are pinned from that test's serial leg.
 func TestSolverGoldenBenchDesigns(t *testing.T) {
-	for _, d := range []struct {
-		name       string
-		par, scale int
-	}{{"rf", 16, 16}, {"rf", 32, 16}, {"ms", 16, 16}, {"rf", 64, 32}, {"ms", 32, 16}, {"ms", 64, 16}} {
+	for _, d := range benchSolverDesigns {
 		w, err := workloads.ByName(d.name)
 		if err != nil {
 			t.Fatal(err)
