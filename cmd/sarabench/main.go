@@ -9,8 +9,8 @@
 //
 // Compile mode times the compiler itself and writes BENCH_compile.json: a
 // traversal row per registered workload for per-stage coverage, solver rows
-// that compare the pre-optimization MIP path (serial branch-and-bound, cold
-// LP relaxations) against the warm-started speculative search, and
+// that compare the pre-optimization MIP path (cold LP relaxations) against
+// the same branch-and-bound with warm-started relaxations, and
 // incremental rows that replay one-knob-changed recompiles (par, arch, and
 // opt-flag changes) cold versus through the content-addressed design store.
 //
@@ -127,8 +127,8 @@ func timeEngine(d *sim.Design, kind sim.EngineKind, reps int) (EngineStat, *sim.
 
 // compileCases is the BENCH_compile.json workload set: every registered
 // workload through the traversal path for per-stage coverage, and the three
-// solver-partitioned cases whose MIP trees the warm-started parallel search
-// accelerates. bs carries the heaviest LP relaxations, so its tree is kept
+// solver-partitioned cases whose MIP trees the warm-started relaxations
+// accelerate. bs carries the heaviest LP relaxations, so its tree is kept
 // shallow; rf and ms explore deeper trees of small LPs.
 func compileCases() []eval.CompileBenchCase {
 	var cases []eval.CompileBenchCase

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sarac -workload mlp -par 64 [-chip 20x20|v1] [-scale 1] [-solver]
-//	      [-solver-workers N] [-store DIR] [-dump]
+//	      [-store DIR] [-dump]
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "problem-size divisor (1 = paper scale)")
 		chip     = flag.String("chip", "20x20", "target chip: 20x20 (HBM2) or v1 (DDR3)")
 		solver   = flag.Bool("solver", false, "use MIP solver partitioning (15% gap)")
-		workers  = flag.Int("solver-workers", 0, "parallel branch-and-bound workers (0 = one per CPU, 1 = serial oracle; any setting is deterministic)")
 		storeDir = flag.String("store", "", "design-store directory: recompiles reuse every pipeline stage whose input is unchanged (empty = cold compile)")
 		dump     = flag.Bool("dump", false, "dump the virtual-unit dataflow graph")
 		dot      = flag.Bool("dot", false, "emit the dataflow graph in Graphviz DOT format")
@@ -56,8 +55,6 @@ func main() {
 		cfg.Partition.Gap = 0.15
 		cfg.Merge.Algo = partition.AlgoSolver
 		cfg.Merge.Gap = 0.15
-		cfg.Partition.Workers = *workers
-		cfg.Merge.Workers = *workers
 	}
 
 	if *storeDir != "" {

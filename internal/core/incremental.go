@@ -28,9 +28,9 @@ var StageNames = []string{
 //     changes. The par-sweep win downstream of lower comes from the
 //     partition/merge instance memo (partition.RunInstance), which
 //     content-addresses the par-invariant solver instances.
-//   - partition and merge keys exclude Workers and ColdLP: results are
-//     bit-identical across those settings (PR 3 equivalence suites), so
-//     caching across them is sound.
+//   - partition and merge keys exclude Workers, which nothing reads, and
+//     ColdLP, the compile benchmark's cold-relaxation baseline: a design
+//     cached under one LP mode answers the other.
 //   - a stage's own defaults (e.g. membank's MaxFanIn = PCU.MaxIn) are
 //     covered by hashing the raw option plus the spec fields the default
 //     derives from.

@@ -17,9 +17,10 @@ type CompileBenchCase struct {
 	Workload   string
 	Par, Scale int
 	// Solver selects MIP-based partitioning and merging. Solver cases run
-	// twice — the pre-optimization baseline (serial branch-and-bound,
-	// cold-start LP relaxations) against the optimized path (warm-started,
-	// speculatively parallel) — and report the speedup. Traversal cases run
+	// twice — the pre-optimization baseline (cold-start LP relaxations)
+	// against the optimized path (relaxations warm-started from the parent
+	// node's basis), both the same serial branch-and-bound — and report the
+	// speedup. Traversal cases run
 	// the current path once, for per-stage timing coverage.
 	Solver bool
 	// MaxNodes bounds every solver invocation. Both legs explore trees of
@@ -71,8 +72,6 @@ func compileBenchConfig(cs CompileBenchCase, baseline bool) core.Config {
 	cfg.Partition.TimeLimit = 10 * time.Minute
 	cfg.Merge.TimeLimit = 10 * time.Minute
 	if baseline {
-		cfg.Partition.Workers = 1
-		cfg.Merge.Workers = 1
 		cfg.Partition.ColdLP = true
 		cfg.Merge.ColdLP = true
 	}

@@ -265,8 +265,8 @@ func (t *tableau) installBasis(basis Basis) bool {
 // The leaving row is the most negative rhs (lowest row index on ties); the
 // entering column minimizes the reduced-cost ratio over columns with a
 // negative pivot element (lowest column index on ties) — deterministic by
-// construction, which the bit-identical parallel search in package mip
-// relies on.
+// construction, which the pinned node and pivot counts of package mip's
+// golden files rely on.
 func (t *tableau) iterateDual() Status {
 	obj := t.a[t.m]
 	// A warm re-solve is worthwhile only when it takes few pivots — the

@@ -37,15 +37,15 @@ type Options struct {
 	Gap       float64
 	MaxNodes  int
 	TimeLimit time.Duration
-	// Workers and ColdLP forward to the MIP solver (see
-	// partition.SolverOptions).
+	// Workers is read by nothing: the solver searches on one goroutine.
+	// The field remains only because the benchmark harness still sets it.
 	Workers int
-	ColdLP  bool
+	// ColdLP forwards to the MIP solver (partition.SolverOptions.ColdLP).
+	ColdLP bool
 	// DisableMerging turns the pass into the identity assignment (one PU per
 	// VU), the baseline for the merge-effectiveness ablation (Fig 10).
 	DisableMerging bool
-	// Cache memoizes per-group packing results and solver bases across
-	// compiles. Nil gives the pass its own instance memo
+	// Cache memoizes per-group packing results across compiles. Nil gives the pass its own instance memo
 	// (partition.PassCache): repeated groups of one compile are packed once.
 	Cache partition.SolverCache
 }
@@ -284,7 +284,7 @@ func packGroup(g *dfg.Graph, spec *arch.Spec, opts Options, group []*dfg.VU, add
 
 	res, err := partition.RunInstance(in, opts.Algo, partition.SolverOptions{
 		Gap: opts.Gap, MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit,
-		Workers: opts.Workers, ColdLP: opts.ColdLP,
+		ColdLP: opts.ColdLP,
 	}, opts.Cache)
 	if err != nil {
 		return 0, fmt.Errorf("merge: packing group of %d: %w", len(group), err)

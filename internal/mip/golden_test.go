@@ -14,7 +14,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenRow pins one serial solve: the answer bit for bit, and the work it
+// goldenRow pins one solve: the answer bit for bit, and the work it
 // took in both deterministic units.
 type goldenRow struct {
 	Trial       int    `json:"trial"`
@@ -25,10 +25,9 @@ type goldenRow struct {
 	LPPivots    int    `json:"lp_pivots"`
 }
 
-// TestRandomGolden pins the reference solver's answer beside the instance:
-// the serial search on the seeded random programs of the serial ≡ parallel
-// suite must reproduce the recorded objective bits, node count, warm-start
-// count and LP pivot count. A change to package lp or mip that claims to
+// TestRandomGolden pins the solver's answer beside the instance: the search
+// on forty seeded random programs (randomMIP, seed 1234) must reproduce the
+// recorded objective bits, node count, warm-start count and LP pivot count. A change to package lp or mip that claims to
 // keep the pivot sequence leaves testdata/random_golden.jsonl byte-identical;
 // one that means to move it regenerates the file with
 // `go test ./internal/mip -run Golden -update` and says so.
@@ -36,7 +35,7 @@ func TestRandomGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	var got bytes.Buffer // one JSON row a line, so a diff names the program
 	for trial := 0; trial < 40; trial++ {
-		s, _ := randomMIP(rng).Solve(Options{Workers: 1})
+		s, _ := randomMIP(rng).Solve(Options{})
 		row, err := json.Marshal(goldenRow{
 			Trial:       trial,
 			Status:      s.Status.String(),
@@ -64,6 +63,6 @@ func TestRandomGolden(t *testing.T) {
 		t.Fatalf("reading golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("serial solves diverge from golden (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+		t.Errorf("solves diverge from golden (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }

@@ -53,15 +53,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{n: n, obj: make([]float64, n), integer: make([]bool, n), upper: up}
 }
 
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return p.n }
-
-// NumRows returns the constraint row count. Together with NumVars it
-// identifies a formulation's LP shape for basis-seeding purposes
-// (Options.SeedBasis): two problems with equal shape get structurally
-// compatible root relaxations.
-func (p *Problem) NumRows() int { return len(p.rowRHS) }
-
 // SetObj sets the minimization objective coefficient of variable i.
 func (p *Problem) SetObj(i int, v float64) { p.obj[i] = v }
 
@@ -134,25 +125,10 @@ type Options struct {
 	// traversal-based partitioning solution in the paper). Ignored when
 	// infeasible for the problem.
 	WarmStart []float64
-	// Workers selects the speculative LP worker count for the parallel tree
-	// search: 0 = auto (GOMAXPROCS, capped at 8), 1 or negative = the serial
-	// oracle, n > 1 = exactly n workers. Results are bit-identical across
-	// all settings — the main loop runs the serial algorithm either way and
-	// workers only pre-compute deterministic LP relaxations.
-	Workers int
 	// ColdLP disables warm-started relaxations: every node re-runs two-phase
 	// simplex from an empty tableau. This is the pre-warm-start baseline,
 	// kept selectable for benchmarking (cmd/sarabench).
 	ColdLP bool
-	// SeedBasis, when non-nil, seeds the ROOT node's LP relaxation with a
-	// basis captured from a previously solved problem of the same shape
-	// (incremental recompilation: the formulation delta between two compile
-	// requests is often empty or tiny). The seed is only a hint:
-	// lp.SolveFrom re-factorizes it against this problem's tableau and falls
-	// back to a cold solve whenever it is singular or dual infeasible, so a
-	// stale or foreign basis can never change the solution — only the pivot
-	// count. Ignored under ColdLP, which bypasses bases entirely.
-	SeedBasis lp.Basis
 }
 
 // Solution is a solve result.
@@ -170,14 +146,8 @@ type Solution struct {
 	// the parent's optimal basis (lp.SolveFrom) rather than solved cold.
 	WarmStarted int
 	// LPPivots totals lp.Solution.Pivots over the explored nodes'
-	// relaxations: with Nodes, the search's deterministic work units —
-	// equal across worker counts, since speculative solves the main loop
-	// never asked for are not counted.
+	// relaxations: with Nodes, the search's deterministic work units.
 	LPPivots int
-	// RootBasis is the optimal basis of the root LP relaxation (nil when the
-	// root was solved cold or yielded no clean basis). Callers hand it to a
-	// later Solve of a same-shaped problem via Options.SeedBasis.
-	RootBasis lp.Basis
 }
 
 // ErrInfeasible is returned when no integer-feasible point exists.
@@ -188,7 +158,7 @@ const intTol = 1e-6
 type node struct {
 	// id is assigned in creation order and is the deterministic tie-break
 	// for equal bounds: lowest ID wins, so the pop order — and with it the
-	// whole search — is identical run to run and across worker counts.
+	// whole search — is identical run to run.
 	id    int64
 	bound float64
 	lo    map[int]float64
@@ -223,12 +193,11 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// Solve runs best-first branch and bound. The node heap is ordered by
-// (LP bound, node ID) — a total order — so the search is deterministic, and
-// every LP relaxation is a pure function of its node; the parallel mode
-// (Options.Workers) exploits that by speculatively pre-solving frontier
-// relaxations on a worker pool while this loop stays the sole decision
-// maker, making serial and parallel results bit-identical.
+// Solve runs best-first branch and bound on the calling goroutine. The node
+// heap is ordered by (LP bound, node ID) — a total order — and every LP
+// relaxation is a pure function of its node, so under a node budget the
+// search, its answer and its pivot count are a function of the problem and
+// the options alone.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = 1_000_000
@@ -246,25 +215,13 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 
 	rx := newRelaxation(p, opts.ColdLP)
-	var spec *speculator
-	if w := workerCount(opts.Workers); w > 1 {
-		spec = newSpeculator(rx, w)
-		defer spec.stop()
-		spec.noteIncumbent(best)
-	}
-
-	var seed lp.Basis
-	if rx.warm && opts.SeedBasis != nil {
-		seed = append(lp.Basis(nil), opts.SeedBasis...)
-	}
-	h := &nodeHeap{{id: 0, bound: math.Inf(-1), lo: map[int]float64{}, hi: map[int]float64{}, basis: seed}}
+	h := &nodeHeap{{id: 0, bound: math.Inf(-1), lo: map[int]float64{}, hi: map[int]float64{}}}
 	heap.Init(h)
 	nextID := int64(1)
 	nodes, warmed, pivots := 0, 0, 0
 	rootBound := math.Inf(-1)
 	haveRoot := false
 	limited := false
-	var rootBasis lp.Basis
 
 	for h.Len() > 0 {
 		if nodes >= opts.MaxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
@@ -279,12 +236,9 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			globalBound = math.Inf(-1)
 		}
 		if bestX != nil && gapOK(best, globalBound, opts.Gap) {
-			return p.finish(Optimal, bestX, best, globalBound, nodes, warmed, pivots).withRootBasis(rootBasis), nil
+			return p.finish(Optimal, bestX, best, globalBound, nodes, warmed, pivots), nil
 		}
 		if nd.bound >= best-1e-9 {
-			if spec != nil {
-				spec.discard(nd)
-			}
 			continue // cannot improve
 		}
 		nodes++
@@ -292,13 +246,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			warmed++
 		}
 
-		var sol *lp.Solution
-		var err error
-		if spec != nil {
-			sol, err = spec.get(nd)
-		} else {
-			sol, err = rx.solveNode(nd)
-		}
+		sol, err := rx.solveNode(nd)
 		pivots += sol.Pivots
 		if err != nil {
 			continue // infeasible subproblem
@@ -306,7 +254,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		if !haveRoot {
 			rootBound = sol.Obj
 			haveRoot = true
-			rootBasis = sol.Basis
 		}
 		if sol.Obj >= best-1e-9 {
 			continue
@@ -317,9 +264,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			if sol.Obj < best {
 				best = sol.Obj
 				bestX = roundInts(sol.X, p.integer)
-				if spec != nil {
-					spec.noteIncumbent(best)
-				}
 			}
 			continue
 		}
@@ -343,11 +287,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		nextID += 2
 		heap.Push(h, down)
 		heap.Push(h, up)
-		if spec != nil {
-			spec.offer(down)
-			spec.offer(up)
-			spec.offerTop(h)
-		}
 	}
 
 	bound := rootBound
@@ -358,9 +297,9 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	if bestX == nil {
 		if h.Len() == 0 && nodes > 0 {
-			return p.finish(Infeasible, nil, math.Inf(1), bound, nodes, warmed, pivots).withRootBasis(rootBasis), ErrInfeasible
+			return p.finish(Infeasible, nil, math.Inf(1), bound, nodes, warmed, pivots), ErrInfeasible
 		}
-		return p.finish(Limit, nil, math.Inf(1), bound, nodes, warmed, pivots).withRootBasis(rootBasis), errors.New("mip: limit reached without incumbent")
+		return p.finish(Limit, nil, math.Inf(1), bound, nodes, warmed, pivots), errors.New("mip: limit reached without incumbent")
 	}
 	// A limit-stopped search returns the incumbent as Feasible (best-effort)
 	// unless the remaining open-node bound already proves it within the
@@ -369,12 +308,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if limited && !gapOK(best, bound, opts.Gap) {
 		status = Feasible
 	}
-	return p.finish(status, bestX, best, bound, nodes, warmed, pivots).withRootBasis(rootBasis), nil
-}
-
-func (s *Solution) withRootBasis(b lp.Basis) *Solution {
-	s.RootBasis = b
-	return s
+	return p.finish(status, bestX, best, bound, nodes, warmed, pivots), nil
 }
 
 func (p *Problem) finish(st Status, x []float64, obj, bound float64, nodes, warmed, pivots int) *Solution {
@@ -454,7 +388,7 @@ func newRelaxation(p *Problem, cold bool) *relaxation {
 }
 
 // solveNode solves the LP relaxation at nd. It is a pure function of the
-// node and safe for concurrent use: all shared state is read-only.
+// node: all shared state is read-only.
 func (rx *relaxation) solveNode(nd *node) (*lp.Solution, error) {
 	p := rx.p
 	q := lp.NewProblem(p.n)

@@ -212,3 +212,128 @@ func TestEqualityPartitioning(t *testing.T) {
 		t.Errorf("obj = %v, want 1", s.Obj)
 	}
 }
+
+// randomMIP generates a mixed random instance: binary variables under a
+// knapsack row, plus occasional GE / EQ side constraints so the search
+// exercises infeasible subproblems and non-trivial branching.
+func randomMIP(rng *rand.Rand) *Problem {
+	n := 6 + rng.Intn(10) // 6..15 binaries
+	p := NewProblem(n)
+	idx := make([]int, n)
+	w := make([]float64, n)
+	cap := 0.0
+	for i := 0; i < n; i++ {
+		p.SetObj(i, -(1 + rng.Float64()*9))
+		p.SetBinary(i)
+		idx[i] = i
+		w[i] = 1 + rng.Float64()*5
+		cap += w[i]
+	}
+	p.AddConstraint(idx, w, LE, cap*(0.3+rng.Float64()*0.3))
+	if rng.Intn(2) == 0 {
+		// Pick at least k of a random subset.
+		k := 1 + rng.Intn(2)
+		m := 3 + rng.Intn(n-3)
+		sub := rng.Perm(n)[:m]
+		coef := make([]float64, m)
+		for i := range coef {
+			coef[i] = 1
+		}
+		p.AddConstraint(sub, coef, GE, float64(k))
+	}
+	if rng.Intn(3) == 0 {
+		// Exactly-one over a small subset.
+		m := 2 + rng.Intn(3)
+		sub := rng.Perm(n)[:m]
+		coef := make([]float64, m)
+		for i := range coef {
+			coef[i] = 1
+		}
+		p.AddConstraint(sub, coef, EQ, 1)
+	}
+	return p
+}
+
+// TestWarmVsColdObjective checks the warm-started LP path lands on the same
+// optimum as the cold baseline (vertices may differ; objectives may not) and
+// that warm starts actually engage on branching instances.
+func TestWarmVsColdObjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	engaged := false
+	for trial := 0; trial < 25; trial++ {
+		p := randomMIP(rng)
+		warm, errW := p.Solve(Options{})
+		cold, errC := p.Solve(Options{ColdLP: true})
+		if (errW == nil) != (errC == nil) {
+			t.Fatalf("trial %d: warm err %v, cold err %v", trial, errW, errC)
+		}
+		if errW != nil {
+			continue
+		}
+		if math.Abs(warm.Obj-cold.Obj) > 1e-6 {
+			t.Errorf("trial %d: warm obj %v != cold obj %v", trial, warm.Obj, cold.Obj)
+		}
+		if warm.WarmStarted > 0 {
+			engaged = true
+		}
+		if cold.WarmStarted != 0 {
+			t.Errorf("trial %d: cold path reports %d warm-started nodes", trial, cold.WarmStarted)
+		}
+	}
+	if !engaged {
+		t.Error("no instance engaged the warm-start path")
+	}
+}
+
+// TestNodeCapReturnsFeasible checks the node-limit contract: a search
+// truncated with an unproven incumbent reports Feasible, not Optimal, while
+// the untruncated run proves Optimal on the same instance.
+func TestNodeCapReturnsFeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 18
+	p := NewProblem(n)
+	idx := make([]int, n)
+	w := make([]float64, n)
+	for i := 0; i < n; i++ {
+		p.SetObj(i, -(1 + rng.Float64()*9))
+		p.SetBinary(i)
+		idx[i] = i
+		w[i] = 1 + rng.Float64()*4
+	}
+	p.AddConstraint(idx, w, LE, 18)
+
+	full, err := p.Solve(Options{})
+	if err != nil {
+		t.Fatalf("full solve: %v", err)
+	}
+	if full.Status != Optimal {
+		t.Fatalf("full solve status = %v, want optimal", full.Status)
+	}
+	if full.Nodes <= 3 {
+		t.Skipf("instance too easy (%d nodes) to truncate meaningfully", full.Nodes)
+	}
+
+	start := make([]float64, n) // all-zero incumbent, far from optimal
+	capped, err := p.Solve(Options{MaxNodes: 2, WarmStart: start})
+	if err != nil {
+		t.Fatalf("capped solve: %v", err)
+	}
+	if capped.Status != Feasible {
+		t.Errorf("capped status = %v, want feasible (incumbent unproven)", capped.Status)
+	}
+	if capped.X == nil {
+		t.Error("capped solve dropped the incumbent")
+	}
+	if capped.Nodes > 2 {
+		t.Errorf("capped solve explored %d nodes, cap was 2", capped.Nodes)
+	}
+
+	// A cap that is never hit must not demote the status.
+	roomy, err := p.Solve(Options{MaxNodes: full.Nodes + 10})
+	if err != nil {
+		t.Fatalf("roomy solve: %v", err)
+	}
+	if roomy.Status != Optimal {
+		t.Errorf("roomy status = %v, want optimal", roomy.Status)
+	}
+}

@@ -50,17 +50,17 @@ type ApplyOptions struct {
 	Gap       float64
 	MaxNodes  int
 	TimeLimit time.Duration
-	// Workers and ColdLP forward to the MIP solver (see
-	// SolverOptions.Workers / SolverOptions.ColdLP).
+	// Workers is read by nothing: the solver searches on one goroutine.
+	// The field remains only because the benchmark harness still sets it.
 	Workers int
-	ColdLP  bool
+	// ColdLP forwards to the MIP solver (SolverOptions.ColdLP).
+	ColdLP bool
 	// MaxOps, MaxIn, MaxOut describe the PCU; zero values take the usual
 	// Plasticine limits (6 stages, 4 in, 4 out).
 	MaxOps, MaxIn, MaxOut int
-	// Cache memoizes per-instance partitioning results and solver bases
-	// across compiles. Nil gives the pass its own instance memo (PassCache):
-	// repeated instances of one compile are solved once, and no basis is
-	// carried from one instance to another.
+	// Cache memoizes per-instance partitioning results across compiles. Nil
+	// gives the pass its own instance memo (PassCache): repeated instances
+	// of one compile are solved once.
 	Cache SolverCache
 }
 
@@ -269,7 +269,7 @@ func accessPartition(g *dfg.Graph, u *dfg.VU, opOf map[ir.AccessID]int, assign [
 func runAlgo(in *Instance, opts ApplyOptions) (*Result, error) {
 	return RunInstance(in, opts.Algo, SolverOptions{
 		Gap: opts.Gap, MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit,
-		Workers: opts.Workers, ColdLP: opts.ColdLP,
+		ColdLP: opts.ColdLP,
 	}, opts.Cache)
 }
 

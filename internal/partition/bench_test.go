@@ -10,7 +10,7 @@ import (
 
 // BenchmarkSolver times one solver-partitioned, solver-merged compile of the
 // two largest designs of bench's `solver` workload under its configuration
-// (gap 0.15, 60 nodes a search, serial; placement off, so the time is
+// (gap 0.15, 60 nodes a search; placement off, so the time is
 // partition + merge, i.e. mip and lp). It reports two figures: ms/compile,
 // the wall time of one whole compile, repeated instances answered by the
 // passes' memo included; and us/node, that time over the branch-and-bound
@@ -34,7 +34,7 @@ func BenchmarkSolver(b *testing.B) {
 			b.ReportAllocs()
 			nodes := 0
 			for i := 0; i < b.N; i++ {
-				cfg := solverConfig(1, 60)
+				cfg := solverConfig(60)
 				part, merged := newCounting(), newCounting()
 				cfg.Partition.Cache, cfg.Merge.Cache = part, merged
 				if _, err := core.Compile(w.Build(workloads.Params{Par: k.par, Scale: k.scale}), cfg); err != nil {

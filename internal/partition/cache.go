@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"time"
-
-	"sara/internal/lp"
 )
 
 // SolverCache memoizes partitioning work across compiles. The compute
@@ -20,10 +18,11 @@ import (
 // graph itself changed.
 //
 // Two implementations exist. The design store (internal/store) keeps results
-// and root-LP bases across compiles and processes, and is the cache of every
-// incremental compile (core.Config.Memo). A pass given no cache makes its own
-// pass-local memo (PassCache), so a single cold compile solves each distinct
-// instance once — unrolling by par repeats them — and never seeds a basis.
+// across compiles and processes, and is the cache of every incremental
+// compile (core.Config.Memo). A pass given no cache makes its own pass-local
+// memo (PassCache), so a single cold compile solves each distinct instance
+// once — unrolling by par repeats them. Either way an instance the cache does
+// not answer is solved from its content alone.
 //
 // Implementations must return results that the caller may mutate (i.e.
 // defensive copies); one shared between compiles must also be safe for
@@ -35,22 +34,15 @@ type SolverCache interface {
 	LookupResult(key string) (*Result, bool)
 	// StoreResult memoizes a result under an instance content key.
 	StoreResult(key string, r *Result)
-	// LookupBasis returns a previously captured root-LP basis for a
-	// formulation shape key (see SolverOptions.Cache). Bases are hints, not
-	// results: a wrong basis changes pivot counts, never solutions.
-	LookupBasis(shape string) (lp.Basis, bool)
-	// StoreBasis records the root-LP basis captured after a solve.
-	StoreBasis(shape string, b lp.Basis)
 }
 
 // ContentKey returns a canonical content hash of the instance plus the
-// algorithm and the solution-relevant solver options. Workers, ColdLP and
-// Cache are deliberately excluded: the solver is bit-identical across worker
-// counts, warm/cold LP modes and seeded bases (the serial ≡ parallel and
-// incremental ≡ cold equivalence suites), so results cached under one mode are
-// valid under every other. Every cold compile treats two units with one key
-// as repeats (PassCache), so an input the solver reads must be in the key;
-// TestContentKeyCoversInputs fails when a field is added without it.
+// algorithm and the solution-relevant solver options. ColdLP is deliberately
+// excluded: it selects the compile benchmark's cold-relaxation baseline, and
+// a result cached under one LP mode answers the other. Every cold compile
+// treats two units with one key as repeats (PassCache), so an input the
+// solver reads must be in the key; TestContentKeyCoversInputs fails when a
+// field is added without it.
 func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 	var b []byte
 	app := func(x int64) { b = binary.AppendVarint(b, x) }
@@ -100,10 +92,8 @@ func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 // store still solves each distinct instance once. The memo hands back a copy
 // of an instance's first Result, MIPNodes included, so a repeat reports
 // exactly what re-solving it would (the solver is deterministic under a node
-// budget). It holds no bases — LookupBasis always misses and StoreBasis
-// drops its argument — so every instance it does not answer is solved
-// exactly as with no cache at all. It is not safe for concurrent use; a pass
-// solves its instances one at a time.
+// budget). It is not safe for concurrent use; a pass solves its instances
+// one at a time.
 func PassCache(cache SolverCache) SolverCache {
 	if cache != nil {
 		return cache
@@ -124,10 +114,6 @@ func (m passMemo) LookupResult(key string) (*Result, bool) {
 
 func (m passMemo) StoreResult(key string, r *Result) { m[key] = r.Clone() }
 
-func (passMemo) LookupBasis(string) (lp.Basis, bool) { return nil, false }
-
-func (passMemo) StoreBasis(string, lp.Basis) {}
-
 // Clone returns a copy of r that shares no memory with it.
 func (r *Result) Clone() *Result {
 	cp := *r
@@ -146,7 +132,6 @@ func RunInstance(in *Instance, algo Algorithm, sopts SolverOptions, cache Solver
 	if r, ok := cache.LookupResult(key); ok {
 		return r, nil
 	}
-	sopts.Cache = cache // basis seeding on the miss path
 	r, err := runInstance(in, algo, sopts)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package partition_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -11,61 +10,9 @@ import (
 	"sara/internal/workloads"
 )
 
-// noTimeLimit keeps both legs of an equivalence run bounded by MaxNodes
-// only: a wall-clock limit could truncate the two searches at different
-// nodes and destroy the determinism the test is checking.
+// noTimeLimit bounds a search by its node budget alone: a wall-clock limit
+// would truncate it at a node that depends on host load.
 const noTimeLimit = time.Hour
-
-// randomDAG builds a layered random DAG with mixed op costs, tight enough
-// limits to force multi-partition solutions.
-func randomDAG(rng *rand.Rand) *partition.Instance {
-	n := 6 + rng.Intn(8) // 6..13 nodes
-	in := &partition.Instance{N: n, Ops: make([]int, n), MaxOps: 4, MaxIn: 3, MaxOut: 3}
-	for i := range in.Ops {
-		in.Ops[i] = 1 + rng.Intn(3)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < 0.25 {
-				in.Edges = append(in.Edges, [2]int{i, j})
-			}
-		}
-	}
-	return in
-}
-
-// TestSolverSerialParallelRandomInstances checks the solver-based
-// partitioner returns bit-identical results from the serial oracle and the
-// parallel speculative search on seeded random instances.
-func TestSolverSerialParallelRandomInstances(t *testing.T) {
-	rng := rand.New(rand.NewSource(2024))
-	// The race detector multiplies the LP pivot loops ~15x, so the race run
-	// keeps just enough trials to drive the speculative workers through a
-	// real instance; full-depth coverage comes from the native run and the
-	// much cheaper randomized suite in internal/mip/parallel_test.go.
-	trials := 10
-	if raceEnabled {
-		trials = 2
-	}
-	for trial := 0; trial < trials; trial++ {
-		in := randomDAG(rng)
-		serial, errS := partition.Solver(in, partition.SolverOptions{
-			Workers: 1, MaxNodes: 30, TimeLimit: noTimeLimit,
-		})
-		par, errP := partition.Solver(in, partition.SolverOptions{
-			Workers: 8, MaxNodes: 30, TimeLimit: noTimeLimit,
-		})
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("trial %d: serial err %v, parallel err %v", trial, errS, errP)
-		}
-		if errS != nil {
-			continue
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("trial %d: serial %+v != parallel %+v", trial, serial, par)
-		}
-	}
-}
 
 // TestSolverMatchesOrBeatsTraversal holds at any search budget — the best
 // traversal warm-starts the solver — so the budget is a node count, never
@@ -121,12 +68,10 @@ func TestSolverFindsBetterThanWorstTraversal(t *testing.T) {
 	}
 }
 
-// solverConfig is the equivalence-test compile configuration: solver
-// partitioning and merging, node-bounded search, no wall-clock limit. The
-// node budget is deliberately small — the workload sweep checks pipeline
-// equivalence on every registered benchmark, while deep-search determinism
-// is exercised by TestSolverSerialParallelRandomInstances above.
-func solverConfig(workers, maxNodes int) core.Config {
+// solverConfig is the solver tests' compile configuration: solver
+// partitioning and merging, gap 0.15, a search bounded by maxNodes alone (no
+// wall-clock limit), placement off.
+func solverConfig(maxNodes int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SkipPlace = true
 	cfg.Partition.Algo = partition.AlgoSolver
@@ -137,30 +82,24 @@ func solverConfig(workers, maxNodes int) core.Config {
 	cfg.Merge.MaxNodes = maxNodes
 	cfg.Partition.TimeLimit = noTimeLimit
 	cfg.Merge.TimeLimit = noTimeLimit
-	cfg.Partition.Workers = workers
-	cfg.Merge.Workers = workers
 	return cfg
 }
 
-// TestSolverSerialParallelEquivalenceWorkloads drains every registered
-// benchmark through a solver-partitioned compile with the serial oracle and
-// with the parallel search, in the style of the simulator's cross-engine
-// equivalence suite, and requires identical compiled designs: same
-// resources, same partition statistics, same merge result, same node
-// counts — and the serial leg the design recorded in solver_golden.json.
-// Both legs answer repeated instances from the passes' memo. When the serial
-// leg's memo answered any, a third, serial leg solves every instance
-// (resolveConfig) and must match it too; a design without a repeated
-// instance (bs among them) solves the same instances either way.
-func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
+// TestSolverWorkloadsGoldenAndResolve drains every registered benchmark
+// through a solver-partitioned compile and requires the design recorded in
+// solver_golden.json. The compile answers repeated instances from the passes'
+// memo; when it answered any, a second compile solves every instance
+// (resolveConfig) and must produce the same design, node counts included. A
+// design without a repeated instance (bs among them) solves the same
+// instances either way.
+func TestSolverWorkloadsGoldenAndResolve(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			// bs carries by far the largest partitioning LPs (~seconds per
 			// branch-and-bound node); a budget of 2 keeps the sweep fast while
 			// still running its MIP path end to end, and the race run drops it
-			// entirely — the detector gets ample solver concurrency from the
-			// other eleven workloads.
+			// entirely.
 			maxNodes := 4
 			if w.Name == "bs" {
 				if raceEnabled {
@@ -169,20 +108,18 @@ func TestSolverSerialParallelEquivalenceWorkloads(t *testing.T) {
 				maxNodes = 2
 			}
 			p := workloads.Params{Par: 2, Scale: 16}
-			cfg := solverConfig(1, maxNodes)
+			cfg := solverConfig(maxNodes)
 			part, merged := newCounting(), newCounting()
 			cfg.Partition.Cache, cfg.Merge.Cache = part, merged
-			serial := mustCompileSolver(t, w.Name, p, cfg)
-			par := mustCompileSolver(t, w.Name, p, solverConfig(8, maxNodes))
-			requireSameCompile(t, "serial", "parallel", serial, par)
+			memo := mustCompileSolver(t, w.Name, p, cfg)
 			if part.hits()+merged.hits() > 0 {
-				full := mustCompileSolver(t, w.Name, p, resolveConfig(solverConfig(1, maxNodes)))
-				requireSameCompile(t, "memo", "re-solve", serial, full)
+				full := mustCompileSolver(t, w.Name, p, resolveConfig(solverConfig(maxNodes)))
+				requireSameCompile(t, "memo", "re-solve", memo, full)
 			}
-			if serial.MIPNodes() == 0 {
+			if memo.MIPNodes() == 0 {
 				t.Logf("note: %s never reached the MIP solver at this size", w.Name)
 			}
-			checkGolden(t, "par2/"+w.Name, serial)
+			checkGolden(t, "par2/"+w.Name, memo)
 		})
 	}
 }

@@ -27,13 +27,13 @@ type goldenRow struct {
 	MergeNodes  int
 }
 
-// checkGolden holds a serial solver compile to the row recorded under key in
+// checkGolden holds a solver compile to the row recorded under key in
 // testdata/solver_golden.json — the reference solver's answer pinned beside
 // the instance. Every search behind a row is bounded by node count alone, so
 // the row is a function of the code: a change to lp, mip, partition or merge
 // that claims to keep the pivot sequence leaves the file byte-identical, and
 // one that means to move a design regenerates it with
-// `go test ./internal/partition -run 'Golden|EquivalenceWorkloads' -update`
+// `go test ./internal/partition -run Golden -update`
 // and says so.
 func checkGolden(t *testing.T, key string, c *core.Compiled) {
 	t.Helper()
@@ -89,17 +89,16 @@ func checkGolden(t *testing.T, key string, c *core.Compiled) {
 }
 
 // TestSolverGoldenBenchDesigns pins the six designs of bench's `solver`
-// workload under its compiler configuration (gap 0.15, 60 nodes, serial
-// search, no wall-clock limit; placement off — nothing pinned here reads it).
-// The twelve par-2 designs of TestSolverSerialParallelEquivalenceWorkloads
-// are pinned from that test's serial leg.
+// workload under its compiler configuration (gap 0.15, 60 nodes, no
+// wall-clock limit; placement off — nothing pinned here reads it). The twelve
+// par-2 designs are pinned by TestSolverWorkloadsGoldenAndResolve.
 func TestSolverGoldenBenchDesigns(t *testing.T) {
 	for _, d := range benchSolverDesigns {
 		w, err := workloads.ByName(d.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.Compile(w.Build(workloads.Params{Par: d.par, Scale: d.scale}), solverConfig(1, 60))
+		c, err := core.Compile(w.Build(workloads.Params{Par: d.par, Scale: d.scale}), solverConfig(60))
 		if err != nil {
 			t.Fatalf("%s par %d: %v", d.name, d.par, err)
 		}

@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"sara/internal/core"
-	"sara/internal/lp"
 	"sara/internal/partition"
 	"sara/internal/store"
 	"sara/internal/workloads"
 )
 
 // benchSolverDesigns are the six designs of bench's `solver` workload,
-// compiled under solverConfig(1, 60).
+// compiled under solverConfig(60).
 var benchSolverDesigns = []struct {
 	name       string
 	par, scale int
@@ -27,8 +26,6 @@ type neverHit struct{}
 
 func (neverHit) LookupResult(string) (*partition.Result, bool) { return nil, false }
 func (neverHit) StoreResult(string, *partition.Result)         {}
-func (neverHit) LookupBasis(string) (lp.Basis, bool)           { return nil, false }
-func (neverHit) StoreBasis(string, lp.Basis)                   {}
 
 // counting wraps a pass-local memo and counts its lookups, the lookups it
 // missed (the instances the pass then solved) per content key, and the MIP
@@ -121,14 +118,13 @@ func resolveConfig(cfg core.Config) core.Config {
 // pass-local memo, and with a cache that never hits, so every instance is
 // solved. The designs must be identical, MIP node counts included — a memo
 // hit reports the nodes its instance's first solve explored. The par-2
-// designs get the same check as the third leg of
-// TestSolverSerialParallelEquivalenceWorkloads.
+// designs get the same check in TestSolverWorkloadsGoldenAndResolve.
 func TestPassMemoMatchesResolve(t *testing.T) {
 	for _, d := range benchSolverDesigns {
 		p := workloads.Params{Par: d.par, Scale: d.scale}
 		t.Run(fmt.Sprintf("%s-p%d-s%d", d.name, d.par, d.scale), func(t *testing.T) {
-			memo := mustCompileSolver(t, d.name, p, solverConfig(1, 60))
-			full := mustCompileSolver(t, d.name, p, resolveConfig(solverConfig(1, 60)))
+			memo := mustCompileSolver(t, d.name, p, solverConfig(60))
+			full := mustCompileSolver(t, d.name, p, resolveConfig(solverConfig(60)))
 			requireSameCompile(t, "memo", "re-solve", memo, full)
 		})
 	}
@@ -145,7 +141,7 @@ func TestPassMemoSolvesEachInstanceOnce(t *testing.T) {
 	}
 	for _, d := range benchSolverDesigns {
 		name := fmt.Sprintf("%s-p%d-s%d", d.name, d.par, d.scale)
-		cfg := solverConfig(1, 60)
+		cfg := solverConfig(60)
 		part, merged := newCounting(), newCounting()
 		cfg.Partition.Cache, cfg.Merge.Cache = part, merged
 		mustCompileSolver(t, d.name, workloads.Params{Par: d.par, Scale: d.scale}, cfg)
@@ -177,7 +173,7 @@ func contentKeyInstance() partition.Instance {
 }
 
 func contentKeyOptions() partition.SolverOptions {
-	return partition.SolverOptions{Gap: 0.15, MaxNodes: 60, TimeLimit: time.Minute, MaxParts: 3, MaxN: 20, Workers: 1}
+	return partition.SolverOptions{Gap: 0.15, MaxNodes: 60, TimeLimit: time.Minute, MaxParts: 3, MaxN: 20}
 }
 
 // perturbations returns the ways to change a field of kind k; it fails the
@@ -191,8 +187,6 @@ func perturbations(t *testing.T, name string, k reflect.Kind) []func(reflect.Val
 		return []func(reflect.Value){func(v reflect.Value) { v.SetFloat(v.Float() + 0.25) }}
 	case reflect.Bool:
 		return []func(reflect.Value){func(v reflect.Value) { v.SetBool(!v.Bool()) }}
-	case reflect.Interface:
-		return []func(reflect.Value){func(v reflect.Value) { v.Set(reflect.ValueOf(partition.PassCache(nil))) }}
 	case reflect.Slice:
 		return []func(reflect.Value){
 			func(v reflect.Value) { // change the first element's last int
@@ -211,8 +205,7 @@ func perturbations(t *testing.T, name string, k reflect.Kind) []func(reflect.Val
 
 // TestContentKeyCoversInputs holds Instance.ContentKey to every input the
 // solver reads: changing any field of Instance, or any SolverOptions field
-// but Workers, ColdLP and Cache, must change the key under AlgoSolver, and
-// those three must not. Cold compiles treat units with one key as repeats,
+// but ColdLP, must change the key under AlgoSolver, and ColdLP must not. Cold compiles treat units with one key as repeats,
 // so a field added without a key update would hand one unit another's
 // partition; this test fails instead.
 func TestContentKeyCoversInputs(t *testing.T) {
@@ -231,7 +224,7 @@ func TestContentKeyCoversInputs(t *testing.T) {
 			}
 		}
 	}
-	unread := map[string]bool{"Workers": true, "ColdLP": true, "Cache": true}
+	unread := map[string]bool{"ColdLP": true}
 	for i := 0; i < reflect.TypeOf(partition.SolverOptions{}).NumField(); i++ {
 		f := reflect.TypeOf(partition.SolverOptions{}).Field(i)
 		o := contentKeyOptions()
@@ -239,7 +232,7 @@ func TestContentKeyCoversInputs(t *testing.T) {
 		name := f.Name
 		switch changed := base.ContentKey(partition.AlgoSolver, o) != key; {
 		case unread[name] && changed:
-			t.Errorf("SolverOptions.%s changes the key; results are identical across it", name)
+			t.Errorf("SolverOptions.%s changes the key; a result cached under one setting answers the other", name)
 		case !unread[name] && !changed:
 			t.Errorf("SolverOptions.%s leaves the key unchanged", name)
 		}

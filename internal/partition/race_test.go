@@ -2,8 +2,8 @@
 
 package partition_test
 
-// raceEnabled reports that the race detector is active. The equivalence
-// suites shrink under it: the detector needs the concurrent machinery
-// exercised, not a full-scale search, and the instrumented solver runs
-// several times slower than native.
+// raceEnabled reports that the race detector is active. The solver starts
+// no goroutine, so the detector has nothing of its own to check here; the
+// workload sweep drops its largest search under it, since the instrumented
+// solver runs several times slower than native.
 const raceEnabled = true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sara/internal/lp"
 	"sara/internal/mip"
 )
 
@@ -23,18 +22,8 @@ type SolverOptions struct {
 	// runs take hours to days on full graphs — this models the practical
 	// decomposition). Zero selects 28.
 	MaxN int
-	// Workers forwards to mip.Options.Workers: 0 = auto, 1 = serial oracle,
-	// n > 1 = n speculative LP workers. Results are identical either way.
-	Workers int
 	// ColdLP disables warm-started LP relaxations (benchmark baseline).
 	ColdLP bool
-	// Cache, when non-nil, supplies and collects root-LP bases keyed by
-	// formulation shape (NumVars × NumRows): a recompile whose formulation
-	// delta is small — often empty rows-and-columns-wise even when
-	// coefficients moved — reuses the previous root basis through
-	// lp.SolveFrom instead of a cold two-phase solve. Never consulted under
-	// ColdLP. RunInstance sets this automatically on memo misses.
-	Cache SolverCache
 }
 
 // Solver partitions the instance with the Table III mixed-integer program:
@@ -249,28 +238,15 @@ func Solver(in *Instance, opts SolverOptions) (*Result, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 20000
 	}
-	var seed lp.Basis
-	shape := ""
-	if opts.Cache != nil && !opts.ColdLP {
-		shape = fmt.Sprintf("partition-shape:v%d:r%d", m.NumVars(), m.NumRows())
-		if b, ok := opts.Cache.LookupBasis(shape); ok {
-			seed = b
-		}
-	}
 	sol, err := m.Solve(mip.Options{
 		Gap:       opts.Gap,
 		MaxNodes:  opts.MaxNodes,
 		TimeLimit: opts.TimeLimit,
 		WarmStart: ws,
-		Workers:   opts.Workers,
 		ColdLP:    opts.ColdLP,
-		SeedBasis: seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("partition: solver: %w", err)
-	}
-	if shape != "" && sol.RootBasis != nil {
-		opts.Cache.StoreBasis(shape, sol.RootBasis)
 	}
 	assign := make([]int, N)
 	for i := 0; i < N; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -92,8 +93,8 @@ func TestRunHitAllocs(t *testing.T) {
 // simulation record decoded, checked and stored, and the answer built from
 // the owner's record. The owner already holds design and record (warmed
 // before the timer starts), so the hop is what is timed, not a compile or a
-// simulation; solver_workers, which a traversal compile never reads, gives
-// each iteration a fresh content address for the same design. Profile with
+// simulation. Each iteration asks for the same inline dot product under a
+// name of its own, which gives it a fresh content address. Profile with
 //
 //	go test -run '^$' -bench RunProxied -benchmem -cpuprofile cpu.out ./internal/server/
 func BenchmarkRunProxied(b *testing.B) {
@@ -131,7 +132,9 @@ func BenchmarkRunProxied(b *testing.B) {
 		b.StopTimer()
 		var asks []ask
 		for ; i < b.N && len(asks) < batch; i++ {
-			req := RunRequest{Workload: "bs", Par: 16, Scale: 16, Options: &CompileOptionsJSON{SolverWorkers: i + 1}}
+			prog := dotProgram()
+			prog.Name = fmt.Sprintf("dot-%d", i)
+			req := RunRequest{Program: prog}
 			body, err := json.Marshal(&req)
 			if err != nil {
 				b.Fatal(err)

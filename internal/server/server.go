@@ -252,8 +252,6 @@ func (s *Server) registerStoreMetrics() {
 	}
 	s.metrics.Gauge("sarad_store_solver_hits", func() int64 { return s.store.Stats().SolverHits })
 	s.metrics.Gauge("sarad_store_solver_misses", func() int64 { return s.store.Stats().SolverMiss })
-	s.metrics.Gauge("sarad_store_basis_hits", func() int64 { return s.store.Stats().BasisHits })
-	s.metrics.Gauge("sarad_store_basis_misses", func() int64 { return s.store.Stats().BasisMiss })
 	s.metrics.Gauge("sarad_store_mem_entries", func() int64 { return int64(s.store.Stats().MemEntries) })
 	s.metrics.Gauge("sarad_store_disk_entries", func() int64 { return int64(s.store.Stats().DiskEntries) })
 	s.metrics.Gauge("sarad_store_disk_bytes", func() int64 { return s.store.Stats().DiskBytes })
@@ -326,12 +324,10 @@ type CompileOptionsJSON struct {
 	// NoOpt disables the §III-C optimization suite.
 	NoOpt bool `json:"no_opt,omitempty"`
 	// Solver uses MIP partitioning/merging with SolverGap (default 0.15).
+	// A gap without the solver, or one equal to the default, is dropped
+	// before hashing: it compiles the same design as no gap.
 	Solver    bool    `json:"solver,omitempty"`
 	SolverGap float64 `json:"solver_gap,omitempty"`
-	// SolverWorkers sizes the branch-and-bound speculation pool (0 = auto,
-	// 1 = the serial oracle). The solver is deterministic at any setting,
-	// so this changes compile time, never the compiled design.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// SkipPlace skips placement; streams are charged the arch's default hop
 	// distance.
 	SkipPlace bool `json:"skip_place,omitempty"`
@@ -341,8 +337,9 @@ type CompileOptionsJSON struct {
 	NoMerging          bool `json:"no_merging,omitempty"`
 	NoCreditRelaxation bool `json:"no_credit_relaxation,omitempty"`
 	// Opt, when present, sets the §III-C optimization flags exactly (taking
-	// precedence over NoOpt). The autotuner's candidate requests use this to
-	// pin each point's opt set; absent means the default full suite.
+	// precedence over NoOpt, which is then dropped before hashing). The
+	// autotuner's candidate requests use this to pin each point's opt set;
+	// absent means the default full suite.
 	Opt *OptTogglesJSON `json:"opt,omitempty"`
 }
 
@@ -360,6 +357,34 @@ func (t *OptTogglesJSON) options() opt.Options {
 	return opt.Options{MSR: t.MSR, RtElm: t.RtElm, Retime: t.Retime, RetimeMem: t.RetimeMem, XbarElm: t.XbarElm}
 }
 
+// defaultSolverGap is the relative optimality gap of a solver compile that
+// names none, the paper's methodology.
+const defaultSolverGap = 0.15
+
+// canonical refuses options no compile accepts and returns o with every
+// field cleared that cannot change the compiled design, so options that
+// compile alike share one content address: a solver gap without the solver
+// or equal to the default, and no_opt beside opt. It never writes o; a
+// changed form is a copy.
+func (o *CompileOptionsJSON) canonical() (*CompileOptionsJSON, error) {
+	if !(o.SolverGap >= 0) {
+		return nil, fmt.Errorf("solver_gap %v: want a non-negative relative gap", o.SolverGap)
+	}
+	dropGap := o.SolverGap != 0 && (!o.Solver || o.SolverGap == defaultSolverGap)
+	dropNoOpt := o.NoOpt && o.Opt != nil
+	if !dropGap && !dropNoOpt {
+		return o, nil
+	}
+	c := *o
+	if dropGap {
+		c.SolverGap = 0
+	}
+	if dropNoOpt {
+		c.NoOpt = false
+	}
+	return &c, nil
+}
+
 func (o *CompileOptionsJSON) config(spec *arch.Spec) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Spec = spec
@@ -375,14 +400,12 @@ func (o *CompileOptionsJSON) config(spec *arch.Spec) core.Config {
 	if o.Solver {
 		gap := o.SolverGap
 		if gap <= 0 {
-			gap = 0.15
+			gap = defaultSolverGap
 		}
 		cfg.Partition.Algo = partition.AlgoSolver
 		cfg.Partition.Gap = gap
 		cfg.Merge.Algo = partition.AlgoSolver
 		cfg.Merge.Gap = gap
-		cfg.Partition.Workers = o.SolverWorkers
-		cfg.Merge.Workers = o.SolverWorkers
 	}
 	if o.SkipPlace {
 		cfg.SkipPlace = true
@@ -527,7 +550,8 @@ func cacheKey(req *RunRequest) (string, error) {
 	return store.HexDigest(sha256.Sum256(b)), nil
 }
 
-// normalize validates the request and fills defaults.
+// normalize validates the request, fills defaults and maps compile options
+// that compile alike onto one form (CompileOptionsJSON.canonical).
 func (s *Server) normalize(req *RunRequest) error {
 	switch {
 	case req.Workload == "" && req.Program == nil:
@@ -539,6 +563,13 @@ func (s *Server) normalize(req *RunRequest) error {
 		if err := req.Program.checkLimits(); err != nil {
 			return err
 		}
+	}
+	if req.Options != nil {
+		o, err := req.Options.canonical()
+		if err != nil {
+			return err
+		}
+		req.Options = o
 	}
 	if req.Workload != "" {
 		if _, err := workloads.ByName(req.Workload); err != nil {

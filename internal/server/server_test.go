@@ -222,7 +222,7 @@ func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name string
-		req  RunRequest
+		req  any
 	}{
 		{"neither workload nor program", RunRequest{}},
 		{"both workload and program", RunRequest{Workload: "bs", Program: dotProgram()}},
@@ -239,6 +239,9 @@ func TestBadRequests(t *testing.T) {
 		{"zero fifo depth", RunRequest{Program: fifoProgram(0)}},
 		{"negative fifo depth", RunRequest{Program: fifoProgram(-4)}},
 		{"huge fifo depth", RunRequest{Program: fifoProgram(arch.MaxStreamDepth + 1)}},
+		{"negative solver gap", RunRequest{Workload: "bs", Options: &CompileOptionsJSON{Solver: true, SolverGap: -0.15}}},
+		// A field the wire no longer has falls to the unknown-field rule.
+		{"retired solver_workers", json.RawMessage(`{"workload":"bs","options":{"solver":true,"solver_workers":4}}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -444,6 +447,54 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	kd, _ := cacheKey(d)
 	if kd == ka {
 		t.Error("option change must change the cache key")
+	}
+}
+
+// TestEquivalentOptionsShareOneKey: options that compile the same design
+// share one content address, that of the form without the field, so the
+// second request of each pair is a cache hit, not a second compile.
+func TestEquivalentOptionsShareOneKey(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	all := &OptTogglesJSON{MSR: true, RtElm: true, Retime: true, RetimeMem: true, XbarElm: true}
+	pairs := []struct {
+		name      string
+		with, not *CompileOptionsJSON
+	}{
+		{"solver_gap without solver", &CompileOptionsJSON{SolverGap: 0.3}, nil},
+		{"default solver_gap", &CompileOptionsJSON{Solver: true, SolverGap: 0.15}, &CompileOptionsJSON{Solver: true}},
+		{"no_opt beside opt", &CompileOptionsJSON{NoOpt: true, Opt: all}, &CompileOptionsJSON{Opt: all}},
+	}
+	for _, pc := range pairs {
+		t.Run(pc.name, func(t *testing.T) {
+			var keys [2]string
+			before := s.Metrics().Counter("sarad_compiles_total")
+			for i, o := range []*CompileOptionsJSON{pc.not, pc.with} {
+				req := RunRequest{Program: dotProgram(), Options: o}
+				k, err := KeyFor(&req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[i] = k
+				resp, body := postRun(t, ts, "/v1/compile", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d: %s", resp.StatusCode, body)
+				}
+				if got := decodeRun(t, body).CacheKey; got != k {
+					t.Errorf("served key %s, KeyFor %s", got, k)
+				}
+			}
+			if keys[0] != keys[1] {
+				t.Errorf("keys differ: %s without the field, %s with it", keys[0], keys[1])
+			}
+			if n := s.Metrics().Counter("sarad_compiles_total") - before; n != 1 {
+				t.Errorf("the pair compiled %d times, want 1", n)
+			}
+		})
+	}
+	// KeyFor works on a copy: the caller's options keep the field.
+	o := &CompileOptionsJSON{NoOpt: true, Opt: all}
+	if _, err := KeyFor(&RunRequest{Program: dotProgram(), Options: o}); err != nil || !o.NoOpt {
+		t.Errorf("KeyFor rewrote the caller's options (err %v)", err)
 	}
 }
 

@@ -184,8 +184,6 @@ func appendStoreStats(b []byte, st *store.Stats) []byte {
 	}
 	b = strconv.AppendInt(append(b, `,"solver_hits":`...), st.SolverHits, 10)
 	b = strconv.AppendInt(append(b, `,"solver_misses":`...), st.SolverMiss, 10)
-	b = strconv.AppendInt(append(b, `,"basis_hits":`...), st.BasisHits, 10)
-	b = strconv.AppendInt(append(b, `,"basis_misses":`...), st.BasisMiss, 10)
 	b = appendInt(append(b, `,"mem_entries":`...), st.MemEntries)
 	b = appendInt(append(b, `,"disk_entries":`...), st.DiskEntries)
 	b = strconv.AppendInt(append(b, `,"disk_bytes":`...), st.DiskBytes, 10)

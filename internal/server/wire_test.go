@@ -84,7 +84,7 @@ func FuzzRunResponseJSON(f *testing.F) {
 			}
 		}
 		if flags&32 != 0 {
-			r.Store = &store.Stats{Dir: s2, SolverHits: n, BasisMiss: -n, MemEntries: 3, DiskBytes: n << 2}
+			r.Store = &store.Stats{Dir: s2, SolverHits: n, SolverMiss: -n, MemEntries: 3, DiskBytes: n << 2}
 			if flags&1 != 0 {
 				r.Store.Stages = map[string]store.StageStats{s1: {Hits: n, BytesRead: 1}, "sim": {Misses: 2}}
 			}
@@ -120,7 +120,7 @@ func TestWriterCoversEveryField(t *testing.T) {
 	}{
 		{RunResponse{}, "program arch cache_key cache_hit proxied proxy_owner store_hit compile_ms sim_cached sim_ms sim_cycles_per_sec phase_ms mip_nodes_explored stage_cache store resources result profile"},
 		{ResourcesJSON{}, "pcu pmu ag total vus token_streams"},
-		{store.Stats{}, "dir stages solver_hits solver_misses basis_hits basis_misses mem_entries disk_entries disk_bytes"},
+		{store.Stats{}, "dir stages solver_hits solver_misses mem_entries disk_entries disk_bytes"},
 		{store.StageStats{}, "hits misses bytes_read bytes_written"},
 	} {
 		typ := reflect.TypeOf(c.v)

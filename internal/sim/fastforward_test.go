@@ -37,14 +37,13 @@ func assertFastForwardExact(t *testing.T, d *sim.Design, maxCycles int64) (skipp
 }
 
 // solverConfig compiles the way the benchmark's solver workload does: MIP
-// partition and merge, each capped at 60 branch-and-bound nodes, serial.
+// partition and merge, each capped at 60 branch-and-bound nodes.
 func solverConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Partition.Algo, cfg.Merge.Algo = partition.AlgoSolver, partition.AlgoSolver
 	cfg.Partition.Gap, cfg.Merge.Gap = 0.15, 0.15
 	cfg.Partition.MaxNodes, cfg.Merge.MaxNodes = 60, 60
 	cfg.Partition.TimeLimit, cfg.Merge.TimeLimit = 10*time.Minute, 10*time.Minute
-	cfg.Partition.Workers, cfg.Merge.Workers = 1, 1
 	return cfg
 }
 

@@ -1,7 +1,7 @@
 // Package store implements incremental compilation support: canonical
 // content hashing of pipeline-stage inputs, a deterministic binary codec for
 // pipeline state ("design") snapshots, an in-memory per-stage memo table, a
-// solver-instance result/basis cache, and a versioned on-disk
+// solver-instance result cache, and a versioned on-disk
 // content-addressed store that survives restarts.
 //
 // Everything here is deterministic by construction: maps are encoded in

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"sara/internal/lp"
 	"sara/internal/partition"
 )
 
@@ -37,8 +36,6 @@ type Stats struct {
 	Stages      map[string]StageStats `json:"stages"`
 	SolverHits  int64                 `json:"solver_hits"`
 	SolverMiss  int64                 `json:"solver_misses"`
-	BasisHits   int64                 `json:"basis_hits"`
-	BasisMiss   int64                 `json:"basis_misses"`
 	MemEntries  int                   `json:"mem_entries"`
 	DiskEntries int                   `json:"disk_entries"`
 	DiskBytes   int64                 `json:"disk_bytes"`
@@ -51,9 +48,7 @@ type Stats struct {
 // atomically (tmp + rename). All methods are safe for concurrent use.
 //
 // Store implements partition.SolverCache: solver-instance results persist
-// across processes (when a directory is configured) while LP warm-start
-// bases stay in-memory — a basis is only an optimization hint, and its value
-// dies with the tableau layouts of the current process.
+// across processes when a directory is configured.
 type Store struct {
 	mu  sync.Mutex
 	dir string // "" = memory-only
@@ -62,7 +57,6 @@ type Store struct {
 	memOrder []string          // FIFO eviction order
 
 	solver map[string]*partition.Result
-	basis  map[string]lp.Basis
 
 	// checks holds each stage's load check (SetLoadCheck).
 	checks map[string]func([]byte) ([]byte, error)
@@ -70,8 +64,6 @@ type Store struct {
 	stages      map[string]*StageStats
 	solverHits  int64
 	solverMiss  int64
-	basisHits   int64
-	basisMiss   int64
 	diskEntries int
 	diskBytes   int64
 }
@@ -84,7 +76,6 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		mem:    map[string][]byte{},
 		solver: map[string]*partition.Result{},
-		basis:  map[string]lp.Basis{},
 		stages: map[string]*StageStats{},
 		checks: map[string]func([]byte) ([]byte, error){},
 	}
@@ -354,8 +345,6 @@ func (s *Store) Stats() Stats {
 		Stages:      make(map[string]StageStats, len(s.stages)),
 		SolverHits:  s.solverHits,
 		SolverMiss:  s.solverMiss,
-		BasisHits:   s.basisHits,
-		BasisMiss:   s.basisMiss,
 		MemEntries:  len(s.mem),
 		DiskEntries: s.diskEntries,
 		DiskBytes:   s.diskBytes,
@@ -409,31 +398,6 @@ func (s *Store) StoreResult(key string, r *partition.Result) {
 		// where solver disk traffic belongs; hit/miss stay on the dedicated
 		// solver counters above.
 	}
-}
-
-// LookupBasis returns a previously captured LP root basis for a formulation
-// shape key.
-func (s *Store) LookupBasis(shape string) (lp.Basis, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.basis[shape]
-	if ok {
-		s.basisHits++
-		return append(lp.Basis(nil), b...), true
-	}
-	s.basisMiss++
-	return nil, false
-}
-
-// StoreBasis records the LP root basis captured after solving a formulation
-// of the given shape.
-func (s *Store) StoreBasis(shape string, b lp.Basis) {
-	if b == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.basis[shape] = append(lp.Basis(nil), b...)
 }
 
 func walkSolverResult(c *codec, r *partition.Result) {
