@@ -182,8 +182,8 @@ var cycleEngineCases = []struct {
 }
 
 // BenchmarkCycleEngine measures both cycle-level engines on the same compiled
-// designs, reporting simulated-cycles per wall-clock second. The dense/event
-// ratio is the tentpole speedup tracked in BENCH_sim.json across PRs.
+// designs, reporting simulated-cycles per wall-clock second; the dense/event
+// ratio is the event engine's speedup over the per-cycle oracle.
 func BenchmarkCycleEngine(b *testing.B) {
 	for _, tc := range cycleEngineCases {
 		w, err := workloads.ByName(tc.workload)

@@ -1,14 +1,12 @@
 package eval
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sara/internal/arch"
-	"sara/internal/sweep"
 )
 
 // TestFig9aMLPScalesLinearly pins the paper's headline scalability claim:
@@ -263,22 +261,3 @@ func TestFig9bDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestForEachIndexedLowestError pins the sweep pool's error contract: the failure
-// with the lowest index wins, matching what a sequential loop would report.
-func TestForEachIndexedLowestError(t *testing.T) {
-	err := sweep.ForEachIndexed(64, 0, func(i int) error {
-		if i%7 == 3 {
-			return errAt(i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "fail at 3" {
-		t.Errorf("err = %v, want fail at 3", err)
-	}
-	if err := sweep.ForEachIndexed(16, 0, func(int) error { return nil }); err != nil {
-		t.Errorf("err = %v, want nil", err)
-	}
-}
-
-func errAt(i int) error { return fmt.Errorf("fail at %d", i) }

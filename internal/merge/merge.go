@@ -40,8 +40,6 @@ type Options struct {
 	// Workers is read by nothing: the solver searches on one goroutine.
 	// The field remains only because the benchmark harness still sets it.
 	Workers int
-	// ColdLP forwards to the MIP solver (partition.SolverOptions.ColdLP).
-	ColdLP bool
 	// DisableMerging turns the pass into the identity assignment (one PU per
 	// VU), the baseline for the merge-effectiveness ablation (Fig 10).
 	DisableMerging bool
@@ -284,7 +282,6 @@ func packGroup(g *dfg.Graph, spec *arch.Spec, opts Options, group []*dfg.VU, add
 
 	res, err := partition.RunInstance(in, opts.Algo, partition.SolverOptions{
 		Gap: opts.Gap, MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit,
-		ColdLP: opts.ColdLP,
 	}, opts.Cache)
 	if err != nil {
 		return 0, fmt.Errorf("merge: packing group of %d: %w", len(group), err)

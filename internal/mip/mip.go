@@ -125,10 +125,10 @@ type Options struct {
 	// traversal-based partitioning solution in the paper). Ignored when
 	// infeasible for the problem.
 	WarmStart []float64
-	// ColdLP disables warm-started relaxations: every node re-runs two-phase
-	// simplex from an empty tableau. This is the pre-warm-start baseline,
-	// kept selectable for benchmarking (cmd/sarabench).
-	ColdLP bool
+	// coldLP disables warm-started relaxations: every node re-runs two-phase
+	// simplex from an empty tableau. This is the pre-warm-start reference
+	// that TestWarmVsColdObjective compares warm starts against.
+	coldLP bool
 }
 
 // Solution is a solve result.
@@ -214,7 +214,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		bestX = append([]float64(nil), opts.WarmStart...)
 	}
 
-	rx := newRelaxation(p, opts.ColdLP)
+	rx := newRelaxation(p, opts.coldLP)
 	h := &nodeHeap{{id: 0, bound: math.Inf(-1), lo: map[int]float64{}, hi: map[int]float64{}}}
 	heap.Init(h)
 	nextID := int64(1)

@@ -263,7 +263,7 @@ func TestWarmVsColdObjective(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		p := randomMIP(rng)
 		warm, errW := p.Solve(Options{})
-		cold, errC := p.Solve(Options{ColdLP: true})
+		cold, errC := p.Solve(Options{coldLP: true})
 		if (errW == nil) != (errC == nil) {
 			t.Fatalf("trial %d: warm err %v, cold err %v", trial, errW, errC)
 		}

@@ -53,8 +53,6 @@ type ApplyOptions struct {
 	// Workers is read by nothing: the solver searches on one goroutine.
 	// The field remains only because the benchmark harness still sets it.
 	Workers int
-	// ColdLP forwards to the MIP solver (SolverOptions.ColdLP).
-	ColdLP bool
 	// MaxOps, MaxIn, MaxOut describe the PCU; zero values take the usual
 	// Plasticine limits (6 stages, 4 in, 4 out).
 	MaxOps, MaxIn, MaxOut int
@@ -269,7 +267,6 @@ func accessPartition(g *dfg.Graph, u *dfg.VU, opOf map[ir.AccessID]int, assign [
 func runAlgo(in *Instance, opts ApplyOptions) (*Result, error) {
 	return RunInstance(in, opts.Algo, SolverOptions{
 		Gap: opts.Gap, MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit,
-		ColdLP: opts.ColdLP,
 	}, opts.Cache)
 }
 

@@ -37,12 +37,9 @@ type SolverCache interface {
 }
 
 // ContentKey returns a canonical content hash of the instance plus the
-// algorithm and the solution-relevant solver options. ColdLP is deliberately
-// excluded: it selects the compile benchmark's cold-relaxation baseline, and
-// a result cached under one LP mode answers the other. Every cold compile
-// treats two units with one key as repeats (PassCache), so an input the
-// solver reads must be in the key; TestContentKeyCoversInputs fails when a
-// field is added without it.
+// algorithm and the solver options. Every cold compile treats two units with
+// one key as repeats (PassCache), so an input the solver reads must be in the
+// key; TestContentKeyCoversInputs fails when a field is added without it.
 func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 	var b []byte
 	app := func(x int64) { b = binary.AppendVarint(b, x) }

@@ -22,8 +22,6 @@ type SolverOptions struct {
 	// runs take hours to days on full graphs — this models the practical
 	// decomposition). Zero selects 28.
 	MaxN int
-	// ColdLP disables warm-started LP relaxations (benchmark baseline).
-	ColdLP bool
 }
 
 // Solver partitions the instance with the Table III mixed-integer program:
@@ -243,7 +241,6 @@ func Solver(in *Instance, opts SolverOptions) (*Result, error) {
 		MaxNodes:  opts.MaxNodes,
 		TimeLimit: opts.TimeLimit,
 		WarmStart: ws,
-		ColdLP:    opts.ColdLP,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("partition: solver: %w", err)

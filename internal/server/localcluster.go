@@ -11,9 +11,9 @@ import (
 
 // LocalCluster is an in-process sarad cluster: n Servers on 127.0.0.1
 // ephemeral ports wired into one consistent-hash ring. The cluster
-// correctness suite and `sarabench -mode serve` both build on it; it uses
-// real TCP listeners so the proxy path, health probes, and failure modes
-// are exactly what a multi-host deployment sees.
+// correctness suite and the serve workloads of `go run ./bench` build on it;
+// it uses real TCP listeners so the proxy path, health probes, and failure
+// modes are exactly what a multi-host deployment sees.
 type LocalCluster struct {
 	Servers []*Server
 	URLs    []string

@@ -217,6 +217,61 @@ func TestBestAtBaseArchBeatsBaseline(t *testing.T) {
 	}
 }
 
+// headlineSearches are the two searches that demonstrate the tuner's two
+// pruning modes. rf is a chip-sizing sweep where most of the space is
+// analytically unfittable (small chips cannot hold high-par designs) and
+// design-identity dedupe collapses the survivors onto a few cycle
+// simulations; ms is DRAM-bound, so the analytic roofline proves most
+// channel-cut and opt-ablated points dominated before they reach the cycle
+// engine. saratune runs the same spaces:
+//
+//	saratune -workload rf -scale 32 -pars 16,32,64,128,256 -pcu 12,24,48,96,200 -pmu 32,200 -ag 8,20
+//	saratune -workload ms -scale 16 -pars 4,8,16,32,64,96,192 -opts all,none -channels 4,8,16
+func headlineSearches() []Options {
+	return []Options{
+		{
+			Workload: "rf", Scale: 32,
+			Space: Space{
+				Pars:   []int{16, 32, 64, 128, 256},
+				NumPCU: []int{12, 24, 48, 96, 200},
+				NumPMU: []int{32, 200},
+				NumAG:  []int{8, 20},
+			},
+		},
+		{
+			Workload: "ms", Scale: 16,
+			Space: Space{
+				Pars:         []int{4, 8, 16, 32, 64, 96, 192},
+				Opts:         []OptSet{NamedOptSets[0], NamedOptSets[len(NamedOptSets)-1]},
+				DRAMChannels: []int{4, 8, 16},
+			},
+		},
+	}
+}
+
+// TestHeadlineSearchesPruneMostOfTheirSpace holds the tuner's headline
+// claims on both searches: more than half of each space is discarded
+// without a cycle simulation, and the best seed-arch point is no slower than
+// the hand-picked baseline.
+func TestHeadlineSearchesPruneMostOfTheirSpace(t *testing.T) {
+	for _, o := range headlineSearches() {
+		r := runOrFatal(t, o)
+		s := r.Stats
+		t.Logf("%s scale %d: explored %d, pruned %d dominated + %d unfit (%.0f%%), validated %d, %d cycle sims (+%d shared)",
+			r.Workload, r.Scale, s.Explored, s.PrunedDominated, s.Unfit, 100*s.PrunedFraction(),
+			s.Validated, s.CycleSims, s.SharedSims)
+		if f := s.PrunedFraction(); f <= 0.5 {
+			t.Errorf("%s: pruned fraction %.0f%%, want more than half of the space skipped analytically", r.Workload, 100*f)
+		}
+		best := r.BestAtBaseArch()
+		if best == nil {
+			t.Errorf("%s: no validated point at the seed arch", r.Workload)
+		} else if best.Cycles > r.Baseline.Cycles {
+			t.Errorf("%s: best seed-arch point %d cycles, baseline %d", r.Workload, best.Cycles, r.Baseline.Cycles)
+		}
+	}
+}
+
 func TestSpaceEnumeration(t *testing.T) {
 	s := testSpace()
 	if got := s.Size(); got != 12 {
