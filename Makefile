@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz bench benchsmoke profilesmoke serve
+.PHONY: ci fmt vet build test race fuzz bench benchsmoke profilesmoke clismoke serve
 
-ci: fmt vet build race benchsmoke profilesmoke
+ci: fmt vet build race benchsmoke profilesmoke clismoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -76,6 +76,12 @@ benchsmoke:
 profilesmoke:
 	$(GO) run ./cmd/sarasim -workload mlp -par 4 -scale 16 \
 		-profile $${TMPDIR:-/tmp}/sara_profile_smoke.json -profile-report >/dev/null
+
+# CLI smoke: parse saratune's and sarac's flags and run one small search and
+# one compile end to end.
+clismoke:
+	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 >/dev/null
+	$(GO) run ./cmd/sarac -workload bs -par 4 -scale 64 >/dev/null
 
 # Run the compile-and-simulate daemon locally.
 serve:

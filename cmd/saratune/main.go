@@ -8,7 +8,7 @@
 //
 //	saratune -workload rf -pars 16,32,64,128 [-opts all,none] [-channels 8,16]
 //	         [-pcu ...] [-pmu ...] [-ag ...] [-rows ...] [-cols ...] [-depths ...]
-//	         [-chip 20x20|v1] [-scale 1] [-slack 0] [-workers 0] [-max-points 1024]
+//	         [-chip 20x20|v1] [-scale 1] [-workers 0] [-max-points 1024]
 //	         [-store DIR] [-o tune.json] [-csv tune.csv]
 //
 // Sweeps compile through the incremental design store, so candidates that
@@ -44,7 +44,6 @@ func main() {
 		rows     = flag.String("rows", "", "comma-separated grid row counts")
 		cols     = flag.String("cols", "", "comma-separated grid column counts")
 		depths   = flag.String("depths", "", "comma-separated stream buffer depths")
-		slack    = flag.Float64("slack", 0, "analytic/event ratio ceiling for the pruning floor (0 = the workload's documented ceiling)")
 		workers  = flag.Int("workers", 0, "candidate-processing goroutines (0 = GOMAXPROCS; results identical at any count)")
 		maxPts   = flag.Int("max-points", 0, "cap on the enumerated space (0 = 1024)")
 		basePar  = flag.Int("baseline-par", 0, "reference configuration's par (0 = the workload default)")
@@ -90,7 +89,6 @@ func main() {
 		Workload:    *name,
 		Scale:       *scale,
 		Space:       space,
-		Slack:       *slack,
 		Workers:     *workers,
 		MaxPoints:   *maxPts,
 		BaselinePar: *basePar,

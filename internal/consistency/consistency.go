@@ -144,17 +144,11 @@ type Options struct {
 	// DisableCreditRelaxation pins every backward credit to 1, forcing
 	// sequential execution across accessors (no multibuffering).
 	DisableCreditRelaxation bool
-	// MaxMultiBuffer caps the relaxed credit depth (default 2 when zero,
-	// i.e. double buffering).
-	MaxMultiBuffer int
 }
 
-func (o Options) maxMB() int {
-	if o.MaxMultiBuffer <= 0 {
-		return 2
-	}
-	return o.MaxMultiBuffer
-}
+// relaxedCredits is the depth of a relaxed backward credit: double
+// buffering (paper §III-A3).
+const relaxedCredits = 2
 
 // Analyze runs CMMC dependence analysis over every memory of the program.
 func Analyze(prog *ir.Program, opts Options) *Plan {
@@ -196,7 +190,7 @@ func analyzeMem(prog *ir.Program, m *ir.Mem, opts Options) MemPlan {
 			if loop := enclosingLoop(prog, lca); loop != ir.NoCtrl {
 				init := 1
 				if !opts.DisableCreditRelaxation && relaxable(prog, first, second, loop) {
-					init = opts.maxMB()
+					init = relaxedCredits
 					if init > mp.MultiBuffer {
 						mp.MultiBuffer = init
 					}

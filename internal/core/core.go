@@ -194,6 +194,11 @@ type Resources struct {
 	TokenStreams int
 }
 
+// Fits reports whether the footprint fits spec's PCU, PMU and AG counts.
+func (r Resources) Fits(spec *arch.Spec) bool {
+	return r.PCU <= spec.NumPCU && r.PMU <= spec.NumPMU && r.AG <= spec.NumAG
+}
+
 // Resources reports the compiled design's footprint.
 func (c *Compiled) Resources() Resources {
 	r := Resources{VUs: len(c.Lowered.G.LiveVUs())}

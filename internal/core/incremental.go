@@ -29,9 +29,10 @@ var StageNames = []string{
 //     partition/merge instance memo (partition.RunInstance), which
 //     content-addresses the par-invariant solver instances.
 //   - partition and merge keys exclude Workers, which nothing reads.
-//   - a stage's own defaults (e.g. membank's MaxFanIn = PCU.MaxIn) are
-//     covered by hashing the raw option plus the spec fields the default
-//     derives from.
+//   - a value a stage takes from the spec (membank's merge-tree fan-in is
+//     PCU.MaxIn) is covered by hashing that spec field.
+//
+// TestStageKeysCoverConfig holds every Config option field to some key.
 func stageKeys(progPar, progNoPar string, cfg *Config) map[string]string {
 	spec := cfg.Spec
 	keys := make(map[string]string, len(StageNames))
@@ -40,7 +41,6 @@ func stageKeys(progPar, progNoPar string, cfg *Config) map[string]string {
 		Str(progNoPar).
 		Bool(cfg.Consistency.DisableReduction).
 		Bool(cfg.Consistency.DisableCreditRelaxation).
-		Int(cfg.Consistency.MaxMultiBuffer).
 		Sum()
 	keys["consistency"] = k
 
@@ -59,8 +59,6 @@ func stageKeys(progPar, progNoPar string, cfg *Config) map[string]string {
 
 	k = store.NewHasher("membank", k).
 		Bool(cfg.Membank.DisableBanking).
-		Bool(cfg.Membank.ForceCrossbar).
-		Int(cfg.Membank.MaxFanIn).
 		Int(spec.PCU.MaxIn).
 		I64(spec.PMU.ScratchElems).
 		Sum()
@@ -71,9 +69,6 @@ func stageKeys(progPar, progNoPar string, cfg *Config) map[string]string {
 		F64(cfg.Partition.Gap).
 		Int(cfg.Partition.MaxNodes).
 		Dur(cfg.Partition.TimeLimit).
-		Int(cfg.Partition.MaxOps).
-		Int(cfg.Partition.MaxIn).
-		Int(cfg.Partition.MaxOut).
 		Sum()
 	keys["partition"] = k
 

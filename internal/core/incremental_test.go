@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -368,5 +369,44 @@ func TestIncrementalMemoOffMatchesColdDriver(t *testing.T) {
 	}
 	if _, ok := c.PhaseTimes["restore"]; ok {
 		t.Error("cold compile recorded a restore phase")
+	}
+}
+
+// TestStageKeysCoverConfig holds stageKeys to every option a stage reads:
+// changing any one field of Config's Consistency, Opt, Membank, Partition,
+// Merge or Place options must move at least one stage key, or two configs
+// that compile differently would share a stored stage. Only the fields in
+// exempt stay out of the keys: Workers is read by nothing, and Cache is
+// where results go, not what they are.
+func TestStageKeysCoverConfig(t *testing.T) {
+	exempt := map[string]bool{
+		"Partition.Workers": true, "Partition.Cache": true,
+		"Merge.Workers": true, "Merge.Cache": true,
+	}
+	base := DefaultConfig()
+	baseKeys := stageKeys("prog", "prog-no-par", &base)
+	for _, group := range []string{"Consistency", "Opt", "Membank", "Partition", "Merge", "Place"} {
+		typ := reflect.ValueOf(base).FieldByName(group).Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := group + "." + typ.Field(i).Name
+			if exempt[name] {
+				continue
+			}
+			cfg := DefaultConfig()
+			f := reflect.ValueOf(&cfg).Elem().FieldByName(group).Field(i)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.25)
+			default:
+				t.Fatalf("%s: no perturbation for kind %s; hash it in stageKeys or exempt it here", name, f.Kind())
+			}
+			if reflect.DeepEqual(stageKeys("prog", "prog-no-par", &cfg), baseKeys) {
+				t.Errorf("changing %s moves no stage key", name)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"time"
 )
@@ -32,9 +33,14 @@ func WriteCSV(dir, name string, header []string, rows [][]string) error {
 
 // Fig9aCSV exports the scalability sweep.
 func Fig9aCSV(dir string, data map[string][]ScalePoint) error {
+	names := make([]string, 0, len(data))
+	for name := range data {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var rows [][]string
-	for name, pts := range data {
-		for _, p := range pts {
+	for _, name := range names {
+		for _, p := range data[name] {
 			rows = append(rows, []string{
 				name, strconv.Itoa(p.Par), strconv.Itoa(p.UsedPar),
 				strconv.FormatInt(p.Cycles, 10),

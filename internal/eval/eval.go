@@ -16,11 +16,6 @@ import (
 	"sara/internal/workloads"
 )
 
-// fits reports whether a compiled design fits the chip.
-func fits(r core.Resources, spec *arch.Spec) bool {
-	return r.PCU <= spec.NumPCU && r.PMU <= spec.NumPMU && r.AG <= spec.NumAG
-}
-
 // compileFit compiles the workload at the requested factor, falling back to
 // smaller factors until the design fits the chip (the paper presents the
 // best configuration that fits, which produces the resource dips of Fig 9a).
@@ -34,7 +29,7 @@ func compileFit(w *workloads.Workload, par int, spec *arch.Spec, cfg core.Config
 		if err != nil {
 			return nil, 0, false, fmt.Errorf("%s par %d: %w", w.Name, par, err)
 		}
-		if fits(c.Resources(), spec) {
+		if c.Resources().Fits(spec) {
 			return c, par, par == requested, nil
 		}
 		if par == 1 {
@@ -48,8 +43,6 @@ func nextLowerPar(par int) int {
 	switch {
 	case par > 256:
 		return 256
-	case par > 16:
-		return par / 2
 	case par > 1:
 		return par / 2
 	default:

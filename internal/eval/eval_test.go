@@ -204,17 +204,26 @@ func TestCSVExportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	data := map[string][]ScalePoint{
 		"mlp": {{Par: 1, UsedPar: 1, Cycles: 100, Speedup: 1, PUs: 10, Fit: true}},
+		"bs":  {{Par: 2, UsedPar: 2, Cycles: 50, Speedup: 2, PUs: 4, Fit: true}},
 	}
-	if err := Fig9aCSV(dir, data); err != nil {
-		t.Fatalf("Fig9aCSV: %v", err)
+	var first string
+	for run := 0; run < 20; run++ {
+		if err := Fig9aCSV(dir, data); err != nil {
+			t.Fatalf("Fig9aCSV: %v", err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "fig9a.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = string(raw)
+		} else if string(raw) != first {
+			t.Fatalf("export %d differs from the first:\n%s\n--- vs ---\n%s", run, raw, first)
+		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "fig9a.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(raw)
-	if !strings.Contains(got, "workload,par,") || !strings.Contains(got, "mlp,1,1,100,") {
-		t.Errorf("unexpected CSV:\n%s", got)
+	if !strings.Contains(first, "workload,par,") || !strings.Contains(first, "\nbs,2,2,50,") ||
+		strings.Index(first, "\nbs,") > strings.Index(first, "\nmlp,1,1,100,") {
+		t.Errorf("want rows in sorted workload order (bs, then mlp):\n%s", first)
 	}
 	if err := Table5CSV(dir, []Table5Row{{Name: "kmeans", PCCycles: 5, SARACycles: 1, Speedup: 5, SARAPar: 64}}); err != nil {
 		t.Fatalf("Table5CSV: %v", err)

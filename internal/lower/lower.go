@@ -24,11 +24,9 @@ import (
 	"sara/internal/ir"
 )
 
-// Options tunes lowering.
-type Options struct {
-	// MaxLanes caps SIMD vectorization (defaults to the target PCU lanes).
-	MaxLanes int
-}
+// Options tunes lowering. It has no fields: SIMD width is the target PCU's
+// lane count.
+type Options struct{}
 
 // Result is the lowered VUDFG plus the bookkeeping the later passes (memory
 // banking, optimization, simulation) need to find units again.
@@ -51,15 +49,11 @@ type Result struct {
 
 // Lower runs the pass. The consistency plan must have been computed for the
 // same program.
-func Lower(prog *ir.Program, plan *consistency.Plan, spec *arch.Spec, opts Options) (*Result, error) {
-	if opts.MaxLanes <= 0 {
-		opts.MaxLanes = spec.PCU.Lanes
-	}
+func Lower(prog *ir.Program, plan *consistency.Plan, spec *arch.Spec, _ Options) (*Result, error) {
 	l := &lowerer{
 		prog: prog,
 		plan: plan,
 		spec: spec,
-		opts: opts,
 		res: &Result{
 			G:          dfg.NewGraph(prog),
 			Plan:       plan,
@@ -86,7 +80,6 @@ type lowerer struct {
 	prog *ir.Program
 	plan *consistency.Plan
 	spec *arch.Spec
-	opts Options
 	res  *Result
 
 	// ctrlVUs maps every controller to all VUs emitted under it (for gating
@@ -186,13 +179,13 @@ func (l *lowerer) walk(ctrl ir.CtrlID, ctx instCtx) {
 }
 
 // walkLoop applies the loop's parallelization factor. A loop with no loop
-// descendants vectorizes up to MaxLanes; any remaining factor (and all outer
+// descendants vectorizes up to the PCU lanes; any remaining factor (and all outer
 // factors) spatially unrolls the body into separate unit instances with
 // proportionally reduced trip counts.
 func (l *lowerer) walkLoop(c *ir.Ctrl, ctx instCtx) {
 	lanes, spatial := 1, c.Par
 	if l.isInnermost(c.ID) {
-		lanes = min(c.Par, l.opts.MaxLanes)
+		lanes = min(c.Par, l.spec.PCU.Lanes)
 		spatial = (c.Par + lanes - 1) / lanes
 	}
 	total := lanes * spatial

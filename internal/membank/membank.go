@@ -30,12 +30,6 @@ type Options struct {
 	// become compile errors and parallel readers serialize. This is the
 	// vanilla-Plasticine-compiler behaviour (paper §IV-C).
 	DisableBanking bool
-	// ForceCrossbar disables static bank-address resolution, routing every
-	// banked access through merge trees (ablation for the crossbar
-	// optimizations of §III-C).
-	ForceCrossbar bool
-	// MaxFanIn caps merge-tree fan-in (defaults to the PCU input arity).
-	MaxFanIn int
 }
 
 // Stats reports what the pass did.
@@ -50,9 +44,6 @@ type Stats struct {
 // Apply banks every VMU that needs it. It must run after lowering and before
 // global merging.
 func Apply(g *dfg.Graph, spec *arch.Spec, opts Options) (*Stats, error) {
-	if opts.MaxFanIn <= 0 {
-		opts.MaxFanIn = spec.PCU.MaxIn
-	}
 	st := &Stats{}
 	for _, u := range g.LiveVUs() {
 		if u.Kind != dfg.VMU || u.Bank >= 0 {
@@ -120,7 +111,7 @@ func bankVMU(g *dfg.Graph, spec *arch.Spec, opts Options, u *dfg.VU, st *Stats) 
 	}
 
 	for _, pg := range groups {
-		static := !opts.ForceCrossbar && staticBA(g.Prog, pg.acc)
+		static := staticBA(g.Prog, pg.acc)
 		switch {
 		case static && len(pg.ins) == banks:
 			// Bank-aligned: lane i talks only to bank i.
@@ -133,7 +124,7 @@ func bankVMU(g *dfg.Graph, spec *arch.Spec, opts Options, u *dfg.VU, st *Stats) 
 			st.PointToPoint++
 		default:
 			st.Crossbars++
-			rewireCrossbar(g, opts, pg, bankVUs, st)
+			rewireCrossbar(g, spec.PCU.MaxIn, pg, bankVUs, st)
 		}
 	}
 	g.RemoveVU(u.ID)
@@ -197,8 +188,8 @@ func staticBA(p *ir.Program, acc ir.AccessID) bool {
 }
 
 // rewireCrossbar connects one access's request and response streams to every
-// bank through (hierarchical) merge units.
-func rewireCrossbar(g *dfg.Graph, opts Options, pg *portGroup, bankVUs []*dfg.VU, st *Stats) {
+// bank through (hierarchical) merge units of at most fanIn inputs each.
+func rewireCrossbar(g *dfg.Graph, fanIn int, pg *portGroup, bankVUs []*dfg.VU, st *Stats) {
 	port := ""
 	if len(pg.ins) > 0 {
 		port = g.Edge(pg.ins[0]).Port
@@ -221,7 +212,7 @@ func rewireCrossbar(g *dfg.Graph, opts Options, pg *portGroup, bankVUs []*dfg.VU
 		}
 		head := srcs[0]
 		if len(srcs) > 1 {
-			head = mergeTree(g, opts, srcs, fmt.Sprintf("merge.%s.b%d", port, b), tmpl.Lanes, st)
+			head = mergeTree(g, fanIn, srcs, fmt.Sprintf("merge.%s.b%d", port, b), tmpl.Lanes, "", st)
 		}
 		ne := g.AddEdge(head, bv.ID, dfg.EData)
 		ne.Lanes = tmpl.Lanes
@@ -243,7 +234,7 @@ func rewireCrossbar(g *dfg.Graph, opts Options, pg *portGroup, bankVUs []*dfg.VU
 		}
 		// Bank outputs go through a per-consumer merge tree; bank->merge
 		// edges keep the port so the VMU stays port-transparent.
-		head := mergeTreePorted(g, opts, srcs, fmt.Sprintf("merge.%s.resp", port), e.Lanes, port, st)
+		head := mergeTree(g, fanIn, srcs, fmt.Sprintf("merge.%s.resp", port), e.Lanes, port, st)
 		g.ReattachSrc(eid, head)
 	}
 	// Drop the original request edges into the (about to be removed) VMU.
@@ -253,17 +244,14 @@ func rewireCrossbar(g *dfg.Graph, opts Options, pg *portGroup, bankVUs []*dfg.VU
 }
 
 // mergeTree builds a hierarchical merge-unit tree over srcs and returns its
-// root (paper Fig 8c). Fan-in per node is capped by MaxFanIn.
-func mergeTree(g *dfg.Graph, opts Options, srcs []dfg.VUID, name string, lanes int, st *Stats) dfg.VUID {
-	return mergeTreePorted(g, opts, srcs, name, lanes, "", st)
-}
-
-func mergeTreePorted(g *dfg.Graph, opts Options, srcs []dfg.VUID, name string, lanes int, port string, st *Stats) dfg.VUID {
+// root (paper Fig 8c). Fan-in per node is capped by fanIn, the PCU input
+// arity. Edges out of a VMU source carry port.
+func mergeTree(g *dfg.Graph, fanIn int, srcs []dfg.VUID, name string, lanes int, port string, st *Stats) dfg.VUID {
 	level := 0
 	for len(srcs) > 1 {
 		var next []dfg.VUID
-		for i := 0; i < len(srcs); i += opts.MaxFanIn {
-			j := i + opts.MaxFanIn
+		for i := 0; i < len(srcs); i += fanIn {
+			j := i + fanIn
 			if j > len(srcs) {
 				j = len(srcs)
 			}
@@ -271,7 +259,7 @@ func mergeTreePorted(g *dfg.Graph, opts Options, srcs []dfg.VUID, name string, l
 				next = append(next, srcs[i])
 				continue
 			}
-			m := g.AddVU(dfg.VCUMerge, fmt.Sprintf("%s.l%d.%d", name, level, i/opts.MaxFanIn))
+			m := g.AddVU(dfg.VCUMerge, fmt.Sprintf("%s.l%d.%d", name, level, i/fanIn))
 			m.Ops = 1
 			m.Stages = 1
 			m.Lanes = lanes

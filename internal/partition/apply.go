@@ -53,28 +53,19 @@ type ApplyOptions struct {
 	// Workers is read by nothing: the solver searches on one goroutine.
 	// The field remains only because the benchmark harness still sets it.
 	Workers int
-	// MaxOps, MaxIn, MaxOut describe the PCU; zero values take the usual
-	// Plasticine limits (6 stages, 4 in, 4 out).
-	MaxOps, MaxIn, MaxOut int
 	// Cache memoizes per-instance partitioning results across compiles. Nil
 	// gives the pass its own instance memo (PassCache): repeated instances
 	// of one compile are solved once.
 	Cache SolverCache
 }
 
-func (o ApplyOptions) limits() (int, int, int) {
-	ops, in, out := o.MaxOps, o.MaxIn, o.MaxOut
-	if ops <= 0 {
-		ops = 6
-	}
-	if in <= 0 {
-		in = 4
-	}
-	if out <= 0 {
-		out = 4
-	}
-	return ops, in, out
-}
+// The PCU shape the pass partitions for: the Plasticine limits of 6 stages,
+// 4 inputs and 4 outputs, which every arch preset uses.
+const (
+	maxOps = 6
+	maxIn  = 4
+	maxOut = 4
+)
 
 // ApplyStats summarizes a pass over the whole VUDFG.
 type ApplyStats struct {
@@ -94,7 +85,6 @@ type ApplyStats struct {
 // partition edges that span more than one delay level record Slack for the
 // retiming optimization.
 func Apply(g *dfg.Graph, opts ApplyOptions) (*ApplyStats, error) {
-	maxOps, maxIn, maxOut := opts.limits()
 	stats := &ApplyStats{Algo: opts.Algo.String()}
 	opts.Cache = PassCache(opts.Cache)
 	// Snapshot the unit list: splitting appends new units.
@@ -103,7 +93,7 @@ func Apply(g *dfg.Graph, opts ApplyOptions) (*ApplyStats, error) {
 		if !u.Kind.IsCompute() || u.Ops <= maxOps {
 			continue
 		}
-		if err := splitVU(g, u, maxOps, maxIn, maxOut, opts, stats); err != nil {
+		if err := splitVU(g, u, opts, stats); err != nil {
 			return nil, fmt.Errorf("partition: splitting %s: %w", u.Name, err)
 		}
 		stats.SplitVUs++
@@ -115,8 +105,8 @@ func Apply(g *dfg.Graph, opts ApplyOptions) (*ApplyStats, error) {
 }
 
 // splitVU partitions one oversized unit and rewires its edges.
-func splitVU(g *dfg.Graph, u *dfg.VU, maxOps, maxIn, maxOut int, opts ApplyOptions, stats *ApplyStats) error {
-	in, opOf := buildInstance(g, u, maxOps, maxIn, maxOut)
+func splitVU(g *dfg.Graph, u *dfg.VU, opts ApplyOptions, stats *ApplyStats) error {
+	in, opOf := buildInstance(g, u)
 	res, err := runAlgo(in, opts)
 	if err != nil {
 		return err
@@ -211,7 +201,7 @@ func splitVU(g *dfg.Graph, u *dfg.VU, maxOps, maxIn, maxOut int, opts ApplyOptio
 // unit carries its block's full op graph, the real DFG (with per-op stage
 // costs, load/store anchors as zero-cost nodes) is used; split halves and
 // synthetic units fall back to a unit-cost chain.
-func buildInstance(g *dfg.Graph, u *dfg.VU, maxOps, maxIn, maxOut int) (*Instance, map[ir.AccessID]int) {
+func buildInstance(g *dfg.Graph, u *dfg.VU) (*Instance, map[ir.AccessID]int) {
 	opOf := map[ir.AccessID]int{}
 	var blockOps []*ir.Op
 	if u.Block != ir.NoCtrl {

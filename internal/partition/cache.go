@@ -77,8 +77,6 @@ func (in *Instance) ContentKey(algo Algorithm, sopts SolverOptions) string {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sopts.Gap))
 		app(int64(sopts.MaxNodes))
 		app(int64(sopts.TimeLimit / time.Nanosecond))
-		app(int64(sopts.MaxParts))
-		app(int64(sopts.MaxN))
 	}
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])

@@ -173,7 +173,7 @@ func contentKeyInstance() partition.Instance {
 }
 
 func contentKeyOptions() partition.SolverOptions {
-	return partition.SolverOptions{Gap: 0.15, MaxNodes: 60, TimeLimit: time.Minute, MaxParts: 3, MaxN: 20}
+	return partition.SolverOptions{Gap: 0.15, MaxNodes: 60, TimeLimit: time.Minute}
 }
 
 // perturbations returns the ways to change a field of kind k; it fails the

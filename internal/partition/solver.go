@@ -14,15 +14,13 @@ type SolverOptions struct {
 	// MaxNodes and TimeLimit bound the branch-and-bound search.
 	MaxNodes  int
 	TimeLimit time.Duration
-	// MaxParts caps the partition count P considered; zero derives it from
-	// the warm-start traversal solution (the optimum cannot need more).
-	MaxParts int
-	// MaxN caps the instance size the exact formulation attempts; larger
-	// instances fall back to the traversal warm start (the paper's Gurobi
-	// runs take hours to days on full graphs — this models the practical
-	// decomposition). Zero selects 28.
-	MaxN int
 }
+
+// maxSolverN caps the instance size the exact formulation attempts; larger
+// instances fall back to the traversal warm start (the paper's Gurobi runs
+// take hours to days on full graphs — this models the practical
+// decomposition).
+const maxSolverN = 28
 
 // Solver partitions the instance with the Table III mixed-integer program:
 // a boolean assignment matrix B (node × partition), per-node delay variables
@@ -38,24 +36,16 @@ func Solver(in *Instance, opts SolverOptions) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: no feasible warm start: %w", err)
 	}
-	maxN := opts.MaxN
-	if maxN <= 0 {
-		maxN = 28
-	}
-	if in.N > maxN {
+	if in.N > maxSolverN {
 		warm.Algo = "solver-mip(decomposed)"
 		return warm, nil
 	}
 	if opts.TimeLimit <= 0 {
 		opts.TimeLimit = 10 * time.Second
 	}
-	P := opts.MaxParts
-	if P <= 0 || P > warm.NumParts {
-		P = warm.NumParts
-	}
-	if P < 1 {
-		P = 1
-	}
+	// The partition count P comes from the warm start: the optimum cannot
+	// need more partitions than it.
+	P := max(warm.NumParts, 1)
 	N := in.N
 	K := float64(N + 2) // big-M for delay spans
 

@@ -50,7 +50,7 @@ func Split(prog *ir.Program, cfg core.Config) (*Plan, error) {
 		cfg.Spec = arch.SARA20x20()
 	}
 	// Fast path: the whole program fits.
-	if c, err := core.Compile(prog, cfg); err == nil && fits(c.Resources(), cfg.Spec) {
+	if c, err := core.Compile(prog, cfg); err == nil && c.Resources().Fits(cfg.Spec) {
 		return &Plan{Segments: []*Segment{{Prog: prog, Compiled: c}}}, nil
 	}
 
@@ -61,7 +61,7 @@ func Split(prog *ir.Program, cfg core.Config) (*Plan, error) {
 		trial := append(append([]ir.CtrlID{}, cur...), children[i])
 		sub := extract(prog, trial)
 		c, err := core.Compile(sub, cfg)
-		if err == nil && fits(c.Resources(), cfg.Spec) {
+		if err == nil && c.Resources().Fits(cfg.Spec) {
 			cur = trial
 			continue
 		}
@@ -120,7 +120,7 @@ func Split(prog *ir.Program, cfg core.Config) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rda: segment %d: %w", gi, err)
 		}
-		if !fits(c.Resources(), cfg.Spec) {
+		if !c.Resources().Fits(cfg.Spec) {
 			return nil, fmt.Errorf("rda: segment %d no longer fits after spill insertion", gi)
 		}
 		seg.Compiled = c
@@ -271,10 +271,6 @@ func addTransfer(sub *ir.Program, memName string, fill bool) {
 		copy(ch[1:], ch[:len(ch)-1])
 		ch[0] = last
 	}
-}
-
-func fits(r core.Resources, spec *arch.Spec) bool {
-	return r.PCU <= spec.NumPCU && r.PMU <= spec.NumPMU && r.AG <= spec.NumAG
 }
 
 // Report is the runtime execution summary of a segmented application.

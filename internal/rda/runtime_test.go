@@ -82,7 +82,7 @@ func TestSegmentationSplitsOversizedApp(t *testing.T) {
 	// Every segment must fit the chip.
 	for i, seg := range plan.Segments {
 		r := seg.Compiled.Resources()
-		if !fits(r, spec) {
+		if !r.Fits(spec) {
 			t.Errorf("segment %d exceeds the chip: %+v", i, r)
 		}
 	}

@@ -60,7 +60,7 @@ func newCluster(opts Options, m *Metrics) *cluster {
 	members := append(append([]string(nil), opts.Peers...), opts.SelfURL)
 	c := &cluster{
 		self:           opts.SelfURL,
-		ring:           NewRing(opts.VirtualNodes, members...),
+		ring:           NewRing(members...),
 		byURL:          map[string]*peer{},
 		client:         &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		proxyTimeout:   opts.ProxyTimeout,

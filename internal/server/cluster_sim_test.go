@@ -228,7 +228,7 @@ func TestClusterUntrustedSimRecordIgnored(t *testing.T) {
 
 			const self = "http://requester.invalid" // never contacted: only peers are
 			s, ts := newTestServer(t, Options{Workers: 2, Peers: []string{fake.URL}, SelfURL: self})
-			ring := NewRing(DefaultVirtualNodes, fake.URL, self)
+			ring := NewRing(fake.URL, self)
 			var req RunRequest
 			for par := 2; ; par += 2 {
 				req = RunRequest{Workload: "gda", Par: par, Scale: 16}

@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over the compile content-address space.
-// Every cluster member is projected onto the ring at VirtualNodes points
+// Every cluster member is projected onto the ring at virtualNodes points
 // (virtual nodes smooth out the arc-length variance of a single hash per
 // member), and a cache key is owned by the member whose point follows the
 // key's hash clockwise. Because the point positions depend only on the
@@ -15,13 +15,12 @@ import (
 // same owner for every key — no coordination service needed, which is what
 // makes the proxy protocol safe to bootstrap from flags alone.
 //
-// A Ring is immutable after construction; membership changes build a new
-// ring (With/Without), which keeps ownership lookups lock-free and makes the
+// A Ring is immutable after construction; a membership change builds a new
+// ring, which keeps ownership lookups lock-free and makes the
 // minimal-remapping property easy to state: between a ring and its
 // one-member extension, the only keys whose owner differs are those the new
 // member took over.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted ascending by hash
 	nodes  []string    // sorted member names
 }
@@ -31,19 +30,15 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVirtualNodes is the per-member point count used when Options does
-// not override it: 128 keeps the max/min arc-share ratio under ~1.5x for
-// small clusters.
-const DefaultVirtualNodes = 128
+// virtualNodes is the per-member point count: 128 keeps the max/min
+// arc-share ratio under ~1.5x for small clusters.
+const virtualNodes = 128
 
-// NewRing builds a ring over the given members. vnodes <= 0 selects
-// DefaultVirtualNodes; duplicate member names collapse to one.
-func NewRing(vnodes int, members ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over the given members; duplicate member names
+// collapse to one.
+func NewRing(members ...string) *Ring {
 	seen := map[string]bool{}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	for _, m := range members {
 		if m == "" || seen[m] {
 			continue
@@ -52,9 +47,9 @@ func NewRing(vnodes int, members ...string) *Ring {
 		r.nodes = append(r.nodes, m)
 	}
 	sort.Strings(r.nodes)
-	r.points = make([]ringPoint, 0, len(r.nodes)*vnodes)
+	r.points = make([]ringPoint, 0, len(r.nodes)*virtualNodes)
 	for _, m := range r.nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(m, i), node: m})
 		}
 	}
@@ -108,27 +103,4 @@ func (r *Ring) Owner(key string) string {
 // Nodes returns the sorted member names.
 func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
-}
-
-// Contains reports whether member is on the ring.
-func (r *Ring) Contains(member string) bool {
-	i := sort.SearchStrings(r.nodes, member)
-	return i < len(r.nodes) && r.nodes[i] == member
-}
-
-// With returns a new ring with member added (a no-op copy if already
-// present).
-func (r *Ring) With(member string) *Ring {
-	return NewRing(r.vnodes, append(r.Nodes(), member)...)
-}
-
-// Without returns a new ring with member removed.
-func (r *Ring) Without(member string) *Ring {
-	var kept []string
-	for _, m := range r.nodes {
-		if m != member {
-			kept = append(kept, m)
-		}
-	}
-	return NewRing(r.vnodes, kept...)
 }

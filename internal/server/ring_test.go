@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -34,7 +35,7 @@ func TestRingBalance(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(9) // 2..10 members
 		members := memberNames(rng, n)
-		ring := NewRing(0, members...)
+		ring := NewRing(members...)
 		keys := randomKeys(rng, 20000)
 		counts := map[string]int{}
 		for _, k := range keys {
@@ -60,9 +61,9 @@ func TestRingJoinMovesOnlyToNewMember(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(7)
 		members := memberNames(rng, n)
-		ring := NewRing(0, members...)
+		ring := NewRing(members...)
 		joined := fmt.Sprintf("http://10.1.0.%d:9000", trial)
-		bigger := ring.With(joined)
+		bigger := NewRing(append(members, joined)...)
 		keys := randomKeys(rng, 10000)
 		moved := 0
 		for _, k := range keys {
@@ -94,10 +95,12 @@ func TestRingLeaveMovesOnlyOwnedKeys(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rng.Intn(6)
 		members := memberNames(rng, n)
-		ring := NewRing(0, members...)
-		left := members[rng.Intn(n)]
-		smaller := ring.Without(left)
-		if smaller.Contains(left) {
+		ring := NewRing(members...)
+		leaving := rng.Intn(n)
+		left := members[leaving]
+		kept := append(append([]string(nil), members[:leaving]...), members[leaving+1:]...)
+		smaller := NewRing(kept...)
+		if slices.Contains(smaller.Nodes(), left) {
 			t.Fatalf("ring still contains removed member %s", left)
 		}
 		keys := randomKeys(rng, 10000)
@@ -123,11 +126,11 @@ func TestRingLeaveMovesOnlyOwnedKeys(t *testing.T) {
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	members := memberNames(rng, 5)
-	ring := NewRing(0, members...)
+	ring := NewRing(members...)
 	shuffled := append([]string(nil), members...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	shuffled = append(shuffled, members[0], members[2]) // duplicates collapse
-	other := NewRing(0, shuffled...)
+	other := NewRing(shuffled...)
 	for _, k := range randomKeys(rng, 5000) {
 		if a, b := ring.Owner(k), other.Owner(k); a != b {
 			t.Fatalf("key %s: owner %s from one construction order, %s from another", k, a, b)
@@ -137,10 +140,10 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 
 // TestRingEmptyAndSingle: degenerate memberships stay well-defined.
 func TestRingEmptyAndSingle(t *testing.T) {
-	if owner := NewRing(0).Owner("abc"); owner != "" {
+	if owner := NewRing().Owner("abc"); owner != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", owner)
 	}
-	solo := NewRing(0, "http://a:1")
+	solo := NewRing("http://a:1")
 	for _, k := range randomKeys(rand.New(rand.NewSource(5)), 100) {
 		if owner := solo.Owner(k); owner != "http://a:1" {
 			t.Fatalf("single-member ring owner = %q", owner)

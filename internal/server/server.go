@@ -55,8 +55,6 @@ type Options struct {
 	// DefaultTimeout bounds a request that does not set timeout_ms; it is
 	// also the maximum any request may ask for (default 120s).
 	DefaultTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// StoreDir roots the persistent design store. Compiled artifacts and
 	// per-stage intermediates are content-addressed there, surviving
 	// restarts: at startup the LRU cache is warmed from persisted final
@@ -83,9 +81,6 @@ type Options struct {
 	ProxyTimeout time.Duration
 	// HealthInterval paces the background peer /healthz probes (default 2s).
 	HealthInterval time.Duration
-	// VirtualNodes is the per-member point count on the hash ring (default
-	// DefaultVirtualNodes = 128).
-	VirtualNodes int
 
 	// TuneMaxPoints caps the design-space size a single tune request may
 	// enumerate (default 512). A request's own max_points can only lower it.
@@ -107,17 +102,11 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 120 * time.Second
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
 	if o.ProxyTimeout <= 0 {
 		o.ProxyTimeout = 15 * time.Second
 	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 2 * time.Second
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
 	}
 	if o.TuneMaxPoints <= 0 {
 		o.TuneMaxPoints = 512
@@ -684,6 +673,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 8 << 20
+
 // decodeRequest reads r's body as a normalized request and derives its chip
 // spec and content address, answering the error itself when one fails.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *RunRequest, spec *arch.Spec, key string, ok bool) {
@@ -692,7 +684,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *Run
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return nil, nil, "", false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	req = &RunRequest{}
 	err := dec.Decode(req)

@@ -242,6 +242,7 @@ func TestBadRequests(t *testing.T) {
 		{"negative solver gap", RunRequest{Workload: "bs", Options: &CompileOptionsJSON{Solver: true, SolverGap: -0.15}}},
 		// A field the wire no longer has falls to the unknown-field rule.
 		{"retired solver_workers", json.RawMessage(`{"workload":"bs","options":{"solver":true,"solver_workers":4}}`)},
+		{"retired tune slack", json.RawMessage(`{"workload":"ms","tune":{"pars":[8],"slack":0.5}}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

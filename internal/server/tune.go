@@ -26,8 +26,6 @@ type TuneParamsJSON struct {
 	Rows         []int    `json:"rows,omitempty"`
 	Cols         []int    `json:"cols,omitempty"`
 	StreamDepths []int    `json:"stream_depths,omitempty"`
-	// Slack overrides the workload's documented analytic/event ratio ceiling.
-	Slack float64 `json:"slack,omitempty"`
 	// MaxPoints lowers the server's space-size cap for this request.
 	MaxPoints int `json:"max_points,omitempty"`
 	// BaselinePar overrides the reference configuration's parallelization.
@@ -132,7 +130,6 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 			Space:       space,
 			Base:        base,
 			BaselinePar: req.Tune.BaselinePar,
-			Slack:       req.Tune.Slack,
 			Workers:     s.opts.Workers,
 			MaxPoints:   maxPoints,
 			Store:       s.store,

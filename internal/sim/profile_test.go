@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"errors"
 	"runtime"
 	"testing"
 
@@ -229,15 +228,10 @@ func TestProfileDeadlock(t *testing.T) {
 	}
 }
 
-// TestTraceEngineGate: requesting a memory-port trace from the event engine
-// (EngineAuto names it) fails with the documented sentinel instead of
-// silently tracing on dense (or silently truncating), and CycleWithTrace
-// names the dense engine itself.
+// TestTraceEngineGate: CycleWithTrace runs the dense engine and records a
+// non-empty memory-port trace.
 func TestTraceEngineGate(t *testing.T) {
 	d := compileWorkload(t, pickWorkload(t, "mlp"))
-	if _, _, err := sim.CycleWithTraceEngine(d, 30_000_000, sim.EngineAuto); !errors.Is(err, sim.ErrTraceNeedsDense) {
-		t.Errorf("event-engine trace request: got %v, want ErrTraceNeedsDense", err)
-	}
 	if _, tr, err := sim.CycleWithTrace(d, 30_000_000); err != nil || len(tr.Events) == 0 {
 		t.Errorf("CycleWithTrace: err=%v events=%d, want dense trace", err, len(tr.Events))
 	}

@@ -37,30 +37,13 @@ func (t *Trace) PortHistory(access string) []int64 {
 }
 
 // CycleWithTrace runs the dense engine while recording every memory-port
-// service event. Traces always come from the dense engine — see
-// ErrTraceNeedsDense for why.
+// service event. Traces always come from the dense engine: they are an
+// ordering oracle — CMMC verification compares the interleaving of service
+// events against the sequential program order — and the event engine's
+// batch firing can end a run before tail VMU services that never affect the
+// Result would have been recorded, so its trace would be truncated, not
+// merely reordered.
 func CycleWithTrace(d *Design, maxCycles int64) (*Result, *Trace, error) {
-	return CycleWithTraceEngine(d, maxCycles, EngineDense)
-}
-
-// ErrTraceNeedsDense is returned when a memory-port trace is requested from
-// the event engine. Traces are an ordering oracle: CMMC verification compares
-// the interleaving of service events against the sequential program order,
-// and the event engine's batch firing can end a run before tail VMU services
-// that never affect the Result would have been recorded — the trace would be
-// truncated, not merely reordered. Rather than silently switching engines (or
-// silently producing a short trace), the request fails loudly.
-var ErrTraceNeedsDense = fmt.Errorf(
-	"sim: memory-port tracing requires the dense engine (EngineDense); " +
-		"the event engine's batch firing may end a run before tail VMU services are recorded")
-
-// CycleWithTraceEngine is CycleWithTrace with an explicit engine choice:
-// EngineDense records the trace, and EngineEvent (which EngineAuto names)
-// returns ErrTraceNeedsDense.
-func CycleWithTraceEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, *Trace, error) {
-	if kind == EngineEvent {
-		return nil, nil, ErrTraceNeedsDense
-	}
 	cs, err := newCycleSim(d)
 	if err != nil {
 		return nil, nil, err

@@ -101,18 +101,11 @@ type Options struct {
 	// every optimization on and falls back to smaller factors until it fits,
 	// exactly like the eval harness's hand-picked configuration.
 	BaselinePar int
-	// Slack overrides MaxAnalyticRatio(Workload); values below 1 tighten the
-	// pruning floor below the documented contract and are rejected unless
-	// they match the workload ceiling.
-	Slack float64
 	// Workers bounds candidate-processing concurrency (0 = GOMAXPROCS).
 	Workers int
 	// MaxPoints caps the enumerated space (0 = 1024); larger spaces are an
 	// error, so service callers can bound request cost.
 	MaxPoints int
-	// MaxCycles caps each validation run (0 = 2e8); a design that exceeds it
-	// is recorded as an error point, not silently kept.
-	MaxCycles int64
 	// Store is the design store compiles memoize through (nil = fresh
 	// in-memory store). Sharing a warmed store across searches is the
 	// intended mode: arch-knob recompiles then reuse every stage.
@@ -292,17 +285,8 @@ func Run(o Options) (*Result, error) {
 	if o.BaselinePar <= 0 {
 		o.BaselinePar = w.DefaultPar
 	}
-	if o.Slack == 0 {
-		o.Slack = MaxAnalyticRatio(o.Workload)
-	}
-	if o.Slack <= 0 {
-		return nil, fmt.Errorf("tune: slack %v invalid: must be positive", o.Slack)
-	}
 	if o.MaxPoints <= 0 {
 		o.MaxPoints = 1024
-	}
-	if o.MaxCycles <= 0 {
-		o.MaxCycles = 200_000_000
 	}
 	if o.Store == nil {
 		o.Store, _ = store.Open("") // memory-only store never fails
@@ -325,7 +309,7 @@ func Run(o Options) (*Result, error) {
 		Workload: o.Workload,
 		Scale:    o.Scale,
 		Arch:     o.Base.Name,
-		Slack:    o.Slack,
+		Slack:    MaxAnalyticRatio(o.Workload),
 		Points:   make([]PointResult, len(pts)),
 	}
 	stats0 := stageTraffic(o.Store)
@@ -362,7 +346,7 @@ func Run(o Options) (*Result, error) {
 			return nil
 		}
 		c.res.AnalyticCycles = a.Cycles
-		if r.PCU > spec.NumPCU || r.PMU > spec.NumPMU || r.AG > spec.NumAG {
+		if !r.Fits(spec) {
 			c.res.Status = StatusUnfit
 			return nil
 		}
@@ -402,7 +386,7 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	res.Baseline = base.asBaseline()
-	if err := checkCeiling(o, "baseline", base.analytic, base.cycles); err != nil {
+	if err := checkCeiling(o.Workload, res.Slack, "baseline", base.analytic, base.cycles); err != nil {
 		return nil, err
 	}
 
@@ -434,7 +418,7 @@ func Run(o Options) (*Result, error) {
 			if c.pending && c.leader == i {
 				// Sound floor on true cycles: Analytic ≤ Slack·Event on this
 				// workload (the documented ceiling), so Event ≥ Analytic/Slack.
-				floor := float64(c.res.AnalyticCycles) / o.Slack
+				floor := float64(c.res.AnalyticCycles) / res.Slack
 				pruned := false
 				for _, v := range vset {
 					if v.total <= c.res.Total && float64(v.cycles) <= floor {
@@ -456,7 +440,7 @@ func Run(o Options) (*Result, error) {
 		simErr := sweep.ForEachIndexed(len(wave), o.Workers, func(wi int) error {
 			i := wave[wi]
 			c := &cands[i]
-			r, rec, err := sim.CycleProfiled(c.compiled.Design(), o.MaxCycles, sim.EngineEvent)
+			r, rec, err := sim.CycleProfiled(c.compiled.Design(), 0, sim.EngineEvent)
 			if err != nil {
 				c.res.Status, c.res.Err = StatusError, err.Error()
 				c.pending = false
@@ -477,7 +461,7 @@ func Run(o Options) (*Result, error) {
 				continue
 			}
 			res.Stats.CycleSims++
-			if err := checkCeiling(o, c.res.Point.Label(), c.res.AnalyticCycles, c.res.Cycles); err != nil {
+			if err := checkCeiling(o.Workload, res.Slack, c.res.Point.Label(), c.res.AnalyticCycles, c.res.Cycles); err != nil {
 				return nil, err
 			}
 			vset = append(vset, validated{id: i, cycles: c.res.Cycles, total: c.res.Total})
@@ -558,11 +542,12 @@ func attribution(rec *profile.Recording) (name, cause string, stalls int64) {
 	return top[0].Name, c.String(), top[0].StallTotal()
 }
 
-// checkCeiling enforces the pruning contract on a validated measurement.
-func checkCeiling(o Options, label string, analytic, cycles int64) error {
-	if cycles > 0 && float64(analytic) > o.Slack*float64(cycles) {
-		return fmt.Errorf("tune: analytic model exceeded its documented ceiling on %s %s: analytic %d > %.3g x event %d — the pruning floor would be unsound; raise Slack (and update the %s entry in the soundness table)",
-			o.Workload, label, analytic, o.Slack, cycles, o.Workload)
+// checkCeiling enforces the pruning contract on a validated measurement:
+// analytic must not exceed ceiling × cycles.
+func checkCeiling(workload string, ceiling float64, label string, analytic, cycles int64) error {
+	if cycles > 0 && float64(analytic) > ceiling*float64(cycles) {
+		return fmt.Errorf("tune: analytic model exceeded its documented ceiling on %s %s: analytic %d > %.3g x event %d — the pruning floor would be unsound; remeasure the %s entry in analyticRatioCeiling and TestAnalyticRatioCeilings (internal/sim)",
+			workload, label, analytic, ceiling, cycles, workload)
 	}
 	return nil
 }
@@ -688,12 +673,12 @@ func runBaseline(o Options, w *workloads.Workload, compile CompileFunc) (*baseli
 			return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
 		}
 		r := c.Resources()
-		if (r.PCU <= o.Base.NumPCU && r.PMU <= o.Base.NumPMU && r.AG <= o.Base.NumAG) || par == 1 {
+		if r.Fits(o.Base) || par == 1 {
 			a, err := sim.Analytic(c.Design())
 			if err != nil {
 				return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
 			}
-			sr, rec, err := sim.CycleProfiled(c.Design(), o.MaxCycles, sim.EngineEvent)
+			sr, rec, err := sim.CycleProfiled(c.Design(), 0, sim.EngineEvent)
 			if err != nil {
 				return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
 			}

@@ -144,14 +144,20 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCeilingGuardFailsLoudly: an unsound slack must abort the search with
-// an actionable error instead of producing a silently wrong front.
+// TestCeilingGuardFailsLoudly: a validated measurement whose analytic
+// estimate exceeds the documented ceiling must abort the search with an
+// actionable error instead of producing a silently wrong front; one exactly
+// at the ceiling passes.
 func TestCeilingGuardFailsLoudly(t *testing.T) {
-	o := testOptions()
-	o.Slack = 0.01
-	_, err := Run(o)
+	const cycles = 1000
+	ceiling := MaxAnalyticRatio("rf")
+	at := int64(ceiling * cycles)
+	if err := checkCeiling("rf", ceiling, "p", at, cycles); err != nil {
+		t.Errorf("analytic exactly at the ceiling: %v", err)
+	}
+	err := checkCeiling("rf", ceiling, "p", at+1, cycles)
 	if err == nil || !strings.Contains(err.Error(), "ceiling") {
-		t.Fatalf("slack far below the true ratio should trip the runtime guard, got err=%v", err)
+		t.Fatalf("one unit past the ceiling should trip the guard, got err=%v", err)
 	}
 }
 
