@@ -77,11 +77,17 @@ profilesmoke:
 	$(GO) run ./cmd/sarasim -workload mlp -par 4 -scale 16 \
 		-profile $${TMPDIR:-/tmp}/sara_profile_smoke.json -profile-report >/dev/null
 
-# CLI smoke: parse saratune's and sarac's flags and run one small search and
-# one compile end to end.
+# CLI smoke: parse each CLI's flags and run a small search (on both chip
+# presets), a compile, a Table V experiment with its CSV, and the quickstart
+# example (sara.Design.Simulate) end to end; sarasim must refuse an unknown
+# chip.
 clismoke:
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 >/dev/null
+	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8 -chip v1 >/dev/null
 	$(GO) run ./cmd/sarac -workload bs -par 4 -scale 64 >/dev/null
+	! $(GO) run ./cmd/sarasim -workload bs -par 4 -scale 64 -chip nope 2>/dev/null
+	$(GO) run ./cmd/saraeval -exp table5 -csv $${TMPDIR:-/tmp}/sara_eval_csv >/dev/null
+	$(GO) run ./examples/quickstart >/dev/null
 
 # Run the compile-and-simulate daemon locally.
 serve:

@@ -41,20 +41,12 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := core.DefaultConfig()
-	switch *chip {
-	case "20x20":
-		cfg.Spec = arch.SARA20x20()
-	case "v1":
-		cfg.Spec = arch.PlasticineV1()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chip %q\n", *chip)
+	if cfg.Spec, err = arch.Preset(*chip); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *solver {
-		cfg.Partition.Algo = partition.AlgoSolver
-		cfg.Partition.Gap = 0.15
-		cfg.Merge.Algo = partition.AlgoSolver
-		cfg.Merge.Gap = 0.15
+		cfg.UseSolver(partition.DefaultGap)
 	}
 
 	if *storeDir != "" {

@@ -54,8 +54,9 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	if *chip == "v1" {
-		cfg.Spec = arch.PlasticineV1()
+	if cfg.Spec, err = arch.Preset(*chip); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	prog := w.Build(workloads.Params{Par: *par, Scale: *scale})
 	c, err := core.Compile(prog, cfg)

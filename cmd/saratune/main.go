@@ -92,14 +92,7 @@ func main() {
 		Workers:     *workers,
 		MaxPoints:   *maxPts,
 		BaselinePar: *basePar,
-	}
-	switch *chip {
-	case "", "20x20":
-		o.Base = arch.SARA20x20()
-	case "v1":
-		o.Base = arch.PlasticineV1()
-	default:
-		fatal(fmt.Errorf("saratune: unknown chip %q (want 20x20 or v1)", *chip))
+		Base:        arch.SpecJSON{Preset: *chip},
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)

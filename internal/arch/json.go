@@ -67,19 +67,27 @@ func (j *SpecJSON) checkOverrides() error {
 	return nil
 }
 
+// Preset returns a fresh copy of the named chip: "" or "20x20" (alias
+// "sara20x20") for the paper's 20×20 HBM2 chip, "v1" (alias
+// "plasticine-v1") for the DDR3 Plasticine of Table V.
+func Preset(name string) (*Spec, error) {
+	switch name {
+	case "", "20x20", "sara20x20":
+		return SARA20x20(), nil
+	case "v1", "plasticine-v1":
+		return PlasticineV1(), nil
+	}
+	return nil, fmt.Errorf("arch: unknown preset %q (want 20x20 or v1)", name)
+}
+
 // Spec materializes the request into a validated chip configuration.
 func (j *SpecJSON) Spec() (*Spec, error) {
 	if err := j.checkOverrides(); err != nil {
 		return nil, err
 	}
-	var s *Spec
-	switch j.Preset {
-	case "", "20x20", "sara20x20":
-		s = SARA20x20()
-	case "v1", "plasticine-v1":
-		s = PlasticineV1()
-	default:
-		return nil, fmt.Errorf("arch: unknown preset %q (want 20x20 or v1)", j.Preset)
+	s, err := Preset(j.Preset)
+	if err != nil {
+		return nil, err
 	}
 	if j.Scale > 1 {
 		s = s.Scaled(j.Scale)

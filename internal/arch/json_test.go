@@ -55,6 +55,17 @@ func TestSpecJSONRejectsUnknownPreset(t *testing.T) {
 	if _, err := (&SpecJSON{Preset: "40x40"}).Spec(); err == nil {
 		t.Fatal("expected error for unknown preset")
 	}
+	if _, err := Preset("40x40"); err == nil {
+		t.Fatal("Preset accepted an unknown name")
+	}
+	for name, want := range map[string]string{
+		"": "plasticine-20x20-hbm2", "20x20": "plasticine-20x20-hbm2", "sara20x20": "plasticine-20x20-hbm2",
+		"v1": "plasticine-v1-ddr3", "plasticine-v1": "plasticine-v1-ddr3",
+	} {
+		if s, err := Preset(name); err != nil || s.Name != want {
+			t.Errorf("Preset(%q): %v; want %s", name, err, want)
+		}
+	}
 }
 
 func TestSpecJSONTunerKnobs(t *testing.T) {

@@ -55,6 +55,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// UseSolver switches compute partitioning and merging to the MIP solver at
+// the given relative optimality gap (the paper's is partition.DefaultGap).
+func (c *Config) UseSolver(gap float64) {
+	c.Partition.Algo, c.Partition.Gap = partition.AlgoSolver, gap
+	c.Merge.Algo, c.Merge.Gap = partition.AlgoSolver, gap
+}
+
 // Compiled is a fully compiled design plus per-pass reports.
 type Compiled struct {
 	Prog      *ir.Program
@@ -197,6 +204,20 @@ type Resources struct {
 // Fits reports whether the footprint fits spec's PCU, PMU and AG counts.
 func (r Resources) Fits(spec *arch.Spec) bool {
 	return r.PCU <= spec.NumPCU && r.PMU <= spec.NumPMU && r.AG <= spec.NumAG
+}
+
+// CompileFit compiles at par and, while the design does not fit spec and par
+// is above 1, halves par and compiles again: the paper's "best configuration
+// that fits" at each sweep point. It returns the last design compiled, which
+// at par 1 may still not fit, and the factor it was compiled at.
+func CompileFit(par int, spec *arch.Spec, compileAt func(par int) (*Compiled, error)) (*Compiled, int, error) {
+	for {
+		c, err := compileAt(par)
+		if err != nil || par <= 1 || c.Resources().Fits(spec) {
+			return c, par, err
+		}
+		par /= 2
+	}
 }
 
 // Resources reports the compiled design's footprint.

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sara/internal/arch"
 	"sara/internal/dfg"
 	"sara/internal/ir"
+	"sara/internal/lower"
+	"sara/internal/merge"
 	"sara/internal/sim"
 	"sara/spatial"
 )
@@ -162,5 +166,54 @@ func TestScaledChipExtendsScaling(t *testing.T) {
 	}
 	if !fitsBig {
 		t.Errorf("4x chip should fit the par-256 design: %+v", r)
+	}
+}
+
+// TestCompileFitHalvesUntilFit: CompileFit halves the factor after every
+// design that does not fit, returns the first one that fits, returns the
+// par-1 design when none fits, and stops at the first compile error.
+func TestCompileFitHalvesUntilFit(t *testing.T) {
+	g := dfg.NewGraph(testProg(1))
+	// A stand-in design using par PCUs.
+	fake := func(par int) *Compiled {
+		m := &merge.Result{}
+		for i := 0; i < par; i++ {
+			m.PUs = append(m.PUs, merge.PU{Type: arch.PCU})
+		}
+		return &Compiled{Lowered: &lower.Result{G: g}, Merged: m}
+	}
+	for _, tc := range []struct {
+		name    string
+		numPCU  int
+		failAt  int
+		tried   []int
+		wantPar int
+	}{
+		{"never fits", 0, 0, []int{192, 96, 48, 24, 12, 6, 3, 1}, 1},
+		{"fits at 24", 24, 0, []int{192, 96, 48, 24}, 24},
+		{"fits at once", 420, 0, []int{192}, 192},
+		{"compile error", 0, 48, []int{192, 96, 48}, 48},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := arch.SARA20x20()
+			spec.NumPCU = tc.numPCU
+			var tried []int
+			c, par, err := CompileFit(192, spec, func(par int) (*Compiled, error) {
+				tried = append(tried, par)
+				if par == tc.failAt {
+					return nil, errors.New("no design")
+				}
+				return fake(par), nil
+			})
+			if !reflect.DeepEqual(tried, tc.tried) || par != tc.wantPar {
+				t.Fatalf("tried %v and returned par %d; want %v and %d", tried, par, tc.tried, tc.wantPar)
+			}
+			if (err != nil) != (tc.failAt != 0) {
+				t.Fatalf("err = %v", err)
+			}
+			if err == nil && c.Resources().PCU != par {
+				t.Errorf("returned the design of par %d, want %d", c.Resources().PCU, par)
+			}
+		})
 	}
 }

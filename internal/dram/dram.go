@@ -190,15 +190,6 @@ func (m *Model) SetCounters(ch int, bytes, reqs, stallCycles int64) {
 	c.bytes, c.reqs, c.stallCycles = bytes, reqs, stallCycles
 }
 
-// ChannelBytes returns the bytes transferred so far on one channel, exposing
-// per-channel load imbalance that the aggregate Stats hide.
-func (m *Model) ChannelBytes(ch int) int64 {
-	if ch < 0 || ch >= len(m.ch) {
-		panic(fmt.Sprintf("dram: channel %d out of range", ch))
-	}
-	return m.ch[ch].bytes
-}
-
 // Stats reports aggregate counters.
 type Stats struct {
 	TotalBytes  int64
@@ -225,13 +216,4 @@ func (m *Model) Reset() {
 		m.ch[i] = channel{}
 	}
 	m.rrNext = 0
-}
-
-// AchievedBytesPerCycle returns the realized bandwidth over an interval of
-// cycles.
-func (m *Model) AchievedBytesPerCycle(cycles int64) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	return float64(m.Stats().TotalBytes) / float64(cycles)
 }

@@ -16,38 +16,23 @@ import (
 	"sara/internal/workloads"
 )
 
-// compileFit compiles the workload at the requested factor, falling back to
-// smaller factors until the design fits the chip (the paper presents the
-// best configuration that fits, which produces the resource dips of Fig 9a).
-// It returns the compiled design, the factor actually used, and whether the
-// requested factor fit.
+// compileFit compiles the workload at the requested factor through
+// core.CompileFit, halving the factor until the design fits the chip (the
+// paper presents the best configuration that fits, which produces the
+// resource dips of Fig 9a). It returns the compiled design, the factor
+// actually used, and whether the requested factor fit.
 func compileFit(w *workloads.Workload, par int, spec *arch.Spec, cfg core.Config) (*core.Compiled, int, bool, error) {
-	requested := par
-	for {
-		prog := w.Build(workloads.Params{Par: par, Scale: 1})
-		c, err := core.Compile(prog, cfg)
+	c, used, err := core.CompileFit(par, spec, func(par int) (*core.Compiled, error) {
+		c, err := core.Compile(w.Build(workloads.Params{Par: par, Scale: 1}), cfg)
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("%s par %d: %w", w.Name, par, err)
+			return nil, fmt.Errorf("%s par %d: %w", w.Name, par, err)
 		}
-		if c.Resources().Fits(spec) {
-			return c, par, par == requested, nil
-		}
-		if par == 1 {
-			return c, par, false, nil
-		}
-		par = nextLowerPar(par)
+		return c, nil
+	})
+	if err != nil {
+		return nil, 0, false, err
 	}
-}
-
-func nextLowerPar(par int) int {
-	switch {
-	case par > 256:
-		return 256
-	case par > 1:
-		return par / 2
-	default:
-		return 1
-	}
+	return c, used, used == par && c.Resources().Fits(spec), nil
 }
 
 // analytic runs the steady-state engine on a compiled design.

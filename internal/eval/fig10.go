@@ -8,7 +8,6 @@ import (
 	"sara/internal/consistency"
 	"sara/internal/core"
 	"sara/internal/merge"
-	"sara/internal/opt"
 	"sara/internal/workloads"
 )
 
@@ -147,5 +146,3 @@ func Fig10Tokens(names []string, par int, spec *arch.Spec) ([]CMMCStats, string,
 	return out, "CMMC control-reduction analysis — synchronization streams\n" +
 		table([]string{"workload", "constructed", "after reduction", "removed"}, rows), nil
 }
-
-var _ = opt.All

@@ -56,10 +56,9 @@ func Fig11(names []string, par, scale int, spec *arch.Spec) ([]AlgoResult, strin
 			cfg.Partition.Algo = a.algo
 			cfg.Merge.Algo = a.algo
 			if a.algo == partition.AlgoSolver {
-				cfg.Partition.Gap = 0.15
+				cfg.UseSolver(partition.DefaultGap)
 				cfg.Partition.MaxNodes = 800
 				cfg.Partition.TimeLimit = 2 * time.Second
-				cfg.Merge.Gap = 0.15
 				cfg.Merge.MaxNodes = 800
 				cfg.Merge.TimeLimit = 2 * time.Second
 			}

@@ -211,16 +211,6 @@ func (p *Program) Walk(f func(*Ctrl)) {
 	rec(0)
 }
 
-// Ancestors returns the chain of controllers from c up to and including the
-// root, starting with c itself.
-func (p *Program) Ancestors(c CtrlID) []CtrlID {
-	var out []CtrlID
-	for id := c; id != NoCtrl; id = p.Ctrls[id].Parent {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Depth returns the number of ancestors above c (root has depth 0).
 func (p *Program) Depth(c CtrlID) int {
 	d := 0

@@ -276,10 +276,3 @@ func (l *lowerer) registerUnder(block ir.CtrlID, u dfg.VUID) {
 		l.ctrlVUs[id] = append(l.ctrlVUs[id], u)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,8 +1,6 @@
 package lower
 
 import (
-	"fmt"
-
 	"sara/internal/dfg"
 	"sara/internal/ir"
 )
@@ -259,9 +257,4 @@ func (l *lowerer) instancesAligned(a, b []dfg.VUID) bool {
 		}
 	}
 	return true
-}
-
-func (l *lowerer) vuName(id dfg.VUID) string {
-	u := l.res.G.VU(id)
-	return fmt.Sprintf("%s%s", u.Name, u.Instance)
 }

@@ -104,11 +104,6 @@ func (p *Problem) SetObj(i int, v float64) {
 	p.c[i] = v
 }
 
-// AddObj adds v to the objective coefficient of variable i.
-func (p *Problem) AddObj(i int, v float64) {
-	p.c[i] += v
-}
-
 // Grow reserves room for rows more constraints, so that many AddConstraint
 // calls append without reallocating. The problem itself does not change.
 func (p *Problem) Grow(rows int) {

@@ -7,9 +7,13 @@ import (
 	"sara/internal/mip"
 )
 
+// DefaultGap is the relative optimality gap of the paper's methodology
+// (Gurobi at 15 %, §IV-B).
+const DefaultGap = 0.15
+
 // SolverOptions tunes the MIP-based partitioner (paper §III-B1d).
 type SolverOptions struct {
-	// Gap is the relative optimality gap (paper methodology: 0.15).
+	// Gap is the relative optimality gap (paper methodology: DefaultGap).
 	Gap float64
 	// MaxNodes and TimeLimit bound the branch-and-bound search.
 	MaxNodes  int

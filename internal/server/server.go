@@ -346,20 +346,16 @@ func (t *OptTogglesJSON) options() opt.Options {
 	return opt.Options{MSR: t.MSR, RtElm: t.RtElm, Retime: t.Retime, RetimeMem: t.RetimeMem, XbarElm: t.XbarElm}
 }
 
-// defaultSolverGap is the relative optimality gap of a solver compile that
-// names none, the paper's methodology.
-const defaultSolverGap = 0.15
-
 // canonical refuses options no compile accepts and returns o with every
 // field cleared that cannot change the compiled design, so options that
 // compile alike share one content address: a solver gap without the solver
-// or equal to the default, and no_opt beside opt. It never writes o; a
-// changed form is a copy.
+// or equal to the default (partition.DefaultGap), and no_opt beside opt. It
+// never writes o; a changed form is a copy.
 func (o *CompileOptionsJSON) canonical() (*CompileOptionsJSON, error) {
 	if !(o.SolverGap >= 0) {
 		return nil, fmt.Errorf("solver_gap %v: want a non-negative relative gap", o.SolverGap)
 	}
-	dropGap := o.SolverGap != 0 && (!o.Solver || o.SolverGap == defaultSolverGap)
+	dropGap := o.SolverGap != 0 && (!o.Solver || o.SolverGap == partition.DefaultGap)
 	dropNoOpt := o.NoOpt && o.Opt != nil
 	if !dropGap && !dropNoOpt {
 		return o, nil
@@ -389,12 +385,9 @@ func (o *CompileOptionsJSON) config(spec *arch.Spec) core.Config {
 	if o.Solver {
 		gap := o.SolverGap
 		if gap <= 0 {
-			gap = defaultSolverGap
+			gap = partition.DefaultGap
 		}
-		cfg.Partition.Algo = partition.AlgoSolver
-		cfg.Partition.Gap = gap
-		cfg.Merge.Algo = partition.AlgoSolver
-		cfg.Merge.Gap = gap
+		cfg.UseSolver(gap)
 	}
 	if o.SkipPlace {
 		cfg.SkipPlace = true
@@ -522,12 +515,10 @@ func cacheKey(req *RunRequest) (string, error) {
 	cr := canonicalRequest{
 		Workload: req.Workload,
 		Program:  req.Program,
+		Arch:     req.chip(),
 	}
 	if req.Workload != "" {
 		cr.Par, cr.Scale = req.Par, req.Scale
-	}
-	if req.Arch != nil {
-		cr.Arch = *req.Arch
 	}
 	if req.Options != nil {
 		cr.Options = *req.Options
@@ -724,7 +715,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, simulate bool) {
 			writeError(w, http.StatusBadRequest, errors.New("tune requests go to /v1/run: a search validates candidates by simulating them"))
 			return
 		}
-		s.serveTune(w, r, req, spec)
+		s.serveTune(w, r, req)
 		return
 	}
 	var resident *design
@@ -793,12 +784,17 @@ func (s *Server) shed(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, err)
 }
 
-func specFor(req *RunRequest) (*arch.Spec, error) {
-	aj := req.Arch
-	if aj == nil {
-		aj = &arch.SpecJSON{}
+// chip returns the request's arch, or the default chip's when it names none.
+func (req *RunRequest) chip() arch.SpecJSON {
+	if req.Arch == nil {
+		return arch.SpecJSON{}
 	}
-	return aj.Spec()
+	return *req.Arch
+}
+
+func specFor(req *RunRequest) (*arch.Spec, error) {
+	a := req.chip()
+	return a.Spec()
 }
 
 // answerFromMemory answers a memo-eligible /v1/run whose design is in the

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"sara/internal/arch"
 	"sara/internal/core"
 	"sara/internal/ir"
 	"sara/internal/tune"
@@ -16,16 +15,11 @@ import (
 // axes plus search bounds. Empty axes keep the base value (arch knobs), the
 // workload's paper default (pars), or the full optimization suite (opts).
 type TuneParamsJSON struct {
-	Pars []int `json:"pars,omitempty"`
+	// Space supplies the parallelization and arch-knob axes; its Opts is
+	// shadowed on the wire by the set names below.
+	tune.Space
 	// Opts lists named optimization sets (see tune.NamedOptSets).
-	Opts         []string `json:"opts,omitempty"`
-	NumPCU       []int    `json:"num_pcu,omitempty"`
-	NumPMU       []int    `json:"num_pmu,omitempty"`
-	NumAG        []int    `json:"num_ag,omitempty"`
-	DRAMChannels []int    `json:"dram_channels,omitempty"`
-	Rows         []int    `json:"rows,omitempty"`
-	Cols         []int    `json:"cols,omitempty"`
-	StreamDepths []int    `json:"stream_depths,omitempty"`
+	Opts []string `json:"opts,omitempty"`
 	// MaxPoints lowers the server's space-size cap for this request.
 	MaxPoints int `json:"max_points,omitempty"`
 	// BaselinePar overrides the reference configuration's parallelization.
@@ -33,61 +27,32 @@ type TuneParamsJSON struct {
 }
 
 func (t *TuneParamsJSON) space() (tune.Space, error) {
-	var opts []tune.OptSet
+	space := t.Space
 	for _, name := range t.Opts {
 		s, err := tune.OptSetByName(name)
 		if err != nil {
 			return tune.Space{}, err
 		}
-		opts = append(opts, s)
+		space.Opts = append(space.Opts, s)
 	}
-	return tune.Space{
-		Pars: t.Pars, Opts: opts,
-		NumPCU: t.NumPCU, NumPMU: t.NumPMU, NumAG: t.NumAG,
-		DRAMChannels: t.DRAMChannels, Rows: t.Rows, Cols: t.Cols,
-		StreamDepths: t.StreamDepths,
-	}, nil
+	return space, nil
 }
 
 // candidateRequest derives the RunRequest one tune candidate compiles as:
 // the original request's workload and base arch with the point's knobs
-// overlaid, the point's exact optimization flags, and placement skipped —
-// precisely the configuration tune.Run would compile directly. Because the
-// derived request is canonical, candidates content-address into the same
-// cache/store/cluster namespace as ordinary requests: a design another
-// request (or another node) already compiled is reused, and designs this
-// search compiles warm the cache for later requests.
-func candidateRequest(req *RunRequest, p tune.Point, scale int) *RunRequest {
-	aj := arch.SpecJSON{}
-	if req.Arch != nil {
-		aj = *req.Arch
-	}
-	if p.NumPCU != 0 {
-		aj.NumPCU = p.NumPCU
-	}
-	if p.NumPMU != 0 {
-		aj.NumPMU = p.NumPMU
-	}
-	if p.NumAG != 0 {
-		aj.NumAG = p.NumAG
-	}
-	if p.DRAMChannels != 0 {
-		aj.DRAMChannels = p.DRAMChannels
-	}
-	if p.Rows != 0 {
-		aj.Rows = p.Rows
-	}
-	if p.Cols != 0 {
-		aj.Cols = p.Cols
-	}
-	if p.StreamDepth != 0 {
-		aj.StreamDepth = p.StreamDepth
-	}
+// overlaid (tune.Point.Arch, as tune.Run itself compiles), the point's exact
+// optimization flags, and placement skipped. Because the derived request is
+// canonical, candidates content-address into the same cache/store/cluster
+// namespace as ordinary requests: a design another request (or another node)
+// already compiled is reused, and designs this search compiles warm the cache
+// for later requests.
+func candidateRequest(req *RunRequest, p tune.Point) *RunRequest {
+	aj := p.Arch(req.chip())
 	o := p.Opt.Opts
 	return &RunRequest{
 		Workload: req.Workload,
 		Par:      p.Par,
-		Scale:    scale,
+		Scale:    req.Scale,
 		Arch:     &aj,
 		Options: &CompileOptionsJSON{
 			SkipPlace: true,
@@ -106,7 +71,7 @@ func candidateRequest(req *RunRequest, p tune.Point, scale int) *RunRequest {
 // holds exactly one worker slot while reusing every layer of the serving
 // hierarchy. The search itself is bit-identical to cmd/saratune on the same
 // space: only wall-clock and cache-traffic fields differ.
-func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunRequest, base *arch.Spec) {
+func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunRequest) {
 	space, err := req.Tune.space()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -128,13 +93,13 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 			Workload:    req.Workload,
 			Scale:       req.Scale,
 			Space:       space,
-			Base:        base,
+			Base:        req.chip(),
 			BaselinePar: req.Tune.BaselinePar,
 			Workers:     s.opts.Workers,
 			MaxPoints:   maxPoints,
 			Store:       s.store,
 			Compile: func(p tune.Point, prog *ir.Program, cfg core.Config) (*core.Compiled, error) {
-				dreq := candidateRequest(req, p, req.Scale)
+				dreq := candidateRequest(req, p)
 				key, err := cacheKey(dreq)
 				if err != nil {
 					return nil, err

@@ -15,9 +15,8 @@ import (
 // design-identity sharing through the serving path.
 func tuneTestParams() *TuneParamsJSON {
 	return &TuneParamsJSON{
-		Pars:         []int{4, 8, 16},
-		Opts:         []string{"all", "none"},
-		DRAMChannels: []int{8, 16},
+		Space: tune.Space{Pars: []int{4, 8, 16}, DRAMChannels: []int{8, 16}},
+		Opts:  []string{"all", "none"},
 	}
 }
 
@@ -87,6 +86,45 @@ func TestTuneEndpoint(t *testing.T) {
 		if v := s.Metrics().Counter(counter); v != want {
 			t.Errorf("%s = %d, want %d", counter, v, want)
 		}
+	}
+}
+
+// TestTuneOnNonDefaultBase: a search over a request's own arch (a scaled chip
+// with a slower network) reads each point through tune.Point.Arch, as the
+// library does, so the served result equals tune.Run on the same base and
+// space — unfit points included — once timings are stripped.
+func TestTuneOnNonDefaultBase(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	resp, body := postRun(t, ts, "/v1/run", json.RawMessage(`{"workload":"ms","scale":16,
+		"arch":{"scale":2,"net_hop_latency_cycles":3},
+		"tune":{"pars":[16,64],"num_pcu":[2,400],"stream_depths":[4,8]}}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	got := decodeTune(t, body)
+	if got.Stats.Explored != 8 || got.Stats.Unfit == 0 {
+		t.Errorf("explored %d points, %d unfit; want 8, at least one unfit", got.Stats.Explored, got.Stats.Unfit)
+	}
+	want, err := tune.Run(tune.Options{
+		Workload: "ms", Scale: 16,
+		Base: arch.SpecJSON{Scale: 2, NetHopLatencyCycles: 3},
+		Space: tune.Space{
+			Pars: []int{16, 64}, NumPCU: []int{2, 400}, StreamDepths: []int{4, 8},
+		},
+	})
+	if err != nil {
+		t.Fatalf("library run: %v", err)
+	}
+	var gotJSON, wantJSON bytes.Buffer
+	if err := got.StripTimings().WriteJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.StripTimings().WriteJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+		t.Errorf("served tune result differs from the library on the same base and space\nserver:\n%s\nlibrary:\n%s",
+			gotJSON.Bytes(), wantJSON.Bytes())
 	}
 }
 
@@ -173,7 +211,7 @@ func TestTuneValidation(t *testing.T) {
 		})
 	}
 	// /v1/compile cannot host a search.
-	resp, body := postRun(t, ts, "/v1/compile", RunRequest{Workload: "ms", Tune: &TuneParamsJSON{Pars: []int{4}}})
+	resp, body := postRun(t, ts, "/v1/compile", RunRequest{Workload: "ms", Tune: &TuneParamsJSON{Space: tune.Space{Pars: []int{4}}}})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "/v1/run") {
 		t.Errorf("tune on /v1/compile: status %d body %s, want 400 pointing at /v1/run", resp.StatusCode, body)
 	}

@@ -338,17 +338,6 @@ func stallFreeStates(cs *cycleSim) []bool {
 	return free
 }
 
-// StallFreeUnits reports which units the analytic model proves can never
-// stall in the cycle engine (see stallFreeStates). Exposed for tests and
-// diagnostics; indexed by VU ID.
-func StallFreeUnits(d *Design) ([]bool, error) {
-	cs, err := newCycleSim(d)
-	if err != nil {
-		return nil, err
-	}
-	return stallFreeStates(cs), nil
-}
-
 // effFirings returns the unit's expected firings, discounting branch-clause
 // exclusivity: a unit under one clause of a branch only executes the
 // iterations its clause is taken (expected 1/2 per enclosing branch,

@@ -59,6 +59,18 @@ func ParseEngine(name string) (EngineKind, error) {
 	return 0, fmt.Errorf("unknown engine %q (want auto, cycle or event)", name)
 }
 
+// defaultMaxCycles is the runaway guard of a cycle-level run whose caller
+// passes no positive cap.
+const defaultMaxCycles = 200_000_000
+
+// cycleCap returns maxCycles, or defaultMaxCycles when it is not positive.
+func cycleCap(maxCycles int64) int64 {
+	if maxCycles <= 0 {
+		return defaultMaxCycles
+	}
+	return maxCycles
+}
+
 // Cycle runs the event engine. maxCycles guards against runaways (0 = 200M
 // cycles).
 func Cycle(d *Design, maxCycles int64) (*Result, error) {
@@ -71,9 +83,7 @@ func CycleEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if maxCycles <= 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles = cycleCap(maxCycles)
 	if kind == EngineDense {
 		return cs.runDense(maxCycles)
 	}

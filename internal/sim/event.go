@@ -73,7 +73,7 @@ type eventSim struct {
 	lo, hi int
 
 	// noStall marks units the analytic model proves can never block (see
-	// StallFreeUnits): their evaluation skips the blockCause check and the
+	// stallFreeStates): their evaluation skips the blockCause check and the
 	// stall-interval bookkeeping entirely.
 	noStall []bool
 

@@ -9,9 +9,7 @@ func CycleEventSpan(d *Design, maxCycles int64) (r *Result, skipped, spanned int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if maxCycles <= 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles = cycleCap(maxCycles)
 	r, err = cs.runEvent(maxCycles)
 	return r, cs.skipped, cs.spanned, err
 }
@@ -23,9 +21,7 @@ func CycleEventSingleLoop(d *Design, maxCycles int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if maxCycles <= 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles = cycleCap(maxCycles)
 	return cs.runComponents([]*component{cs.whole()}, maxCycles)
 }
 

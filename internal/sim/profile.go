@@ -21,9 +21,7 @@ func CycleProfiled(d *Design, maxCycles int64, kind EngineKind) (*Result, *profi
 	if err != nil {
 		return nil, nil, err
 	}
-	if maxCycles <= 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles = cycleCap(maxCycles)
 
 	nVU := len(cs.vus)
 	rec := profile.NewRecording(nVU + cs.dram.Channels())

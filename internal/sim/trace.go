@@ -50,10 +50,7 @@ func CycleWithTrace(d *Design, maxCycles int64) (*Result, *Trace, error) {
 	}
 	tr := &Trace{}
 	cs.trace = tr
-	if maxCycles <= 0 {
-		maxCycles = 200_000_000
-	}
-	r, err := cs.runDense(maxCycles)
+	r, err := cs.runDense(cycleCap(maxCycles))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,16 +47,15 @@ type Stats struct {
 // disk layout is one file per entry under <dir>/<stage>/<key>.bin, written
 // atomically (tmp + rename). All methods are safe for concurrent use.
 //
-// Store implements partition.SolverCache: solver-instance results persist
-// across processes when a directory is configured.
+// Store implements partition.SolverCache: solver-instance results are
+// ordinary "solver" records, bounded in memory like every other stage and
+// persisted across processes when a directory is configured.
 type Store struct {
 	mu  sync.Mutex
 	dir string // "" = memory-only
 
 	mem      map[string][]byte // "<stage>/<key>" -> encoded bytes
 	memOrder []string          // FIFO eviction order
-
-	solver map[string]*partition.Result
 
 	// checks holds each stage's load check (SetLoadCheck).
 	checks map[string]func([]byte) ([]byte, error)
@@ -75,9 +74,13 @@ type Store struct {
 func Open(dir string) (*Store, error) {
 	s := &Store{
 		mem:    map[string][]byte{},
-		solver: map[string]*partition.Result{},
 		stages: map[string]*StageStats{},
-		checks: map[string]func([]byte) ([]byte, error){},
+		checks: map[string]func([]byte) ([]byte, error){
+			SolverStage: func(b []byte) ([]byte, error) {
+				_, err := read(b, nil, walkSolverResult)
+				return b, err
+			},
+		},
 	}
 	if dir == "" {
 		return s, nil
@@ -130,9 +133,6 @@ func (s *Store) scanDisk() {
 		}
 	}
 }
-
-// Dir returns the backing directory ("" when memory-only).
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) stat(stage string) *StageStats {
 	st := s.stages[stage]
@@ -361,43 +361,32 @@ func (s *Store) Stats() Stats {
 const SolverStage = "solver"
 
 // LookupResult returns a memoized solver result for a partition-instance
-// content key. Results round-trip through the disk tier, so a restarted
-// process still skips re-solving instances it has seen; a record on disk that
-// does not decode is deleted and answered as a miss, so the next StoreResult
-// writes it afresh.
+// content key: a Get of its solver record, decoded into a fresh Result.
+// Results round-trip through the disk tier, so a restarted process still
+// skips re-solving instances it has seen; a record on disk that does not
+// decode is deleted by the stage's load check and answered as a miss, so the
+// next StoreResult writes it afresh.
 func (s *Store) LookupResult(key string) (*partition.Result, bool) {
+	var r *partition.Result
+	b, ok := s.Get(SolverStage, key)
+	if ok {
+		var err error
+		r, err = read(b, nil, walkSolverResult)
+		ok = err == nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.solver[key]
-	if !ok && s.dir != "" {
-		_, ok = s.load(SolverStage, key, func(b []byte) (_ []byte, err error) {
-			r, err = read(b, nil, walkSolverResult)
-			return b, err
-		})
-		if ok {
-			s.solver[key] = r
-		}
-	}
 	if !ok {
 		s.solverMiss++
 		return nil, false
 	}
 	s.solverHits++
-	return r.Clone(), true
+	return r, true
 }
 
 // StoreResult memoizes a solver result under its instance content key.
 func (s *Store) StoreResult(key string, r *partition.Result) {
-	cp := r.Clone()
-	s.mu.Lock()
-	s.solver[key] = cp
-	s.mu.Unlock()
-	if s.dir != "" {
-		s.Put(SolverStage, key, write(cp, walkSolverResult))
-		// Put counted this under the "solver" stage byte counters, which is
-		// where solver disk traffic belongs; hit/miss stay on the dedicated
-		// solver counters above.
-	}
+	s.Put(SolverStage, key, write(r, walkSolverResult))
 }
 
 func walkSolverResult(c *codec, r *partition.Result) {

@@ -113,36 +113,33 @@ type Point struct {
 	StreamDepth  int `json:"stream_depth,omitempty"`
 }
 
-// Spec materializes the point's chip configuration over the base spec.
-func (p *Point) Spec(base *arch.Spec) (*arch.Spec, error) {
-	s := *base
-	if p.NumPCU != 0 {
-		s.NumPCU = p.NumPCU
+// Arch overlays the point's arch knobs on base: each non-zero knob replaces
+// base's override of the same field. It is the one description of a point's
+// chip, which the search, saratune and sarad all compile from.
+func (p *Point) Arch(base arch.SpecJSON) arch.SpecJSON {
+	for _, k := range []struct {
+		v   int
+		dst *int
+	}{
+		{p.NumPCU, &base.NumPCU}, {p.NumPMU, &base.NumPMU}, {p.NumAG, &base.NumAG},
+		{p.DRAMChannels, &base.DRAMChannels}, {p.Rows, &base.Rows}, {p.Cols, &base.Cols},
+		{p.StreamDepth, &base.StreamDepth},
+	} {
+		if k.v != 0 {
+			*k.dst = k.v
+		}
 	}
-	if p.NumPMU != 0 {
-		s.NumPMU = p.NumPMU
-	}
-	if p.NumAG != 0 {
-		s.NumAG = p.NumAG
-	}
-	if p.DRAMChannels != 0 {
-		s.DRAM.Channels = p.DRAMChannels
-	}
-	if p.Rows != 0 {
-		s.Rows = p.Rows
-	}
-	if p.Cols != 0 {
-		s.Cols = p.Cols
-	}
-	if p.StreamDepth != 0 {
-		s.PCU.InBufDepth = p.StreamDepth
-		s.PMU.InBufDepth = p.StreamDepth
-		s.AG.InBufDepth = p.StreamDepth
-	}
-	if err := s.Validate(); err != nil {
+	return base
+}
+
+// Spec materializes the point's chip: p.Arch(base), validated.
+func (p *Point) Spec(base arch.SpecJSON) (*arch.Spec, error) {
+	a := p.Arch(base)
+	s, err := a.Spec()
+	if err != nil {
 		return nil, fmt.Errorf("tune: point %d (%s): %w", p.ID, p.Label(), err)
 	}
-	return &s, nil
+	return s, nil
 }
 
 // Label renders the point's non-default knobs compactly.

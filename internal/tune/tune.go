@@ -94,8 +94,9 @@ type Options struct {
 	// Space is the candidate grid; an empty space holds the single default
 	// point.
 	Space Space
-	// Base is the seed chip the space's knobs override (default SARA20x20).
-	Base *arch.Spec
+	// Base is the seed chip the space's knobs override, in its wire form
+	// (the zero value is the 20×20 chip); Point.Arch overlays each point.
+	Base arch.SpecJSON
 	// BaselinePar is the reference configuration's parallelization factor
 	// (default: the workload's paper default). The baseline compiles with
 	// every optimization on and falls back to smaller factors until it fits,
@@ -276,10 +277,8 @@ func Run(o Options) (*Result, error) {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	if o.Base == nil {
-		o.Base = arch.SARA20x20()
-	}
-	if err := o.Base.Validate(); err != nil {
+	baseSpec, err := o.Base.Spec()
+	if err != nil {
 		return nil, fmt.Errorf("tune: base spec: %w", err)
 	}
 	if o.BaselinePar <= 0 {
@@ -308,7 +307,7 @@ func Run(o Options) (*Result, error) {
 	res := &Result{
 		Workload: o.Workload,
 		Scale:    o.Scale,
-		Arch:     o.Base.Name,
+		Arch:     baseSpec.Name,
 		Slack:    MaxAnalyticRatio(o.Workload),
 		Points:   make([]PointResult, len(pts)),
 	}
@@ -330,7 +329,7 @@ func Run(o Options) (*Result, error) {
 			return nil
 		}
 		c.spec = spec
-		c.res.AtBaseArch = sameArchKnobs(spec, o.Base)
+		c.res.AtBaseArch = sameArchKnobs(spec, baseSpec)
 		cfg := core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
 		compiled, err := compile(p, w.Build(workloads.Params{Par: p.Par, Scale: o.Scale}), cfg)
 		if err != nil {
@@ -381,7 +380,7 @@ func Run(o Options) (*Result, error) {
 	// default par (falling back until it fits), all optimizations on, seed
 	// arch. It seeds the validated set, so clearly-dominated candidates
 	// prune against it from round one.
-	base, err := runBaseline(o, w, compile)
+	base, err := runBaseline(o, baseSpec, w, compile)
 	if err != nil {
 		return nil, err
 	}
@@ -659,38 +658,27 @@ func (b *baselineRun) asBaseline() Baseline {
 	return Baseline{RequestedPar: b.requested, Par: b.par, Cycles: b.cycles, Total: b.total}
 }
 
-// runBaseline compiles and measures the hand-picked reference point,
-// falling back to smaller factors until the design fits (the eval harness's
-// compileFit behaviour).
-func runBaseline(o Options, w *workloads.Workload, compile CompileFunc) (*baselineRun, error) {
-	par := o.BaselinePar
-	b := &baselineRun{requested: o.BaselinePar}
-	for {
+// runBaseline compiles and measures the hand-picked reference point at the
+// largest factor core.CompileFit finds to fit, as the eval harness does.
+func runBaseline(o Options, spec *arch.Spec, w *workloads.Workload, compile CompileFunc) (*baselineRun, error) {
+	c, par, err := core.CompileFit(o.BaselinePar, spec, func(par int) (*core.Compiled, error) {
 		p := Point{ID: -2, Par: par, Opt: NamedOptSets[0]}
-		cfg := core.Config{Spec: o.Base, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
-		c, err := compile(p, w.Build(workloads.Params{Par: par, Scale: o.Scale}), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
-		}
-		r := c.Resources()
-		if r.Fits(o.Base) || par == 1 {
-			a, err := sim.Analytic(c.Design())
-			if err != nil {
-				return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
-			}
-			sr, rec, err := sim.CycleProfiled(c.Design(), 0, sim.EngineEvent)
-			if err != nil {
-				return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
-			}
-			b.par, b.cycles, b.analytic, b.total = par, sr.Cycles, a.Cycles, r.Total
-			b.key = designKey(c)
-			b.bottleneck, b.cause, b.stalls = attribution(rec)
-			return b, nil
-		}
-		if par > 2 {
-			par /= 2
-		} else {
-			par = 1
-		}
+		cfg := core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
+		return compile(p, w.Build(workloads.Params{Par: par, Scale: o.Scale}), cfg)
+	})
+	var a, sr *sim.Result
+	var rec *profile.Recording
+	if err == nil {
+		a, err = sim.Analytic(c.Design())
 	}
+	if err == nil {
+		sr, rec, err = sim.CycleProfiled(c.Design(), 0, sim.EngineEvent)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
+	}
+	b := &baselineRun{requested: o.BaselinePar, par: par, cycles: sr.Cycles, analytic: a.Cycles,
+		total: c.Resources().Total, key: designKey(c)}
+	b.bottleneck, b.cause, b.stalls = attribution(rec)
+	return b, nil
 }

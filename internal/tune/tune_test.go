@@ -83,7 +83,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	// Brute-force ground truth.
 	truth := make(map[int]int64, len(pts))
 	for _, p := range pts {
-		spec, err := p.Spec(arch.SARA20x20())
+		spec, err := p.Spec(arch.SpecJSON{})
 		if err != nil {
 			t.Fatalf("point %d: %v", p.ID, err)
 		}

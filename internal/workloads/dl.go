@@ -322,5 +322,3 @@ func snetGPU(p Params) gpu.Workload {
 	}
 	return gpu.Workload{Name: "snet", FLOPs: flops, Bytes: bytes, Class: gpu.DenseLinear, Kernels: 8}
 }
-
-var _ = ir.NoCtrl

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"sara/internal/gpu"
 	"sara/internal/ir"
 	"sara/spatial"
@@ -257,8 +255,6 @@ func sgdGPU(p Params) gpu.Workload {
 	w.FLOPs *= 0.75
 	return w
 }
-
-var _ = fmt.Sprintf
 
 // buildLinearModelPC is the restructured variant the vanilla compiler can
 // accept: the weight read, gradient, and update fold into a single

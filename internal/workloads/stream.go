@@ -271,5 +271,3 @@ func msGPU(p Params) gpu.Workload {
 		Class: gpu.StreamingKernel, Kernels: 4,
 	}
 }
-
-var _ = ir.NoCtrl

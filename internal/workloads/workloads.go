@@ -117,14 +117,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// mustBuild panics on construction errors: workload shapes are static, so a
-// failure is a programming bug, not an input condition.
-func mustBuild(p *ir.Program, err error) *ir.Program {
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-var _ = ir.NoCtrl // keep the ir import alongside builder-typed signatures

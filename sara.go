@@ -22,10 +22,8 @@ import (
 	"fmt"
 	"time"
 
-	"sara/internal/consistency"
 	"sara/internal/core"
 	"sara/internal/interp"
-	"sara/internal/membank"
 	"sara/internal/merge"
 	"sara/internal/opt"
 	"sara/internal/partition"
@@ -60,14 +58,11 @@ func WithOptimizationToggles(msr, rtelm, retime, retimeMem, xbarElm bool) Option
 
 // WithSolverPartitioning uses the mixed-integer-programming partitioner and
 // merger with the given relative optimality gap (the paper's methodology
-// uses 0.15) instead of the traversal heuristics.
+// uses partition.DefaultGap, 0.15) instead of the traversal heuristics.
 func WithSolverPartitioning(gap float64, maxNodes int) Option {
 	return func(c *core.Config) {
-		c.Partition.Algo = partition.AlgoSolver
-		c.Partition.Gap = gap
+		c.UseSolver(gap)
 		c.Partition.MaxNodes = maxNodes
-		c.Merge.Algo = partition.AlgoSolver
-		c.Merge.Gap = gap
 		c.Merge.MaxNodes = maxNodes
 	}
 }
@@ -205,14 +200,13 @@ type Report struct {
 func (d *Design) Simulate(e Engine) (*Report, error) {
 	var r *sim.Result
 	var err error
-	if e == EngineAnalytic {
+	switch e {
+	case EngineCycle:
+		r, err = sim.Cycle(d.c.Design(), 0)
+	case EngineAnalytic:
 		r, err = sim.Analytic(d.c.Design())
-	} else {
-		kind, perr := sim.ParseEngine(e.String())
-		if perr != nil {
-			return nil, fmt.Errorf("sara: %w", perr)
-		}
-		r, err = sim.CycleEngine(d.c.Design(), 0, kind)
+	default:
+		return nil, fmt.Errorf("sara: unknown engine %v", e)
 	}
 	if err != nil {
 		return nil, err
@@ -247,10 +241,6 @@ func (d *Design) PhaseTimes() map[string]time.Duration { return d.c.PhaseTimes }
 // pipeline stages were restored from the design store (true) rather than
 // recomputed (false). Nil for cold compiles.
 func (d *Design) StageHits() map[string]bool { return d.c.StageHits }
-
-// re-export for facade users that never touch internal packages directly.
-var _ = consistency.Options{}
-var _ = membank.Options{}
 
 // SegmentedDesign is an application too large for one configuration,
 // compiled as a sequence of reconfiguration segments (paper §IV-a: a runtime

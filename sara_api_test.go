@@ -53,6 +53,9 @@ func TestCompileAndSimulateBothEngines(t *testing.T) {
 	if cyc.Resources.Total <= 0 {
 		t.Error("no resources reported")
 	}
+	if r, err := d.Simulate(sara.Engine(7)); err == nil {
+		t.Errorf("an out-of-range engine simulated: %+v", r)
+	}
 }
 
 func TestOptionsChangeOutcome(t *testing.T) {
