@@ -24,7 +24,7 @@ func assertComponentsExact(t *testing.T, d *sim.Design, maxCycles int64) (comps 
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, skipped, spanned, err := sim.CycleEventSpan(d, maxCycles)
+	split, span, err := sim.CycleEventSpan(d, maxCycles)
 	whole, wholeErr := sim.CycleEventSingleLoop(d, maxCycles)
 	switch {
 	case err != nil || wholeErr != nil:
@@ -34,7 +34,7 @@ func assertComponentsExact(t *testing.T, d *sim.Design, maxCycles int64) (comps 
 	case !reflect.DeepEqual(split, whole):
 		t.Errorf("Results differ:\n components:  %+v\n single loop: %+v", split, whole)
 	}
-	return comps, skipped, spanned
+	return comps, span.Skipped, span.Spanned
 }
 
 // TestComponentRunsExact holds the event engine's component runs to its single

@@ -233,10 +233,11 @@ type cycleSim struct {
 	busyCycles int64 // Σ over compute units of cycles spent firing
 	nCompute   int64
 	// skipped counts the cycles the event engine's fast-forward advanced
-	// arithmetically (fastforward.go), and spanned the cycles its runs
-	// covered, summed over components (component.go); tests read both to see
-	// that it fired.
-	skipped, spanned int64
+	// arithmetically (fastforward.go) and jumps its jumps; spanned counts the
+	// cycles the engine's runs covered and work their deliveries and unit
+	// visits, summed over components (component.go). Tests read them to see
+	// that it fired and what it saved.
+	skipped, spanned, jumps, work int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element

@@ -49,7 +49,9 @@ package sim
 //     state, DRAM backlogs in integer ticks included, while no unit nears
 //     its last firing. Captures come every stride-th firing of an anchor
 //     unit, the stride set by their cost and changed only where the cycle
-//     search moves its checkpoint.
+//     search moves its checkpoint. The search restarts whenever a unit of
+//     the part completes, since each completion starts a new phase with a
+//     new period, and it jumps on the first exact repeat of a checkpoint.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
 // woken units are stepped in ascending ID order off a bitset, and a pop
@@ -294,6 +296,7 @@ func (ev *eventSim) run(c *component, maxCycles int64) (int64, error) {
 				return 0, fmt.Errorf("sim: exceeded %d cycles without completing", maxCycles)
 			}
 			cs.spanned += end + 1
+			cs.work += ev.work
 			return end, nil
 		}
 		if ff != nil {

@@ -1,17 +1,21 @@
 package sim
 
-// CycleEventSpan runs the event engine and also returns how many cycles its
-// steady-state fast-forward advanced arithmetically and the cycles the
-// engine's runs covered, summed over the design's components: the share the
-// fast-forward skipped is skipped/spanned.
-func CycleEventSpan(d *Design, maxCycles int64) (r *Result, skipped, spanned int64, err error) {
+// Span is what an event run's steady-state fast-forward did, summed over the
+// design's components: the cycles it advanced arithmetically and the cycles
+// the engine's runs covered (the share skipped is Skipped/Spanned), its
+// jumps, and the engine's work — deliveries plus unit visits — by which two
+// detectors compare without host time.
+type Span struct{ Skipped, Spanned, Jumps, Work int64 }
+
+// CycleEventSpan runs the event engine and also returns its Span.
+func CycleEventSpan(d *Design, maxCycles int64) (*Result, Span, error) {
 	cs, err := newCycleSim(d)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, Span{}, err
 	}
 	maxCycles = cycleCap(maxCycles)
-	r, err = cs.runEvent(maxCycles)
-	return r, cs.skipped, cs.spanned, err
+	r, err := cs.runEvent(maxCycles)
+	return r, Span{cs.skipped, cs.spanned, cs.jumps, cs.work}, err
 }
 
 // CycleEventSingleLoop runs the event engine, fast paths on, as one loop

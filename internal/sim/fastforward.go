@@ -39,16 +39,23 @@ package sim
 //     only the last firing wraps level 0. k leaves every unit that fires in
 //     the period ffMarginPeriods periods plus one firing short of its total,
 //     so within every skipped period each batch sees the bound it saw in the
-//     observed one; a unit already inside its margin vetoes the jump. k also
-//     keeps the run under its cycle cap, so a cap inside the skipped range
-//     still ends the run with the same error.
+//     observed one (see ffMarginPeriods); a unit already inside its margin
+//     vetoes the jump. k also keeps the run under its cycle cap, so a cap
+//     inside the skipped range still ends the run with the same error.
 //
 // Detection is Brent's cycle search on state hashes, over captures taken at
 // firings of an anchor unit: the live counter-driven unit with the fewest
-// firings, re-chosen when it completes. A capture is one pass over units,
-// edges, in-flight elements and channels; it is taken every stride-th anchor
-// firing. The stride changes only where the search's checkpoint moves after
-// limit captures, so the captures compared with one checkpoint are evenly
+// firings. Every completion of a counter-driven unit of the component starts
+// a new phase, and the search restarts there from limit 1 with a re-chosen
+// anchor. That loses no repeat: done is part of the signature, so no capture
+// taken before a completion equals one taken after it. Designs whose
+// parallel instances finish one at a time (rf p128's eight tree traversals)
+// run through as many phases, and a limit carried over from the last phase
+// would hold each new phase's checkpoint back by up to as many captures as
+// that phase took. A capture is one pass over units, edges, in-flight
+// elements and channels; it is taken every stride-th anchor firing. The
+// stride changes only where the search's checkpoint moves after limit
+// captures, so the captures compared with one checkpoint are evenly
 // spaced, and it follows the cost of the captures since the last such move:
 // it doubles while they walked more words than a quarter of the engine work
 // in that window, and halves below a sixteenth, so a run that never repeats
@@ -57,20 +64,33 @@ package sim
 // events; judged per capture, its stride flips every other capture). The
 // stride may double only while 16·stride is at most the anchor's firings so
 // far: while pipelines fill, the engine does almost no work per firing, and
-// the stride would otherwise race ahead of any period. A repeated
-// hash stores the full state there (ref), and the jump waits for the next
-// repeat to match ref word for word, so runs that never repeat allocate
-// nothing either. Each component run has its own detector, so its captures
-// walk only the component. Runs that record a profile or a trace and the
-// dense engine never fast-forward; CycleEngineNoFastPath turns it off (and
-// with it the split into components) for the equivalence guard.
+// the stride would otherwise race ahead of any period. A capture keeps the
+// words it walks, and every checkpoint keeps its capture's as the full
+// state (ref), so the first repeat of its hash is compared with ref word
+// for word and jumps at once, and no capture walks the state twice. Each
+// component run has its own detector, so its captures walk only the
+// component. Runs that record a profile or a trace and the dense engine
+// never fast-forward; CycleEngineNoFastPath turns it off (and with it the
+// split into components) for the equivalence guard.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// ffMarginPeriods is how many periods of firings every firing unit must still
-// have ahead of it after a jump. One period plus one firing is what
-// exactness needs; the rest is slack.
-const ffMarginPeriods = 2
+// ffMarginPeriods is how many periods of firings, beyond one firing, every
+// firing unit must still have ahead of it after a jump. The one firing is
+// what exactness needs: the last firing wraps level 0 and completes the
+// unit, so it must not fall inside a skipped period. No margin beyond it is
+// needed, so no design tells 0 from 1. A batch counts its firings when it
+// starts, so a unit that ends the last skipped period at least one firing
+// short of its total started every batch of those periods more than the
+// batch's length from its end: its distance-to-end bounds (total − fired,
+// and for a one-level counter the room before level 0 wraps, one less)
+// never cut a batch the observed period ran. One period of slack stays, for
+// a bound that looks further ahead than one batch; it costs at most one
+// period per phase.
+const ffMarginPeriods = 1
 
 // ffState is the full state at one capture: what a later capture is compared
 // with word for word, and what the jump's deltas and stall starts are taken
@@ -91,22 +111,23 @@ type fastForward struct {
 
 	anchor      *vuState // the unit whose firings trigger captures
 	anchorFired int64    // its fired count at the last look
+	remaining   int      // the run's live counter-driven units at the last look
 	stride, due int64    // capture every stride-th anchor firing; due counts down
 	// The cost rule's window: ev.work when the checkpoint last moved on its
 	// own, and the state words captures have walked since.
 	workAt, walked int64
 
-	// Brent's search on hashes: the checkpoint, how many captures have been
-	// compared with it, and how many it waits for before moving on.
-	chkAt    int64
+	// Brent's search on hashes: the checkpoint's hash, how many captures
+	// have been compared with it, and how many it waits for before moving on.
 	chkHash  uint64
 	haveChk  bool
 	n, limit int
-	// ref is the full state at the checkpoint, kept once a hash repeated.
-	ref     ffState
-	haveRef bool
+	// cur holds the last capture's words; ref is the full state at the
+	// checkpoint, which takes over cur's words whenever it moves.
+	cur []int64
+	ref ffState
 
-	skipped int64 // cycles advanced arithmetically
+	skipped, jumps int64 // cycles advanced arithmetically, in how many jumps
 }
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
@@ -120,18 +141,19 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	}
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
-	ff.stride, ff.due, ff.workAt, ff.walked, ff.skipped = 1, 1, 0, 0, 0
+	ff.stride, ff.due, ff.workAt, ff.walked, ff.skipped, ff.jumps = 1, 1, 0, 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
 
-// release adds the skipped cycles to the run's and returns the detector to
-// the pool.
+// release adds the skipped cycles and the jumps to the run's and returns the
+// detector to the pool.
 func (ff *fastForward) release() {
 	if ff == nil {
 		return
 	}
 	ff.ev.cs.skipped += ff.skipped
+	ff.ev.cs.jumps += ff.jumps
 	ff.ev, ff.anchor = nil, nil
 	ffPool.Put(ff)
 }
@@ -140,7 +162,7 @@ func (ff *fastForward) release() {
 // fewest firings (lowest ID on ties) and restarts the search. Such a unit
 // exists whenever the run has not completed, which is when afterCycle runs.
 func (ff *fastForward) pickAnchor() {
-	ff.anchor = nil
+	ff.anchor, ff.remaining = nil, ff.ev.remaining
 	for _, vs := range ff.ev.c.vus {
 		if !vs.isCounterDriven() || vs.done {
 			continue
@@ -152,25 +174,25 @@ func (ff *fastForward) pickAnchor() {
 	if ff.anchor != nil {
 		ff.anchorFired = ff.anchor.fired
 	}
-	ff.haveChk, ff.haveRef = false, false
+	ff.haveChk = false
 }
 
 // afterCycle runs at the end of every event cycle that did not complete the
-// run; it is one comparison unless the anchor fired.
+// run; it is two comparisons unless a unit completed or the anchor fired. A
+// completion (the anchor's among them) starts a new phase: the search
+// restarts there with a fresh anchor.
 func (ff *fastForward) afterCycle() {
-	if ff.anchor.fired != ff.anchorFired {
+	switch {
+	case ff.ev.remaining != ff.remaining:
+		ff.pickAnchor()
+	case ff.anchor.fired != ff.anchorFired:
 		ff.anchorFiring()
 	}
 }
 
-// anchorFiring re-chooses a completed anchor and samples the state on every
-// stride-th firing.
+// anchorFiring samples the state on every stride-th firing of the anchor.
 func (ff *fastForward) anchorFiring() {
 	ff.anchorFired = ff.anchor.fired
-	if ff.anchor.done {
-		ff.pickAnchor()
-		return
-	}
 	if ff.due--; ff.due > 0 {
 		return
 	}
@@ -179,26 +201,26 @@ func (ff *fastForward) anchorFiring() {
 }
 
 // sample captures the state and advances the search. A hash equal to the
-// checkpoint's either confirms ref, which jumps (or, vetoed, starts over
-// here), or stores the state here as ref to be confirmed one period on.
-// Otherwise the checkpoint moves here after limit captures, limit doubles,
-// and the stride may change.
+// checkpoint's is checked against ref word for word and, if it matches,
+// jumps (unless vetoed); either way the checkpoint moves here. Otherwise the
+// checkpoint moves here after limit captures, limit doubles, and the stride
+// may change.
 func (ff *fastForward) sample() {
-	w := sigWalk{h: fnvOffset}
+	w := sigWalk{h: fnvOffset, words: ff.cur[:0]}
 	ff.state(&w)
-	ff.walked += int64(w.n)
+	ff.cur = w.words
+	ff.walked += int64(len(w.words))
 	switch {
 	case !ff.haveChk:
 		ff.limit = 1
 		ff.checkpoint(w.h)
 	case w.h == ff.chkHash:
-		if ff.haveRef && ff.matchesRef() {
+		if ff.matchesRef() {
 			if k, p := ff.jumpCount(); k > 0 {
 				ff.jump(k, p)
 			}
 		}
 		ff.checkpoint(w.h)
-		ff.keepRef()
 	default:
 		if ff.n++; ff.n >= ff.limit {
 			ff.checkpoint(w.h)
@@ -223,18 +245,13 @@ func (ff *fastForward) adjustStride() {
 	ff.due, ff.workAt, ff.walked = ff.stride, ff.ev.work, 0
 }
 
-// checkpoint makes the current capture, of hash h, Brent's checkpoint.
+// checkpoint makes the current capture, of hash h, Brent's checkpoint, and
+// stores its full state as ref. After a jump the capture's words still hold:
+// the jump leaves the relative state as it found it.
 func (ff *fastForward) checkpoint(h uint64) {
-	ff.chkAt, ff.chkHash, ff.haveChk, ff.n = ff.ev.now, h, true, 0
-	ff.haveRef = false
-}
-
-// keepRef stores the full current state as ref.
-func (ff *fastForward) keepRef() {
+	ff.chkHash, ff.haveChk, ff.n = h, true, 0
 	ev, r := ff.ev, &ff.ref
-	w := sigWalk{keep: true, words: r.sig[:0]}
-	ff.state(&w)
-	r.sig = w.words
+	r.sig, ff.cur = ff.cur, r.sig
 	r.since, r.fired = r.since[:0], r.fired[:0]
 	for _, vs := range ev.c.vus {
 		r.since = append(r.since, ev.blockedSince[vs.u.ID])
@@ -246,15 +263,12 @@ func (ff *fastForward) keepRef() {
 		return v
 	})
 	r.at = ev.now
-	ff.haveRef = true
 }
 
-// matchesRef reports whether the current state repeats ref exactly.
+// matchesRef reports whether the last capture repeats ref exactly.
 func (ff *fastForward) matchesRef() bool {
 	r := &ff.ref
-	w := sigWalk{ref: r.sig}
-	ff.state(&w)
-	if w.diff || w.n != len(r.sig) {
+	if !slices.Equal(ff.cur, r.sig) {
 		return false
 	}
 	// The signature says which units are parked or due; a pending stall must
@@ -336,6 +350,7 @@ func (ff *fastForward) jump(k, p int64) {
 	}
 	ff.anchorFired = ff.anchor.fired
 	ff.skipped += shift
+	ff.jumps++
 }
 
 const (
@@ -343,27 +358,16 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// sigWalk receives the relative state word by word. It always hashes (FNV-1a
-// over words when h starts at fnvOffset), and also keeps the words or
-// compares them with ref.
+// sigWalk receives the relative state word by word: it keeps the words and
+// hashes them (FNV-1a when h starts at fnvOffset).
 type sigWalk struct {
 	h     uint64
-	n     int
-	keep  bool
 	words []int64
-	ref   []int64
-	diff  bool
 }
 
 func (w *sigWalk) put(x int64) {
 	w.h = (w.h ^ uint64(x)) * fnvPrime
-	if w.keep {
-		w.words = append(w.words, x)
-	}
-	if w.ref != nil && (w.n >= len(w.ref) || w.ref[w.n] != x) {
-		w.diff = true
-	}
-	w.n++
+	w.words = append(w.words, x)
 }
 
 // state walks the component's relative state at the end of the current

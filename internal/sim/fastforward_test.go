@@ -17,23 +17,22 @@ import (
 
 // assertFastForwardExact runs d on the event engine with and without the
 // steady-state fast-forward and requires a reflect.DeepEqual Result or a
-// byte-identical error. It returns the cycles the fast-forward skipped and
-// the cycles the engine's runs covered, summed over the design's components
-// (0 when the run failed).
-func assertFastForwardExact(t *testing.T, d *sim.Design, maxCycles int64) (skipped, spanned int64) {
+// byte-identical error. It returns the fast-forward run's Span (Spanned 0
+// when the run failed) and its error.
+func assertFastForwardExact(t *testing.T, d *sim.Design, maxCycles int64) (sim.Span, error) {
 	t.Helper()
-	fast, skipped, spanned, err := sim.CycleEventSpan(d, maxCycles)
+	fast, span, err := sim.CycleEventSpan(d, maxCycles)
 	slow, slowErr := sim.CycleEngineNoFastPath(d, maxCycles)
 	switch {
 	case err != nil || slowErr != nil:
 		if err == nil || slowErr == nil || err.Error() != slowErr.Error() {
 			t.Errorf("outcomes differ:\n fast-forward: %v\n reference:    %v", err, slowErr)
 		}
-		return skipped, 0
+		span.Spanned = 0
 	case !reflect.DeepEqual(fast, slow):
 		t.Errorf("Results differ:\n fast-forward: %+v\n reference:    %+v", fast, slow)
 	}
-	return skipped, spanned
+	return span, err
 }
 
 // solverConfig compiles the way the benchmark's solver workload does: MIP
@@ -49,10 +48,12 @@ func solverConfig() core.Config {
 
 // TestFastForwardExact is the fast-forward's guard: on every design the
 // benchmark simulates for long, on mlp p16/s1 and Table VI's ms, sort and
-// lstm points, on the deadlocking designs, and under a cycle cap inside a
-// skipped stretch, the run must be indistinguishable from one without it. The long rf runs must also really skip most of their cycles,
-// and so must logreg and pr at p64/s8, which skip only by capturing states
-// whose DRAM channels are still busy.
+// lstm points, on the deadlocking designs, on a design whose second phase
+// alone repeats, and under a cycle cap inside a skipped stretch, the run
+// must be indistinguishable from one without it. Every kernels design must
+// also skip about as much as the detector reaches (logreg and pr at p64/s8
+// skip only by capturing states whose DRAM channels are still busy), and
+// so must the long rf runs.
 func TestFastForwardExact(t *testing.T) {
 	const maxCycles = 30_000_000
 	type design struct {
@@ -61,19 +62,26 @@ func TestFastForwardExact(t *testing.T) {
 		mustSkip    int64 // percent of the spanned cycles skipped, at least
 		long        bool  // over 2 s for both runs: skipped under -short
 	}
-	floors := map[string]int64{"logreg": 60, "pr": 90}
+	// The kernels designs' floors sit about 3 points under the shares the
+	// detector reaches, so a change that skips less shows here first. rf
+	// p128/s8 runs through eight phases, one per tree instance completing.
+	floors := map[string]int64{
+		"bs/p64": 55, "gda/p64": 35, "kmeans/p64": 69, "logreg/p64": 78, "mlp/p64": 7,
+		"ms/p64": 35, "pr/p64": 96, "rf/p64": 92, "sgd/p64": 78, "sort/p32": 59,
+		"kmeans/p128": 69, "mlp/p128": 10, "rf/p128": 53, "mlp/p16": 84,
+	}
 	var ds []design
 	for _, name := range workloads.Names() {
 		par := 64
 		if name == "sort" {
 			par = 32
 		}
-		ds = append(ds, design{"kernels", name, par, 8, floors[name], false})
+		ds = append(ds, design{"kernels", name, par, 8, floors[name+"/p"+itoa(par)], false})
 	}
 	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
-		ds = append(ds, design{"kernels", name, 128, 8, 0, false})
+		ds = append(ds, design{"kernels", name, 128, 8, floors[name+"/p128"], false})
 	}
-	ds = append(ds, design{"kernels", "mlp", 16, 1, 0, true})
+	ds = append(ds, design{"kernels", "mlp", 16, 1, floors["mlp/p16"], true})
 	// Table VI's points, as eval.Table6 compiles them (par is the default
 	// it starts its fit from).
 	for _, name := range []string{"ms", "sort", "lstm"} {
@@ -124,11 +132,8 @@ func TestFastForwardExact(t *testing.T) {
 			default:
 				d = compilePlaced(t, k.name, k.par, k.scale)
 			}
-			skipped, spanned := assertFastForwardExact(t, d, maxCycles)
-			t.Logf("skipped %d of %d cycles", skipped, spanned)
-			if 100*skipped < k.mustSkip*spanned {
-				t.Errorf("skipped %d of %d cycles, want at least %d%%", skipped, spanned, k.mustSkip)
-			}
+			span, _ := assertFastForwardExact(t, d, maxCycles)
+			checkSkipped(t, "", span, k.mustSkip)
 		})
 	}
 	t.Run("deadlock", func(t *testing.T) {
@@ -148,21 +153,25 @@ func TestFastForwardExact(t *testing.T) {
 	// jump that ignored the backlog would drop the queueing the skipped
 	// periods add.
 	t.Run("busy-channel", func(t *testing.T) {
-		skipped, spanned := assertFastForwardExact(t, saturatedReadDesign(), 1_000_000)
-		t.Logf("saturated read: skipped %d of %d cycles", skipped, spanned)
-		if 5*skipped < 2*spanned {
-			t.Errorf("saturated read: skipped %d of %d cycles, want at least 40%%", skipped, spanned)
-		}
-		skipped, spanned = assertFastForwardExact(t, oversubscribedWriteDesign(), 1_000_000)
-		t.Logf("oversubscribed write: skipped %d of %d cycles", skipped, spanned)
+		span, _ := assertFastForwardExact(t, saturatedReadDesign(), 1_000_000)
+		checkSkipped(t, "saturated read: ", span, 40)
+		span, _ = assertFastForwardExact(t, oversubscribedWriteDesign(), 1_000_000)
+		checkSkipped(t, "oversubscribed write: ", span, 0)
+	})
+	// One producer completes mid-run and the rest settle into a new period.
+	// The first phase never repeats, so every skipped cycle is the second
+	// phase's: the search must restart at the completion rather than carry
+	// the limit the first phase drove up.
+	t.Run("two-phase", func(t *testing.T) {
+		span, _ := assertFastForwardExact(t, twoPhaseDesign(), 1_000_000)
+		checkSkipped(t, "", span, 35)
 	})
 	// rf p8/s16 runs 950 629 cycles and skips most of them; a cap of 700 000
 	// falls inside the longest skipped stretch, so the jump must stop short
 	// of it and the run end in the same "exceeded" error.
 	t.Run("cap", func(t *testing.T) {
 		d := compilePlaced(t, "rf", 8, 16)
-		skipped, _ := assertFastForwardExact(t, d, 700_000)
-		if skipped == 0 {
+		if span, _ := assertFastForwardExact(t, d, 700_000); span.Skipped == 0 {
 			t.Error("no cycle skipped before the cap")
 		}
 		if _, err := sim.CycleEngine(d, 700_000, sim.EngineEvent); err == nil ||
@@ -170,6 +179,43 @@ func TestFastForwardExact(t *testing.T) {
 			t.Errorf("capped run: %v", err)
 		}
 	})
+}
+
+// checkSkipped logs what the fast-forward did in span, prefixed by what, and
+// fails the test when it skipped less than floor percent of the spanned
+// cycles. Jumps and engine visits are counts, so two detectors compare by
+// them without host time.
+func checkSkipped(t *testing.T, what string, span sim.Span, floor int64) {
+	t.Helper()
+	t.Logf("%sskipped %d of %d cycles in %d jumps, %d engine visits", what, span.Skipped, span.Spanned, span.Jumps, span.Work)
+	if 100*span.Skipped < floor*span.Spanned {
+		t.Errorf("%sskipped %d of %d cycles, want at least %d%%", what, span.Skipped, span.Spanned, floor)
+	}
+}
+
+// twoPhaseDesign feeds one sink from two producers through one banked group
+// (Edge.Group), each producer paced by a token loop back to itself. fast has
+// 40×127 firings, one every 11 cycles, and completes near cycle 56 000;
+// slow has 20×128, one every 49 cycles, and runs to cycle 125 441. While
+// both run, the inner levels turn at coprime trips and rates, so the state
+// never repeats; once fast is done, slow's inner level repeats every 128
+// firings. slow has the fewest firings, so it is the anchor throughout.
+func twoPhaseDesign() *sim.Design {
+	g := dfg.NewGraph(&ir.Program{TypeBits: 32})
+	snk := g.AddVU(dfg.VCUCompute, "snk")
+	snk.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1), Trip: 40*127 + 20*128}}
+	fast := g.AddVU(dfg.VCUCompute, "fast")
+	fast.Stages = 1
+	fast.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2), Trip: 40}, {Ctrl: ir.CtrlID(3), Trip: 127}}
+	slow := g.AddVU(dfg.VCUCompute, "slow")
+	slow.Stages = 39
+	slow.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(4), Trip: 20}, {Ctrl: ir.CtrlID(5), Trip: 128}}
+	for _, p := range []*dfg.VU{fast, slow} {
+		g.AddEdge(p.ID, snk.ID, dfg.EData).Group = "in"
+		loop := g.AddEdge(p.ID, p.ID, dfg.EToken)
+		loop.LCD, loop.Init, loop.Depth = true, 1, 1
+	}
+	return &sim.Design{G: g, Spec: arch.SARA20x20()}
 }
 
 // saturatedReadDesign streams 20 000 reads of 24 lanes (96 B, 1.536 cycles

@@ -213,19 +213,24 @@ func TestWhileLoopSerializesIterations(t *testing.T) {
 }
 
 // TestRandomProgramsNeverDeadlock is the pipeline's core liveness property:
-// any valid frontend program must compile and drain to completion.
+// any valid frontend program must compile and drain to completion, and the
+// fast-forward must not change how.
 func TestRandomProgramsNeverDeadlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var skipped, spanned int64
 	for trial := 0; trial < 15; trial++ {
 		p := randomProgram(rng, trial)
 		c, err := core.Compile(p, core.DefaultConfig())
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)
 		}
-		if _, err := sim.Cycle(c.Design(), 20_000_000); err != nil {
+		span, err := assertFastForwardExact(t, c.Design(), 20_000_000)
+		if err != nil {
 			t.Errorf("trial %d (%s): %v", trial, p.Name, err)
 		}
+		skipped, spanned = skipped+span.Skipped, spanned+span.Spanned
 	}
+	t.Logf("skipped %d of %d cycles", skipped, spanned)
 }
 
 // randomProgram generates a small random nested pipeline over shared SRAMs.
@@ -265,22 +270,27 @@ func randomProgram(rng *rand.Rand, id int) *ir.Program {
 
 // TestRandomControlFlowNeverDeadlocks extends the liveness fuzz to the full
 // control-construct repertoire: outer branches, do-while loops, and
-// dynamically bounded loops, nested over shared scratchpads.
+// dynamically bounded loops, nested over shared scratchpads. Here too the
+// fast-forward must not change the outcome.
 func TestRandomControlFlowNeverDeadlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	var skipped, spanned int64
 	for trial := 0; trial < 12; trial++ {
 		p := randomControlProgram(rng)
 		c, err := core.Compile(p, core.DefaultConfig())
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)
 		}
-		if _, err := sim.Cycle(c.Design(), 20_000_000); err != nil {
+		span, err := assertFastForwardExact(t, c.Design(), 20_000_000)
+		if err != nil {
 			t.Errorf("trial %d: %v", trial, err)
 		}
+		skipped, spanned = skipped+span.Skipped, spanned+span.Spanned
 		if _, err := sim.Analytic(c.Design()); err != nil {
 			t.Errorf("trial %d analytic: %v", trial, err)
 		}
 	}
+	t.Logf("skipped %d of %d cycles", skipped, spanned)
 }
 
 // randomControlProgram generates nested control flow with branches, while
