@@ -11,9 +11,10 @@ import (
 // the program with real float64 values in program order — the semantics CMMC
 // promises to preserve on the accelerator ("the final result will be
 // identical to a sequentially executed program", paper §III-A1). DSL users
-// test their programs' functional behaviour against it, and the repository's
-// tests use it as ground truth for what the spatially pipelined execution
-// must be equivalent to.
+// test their programs' functional behaviour against it (sara.NewInterpreter).
+// Nothing checks the spatially pipelined execution against it: the cycle
+// engine moves elements and times them but computes no values, so only the
+// interpreter's own tests and the root package's API test run it.
 type Exec struct {
 	Prog *ir.Program
 	// Mems holds each memory's contents (DRAM tensors included). FIFOs are

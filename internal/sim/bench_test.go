@@ -7,36 +7,39 @@ import (
 	"sara/internal/sim"
 )
 
-// BenchmarkSimulate times one auto-engine simulation of placed designs from
-// both ends of the benchmark: the forwarder-heavy par-128 kernels, the short
-// par-16 runs a serving hit repeats, and rf par 8 / scale 16 (950 629
+// BenchmarkSimulate times one event-engine simulation of placed designs
+// from both ends of the benchmark: the forwarder-heavy par-128 kernels, the
+// short par-16 runs a serving hit repeats, and rf par 8 / scale 16 (950 629
 // cycles, almost all of them in a recurring steady state the event engine
-// fast-forwards). It is the simulator's profiling entry point:
+// fast-forwards). Beside the time it reports the engine's visits and the
+// state words the fast-forward's captures walked per run, counts that
+// compare two versions of the engine without host time. It is the
+// simulator's profiling entry point:
 //
 //	go test -run '^$' -bench Simulate -cpuprofile cpu.out ./internal/sim/
 func BenchmarkSimulate(b *testing.B) {
-	run := func(b *testing.B, d *sim.Design, simulate func(*sim.Design) (*sim.Result, error)) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var fired int64
-		for i := 0; i < b.N; i++ {
-			r, err := simulate(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fired += r.FiredTotal
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
-	}
 	for _, k := range []struct {
 		name       string
 		par, scale int
 	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"pr", 16, 16}, {"bs", 16, 16}, {"gda", 16, 16}, {"rf", 8, 16}} {
 		k := k
 		b.Run(k.name+"/p"+itoa(k.par), func(b *testing.B) {
-			run(b, compilePlaced(b, k.name, k.par, k.scale), func(d *sim.Design) (*sim.Result, error) {
-				return sim.CycleEngine(d, 0, sim.EngineAuto)
-			})
+			d := compilePlaced(b, k.name, k.par, k.scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var fired int64
+			var span sim.Span
+			for i := 0; i < b.N; i++ {
+				r, s, err := sim.CycleEventSpan(d, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fired += r.FiredTotal
+				span = s
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
+			b.ReportMetric(float64(span.Work), "visits/op")
+			b.ReportMetric(float64(span.Walked), "words/op")
 		})
 	}
 }

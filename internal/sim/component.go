@@ -105,7 +105,7 @@ func (cs *cycleSim) components() []*component {
 	for id, vs := range cs.vus {
 		switch {
 		case vs == nil:
-		case vs.u.Kind == dfg.VAG:
+		case vs.kind == dfg.VAG:
 			if first := chanVAG[vs.agChan]; first >= 0 {
 				union(first, int32(id))
 			} else {

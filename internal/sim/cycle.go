@@ -144,7 +144,10 @@ func (es *edgeState) nextArrival() int64 {
 
 // vuState is the runtime state of one unit.
 type vuState struct {
-	u     *dfg.VU
+	u *dfg.VU
+	// id and kind copy u.ID and u.Kind, which every step reads.
+	id    int
+	kind  dfg.VUKind
 	idx   []int
 	fired int64
 	total int64
@@ -181,7 +184,8 @@ type vuState struct {
 	// wrapBuf backs wrapLevels so enable checks stay allocation-free.
 	wrapBuf []int
 
-	// VMU port table.
+	// VMU port table; rrIn is the next port to look at first, in [0,
+	// len(ports)).
 	ports []*vmuPort
 	rrIn  int
 }
@@ -197,7 +201,10 @@ func (vs *vuState) addStall(k stallKind, n int64) {
 	}
 }
 
-// vmuPort is one access stream served by a memory unit.
+// vmuPort is one access stream served by a memory unit. rrIn and rrOut are
+// the next input and output in round-robin order, kept in [0, len(ins)) and
+// [0, len(outs)) (0 for a port without any); phase is served modulo
+// decimate, kept apart so serving needs no division.
 type vmuPort struct {
 	name     string
 	write    bool
@@ -206,7 +213,8 @@ type vmuPort struct {
 	rrIn     int
 	rrOut    int
 	decimate int
-	served   int64
+	phase    int
+	served   int64 // every element taken from the inputs, dropped ones too
 }
 
 type cycleSim struct {
@@ -222,22 +230,23 @@ type cycleSim struct {
 	// one predictable branch per firing.
 	rec *profile.Recording
 
-	// Engine hooks: every element scheduled onto an edge and every pop of a
-	// receiver buffer flows through schedule/pop below, so the event engine
-	// can maintain its arrival queue and wake the edge's waiters. Nil for the
-	// dense engine.
-	onSchedule func(es *edgeState, at int64)
-	onPop      func(es *edgeState, n int)
+	// ev is the event engine running on this state, nil for the dense
+	// engine. Every element scheduled onto an edge and every pop of a
+	// receiver buffer flows through schedule/pop below, which call it
+	// directly so it can maintain its arrival queue and wake the edge's
+	// waiters.
+	ev *eventSim
 
 	firedTotal int64
 	busyCycles int64 // Σ over compute units of cycles spent firing
 	nCompute   int64
 	// skipped counts the cycles the event engine's fast-forward advanced
-	// arithmetically (fastforward.go) and jumps its jumps; spanned counts the
-	// cycles the engine's runs covered and work their deliveries and unit
-	// visits, summed over components (component.go). Tests read them to see
-	// that it fired and what it saved.
-	skipped, spanned, jumps, work int64
+	// arithmetically (fastforward.go), jumps its jumps and walked the state
+	// words its captures walked; spanned counts the cycles the engine's runs
+	// covered and work their deliveries and unit visits, summed over
+	// components (component.go). Tests read them to see that it fired and
+	// what it saved.
+	skipped, spanned, jumps, work, walked int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element
@@ -251,8 +260,8 @@ func (cs *cycleSim) schedule(es *edgeState, at int64) {
 	}
 	es.ring[(es.head+es.infl)&(len(es.ring)-1)] = at
 	es.infl++
-	if cs.onSchedule != nil {
-		cs.onSchedule(es, at)
+	if cs.ev != nil {
+		cs.ev.onSchedule(es, at)
 	}
 }
 
@@ -261,8 +270,8 @@ func (cs *cycleSim) schedule(es *edgeState, at int64) {
 // edge's space-waiter (its source unit).
 func (cs *cycleSim) pop(es *edgeState, n int) {
 	es.occ -= n
-	if cs.onPop != nil {
-		cs.onPop(es, n)
+	if cs.ev != nil {
+		cs.ev.onPop(es)
 	}
 }
 
@@ -309,7 +318,7 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 	}
 	cs.vus = make([]*vuState, len(d.G.VUs))
 	for _, u := range d.G.LiveVUs() {
-		vs := &vuState{u: u, idx: make([]int, len(u.Counters)), total: u.Firings()}
+		vs := &vuState{u: u, id: int(u.ID), kind: u.Kind, idx: make([]int, len(u.Counters)), total: u.Firings()}
 		cs.vus[u.ID] = vs
 		switch u.Kind {
 		case dfg.VMU:
@@ -491,7 +500,7 @@ func (cs *cycleSim) runDense(maxCycles int64) (*Result, error) {
 			if vs == nil {
 				continue
 			}
-			switch vs.u.Kind {
+			switch vs.kind {
 			case dfg.VMU:
 				if cs.stepVMU(vs) {
 					progress = true
@@ -601,7 +610,7 @@ func (cs *cycleSim) buildResult(cycles int64, engine string) *Result {
 }
 
 func (vs *vuState) isCounterDriven() bool {
-	return vs.u.Kind.CounterDriven()
+	return vs.kind.CounterDriven()
 }
 
 // blockCause returns why a counter-driven unit cannot fire this cycle —
@@ -688,7 +697,7 @@ func (cs *cycleSim) recStall(vs *vuState, k stallKind, es *edgeState, start, n i
 		return
 	}
 	c, peer := cs.refineStall(k, es)
-	cs.rec.Record(int(vs.u.ID), c, start, n, peer)
+	cs.rec.Record(vs.id, c, start, n, peer)
 }
 
 // fireCounterUnit performs one firing; the caller has established the unit is
@@ -706,7 +715,7 @@ func (cs *cycleSim) fireCounterUnit(vs *vuState) {
 		}
 	}
 	lat := int64(vs.u.Stages)
-	if vs.u.Kind == dfg.VAG {
+	if vs.kind == dfg.VAG {
 		lat = cs.agIssue(vs)
 	}
 	for _, es := range vs.outFire {
@@ -723,11 +732,11 @@ func (cs *cycleSim) fireCounterUnit(vs *vuState) {
 	vs.advanceCounters()
 	vs.fired++
 	cs.firedTotal++
-	if vs.u.Kind.IsCompute() {
+	if vs.kind.IsCompute() {
 		cs.busyCycles++
 	}
 	if cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	if vs.fired >= vs.total {
 		vs.done = true
@@ -794,7 +803,7 @@ func (cs *cycleSim) stepVMU(vs *vuState) bool {
 	progress = cs.serveVMUPort(vs, true) || progress
 	progress = cs.serveVMUPort(vs, false) || progress
 	if progress && cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	return progress
 }
@@ -802,18 +811,27 @@ func (cs *cycleSim) stepVMU(vs *vuState) bool {
 func (cs *cycleSim) serveVMUPort(vs *vuState, write bool) bool {
 	n := len(vs.ports)
 	progress := false
-	for k := 0; k < n; k++ {
-		p := vs.ports[(vs.rrIn+k)%n]
+	for k, i := 0, vs.rrIn; k < n; k++ {
+		p := vs.ports[i]
+		if i++; i == n {
+			i = 0
+		}
 		if p.write != write || len(p.ins) == 0 {
 			continue
 		}
-		in := p.ins[p.rrIn%len(p.ins)]
+		in := p.ins[p.rrIn]
 		// The bank-address filter drops non-matching requests of a banked
 		// broadcast at line rate: only every decimate-th element occupies a
-		// real service slot (paper Fig 8b).
-		for p.decimate > 1 && in.occ > 0 && p.served%int64(p.decimate) != 0 {
-			cs.pop(in, 1)
-			p.served++
+		// real service slot (paper Fig 8b). One pop of the whole share wakes
+		// the source as one pop per element would: only the first finds it
+		// parked.
+		if p.phase != 0 && in.occ > 0 {
+			drop := min(in.occ, p.decimate-p.phase)
+			cs.pop(in, drop)
+			p.served += int64(drop)
+			if p.phase += drop; p.phase == p.decimate {
+				p.phase = 0
+			}
 			progress = true
 		}
 		if in.occ < 1 {
@@ -821,14 +839,19 @@ func (cs *cycleSim) serveVMUPort(vs *vuState, write bool) bool {
 		}
 		var out *edgeState
 		if len(p.outs) > 0 {
-			out = p.outs[p.rrOut%len(p.outs)]
+			out = p.outs[p.rrOut]
 			if out.space() < 1 {
 				continue
 			}
 		}
 		cs.pop(in, 1)
-		p.rrIn++
+		if p.rrIn++; p.rrIn == len(p.ins) {
+			p.rrIn = 0
+		}
 		p.served++
+		if p.phase++; p.phase == p.decimate {
+			p.phase = 0
+		}
 		if cs.trace != nil {
 			cs.trace.Events = append(cs.trace.Events, PortEvent{
 				Mem: vs.u.Mem, Access: p.name, Write: p.write, Cycle: cs.now, Seq: p.served,
@@ -836,9 +859,13 @@ func (cs *cycleSim) serveVMUPort(vs *vuState, write bool) bool {
 		}
 		if out != nil {
 			cs.schedule(out, cs.now+int64(cs.d.Spec.PMU.Stages)+out.latency)
-			p.rrOut++
+			if p.rrOut++; p.rrOut == len(p.outs) {
+				p.rrOut = 0
+			}
 		}
-		vs.rrIn++
+		if vs.rrIn++; vs.rrIn == n {
+			vs.rrIn = 0
+		}
 		return true
 	}
 	return progress
@@ -864,7 +891,7 @@ func (cs *cycleSim) stepMerge(vs *vuState) bool {
 		progress = true
 	}
 	if progress && cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	return progress
 }
@@ -881,7 +908,7 @@ func (cs *cycleSim) stepRetime(vs *vuState) bool {
 	cs.pop(in, 1)
 	cs.schedule(out, cs.now+1+out.latency)
 	if cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	return true
 }
@@ -909,7 +936,7 @@ func (cs *cycleSim) stepSync(vs *vuState) bool {
 		cs.schedule(es, cs.now+1+es.latency)
 	}
 	if cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, 1, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, 1, profile.NoPeer)
 	}
 	return true
 }

@@ -151,7 +151,7 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 8; trial++ {
-			c, err := core.Compile(randomProgram(rng, trial), core.DefaultConfig())
+			c, err := core.Compile(randomProgram(rng, 1), core.DefaultConfig())
 			if err != nil {
 				t.Fatalf("trial %d: Compile: %v", trial, err)
 			}
@@ -161,7 +161,7 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 	t.Run("control", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		for trial := 0; trial < 6; trial++ {
-			c, err := core.Compile(randomControlProgram(rng), core.DefaultConfig())
+			c, err := core.Compile(randomControlProgram(rng, 1), core.DefaultConfig())
 			if err != nil {
 				t.Fatalf("trial %d: Compile: %v", trial, err)
 			}

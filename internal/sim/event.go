@@ -17,6 +17,12 @@ package sim
 //     a pop wakes its source (space waiter). Invariant: any state a unit's
 //     enable check reads changes only through deliver or pop, and both wake
 //     the affected waiter, so a parked unit can never miss its unblocking.
+//   - Hooks: the unit steppers are shared with the dense engine, and every
+//     element they put on an edge or take off it goes through
+//     cycleSim.schedule or cycleSim.pop. Both call the engine through
+//     cs.ev, a plain pointer newEventSim sets and the dense engine leaves
+//     nil: schedule arms the edge's arrival event (onSchedule), pop wakes
+//     its parked source (onPop).
 //   - Parking rule: a blocked counter-driven unit parks until woken; a
 //     forwarder (VMU, merge, retime, sync) parks after an idle evaluation and
 //     also after a productive one that drained every input. Exact because a
@@ -124,8 +130,8 @@ type eventSim struct {
 	work int64
 }
 
-// newEventSim builds the event-engine state over cs; the caller still must
-// install cs.onSchedule/cs.onPop, and each run starts with start.
+// newEventSim builds the event-engine state over cs and installs it as cs.ev,
+// so cs.schedule and cs.pop call it; each run starts with start.
 func newEventSim(cs *cycleSim) *eventSim {
 	n := len(cs.vus)
 	noStall := make([]bool, n)
@@ -150,6 +156,7 @@ func newEventSim(cs *cycleSim) *eventSim {
 	}
 	ev.arrivals.init(len(cs.edges))
 	ev.timers.init(n)
+	cs.ev = ev
 	return ev
 }
 
@@ -160,7 +167,7 @@ func (ev *eventSim) start(c *component) {
 	ev.c = c
 	ev.lo, ev.hi = 0, -1
 	if n := len(c.vus); n > 0 {
-		ev.lo, ev.hi = int(c.vus[0].u.ID)>>6, int(c.vus[n-1].u.ID)>>6
+		ev.lo, ev.hi = c.vus[0].id>>6, c.vus[n-1].id>>6
 	}
 	ev.now, ev.lastFire, ev.work = 0, -1, 0
 	ev.processing, ev.progressed = -1, false
@@ -170,7 +177,7 @@ func (ev *eventSim) start(c *component) {
 	ev.currAny = false
 	ev.remaining = c.remaining
 	for _, vs := range c.vus {
-		ev.wakeNow(int(vs.u.ID))
+		ev.wakeNow(vs.id)
 	}
 }
 
@@ -264,8 +271,6 @@ func (cs *cycleSim) runEvent(maxCycles int64) (*Result, error) {
 // event-engine state.
 func (cs *cycleSim) runComponents(comps []*component, maxCycles int64) (*Result, error) {
 	ev := newEventSim(cs)
-	cs.onSchedule = ev.onSchedule
-	cs.onPop = ev.onPop
 	end := int64(0)
 	for _, c := range comps {
 		e, err := ev.run(c, maxCycles)
@@ -335,7 +340,7 @@ func (ev *eventSim) onSchedule(es *edgeState, at int64) {
 // is visible to the source in the same cycle only if the source is later in
 // the ID order than the acting unit, exactly as in the dense engine's
 // in-order pass.
-func (ev *eventSim) onPop(es *edgeState, n int) {
+func (ev *eventSim) onPop(es *edgeState) {
 	id := int(es.e.Src)
 	if !ev.parked[id] {
 		return
@@ -374,9 +379,9 @@ func (ev *eventSim) wakeAt(id int, at int64) {
 // step evaluates one unit at the current cycle.
 func (ev *eventSim) step(vs *vuState) {
 	cs := ev.cs
-	id := int(vs.u.ID)
+	id := vs.id
 	var moved bool
-	switch vs.u.Kind {
+	switch vs.kind {
 	case dfg.VMU:
 		moved = cs.stepVMU(vs)
 	case dfg.VCUMerge:
@@ -476,7 +481,7 @@ func (ev *eventSim) stepCounter(vs *vuState, id int) {
 //     cycle into an edge, so a merge-fed input disables batching outright.
 func (ev *eventSim) batchSize(vs *vuState) int64 {
 	cs := ev.cs
-	if vs.u.Kind == dfg.VAG || len(vs.inAny) > 0 || cs.trace != nil {
+	if vs.kind == dfg.VAG || len(vs.inAny) > 0 || cs.trace != nil {
 		return 1
 	}
 	k := vs.total - vs.fired
@@ -494,7 +499,7 @@ func (ev *eventSim) batchSize(vs *vuState) int64 {
 		}
 		src := cs.vus[es.e.Src]
 		if src != nil && !(src.done && src.isCounterDriven()) {
-			if src.u.Kind == dfg.VCUMerge || es.space() < 1 {
+			if src.kind == dfg.VCUMerge || es.space() < 1 {
 				return 1
 			}
 		}
@@ -530,11 +535,11 @@ func (ev *eventSim) batchFire(vs *vuState, k int64) {
 	}
 	vs.fired += k
 	cs.firedTotal += k
-	if vs.u.Kind.IsCompute() {
+	if vs.kind.IsCompute() {
 		cs.busyCycles += k
 	}
 	if cs.rec != nil {
-		cs.rec.Record(int(vs.u.ID), profile.CauseBusy, cs.now, k, profile.NoPeer)
+		cs.rec.Record(vs.id, profile.CauseBusy, cs.now, k, profile.NoPeer)
 	}
 	if vs.fired >= vs.total {
 		vs.done = true

@@ -17,8 +17,10 @@ package sim
 //   - The signature (state) is the state relative to now: per unit, done,
 //     parked, or the offset of its timer, and the cause of a stall not yet
 //     settled; its inner counter levels (all but level 0); a VMU's
-//     round-robin positions modulo their fan and its decimation phase. Per
-//     edge, occupancy and the arrival offsets of its in-flight elements. The
+//     round-robin positions and its ports' decimation phases, which the
+//     engine keeps wrapped to their fans (vmuPort), so they are read as they
+//     are. Per edge, occupancy and the arrival offsets of its in-flight
+//     elements. The
 //     offset of the last firing's end. Per DRAM channel of the component,
 //     the ticks of transfer still queued past the next cycle
 //     (dram.Model.Backlog): channel time is an integer count of ticks, so a
@@ -31,7 +33,8 @@ package sim
 //     interval when it wakes).
 //   - Linear counters grow by the same amount each period: fired counts and
 //     the level-0 index, stall sums, the fired and busy totals, DRAM bytes,
-//     requests and queueing cycles, VMU port counters. Every value a period
+//     requests and queueing cycles, the elements VMU ports served. Every
+//     value a period
 //     touches moves by a whole number of cycles or ticks, so no
 //     floating-point argument is needed.
 //   - Distance-to-end quantities are the one way a linear counter feeds back
@@ -43,35 +46,47 @@ package sim
 //     vetoes the jump. k also keeps the run under its cycle cap, so a cap
 //     inside the skipped range still ends the run with the same error.
 //
-// Detection is Brent's cycle search on state hashes, over captures taken at
-// firings of an anchor unit: the live counter-driven unit with the fewest
-// firings. Every completion of a counter-driven unit of the component starts
-// a new phase, and the search restarts there from limit 1 with a re-chosen
-// anchor. That loses no repeat: done is part of the signature, so no capture
-// taken before a completion equals one taken after it. Designs whose
-// parallel instances finish one at a time (rf p128's eight tree traversals)
-// run through as many phases, and a limit carried over from the last phase
+// Detection is Brent's cycle search over captures taken at firings of an
+// anchor unit: the live counter-driven unit with the fewest firings. Every
+// completion of a counter-driven unit of the component starts a new phase,
+// and the search restarts there from limit 1 with a re-chosen anchor. That
+// loses no repeat: done is part of the signature, so no capture taken
+// before a completion equals one taken after it. Designs whose parallel
+// instances finish one at a time (rf p128's eight tree traversals) run
+// through as many phases, and a limit carried over from the last phase
 // would hold each new phase's checkpoint back by up to as many captures as
-// that phase took. A capture is one pass over units, edges, in-flight
-// elements and channels; it is taken every stride-th anchor firing. The
-// stride changes only where the search's checkpoint moves after limit
-// captures, so the captures compared with one checkpoint are evenly
-// spaced, and it follows the cost of the captures since the last such move:
-// it doubles while they walked more words than a quarter of the engine work
-// in that window, and halves below a sixteenth, so a run that never repeats
-// pays little. The windows double with limit, which averages over an anchor
-// that fires in bursts (rf p128's consecutive intervals cost 3k and 33k
-// events; judged per capture, its stride flips every other capture). The
-// stride may double only while 16·stride is at most the anchor's firings so
-// far: while pipelines fill, the engine does almost no work per firing, and
-// the stride would otherwise race ahead of any period. A capture keeps the
-// words it walks, and every checkpoint keeps its capture's as the full
-// state (ref), so the first repeat of its hash is compared with ref word
-// for word and jumps at once, and no capture walks the state twice. Each
-// component run has its own detector, so its captures walk only the
-// component. Runs that record a profile or a trace and the dense engine
-// never fast-forward; CycleEngineNoFastPath turns it off (and with it the
-// split into components) for the equivalence guard.
+// that phase took.
+//
+// A capture is one pass over units, edges, in-flight elements and channels,
+// in one order; it is taken every stride-th anchor firing. The checkpoint
+// keeps its capture's words as the full state (ref). Every other capture is
+// compared with ref word by word as it walks and stops at the first word
+// that differs, keeping nothing, so one that differs costs only the words up
+// to its first difference. Only the captures that become the checkpoint — a
+// phase's first and the limit-th since the last checkpoint — walk in full,
+// into a buffer ref then takes over. A capture equal to ref, walked either
+// way, is a repeat and jumps at once; the checkpoint moves there, its words
+// already ref's. No capture walks the state twice.
+//
+// The stride changes only where the checkpoint moves after limit captures,
+// so the captures compared with one checkpoint are evenly spaced, and it
+// follows the cost of the captures since the last such move: it doubles
+// while they walked more words than a quarter of the engine work in that
+// window, and halves below a sixteenth, so a run that never repeats pays
+// little. Only the words really walked count, so captures that stop early
+// keep the stride low: charged for whole walks, rf p128/s8's stride rose to
+// 16–32 anchor firings and its first phase, a period of 408 of them, was
+// never caught; it skipped 56 % of its cycles, and skips 67 % now. The
+// windows double with limit, which averages over an anchor that fires in
+// bursts (rf p128's consecutive intervals cost 3k and 33k events; judged per
+// capture, its stride flips every other capture). The stride may double only
+// while 16·stride is at most the anchor's firings so far: while pipelines
+// fill, the engine does almost no work per firing, and the stride would
+// otherwise race ahead of any period. Each component run has its own
+// detector, so its captures walk only the component. Runs that record a
+// profile or a trace and the dense engine never fast-forward;
+// CycleEngineNoFastPath turns it off (and with it the split into components)
+// for the equivalence guard.
 
 import (
 	"slices"
@@ -117,20 +132,24 @@ type fastForward struct {
 	// own, and the state words captures have walked since.
 	workAt, walked int64
 
-	// Brent's search on hashes: the checkpoint's hash, how many captures
-	// have been compared with it, and how many it waits for before moving on.
-	chkHash  uint64
+	// Brent's search: whether there is a checkpoint, how many captures have
+	// been compared with it, and how many it waits for before moving on.
 	haveChk  bool
 	n, limit int
-	// cur holds the last capture's words; ref is the full state at the
-	// checkpoint, which takes over cur's words whenever it moves.
-	cur []int64
+	// ref is the full state at the checkpoint. A capture that may become the
+	// checkpoint walks into buf, whose words ref then takes over.
+	buf []int64
 	ref ffState
 
 	skipped, jumps int64 // cycles advanced arithmetically, in how many jumps
+	words          int64 // state words walked by every capture of the run
 }
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
+
+// ffCheck, when a test sets it, sees every capture compared with the
+// checkpoint word by word, with the comparison's verdict.
+var ffCheck func(ff *fastForward, same bool)
 
 // newFastForward returns the detector for an event run, or nil when the run
 // must not fast-forward.
@@ -141,19 +160,21 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	}
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
-	ff.stride, ff.due, ff.workAt, ff.walked, ff.skipped, ff.jumps = 1, 1, 0, 0, 0, 0
+	ff.stride, ff.due, ff.workAt, ff.walked = 1, 1, 0, 0
+	ff.skipped, ff.jumps, ff.words = 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
 
-// release adds the skipped cycles and the jumps to the run's and returns the
-// detector to the pool.
+// release adds the skipped cycles, the jumps and the words walked to the
+// run's and returns the detector to the pool.
 func (ff *fastForward) release() {
 	if ff == nil {
 		return
 	}
 	ff.ev.cs.skipped += ff.skipped
 	ff.ev.cs.jumps += ff.jumps
+	ff.ev.cs.walked += ff.words
 	ff.ev, ff.anchor = nil, nil
 	ffPool.Put(ff)
 }
@@ -200,34 +221,65 @@ func (ff *fastForward) anchorFiring() {
 	ff.sample()
 }
 
-// sample captures the state and advances the search. A hash equal to the
-// checkpoint's is checked against ref word for word and, if it matches,
-// jumps (unless vetoed); either way the checkpoint moves here. Otherwise the
-// checkpoint moves here after limit captures, limit doubles, and the stride
-// may change.
+// sample captures the state and advances the search. A capture that cannot
+// become the checkpoint is compared with ref as it is walked, as far as its
+// first differing word; it keeps nothing. The phase's first capture and the
+// limit-th one since the checkpoint walk in full and become the checkpoint,
+// limit doubling and the stride perhaps changing. A capture equal to ref is
+// a repeat whichever way it was walked: it jumps (unless vetoed) and the
+// checkpoint moves there.
 func (ff *fastForward) sample() {
-	w := sigWalk{h: fnvOffset, words: ff.cur[:0]}
-	ff.state(&w)
-	ff.cur = w.words
-	ff.walked += int64(len(w.words))
 	switch {
 	case !ff.haveChk:
+		ff.walkAll()
 		ff.limit = 1
-		ff.checkpoint(w.h)
-	case w.h == ff.chkHash:
-		if ff.matchesRef() {
-			if k, p := ff.jumpCount(); k > 0 {
-				ff.jump(k, p)
-			}
+		ff.checkpoint()
+	case ff.n+1 < ff.limit:
+		w := sigWalk{ref: ff.ref.sig}
+		same := ff.state(&w) && w.n == len(w.ref)
+		ff.walked += int64(w.n)
+		ff.words += int64(w.n)
+		if ffCheck != nil {
+			ffCheck(ff, same)
 		}
-		ff.checkpoint(w.h)
+		if same {
+			ff.repeat()
+		} else {
+			ff.n++
+		}
 	default:
-		if ff.n++; ff.n >= ff.limit {
-			ff.checkpoint(w.h)
-			ff.limit *= 2
-			ff.adjustStride()
+		if ff.walkAll() {
+			ff.repeat()
+			return
+		}
+		ff.checkpoint()
+		ff.limit *= 2
+		ff.adjustStride()
+	}
+}
+
+// walkAll walks the whole state into buf, hands buf's words to ref and
+// reports whether they equal the ones ref held. Only a capture about to
+// become the checkpoint walks this way.
+func (ff *fastForward) walkAll() bool {
+	w := sigWalk{words: ff.buf[:0], keep: true}
+	ff.state(&w)
+	ff.walked += int64(len(w.words))
+	ff.words += int64(len(w.words))
+	same := ff.haveChk && slices.Equal(w.words, ff.ref.sig)
+	ff.buf, ff.ref.sig = ff.ref.sig, w.words
+	return same
+}
+
+// repeat handles a capture whose words equal ref's: it jumps unless a stall
+// start or a unit's margin vetoes, and either way the checkpoint moves here.
+func (ff *fastForward) repeat() {
+	if ff.sameStalls() {
+		if k, p := ff.jumpCount(); k > 0 {
+			ff.jump(k, p)
 		}
 	}
+	ff.checkpoint()
 }
 
 // adjustStride applies the cost rule (see the file comment) to the window of
@@ -245,16 +297,15 @@ func (ff *fastForward) adjustStride() {
 	ff.due, ff.workAt, ff.walked = ff.stride, ff.ev.work, 0
 }
 
-// checkpoint makes the current capture, of hash h, Brent's checkpoint, and
-// stores its full state as ref. After a jump the capture's words still hold:
-// the jump leaves the relative state as it found it.
-func (ff *fastForward) checkpoint(h uint64) {
-	ff.chkHash, ff.haveChk, ff.n = h, true, 0
+// checkpoint makes the current capture Brent's checkpoint, whose words ref.sig
+// already holds, and stores the rest of its full state. After a jump the
+// words still hold: the jump leaves the relative state as it found it.
+func (ff *fastForward) checkpoint() {
+	ff.haveChk, ff.n = true, 0
 	ev, r := ff.ev, &ff.ref
-	r.sig, ff.cur = ff.cur, r.sig
 	r.since, r.fired = r.since[:0], r.fired[:0]
 	for _, vs := range ev.c.vus {
-		r.since = append(r.since, ev.blockedSince[vs.u.ID])
+		r.since = append(r.since, ev.blockedSince[vs.id])
 		r.fired = append(r.fired, vs.fired)
 	}
 	r.lin = r.lin[:0]
@@ -265,17 +316,14 @@ func (ff *fastForward) checkpoint(h uint64) {
 	r.at = ev.now
 }
 
-// matchesRef reports whether the last capture repeats ref exactly.
-func (ff *fastForward) matchesRef() bool {
+// sameStalls reports whether, for a capture whose words equal ref's, every
+// pending stall began as long ago as at ref (inside the period) or at the
+// same cycle (parked throughout). The words say which units are parked or
+// due.
+func (ff *fastForward) sameStalls() bool {
 	r := &ff.ref
-	if !slices.Equal(ff.cur, r.sig) {
-		return false
-	}
-	// The signature says which units are parked or due; a pending stall must
-	// have begun as long ago (inside the period) or at the same cycle
-	// (parked throughout).
 	for i, s1 := range r.since {
-		s2 := ff.ev.blockedSince[ff.ev.c.vus[i].u.ID]
+		s2 := ff.ev.blockedSince[ff.ev.c.vus[i].id]
 		if s2 != s1 && (s1 < 0 || s2 < 0 || s2-ff.ev.now != s1-r.at) {
 			return false
 		}
@@ -337,7 +385,7 @@ func (ff *fastForward) jump(k, p int64) {
 		if vs.done {
 			continue
 		}
-		id := vs.u.ID
+		id := vs.id
 		// A pending stall: the unit is parked, or a pop from a lower ID woke
 		// it for the next cycle.
 		if s := ev.blockedSince[id]; s > r.at {
@@ -353,30 +401,33 @@ func (ff *fastForward) jump(k, p int64) {
 	ff.jumps++
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// sigWalk receives the relative state word by word: it keeps the words and
-// hashes them (FNV-1a when h starts at fnvOffset).
+// sigWalk receives the relative state word by word. With keep it keeps the
+// words; otherwise it compares them with ref, counting them in n, and stops
+// the walk at the first that differs.
 type sigWalk struct {
-	h     uint64
+	keep  bool
 	words []int64
+	ref   []int64
+	n     int
 }
 
-func (w *sigWalk) put(x int64) {
-	w.h = (w.h ^ uint64(x)) * fnvPrime
-	w.words = append(w.words, x)
+// put takes the next word and reports whether the walk goes on.
+func (w *sigWalk) put(x int64) bool {
+	if w.keep {
+		w.words = append(w.words, x)
+		return true
+	}
+	w.n++
+	return w.n <= len(w.ref) && w.ref[w.n-1] == x
 }
 
 // state walks the component's relative state at the end of the current
-// cycle.
-func (ff *fastForward) state(w *sigWalk) {
+// cycle into w. It reports false when w stopped it at a differing word.
+func (ff *fastForward) state(w *sigWalk) bool {
 	ev := ff.ev
 	now := ev.now
 	for _, vs := range ev.c.vus {
-		id := vs.u.ID
+		id := vs.id
 		// Done, parked, or due after a timer; a pending stall's cause.
 		var s int64
 		switch {
@@ -389,30 +440,44 @@ func (ff *fastForward) state(w *sigWalk) {
 		if ev.blockedSince[id] >= 0 {
 			s |= int64(ev.blockedCause[id]) << 2
 		}
-		w.put(s)
+		if !w.put(s) {
+			return false
+		}
 		for i := 1; i < len(vs.idx); i++ {
-			w.put(int64(vs.idx[i]))
+			if !w.put(int64(vs.idx[i])) {
+				return false
+			}
 		}
 		if len(vs.ports) > 0 {
-			w.put(int64(vs.rrIn % len(vs.ports)))
+			if !w.put(int64(vs.rrIn)) {
+				return false
+			}
 			for _, pt := range vs.ports {
-				// A port without inputs (outputs) never advances rrIn (rrOut).
-				w.put(int64(pt.rrIn % max(len(pt.ins), 1)))
-				w.put(int64(pt.rrOut % max(len(pt.outs), 1)))
-				w.put(pt.served % int64(pt.decimate))
+				if !w.put(int64(pt.rrIn)) || !w.put(int64(pt.rrOut)) || !w.put(int64(pt.phase)) {
+					return false
+				}
 			}
 		}
 	}
 	for _, es := range ev.c.edges {
-		w.put(int64(es.occ) | int64(es.infl)<<32)
+		if !w.put(int64(es.occ) | int64(es.infl)<<32) {
+			return false
+		}
 		for i := 0; i < es.infl; i++ {
-			w.put(es.ring[(es.head+i)&(len(es.ring)-1)] - now)
+			if !w.put(es.ring[(es.head+i)&(len(es.ring)-1)] - now) {
+				return false
+			}
 		}
 	}
-	w.put(ev.lastFire - now)
-	for _, ch := range ev.c.chans {
-		w.put(ev.cs.dram.Backlog(ch, now+1))
+	if !w.put(ev.lastFire - now) {
+		return false
 	}
+	for _, ch := range ev.c.chans {
+		if !w.put(ev.cs.dram.Backlog(ch, now+1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // linear visits every counter that grows by a fixed amount each period, in
@@ -426,11 +491,8 @@ func (ff *fastForward) linear(f func(int64) int64) {
 		if len(vs.idx) > 0 {
 			vs.idx[0] = int(f(int64(vs.idx[0])))
 		}
-		if len(vs.ports) > 0 {
-			vs.rrIn = int(f(int64(vs.rrIn)))
-			for _, pt := range vs.ports {
-				pt.rrIn, pt.rrOut, pt.served = int(f(int64(pt.rrIn))), int(f(int64(pt.rrOut))), f(pt.served)
-			}
+		for _, pt := range vs.ports {
+			pt.served = f(pt.served)
 		}
 	}
 	cs.firedTotal, cs.busyCycles = f(cs.firedTotal), f(cs.busyCycles)

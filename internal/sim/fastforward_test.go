@@ -53,7 +53,10 @@ func solverConfig() core.Config {
 // must be indistinguishable from one without it. Every kernels design must
 // also skip about as much as the detector reaches (logreg and pr at p64/s8
 // skip only by capturing states whose DRAM channels are still busy), and
-// so must the long rf runs.
+// so must the long rf runs. The engine visits of the benchmark's 16 kernels
+// designs, and of rf p128/s8 alone, have ceilings a little above what the
+// detector leaves (7.56 M and 2.39 M), so a change that visits more shows
+// here without host time.
 func TestFastForwardExact(t *testing.T) {
 	const maxCycles = 30_000_000
 	type design struct {
@@ -64,12 +67,19 @@ func TestFastForwardExact(t *testing.T) {
 	}
 	// The kernels designs' floors sit about 3 points under the shares the
 	// detector reaches, so a change that skips less shows here first. rf
-	// p128/s8 runs through eight phases, one per tree instance completing.
+	// p128/s8 runs through eight phases, one per tree instance completing;
+	// its first repeats every 11 517 cycles.
 	floors := map[string]int64{
 		"bs/p64": 55, "gda/p64": 35, "kmeans/p64": 69, "logreg/p64": 78, "mlp/p64": 7,
-		"ms/p64": 35, "pr/p64": 96, "rf/p64": 92, "sgd/p64": 78, "sort/p32": 59,
-		"kmeans/p128": 69, "mlp/p128": 10, "rf/p128": 53, "mlp/p16": 84,
+		"ms/p64": 38, "pr/p64": 96, "rf/p64": 93, "sgd/p64": 78, "sort/p32": 61,
+		"kmeans/p128": 69, "mlp/p128": 10, "rf/p128": 63, "mlp/p16": 84,
 	}
+	const (
+		kernelsVisits = 7_800_000 // Σ over the 16 kernels designs
+		rfP128Visits  = 2_600_000
+	)
+	var kernelsRan int
+	var kernelsWork int64
 	var ds []design
 	for _, name := range workloads.Names() {
 		par := 64
@@ -134,7 +144,20 @@ func TestFastForwardExact(t *testing.T) {
 			}
 			span, _ := assertFastForwardExact(t, d, maxCycles)
 			checkSkipped(t, "", span, k.mustSkip)
+			if k.group == "kernels" && !k.long {
+				kernelsRan++
+				kernelsWork += span.Work
+			}
+			if k.group == "kernels" && k.name == "rf" && k.par == 128 && span.Work > rfP128Visits {
+				t.Errorf("%d engine visits, want at most %d", span.Work, rfP128Visits)
+			}
 		})
+	}
+	if kernelsRan == 16 {
+		t.Logf("kernels: %d engine visits over 16 designs", kernelsWork)
+		if kernelsWork > kernelsVisits {
+			t.Errorf("kernels: %d engine visits over 16 designs, want at most %d", kernelsWork, kernelsVisits)
+		}
 	}
 	t.Run("deadlock", func(t *testing.T) {
 		assertFastForwardExact(t, deadlockDesign(), 1_000_000)
@@ -181,13 +204,58 @@ func TestFastForwardExact(t *testing.T) {
 	})
 }
 
+// TestEarlyExitMatchesFullWalk holds the fast-forward's word-by-word
+// comparison, which stops at the first differing word, to the full walk it
+// replaces: at every compared capture of every kernels design and of rf
+// p8/s16, its verdict must equal slices.Equal(full walk, checkpoint). Both
+// go through one walk (the wrapped VMU port positions included), so what
+// this holds is the early exit itself: the word count, the stop, and the
+// verdict at the end.
+func TestEarlyExitMatchesFullWalk(t *testing.T) {
+	type design struct {
+		name       string
+		par, scale int
+	}
+	var ds []design
+	for _, name := range workloads.Names() {
+		par := 64
+		if name == "sort" {
+			par = 32
+		}
+		ds = append(ds, design{name, par, 8})
+	}
+	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
+		ds = append(ds, design{name, 128, 8})
+	}
+	ds = append(ds, design{"rf", 8, 16})
+	var ran, equal int
+	for _, k := range ds {
+		t.Run(k.name+"/p"+itoa(k.par)+"/s"+itoa(k.scale), func(t *testing.T) {
+			n, err := sim.CycleEventCheckWalks(compilePlaced(t, k.name, k.par, k.scale), 30_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d captures compared word by word, %d equal to the checkpoint", n.Compared, n.Equal)
+			if n.Wrong > 0 {
+				t.Errorf("%d of %d early-exit verdicts differ from the full walk's", n.Wrong, n.Compared)
+			}
+			ran++
+			equal += n.Equal
+		})
+	}
+	if ran == len(ds) && equal == 0 {
+		t.Error("no compared capture equalled its checkpoint: the check never saw a repeat")
+	}
+}
+
 // checkSkipped logs what the fast-forward did in span, prefixed by what, and
 // fails the test when it skipped less than floor percent of the spanned
-// cycles. Jumps and engine visits are counts, so two detectors compare by
-// them without host time.
+// cycles. Jumps, engine visits and the words captures walked are counts, so
+// two detectors compare by them without host time.
 func checkSkipped(t *testing.T, what string, span sim.Span, floor int64) {
 	t.Helper()
-	t.Logf("%sskipped %d of %d cycles in %d jumps, %d engine visits", what, span.Skipped, span.Spanned, span.Jumps, span.Work)
+	t.Logf("%sskipped %d of %d cycles in %d jumps, %d engine visits, %d words walked",
+		what, span.Skipped, span.Spanned, span.Jumps, span.Work, span.Walked)
 	if 100*span.Skipped < floor*span.Spanned {
 		t.Errorf("%sskipped %d of %d cycles, want at least %d%%", what, span.Skipped, span.Spanned, floor)
 	}

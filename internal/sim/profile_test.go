@@ -113,10 +113,13 @@ func TestProfileStallExactness(t *testing.T) {
 	}
 }
 
-// TestParallelProfiled runs the profiler's accounting gate on the
-// auto-selected engine under GOMAXPROCS 1, 2 and NumCPU. Engine choice is a
-// function of the design alone, so the profiled Result must match the event
-// engine and the recording must settle against it at every setting.
+// TestParallelProfiled holds a profiled event run to an unprofiled one
+// under GOMAXPROCS 1 and 2 (and NumCPU when larger): at every setting the
+// profiled Result's cycles and firings must equal the event engine's, and
+// the recording must settle against its Result. "Parallel" names the
+// GOMAXPROCS settings only: the one engine runs on one goroutine, and what
+// this checks is that nothing a profiled run reports depends on how many
+// the scheduler may use.
 func TestParallelProfiled(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -127,15 +130,15 @@ func TestParallelProfiled(t *testing.T) {
 				t.Fatalf("event engine: %v", err)
 			}
 			atGOMAXPROCS(t, func(t *testing.T) {
-				r, _, err := sim.CycleProfiled(d, 30_000_000, sim.EngineAuto)
+				r, _, err := sim.CycleProfiled(d, 30_000_000, sim.EngineEvent)
 				if err != nil {
-					t.Fatalf("CycleProfiled(auto): %v", err)
+					t.Fatalf("CycleProfiled: %v", err)
 				}
 				if r.Cycles != evt.Cycles || r.FiredTotal != evt.FiredTotal {
-					t.Fatalf("profiled auto diverged from event: cycles %d/%d fired %d/%d",
+					t.Fatalf("profiled run diverged from the unprofiled one: cycles %d/%d fired %d/%d",
 						r.Cycles, evt.Cycles, r.FiredTotal, evt.FiredTotal)
 				}
-				assertProfileExact(t, d, sim.EngineAuto, 30_000_000)
+				assertProfileExact(t, d, sim.EngineEvent, 30_000_000)
 			})
 		})
 	}

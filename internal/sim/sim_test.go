@@ -214,35 +214,47 @@ func TestWhileLoopSerializesIterations(t *testing.T) {
 
 // TestRandomProgramsNeverDeadlock is the pipeline's core liveness property:
 // any valid frontend program must compile and drain to completion, and the
-// fast-forward must not change how.
+// fast-forward must not change how. The last trials, from their own seed,
+// run trips in the thousands, long enough for the fast-forward to jump, so
+// the check covers jumps too.
 func TestRandomProgramsNeverDeadlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
 	var skipped, spanned int64
-	for trial := 0; trial < 15; trial++ {
-		p := randomProgram(rng, trial)
+	run := func(name string, p *ir.Program) {
 		c, err := core.Compile(p, core.DefaultConfig())
 		if err != nil {
-			t.Fatalf("trial %d: Compile: %v", trial, err)
+			t.Fatalf("%s: Compile: %v", name, err)
 		}
 		span, err := assertFastForwardExact(t, c.Design(), 20_000_000)
 		if err != nil {
-			t.Errorf("trial %d (%s): %v", trial, p.Name, err)
+			t.Errorf("%s (%s): %v", name, p.Name, err)
 		}
 		skipped, spanned = skipped+span.Skipped, spanned+span.Spanned
 	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 15; trial++ {
+		run("trial "+itoa(trial), randomProgram(rng, 1))
+	}
+	long := rand.New(rand.NewSource(1047))
+	for trial := 0; trial < 3; trial++ {
+		run("long trial "+itoa(trial), randomProgram(long, 64))
+	}
 	t.Logf("skipped %d of %d cycles", skipped, spanned)
+	if skipped == 0 {
+		t.Error("the fast-forward never jumped")
+	}
 }
 
 // randomProgram generates a small random nested pipeline over shared SRAMs.
-func randomProgram(rng *rand.Rand, id int) *ir.Program {
+// Every trip, and the memories it walks, is scale times the drawn one.
+func randomProgram(rng *rand.Rand, scale int) *ir.Program {
 	b := spatial.NewBuilder("rand")
 	nMems := 1 + rng.Intn(3)
 	mems := make([]*spatial.Mem, nMems)
 	for i := range mems {
-		mems[i] = b.SRAM("m", 64)
+		mems[i] = b.SRAM("m", 64*scale)
 	}
 	x := b.DRAM("x", 1<<16)
-	b.For("outer", 0, 2+rng.Intn(4), 1, 1, func(o spatial.Iter) {
+	b.For("outer", 0, (2+rng.Intn(4))*scale, 1, 1, func(o spatial.Iter) {
 		nStages := 2 + rng.Intn(3)
 		for s := 0; s < nStages; s++ {
 			par := 1
@@ -251,7 +263,7 @@ func randomProgram(rng *rand.Rand, id int) *ir.Program {
 			}
 			mem := mems[rng.Intn(nMems)]
 			write := s%2 == 0
-			b.For("l", 0, 16+rng.Intn(48), 1, par, func(l spatial.Iter) {
+			b.For("l", 0, (16+rng.Intn(48))*scale, 1, par, func(l spatial.Iter) {
 				b.Block("blk", func(blk *spatial.Block) {
 					if write {
 						v := blk.Read(x, spatial.Streaming())
@@ -271,33 +283,44 @@ func randomProgram(rng *rand.Rand, id int) *ir.Program {
 // TestRandomControlFlowNeverDeadlocks extends the liveness fuzz to the full
 // control-construct repertoire: outer branches, do-while loops, and
 // dynamically bounded loops, nested over shared scratchpads. Here too the
-// fast-forward must not change the outcome.
+// fast-forward must not change the outcome, and the last trials, from their
+// own seed, run trips in the thousands, so it jumps.
 func TestRandomControlFlowNeverDeadlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
 	var skipped, spanned int64
-	for trial := 0; trial < 12; trial++ {
-		p := randomControlProgram(rng)
+	run := func(name string, p *ir.Program) {
 		c, err := core.Compile(p, core.DefaultConfig())
 		if err != nil {
-			t.Fatalf("trial %d: Compile: %v", trial, err)
+			t.Fatalf("%s: Compile: %v", name, err)
 		}
 		span, err := assertFastForwardExact(t, c.Design(), 20_000_000)
 		if err != nil {
-			t.Errorf("trial %d: %v", trial, err)
+			t.Errorf("%s: %v", name, err)
 		}
 		skipped, spanned = skipped+span.Skipped, spanned+span.Spanned
 		if _, err := sim.Analytic(c.Design()); err != nil {
-			t.Errorf("trial %d analytic: %v", trial, err)
+			t.Errorf("%s analytic: %v", name, err)
 		}
 	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 12; trial++ {
+		run("trial "+itoa(trial), randomControlProgram(rng, 1))
+	}
+	long := rand.New(rand.NewSource(1041))
+	for trial := 0; trial < 3; trial++ {
+		run("long trial "+itoa(trial), randomControlProgram(long, 64))
+	}
 	t.Logf("skipped %d of %d cycles", skipped, spanned)
+	if skipped == 0 {
+		t.Error("the fast-forward never jumped")
+	}
 }
 
 // randomControlProgram generates nested control flow with branches, while
-// loops, and dynamic bounds.
-func randomControlProgram(rng *rand.Rand) *ir.Program {
+// loops, and dynamic bounds. Every trip, and the memory, is scale times
+// the drawn one.
+func randomControlProgram(rng *rand.Rand, scale int) *ir.Program {
 	b := spatial.NewBuilder("ctrlrand")
-	mem := b.SRAM("m", 64)
+	mem := b.SRAM("m", 64*scale)
 	x := b.DRAM("x", 1<<16)
 
 	writeBlk := func(name string, it spatial.Iter) {
@@ -314,21 +337,21 @@ func randomControlProgram(rng *rand.Rand) *ir.Program {
 		})
 	}
 
-	b.For("outer", 0, 2+rng.Intn(3), 1, 1, func(o spatial.Iter) {
+	b.For("outer", 0, (2+rng.Intn(3))*scale, 1, 1, func(o spatial.Iter) {
 		switch rng.Intn(3) {
 		case 0:
 			// Branch whose clauses write and read the shared memory.
 			b.If("br",
 				func(blk *spatial.Block) { blk.Op(spatial.OpCmp, spatial.External) },
 				func() {
-					b.For("d", 0, 8+rng.Intn(24), 1, 1, func(d spatial.Iter) { writeBlk("bw", d) })
+					b.For("d", 0, (8+rng.Intn(24))*scale, 1, 1, func(d spatial.Iter) { writeBlk("bw", d) })
 				},
 				func() {
-					b.For("f", 0, 8+rng.Intn(24), 1, 1, func(f spatial.Iter) { readBlk("br2", f) })
+					b.For("f", 0, (8+rng.Intn(24))*scale, 1, 1, func(f spatial.Iter) { readBlk("br2", f) })
 				})
 		case 1:
 			// Do-while whose condition depends on state the body writes.
-			b.While("wh", 4+rng.Intn(12), func(i spatial.Iter) {
+			b.While("wh", (4+rng.Intn(12))*scale, func(i spatial.Iter) {
 				b.Block("whbody", func(blk *spatial.Block) {
 					v := blk.Read(mem, spatial.Streaming())
 					n := blk.Op(spatial.OpFMA, v, v, v)
@@ -340,13 +363,13 @@ func randomControlProgram(rng *rand.Rand) *ir.Program {
 			})
 		default:
 			// Dynamically bounded loop over the memory.
-			b.ForDyn("dyn", 4+rng.Intn(12), 1,
+			b.ForDyn("dyn", (4+rng.Intn(12))*scale, 1,
 				func(blk *spatial.Block) { blk.Op(spatial.OpRand) },
 				func(i spatial.Iter) { readBlk("dynr", i) })
 		}
 		// A plain pipeline stage keeps the memory busy between constructs.
-		b.For("w", 0, 16, 1, 1, func(w spatial.Iter) { writeBlk("pw", w) })
-		b.For("r", 0, 16, 1, 1, func(r spatial.Iter) { readBlk("prd", r) })
+		b.For("w", 0, 16*scale, 1, 1, func(w spatial.Iter) { writeBlk("pw", w) })
+		b.For("r", 0, 16*scale, 1, 1, func(r spatial.Iter) { readBlk("prd", r) })
 	})
 	return b.MustBuild()
 }
