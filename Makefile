@@ -50,7 +50,8 @@ bench:
 # BenchmarkPlace shows the placer's time and allocation count on its two
 # largest benchmark designs outside ./bench; BenchmarkSimulate does the same
 # for the simulator (time per firing, engine visits, fast-forward capture
-# words, bytes and allocations per run on six placed designs) and is its
+# words and jumps over drifts, bytes and allocations per run on eight placed
+# designs) and is its
 # profiling entry point (add -cpuprofile); BenchmarkSolver is the solver's —
 # the rf and ms par-64 compiles of ./bench's solver workload: ms/compile, the
 # wall time of one whole compile; us/node, that time over the branch-and-bound

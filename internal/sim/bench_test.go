@@ -9,10 +9,12 @@ import (
 
 // BenchmarkSimulate times one event-engine simulation of placed designs
 // from both ends of the benchmark: the forwarder-heavy par-128 kernels, the
-// short par-16 runs a serving hit repeats, and rf par 8 / scale 16 (950 629
-// cycles, almost all of them in a recurring steady state the event engine
-// fast-forwards). Beside the time it reports the engine's visits and the
-// state words the fast-forward's captures walked per run, counts that
+// two kernels whose steady states drift (snet par 128's long inner loops,
+// kmeans par 64's filling DRAM-fed buffer), the short par-16 runs a serving
+// hit repeats, and rf par 8 / scale 16 (950 629 cycles, almost all of them
+// in a recurring steady state the event engine fast-forwards). Beside the
+// time it reports the engine's visits, the state words the fast-forward's
+// captures walked and its jumps over a drifting word per run, counts that
 // compare two versions of the engine without host time. It is the
 // simulator's profiling entry point:
 //
@@ -21,7 +23,8 @@ func BenchmarkSimulate(b *testing.B) {
 	for _, k := range []struct {
 		name       string
 		par, scale int
-	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"pr", 16, 16}, {"bs", 16, 16}, {"gda", 16, 16}, {"rf", 8, 16}} {
+	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"snet", 128, 8}, {"kmeans", 64, 8}, {"pr", 16, 16}, {"bs", 16, 16},
+		{"gda", 16, 16}, {"rf", 8, 16}} {
 		k := k
 		b.Run(k.name+"/p"+itoa(k.par), func(b *testing.B) {
 			d := compilePlaced(b, k.name, k.par, k.scale)
@@ -40,6 +43,7 @@ func BenchmarkSimulate(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
 			b.ReportMetric(float64(span.Work), "visits/op")
 			b.ReportMetric(float64(span.Walked), "words/op")
+			b.ReportMetric(float64(span.Drifts), "drifts/op")
 		})
 	}
 }

@@ -113,6 +113,9 @@ type edgeState struct {
 	ring    []int64
 	head    int
 	latency int64
+	// pops counts every element taken from the buffer. The fast-forward
+	// bounds an occupancy's lowest value inside a period by it.
+	pops int64
 	// armed marks that the event engine holds a queued event for this edge's
 	// earliest undelivered arrival (at most one event per edge is in flight).
 	armed bool
@@ -241,12 +244,12 @@ type cycleSim struct {
 	busyCycles int64 // Σ over compute units of cycles spent firing
 	nCompute   int64
 	// skipped counts the cycles the event engine's fast-forward advanced
-	// arithmetically (fastforward.go), jumps its jumps and walked the state
-	// words its captures walked; spanned counts the cycles the engine's runs
-	// covered and work their deliveries and unit visits, summed over
-	// components (component.go). Tests read them to see that it fired and
-	// what it saved.
-	skipped, spanned, jumps, work, walked int64
+	// arithmetically (fastforward.go), jumps its jumps, drifts the jumps
+	// that moved a drifting word and walked the state words its captures
+	// walked; spanned counts the cycles the engine's runs covered and work
+	// their deliveries and unit visits, summed over components
+	// (component.go). Tests read them to see that it fired and what it saved.
+	skipped, spanned, jumps, drifts, work, walked int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element
@@ -270,6 +273,7 @@ func (cs *cycleSim) schedule(es *edgeState, at int64) {
 // edge's space-waiter (its source unit).
 func (cs *cycleSim) pop(es *edgeState, n int) {
 	es.occ -= n
+	es.pops += int64(n)
 	if cs.ev != nil {
 		cs.ev.onPop(es)
 	}

@@ -51,13 +51,17 @@ package sim
 //     part being run, relative to now, recurs with period P, k whole periods
 //     are advanced arithmetically — pending times and busy DRAM queues shift
 //     by k·P, counters that only grow add k times the period's increment.
-//     Exact because the engine's future is a pure function of the relative
-//     state, DRAM backlogs in integer ticks included, while no unit nears
-//     its last firing. Captures come every stride-th firing of an anchor
-//     unit, the stride set by their cost and changed only where the cycle
-//     search moves its checkpoint. The search restarts whenever a unit of
-//     the part completes, since each completion starts a new phase with a
-//     new period, and it jumps on the first exact repeat of a checkpoint.
+//     A buffer's occupancy and one inner counter level per unit may instead
+//     drift by a fixed δ each period (a filling or draining buffer, a long
+//     inner loop); the jump adds k·δ to them. Exact because the engine's
+//     future is a pure function of the relative state, DRAM backlogs in
+//     integer ticks included, while no unit reaches its last firing and no
+//     drifting word crosses a threshold a decision compares it with.
+//     Captures come every stride-th firing of an anchor unit, the stride set
+//     by their cost and changed only where the cycle search moves its
+//     checkpoint. The search restarts whenever a unit of the part completes,
+//     since each completion starts a new phase with a new period, and it
+//     jumps on the first repeat of a checkpoint.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
 // woken units are stepped in ascending ID order off a bitset, and a pop
@@ -481,7 +485,7 @@ func (ev *eventSim) stepCounter(vs *vuState, id int) {
 //     cycle into an edge, so a merge-fed input disables batching outright.
 func (ev *eventSim) batchSize(vs *vuState) int64 {
 	cs := ev.cs
-	if vs.kind == dfg.VAG || len(vs.inAny) > 0 || cs.trace != nil {
+	if !vs.batches() || cs.trace != nil {
 		return 1
 	}
 	k := vs.total - vs.fired
@@ -513,6 +517,12 @@ func (ev *eventSim) batchSize(vs *vuState) int64 {
 		return 1
 	}
 	return k
+}
+
+// batches reports whether counter-driven unit vs may fire more than once in
+// one step: every one but a VAG or a unit with an inAny choice.
+func (vs *vuState) batches() bool {
+	return vs.kind != dfg.VAG && len(vs.inAny) == 0
 }
 
 // batchFire performs k back-to-back firings in one scheduling step. The

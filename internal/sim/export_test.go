@@ -5,10 +5,10 @@ import "slices"
 // Span is what an event run's steady-state fast-forward did, summed over the
 // design's components: the cycles it advanced arithmetically and the cycles
 // the engine's runs covered (the share skipped is Skipped/Spanned), its
-// jumps, the engine's work — deliveries plus unit visits — and the state
-// words its captures walked, by which two detectors compare without host
-// time.
-type Span struct{ Skipped, Spanned, Jumps, Work, Walked int64 }
+// jumps and how many of them moved a drifting word, the engine's work —
+// deliveries plus unit visits — and the state words its captures walked, by
+// which two detectors compare without host time.
+type Span struct{ Skipped, Spanned, Jumps, Drifts, Work, Walked int64 }
 
 // CycleEventSpan runs the event engine and also returns its Span.
 func CycleEventSpan(d *Design, maxCycles int64) (*Result, Span, error) {
@@ -18,7 +18,7 @@ func CycleEventSpan(d *Design, maxCycles int64) (*Result, Span, error) {
 	}
 	maxCycles = cycleCap(maxCycles)
 	r, err := cs.runEvent(maxCycles)
-	return r, Span{cs.skipped, cs.spanned, cs.jumps, cs.work, cs.walked}, err
+	return r, Span{cs.skipped, cs.spanned, cs.jumps, cs.drifts, cs.work, cs.walked}, err
 }
 
 // CycleEventSingleLoop runs the event engine, fast paths on, as one loop
@@ -43,28 +43,46 @@ func ComponentCount(d *Design) (int, error) {
 }
 
 // Walks counts the captures an event run compared with the fast-forward's
-// checkpoint word by word: all of them, those found equal, and those whose
-// verdict differs from comparing a full walk of the same state.
-type Walks struct{ Compared, Equal, Wrong int }
+// checkpoint word by word: all of them, those found equal but for drifts,
+// those of them with a drifting word, and those whose verdict or drifts
+// differ from a full walk of the same state classified by the same rule.
+type Walks struct{ Compared, Equal, Drifting, Wrong int }
 
 // CycleEventCheckWalks runs the event engine and, at every capture the
-// fast-forward compares word by word, also walks the state in full and checks
-// the early-exit verdict against slices.Equal(full walk, ref).
+// fast-forward compares word by word, also walks the state in full against
+// the checkpoint. The early-exit verdict must equal the full walk's, and a
+// repeat's drifts must equal the full walk's and be the only words in which
+// it differs from the checkpoint, each by its delta.
 func CycleEventCheckWalks(d *Design, maxCycles int64) (Walks, error) {
 	cs, err := newCycleSim(d)
 	if err != nil {
 		return Walks{}, err
 	}
 	var n Walks
-	ffCheck = func(ff *fastForward, same bool) {
-		w := sigWalk{keep: true}
-		ff.state(&w)
+	ffCheck = func(ff *fastForward, drifts []ffDrift, same bool) {
+		full := sigWalk{keep: true, ff: ff, ref: ff.ref.sig}
+		ff.state(&full)
+		fullSame := !full.differ && full.n == len(full.ref)
 		n.Compared++
 		if same {
 			n.Equal++
+			if len(drifts) > 0 {
+				n.Drifting++
+			}
 		}
-		if slices.Equal(w.words, ff.ref.sig) != same {
+		switch {
+		case fullSame != same:
 			n.Wrong++
+		case same && !slices.Equal(full.drifts, drifts):
+			n.Wrong++
+		case same:
+			want := slices.Clone(ff.ref.sig)
+			for _, d := range drifts {
+				want[d.pos] += d.delta
+			}
+			if !slices.Equal(full.words, want) {
+				n.Wrong++
+			}
 		}
 	}
 	defer func() { ffCheck = nil }()

@@ -4,28 +4,53 @@ package sim
 // (component.go). Everything below is about the component being run: its
 // units, its edges, the DRAM channels its VAGs use. Parallel instances drift
 // out of phase, so the state of a whole design seldom repeats while each
-// instance's does. Long runs settle into a state that repeats exactly,
-// shifted in time: every unit is at the same point of its inner loops with
-// the same pending timer or blocking cause, every buffer holds as many
-// elements with the same in-flight arrival offsets. The engine's future is
-// a pure function of that relative state, so if the state at cycle c2
-// equals the state at c1 < c2 up to the shift P = c2-c1, the next period
-// replays the last one, and so does every period after it. The engine then
-// advances k periods at once: it shifts every pending time by k·P and adds k
-// times the last period's increment to every counter that only grows.
+// instance's does. Long runs settle into a state that repeats, shifted in
+// time: every unit is at the same point of its inner loops with the same
+// pending timer or blocking cause, every buffer holds as many elements with
+// the same in-flight arrival offsets. The engine's future is a pure function
+// of that relative state, so if the state at cycle c2 equals the state at
+// c1 < c2 up to the shift P = c2-c1, the next period replays the last one,
+// and so does every period after it. The engine then advances k periods at
+// once: it shifts every pending time by k·P and adds k times the last
+// period's increment to every counter that only grows.
 //
 //   - The signature (state) is the state relative to now: per unit, done,
 //     parked, or the offset of its timer, and the cause of a stall not yet
 //     settled; its inner counter levels (all but level 0); a VMU's
 //     round-robin positions and its ports' decimation phases, which the
 //     engine keeps wrapped to their fans (vmuPort), so they are read as they
-//     are. Per edge, occupancy and the arrival offsets of its in-flight
-//     elements. The
-//     offset of the last firing's end. Per DRAM channel of the component,
-//     the ticks of transfer still queued past the next cycle
-//     (dram.Model.Backlog): channel time is an integer count of ticks, so a
-//     busy channel's state is exact and the jump shifts its queue by k·P
-//     cycles like any pending time.
+//     are. Per edge, its occupancy, its in-flight count and the arrival
+//     offsets of its in-flight elements. The offset of the last firing's
+//     end. Per DRAM channel of the component, the ticks of transfer still
+//     queued past the next cycle (dram.Model.Backlog): channel time is an
+//     integer count of ticks, so a busy channel's state is exact and the
+//     jump shifts its queue by k·P cycles like any pending time.
+//   - Drifting words. Two kinds of word may differ from the checkpoint's by
+//     a constant δ per period where every other word repeats: an edge's
+//     occupancy (a buffer that fills or drains because its producer and
+//     consumer run at different rates) and one inner counter level per unit
+//     (a long inner loop), the latter only if it did not wrap in the period:
+//     δ > 0 and δ·Π(inner trips) equals the unit's firings in the period.
+//     The jump adds k·δ to each. The engine compares such a word only with
+//     thresholds, and above them decides alike whatever its value: a unit
+//     reads an input's occupancy only up to its batch bound (batchBound:
+//     innermost trip − 1 for a unit that batches, its port's decimation for
+//     a VMU, 1 otherwise) and an output's free space likewise, and a level
+//     only as to whether it wraps (at trip − 1) or, innermost in a unit that
+//     batches, as the room that caps a batch. So k is also capped
+//     (driftRoom) to keep every drifting word clear of its thresholds in the
+//     observed period and in every skipped one: occupancy at or above the
+//     consumer's batch bound, space at or above the producer's, a level at
+//     most trip − 2, and a drifting innermost level of a batching unit with
+//     room at least the least capacity among its per-firing edges, so that
+//     an occupancy or a space caps every batch before the room does. The
+//     least value inside a period is bounded without per-cycle tracking:
+//     occupancy falls only by pops, so it never dips below its value at the
+//     period's start less the period's pops (edgeState.pops, a linear
+//     counter), and space falls only by schedules, δ plus the pops. Then
+//     every decision of a skipped period reads the same outcome as the
+//     observed one, which moves each drifting word by δ again: the drift
+//     repeats, and so does the rest of the state.
 //   - Stall starts are compared apart from the signature. A unit with an
 //     unsettled stall at both captures either began it inside the period
 //     (equal offsets; the start shifts with the jump) or stayed parked
@@ -33,18 +58,23 @@ package sim
 //     interval when it wakes).
 //   - Linear counters grow by the same amount each period: fired counts and
 //     the level-0 index, stall sums, the fired and busy totals, DRAM bytes,
-//     requests and queueing cycles, the elements VMU ports served. Every
-//     value a period
-//     touches moves by a whole number of cycles or ticks, so no
-//     floating-point argument is needed.
+//     requests and queueing cycles, the elements VMU ports served, each
+//     edge's pops. Every value a period touches moves by a whole number of
+//     cycles or ticks, so no floating-point argument is needed.
 //   - Distance-to-end quantities are the one way a linear counter feeds back
 //     into the dynamics: a batch never runs past a unit's last firing, and
 //     only the last firing wraps level 0. k leaves every unit that fires in
-//     the period ffMarginPeriods periods plus one firing short of its total,
-//     so within every skipped period each batch sees the bound it saw in the
-//     observed one (see ffMarginPeriods); a unit already inside its margin
-//     vetoes the jump. k also keeps the run under its cycle cap, so a cap
-//     inside the skipped range still ends the run with the same error.
+//     the period at least one firing short of its total, and that is all
+//     exactness needs: the last firing must not fall inside a skipped
+//     period, and a batch counts its firings when it starts, so a unit that
+//     ends the last skipped period one firing short started every batch of
+//     those periods more than the batch's length from its end; its
+//     distance-to-end bounds (total − fired, and for a one-level counter the
+//     room before level 0 wraps, one less) never cut a batch the observed
+//     period ran, and no slack of whole periods beyond that one firing is
+//     needed. A unit already that close vetoes the jump. k also keeps
+//     the run under its cycle cap, so a cap inside the skipped range still
+//     ends the run with the same error.
 //
 // Detection is Brent's cycle search over captures taken at firings of an
 // anchor unit: the live counter-driven unit with the fewest firings. Every
@@ -60,13 +90,15 @@ package sim
 // A capture is one pass over units, edges, in-flight elements and channels,
 // in one order; it is taken every stride-th anchor firing. The checkpoint
 // keeps its capture's words as the full state (ref). Every other capture is
-// compared with ref word by word as it walks and stops at the first word
-// that differs, keeping nothing, so one that differs costs only the words up
-// to its first difference. Only the captures that become the checkpoint — a
-// phase's first and the limit-th since the last checkpoint — walk in full,
-// into a buffer ref then takes over. A capture equal to ref, walked either
-// way, is a repeat and jumps at once; the checkpoint moves there, its words
-// already ref's. No capture walks the state twice.
+// compared with ref word by word as it walks, noting the drifting words,
+// and stops at the first other word that differs, keeping nothing, so one
+// that differs costs only the words up to its first difference. Only the
+// captures that become the checkpoint — a phase's first and the limit-th
+// since the last checkpoint — walk in full, into a buffer ref then takes
+// over. A capture equal to ref but for drifts, walked either way, is a
+// repeat and jumps at once; the checkpoint moves there, ref taking the
+// capture's drifting words (and the jump's k·δ). No capture walks the state
+// twice.
 //
 // The stride changes only where the checkpoint moves after limit captures,
 // so the captures compared with one checkpoint are evenly spaced, and it
@@ -76,36 +108,24 @@ package sim
 // little. Only the words really walked count, so captures that stop early
 // keep the stride low: charged for whole walks, rf p128/s8's stride rose to
 // 16–32 anchor firings and its first phase, a period of 408 of them, was
-// never caught; it skipped 56 % of its cycles, and skips 67 % now. The
-// windows double with limit, which averages over an anchor that fires in
-// bursts (rf p128's consecutive intervals cost 3k and 33k events; judged per
-// capture, its stride flips every other capture). The stride may double only
-// while 16·stride is at most the anchor's firings so far: while pipelines
-// fill, the engine does almost no work per firing, and the stride would
-// otherwise race ahead of any period. Each component run has its own
-// detector, so its captures walk only the component. Runs that record a
-// profile or a trace and the dense engine never fast-forward;
-// CycleEngineNoFastPath turns it off (and with it the split into components)
-// for the equivalence guard.
+// never caught. The windows double with limit, which averages over an
+// anchor that fires in bursts (rf p128's consecutive intervals cost 3k and
+// 33k events; judged per capture, its stride flips every other capture).
+// The stride may double only while 16·stride is at most the anchor's
+// firings so far: while pipelines fill, the engine does almost no work per
+// firing, and the stride would otherwise race ahead of any period. Each
+// component run has its own detector, so its captures walk only the
+// component. Runs that record a profile or a trace and the dense engine
+// never fast-forward; CycleEngineNoFastPath turns it off (and with it the
+// split into components) for the equivalence guard.
 
 import (
+	"math"
 	"slices"
 	"sync"
-)
 
-// ffMarginPeriods is how many periods of firings, beyond one firing, every
-// firing unit must still have ahead of it after a jump. The one firing is
-// what exactness needs: the last firing wraps level 0 and completes the
-// unit, so it must not fall inside a skipped period. No margin beyond it is
-// needed, so no design tells 0 from 1. A batch counts its firings when it
-// starts, so a unit that ends the last skipped period at least one firing
-// short of its total started every batch of those periods more than the
-// batch's length from its end: its distance-to-end bounds (total − fired,
-// and for a one-level counter the room before level 0 wraps, one less)
-// never cut a batch the observed period ran. One period of slack stays, for
-// a bound that looks further ahead than one batch; it costs at most one
-// period per phase.
-const ffMarginPeriods = 1
+	"sara/internal/dfg"
+)
 
 // ffState is the full state at one capture: what a later capture is compared
 // with word for word, and what the jump's deltas and stall starts are taken
@@ -116,6 +136,18 @@ type ffState struct {
 	since []int64 // per unit: blockedSince, -1 when no stall is pending
 	fired []int64 // per unit: fired
 	lin   []int64 // the linear counters, in linear's order
+}
+
+// ffDrift is a signature word that differs from the checkpoint's by delta:
+// the occupancy of es, the i-th edge of the component, or counter level lvl
+// of vs, the i-th unit. pos is the word's place in the signature, and room
+// the periods it may be carried on for (driftRoom).
+type ffDrift struct {
+	pos         int
+	delta, room int64
+	es          *edgeState
+	vs          *vuState
+	lvl, i      int
 }
 
 // fastForward is one run's detector. Instances are pooled across runs with
@@ -140,16 +172,18 @@ type fastForward struct {
 	// checkpoint walks into buf, whose words ref then takes over.
 	buf []int64
 	ref ffState
+	// drift holds the drifting words of the last capture compared with ref.
+	drift []ffDrift
 
-	skipped, jumps int64 // cycles advanced arithmetically, in how many jumps
-	words          int64 // state words walked by every capture of the run
+	skipped, jumps, drifts int64 // cycles advanced arithmetically, in how many jumps, how many with drift
+	words                  int64 // state words walked by every capture of the run
 }
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
 
 // ffCheck, when a test sets it, sees every capture compared with the
-// checkpoint word by word, with the comparison's verdict.
-var ffCheck func(ff *fastForward, same bool)
+// checkpoint word by word: the drifts the comparison noted, and its verdict.
+var ffCheck func(ff *fastForward, drifts []ffDrift, same bool)
 
 // newFastForward returns the detector for an event run, or nil when the run
 // must not fast-forward.
@@ -161,7 +195,7 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
 	ff.stride, ff.due, ff.workAt, ff.walked = 1, 1, 0, 0
-	ff.skipped, ff.jumps, ff.words = 0, 0, 0
+	ff.skipped, ff.jumps, ff.drifts, ff.words = 0, 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
@@ -172,10 +206,13 @@ func (ff *fastForward) release() {
 	if ff == nil {
 		return
 	}
-	ff.ev.cs.skipped += ff.skipped
-	ff.ev.cs.jumps += ff.jumps
-	ff.ev.cs.walked += ff.words
+	cs := ff.ev.cs
+	cs.skipped += ff.skipped
+	cs.jumps += ff.jumps
+	cs.drifts += ff.drifts
+	cs.walked += ff.words
 	ff.ev, ff.anchor = nil, nil
+	clear(ff.drift[:cap(ff.drift)])
 	ffPool.Put(ff)
 }
 
@@ -223,11 +260,11 @@ func (ff *fastForward) anchorFiring() {
 
 // sample captures the state and advances the search. A capture that cannot
 // become the checkpoint is compared with ref as it is walked, as far as its
-// first differing word; it keeps nothing. The phase's first capture and the
-// limit-th one since the checkpoint walk in full and become the checkpoint,
-// limit doubling and the stride perhaps changing. A capture equal to ref is
-// a repeat whichever way it was walked: it jumps (unless vetoed) and the
-// checkpoint moves there.
+// first differing word that is not a drift; it keeps nothing. The phase's
+// first capture and the limit-th one since the checkpoint walk in full and
+// become the checkpoint, limit doubling and the stride perhaps changing. A
+// capture equal to ref but for drifts is a repeat whichever way it was
+// walked: it jumps (unless vetoed) and the checkpoint moves there.
 func (ff *fastForward) sample() {
 	switch {
 	case !ff.haveChk:
@@ -235,18 +272,22 @@ func (ff *fastForward) sample() {
 		ff.limit = 1
 		ff.checkpoint()
 	case ff.n+1 < ff.limit:
-		w := sigWalk{ref: ff.ref.sig}
+		w := ff.walk(false)
 		same := ff.state(&w) && w.n == len(w.ref)
 		ff.walked += int64(w.n)
 		ff.words += int64(w.n)
+		ff.drift = w.drifts
 		if ffCheck != nil {
-			ffCheck(ff, same)
+			ffCheck(ff, w.drifts, same)
 		}
-		if same {
-			ff.repeat()
-		} else {
+		if !same {
 			ff.n++
+			return
 		}
+		for _, d := range ff.drift {
+			ff.ref.sig[d.pos] += d.delta
+		}
+		ff.repeat()
 	default:
 		if ff.walkAll() {
 			ff.repeat()
@@ -258,21 +299,37 @@ func (ff *fastForward) sample() {
 	}
 }
 
+// walk returns a walk compared with the checkpoint, if there is one,
+// keeping its words in buf with keep.
+func (ff *fastForward) walk(keep bool) sigWalk {
+	w := sigWalk{keep: keep, drifts: ff.drift[:0]}
+	if keep {
+		w.words = ff.buf[:0]
+	}
+	if ff.haveChk {
+		w.ff, w.ref = ff, ff.ref.sig
+	}
+	return w
+}
+
 // walkAll walks the whole state into buf, hands buf's words to ref and
-// reports whether they equal the ones ref held. Only a capture about to
-// become the checkpoint walks this way.
+// reports whether they equal the ones ref held but for drifts. Only a
+// capture about to become the checkpoint walks this way.
 func (ff *fastForward) walkAll() bool {
-	w := sigWalk{words: ff.buf[:0], keep: true}
+	w := ff.walk(true)
 	ff.state(&w)
-	ff.walked += int64(len(w.words))
-	ff.words += int64(len(w.words))
-	same := ff.haveChk && slices.Equal(w.words, ff.ref.sig)
+	ff.walked += int64(w.n)
+	ff.words += int64(w.n)
+	same := ff.haveChk && !w.differ && w.n == len(w.ref)
+	ff.drift = w.drifts
 	ff.buf, ff.ref.sig = ff.ref.sig, w.words
 	return same
 }
 
-// repeat handles a capture whose words equal ref's: it jumps unless a stall
-// start or a unit's margin vetoes, and either way the checkpoint moves here.
+// repeat handles a capture whose words equal ref's but for drifts, which
+// ref already holds at the capture's values: it jumps unless a stall start
+// or a unit's distance to its end vetoes, and either way the checkpoint
+// moves here.
 func (ff *fastForward) repeat() {
 	if ff.sameStalls() {
 		if k, p := ff.jumpCount(); k > 0 {
@@ -299,7 +356,8 @@ func (ff *fastForward) adjustStride() {
 
 // checkpoint makes the current capture Brent's checkpoint, whose words ref.sig
 // already holds, and stores the rest of its full state. After a jump the
-// words still hold: the jump leaves the relative state as it found it.
+// words still hold: the jump leaves the relative state as it found it, but
+// for the drifting words, which it moves in ref too.
 func (ff *fastForward) checkpoint() {
 	ff.haveChk, ff.n = true, 0
 	ev, r := ff.ev, &ff.ref
@@ -342,12 +400,74 @@ func (ff *fastForward) jumpCount() (k, p int64) {
 			continue
 		}
 		if d := vs.fired - r.fired[i]; d > 0 {
-			if m := (vs.total-vs.fired-1)/d - ffMarginPeriods; m < k {
-				k = m
-			}
+			k = min(k, (vs.total-vs.fired-1)/d)
 		}
 	}
+	for _, d := range ff.drift {
+		k = min(k, d.room)
+	}
 	return k, p
+}
+
+// driftRoom returns how many periods drift d may be carried on with each
+// value it takes, in the observed period and in every skipped one, clear of
+// the thresholds the engine compares it with (see the file comment). A
+// drift without room is no drift: its word just differs.
+func (ff *fastForward) driftRoom(d ffDrift) int64 {
+	if es := d.es; es != nil {
+		vus := ff.ev.cs.vus
+		pops := es.pops - ff.ref.lin[d.i]
+		occ := int64(es.occ) - d.delta // at the checkpoint
+		space := int64(es.cap-es.infl) - occ
+		return min(clearFor(occ-pops-batchBound(vus[es.e.Dst], es), d.delta),
+			clearFor(space-d.delta-pops-batchBound(vus[es.e.Src], es), -d.delta))
+	}
+	vs := d.vs
+	top := int64(vs.u.Counters[d.lvl].Trip) - 2
+	if d.lvl == len(vs.idx)-1 && vs.batches() {
+		least := int64(math.MaxInt64)
+		for _, l := range [2][]*edgeState{vs.inFire, vs.outFire} {
+			for _, es := range l {
+				least = min(least, int64(es.cap))
+			}
+		}
+		top = top + 1 - least
+	}
+	return clearFor(top-int64(vs.idx[d.lvl]), -d.delta)
+}
+
+// clearFor returns the most periods k for which a + m·d ≥ 0 at every m in
+// [0, k]: a is a drifting word's least margin over its threshold in the
+// observed period and d what the margin gains each period. A negative a
+// allows none.
+func clearFor(a, d int64) int64 {
+	switch {
+	case a < 0:
+		return 0
+	case d < 0:
+		return a / -d
+	}
+	return math.MaxInt64
+}
+
+// batchBound is the most unit vs takes from or puts on edge es in one step:
+// its innermost trip less one for a counter-driven unit that batches, the
+// port's decimation for a VMU's input, 1 otherwise. While es holds at least
+// that many elements (for its consumer) or free slots (for its producer),
+// no decision of vs depends on how many.
+func batchBound(vs *vuState, es *edgeState) int64 {
+	switch {
+	case vs == nil:
+	case vs.kind == dfg.VMU:
+		for _, pt := range vs.ports {
+			if slices.Contains(pt.ins, es) {
+				return int64(pt.decimate)
+			}
+		}
+	case vs.isCounterDriven() && vs.batches() && len(vs.idx) > 0:
+		return max(1, int64(vs.u.Counters[len(vs.idx)-1].Trip-1))
+	}
+	return 1
 }
 
 // jump advances the run by k periods of p cycles.
@@ -360,6 +480,14 @@ func (ff *fastForward) jump(k, p int64) {
 		i++
 		return v
 	})
+	for _, d := range ff.drift {
+		if d.es != nil {
+			d.es.occ += int(k * d.delta)
+		} else {
+			d.vs.idx[d.lvl] += int(k * d.delta)
+		}
+		r.sig[d.pos] += k * d.delta
+	}
 	// A busy channel's queue moves with the jump; where an idle one drained
 	// no longer affects any request.
 	for _, ch := range ev.c.chans {
@@ -399,26 +527,82 @@ func (ff *fastForward) jump(k, p int64) {
 	ff.anchorFired = ff.anchor.fired
 	ff.skipped += shift
 	ff.jumps++
+	if len(ff.drift) > 0 {
+		ff.drifts++
+	}
 }
 
 // sigWalk receives the relative state word by word. With keep it keeps the
-// words; otherwise it compares them with ref, counting them in n, and stops
-// the walk at the first that differs.
+// words. With ff it compares them with the checkpoint's, ref, counting them
+// in n: a word that drifts with room is noted in drifts, any other that
+// differs sets differ and, without keep, stops the walk.
 type sigWalk struct {
-	keep  bool
-	words []int64
-	ref   []int64
-	n     int
+	keep   bool
+	words  []int64
+	ff     *fastForward
+	ref    []int64
+	n      int
+	differ bool
+	drifts []ffDrift
 }
 
-// put takes the next word and reports whether the walk goes on.
+// put takes the next word, which must equal ref's, and reports whether the
+// walk goes on.
 func (w *sigWalk) put(x int64) bool {
+	i := w.n
+	w.n++
 	if w.keep {
 		w.words = append(w.words, x)
+	}
+	if i < len(w.ref) && w.ref[i] == x {
 		return true
 	}
+	w.differ = true
+	return w.keep
+}
+
+// occ takes the occupancy of es, the i-th edge, which may drift.
+func (w *sigWalk) occ(es *edgeState, i int) bool {
+	x := int64(es.occ)
+	if w.n >= len(w.ref) || w.ref[w.n] == x {
+		return w.put(x)
+	}
+	return w.drift(x, ffDrift{es: es, i: i})
+}
+
+// level takes counter level l of vs, the i-th unit. It may drift if it did
+// not wrap in the period (its δ accounts for every firing) and no other
+// level of the unit drifts.
+func (w *sigWalk) level(vs *vuState, i, l int) bool {
+	x := int64(vs.idx[l])
+	if w.n >= len(w.ref) || w.ref[w.n] == x {
+		return w.put(x)
+	}
+	d := x - w.ref[w.n]
+	inner := int64(1)
+	for _, c := range vs.u.Counters[l+1:] {
+		inner *= int64(c.Trip)
+	}
+	if last := len(w.drifts) - 1; d <= 0 || d*inner != vs.fired-w.ff.ref.fired[i] ||
+		last >= 0 && w.drifts[last].vs == vs {
+		return w.put(x)
+	}
+	return w.drift(x, ffDrift{vs: vs, lvl: l, i: i})
+}
+
+// drift takes x, which differs from ref's word in a way d describes: a
+// drift if it has room, else a difference.
+func (w *sigWalk) drift(x int64, d ffDrift) bool {
+	d.pos, d.delta = w.n, x-w.ref[w.n]
+	if d.room = w.ff.driftRoom(d); d.room == 0 {
+		return w.put(x)
+	}
+	w.drifts = append(w.drifts, d)
 	w.n++
-	return w.n <= len(w.ref) && w.ref[w.n-1] == x
+	if w.keep {
+		w.words = append(w.words, x)
+	}
+	return true
 }
 
 // state walks the component's relative state at the end of the current
@@ -426,7 +610,7 @@ func (w *sigWalk) put(x int64) bool {
 func (ff *fastForward) state(w *sigWalk) bool {
 	ev := ff.ev
 	now := ev.now
-	for _, vs := range ev.c.vus {
+	for ui, vs := range ev.c.vus {
 		id := vs.id
 		// Done, parked, or due after a timer; a pending stall's cause.
 		var s int64
@@ -443,8 +627,8 @@ func (ff *fastForward) state(w *sigWalk) bool {
 		if !w.put(s) {
 			return false
 		}
-		for i := 1; i < len(vs.idx); i++ {
-			if !w.put(int64(vs.idx[i])) {
+		for l := 1; l < len(vs.idx); l++ {
+			if !w.level(vs, ui, l) {
 				return false
 			}
 		}
@@ -459,8 +643,8 @@ func (ff *fastForward) state(w *sigWalk) bool {
 			}
 		}
 	}
-	for _, es := range ev.c.edges {
-		if !w.put(int64(es.occ) | int64(es.infl)<<32) {
+	for ei, es := range ev.c.edges {
+		if !w.occ(es, ei) || !w.put(int64(es.infl)) {
 			return false
 		}
 		for i := 0; i < es.infl; i++ {
@@ -482,9 +666,13 @@ func (ff *fastForward) state(w *sigWalk) bool {
 
 // linear visits every counter that grows by a fixed amount each period, in
 // one fixed order, replacing each with f's answer: the component's, and the
-// run's totals (which only the component moves while it runs).
+// run's totals (which only the component moves while it runs). Each edge's
+// pops come first, so the i-th edge's sits at index i.
 func (ff *fastForward) linear(f func(int64) int64) {
 	cs := ff.ev.cs
+	for _, es := range ff.ev.c.edges {
+		es.pops = f(es.pops)
+	}
 	for _, vs := range ff.ev.c.vus {
 		vs.fired = f(vs.fired)
 		vs.stallIn, vs.stallOut, vs.stallToken = f(vs.stallIn), f(vs.stallOut), f(vs.stallToken)
