@@ -11,14 +11,12 @@
 // utilization and stall breakdowns (report.go), critical-path extraction
 // (critpath.go), and Chrome trace-event export (chrome.go).
 //
-// The accounting contract: every stall interval settles against exactly one
-// refined Cause, and grouping refined causes by Cause.Coarse reproduces the
-// simulator's aggregate Result.Stalls counters cycle-for-cycle, under both
-// engines. The refined split inside "input-starved" (upstream vs network vs
-// DRAM) is attributed when the stall begins; the dense engine re-evaluates it
-// every cycle while the event engine keeps the park-time cause for the whole
-// parked interval, so those sub-causes may differ between engines even though
-// the coarse sums are bit-identical.
+// The accounting contract: every blocked unit-cycle is charged once, to one
+// refined Cause and one peer that depend only on the edge blocking the unit,
+// and grouping refined causes by Cause.Coarse reproduces the simulator's
+// aggregate Result.Stalls counters cycle-for-cycle. It holds interval by
+// interval across engines: the dense and the event engine record the same
+// intervals — cause, start, end and peer — on every track.
 package profile
 
 import "fmt"
@@ -29,12 +27,10 @@ type Cause uint8
 const (
 	// CauseBusy marks cycles the unit spent firing or serving.
 	CauseBusy Cause = iota
-	// CauseUpstream is an input stall with nothing in flight: the producer
-	// has not produced yet.
+	// CauseUpstream is an input stall on a stream an on-chip unit produces:
+	// the producer has not produced yet, or its element is still crossing
+	// the network.
 	CauseUpstream
-	// CauseNetwork is an input stall with elements in flight on the
-	// interconnect — the data exists but has not crossed the network.
-	CauseNetwork
 	// CauseDRAM is an input stall on a stream sourced by a DRAM address
 	// generator: the unit is waiting on the memory system.
 	CauseDRAM
@@ -54,7 +50,7 @@ const (
 )
 
 var causeNames = [NumCauses]string{
-	"busy", "upstream-wait", "network-wait", "dram-wait",
+	"busy", "upstream-wait", "dram-wait",
 	"output-blocked", "token-wait", "credit-wait", "idle",
 }
 
@@ -70,7 +66,7 @@ func (c Cause) String() string {
 // key it settles against, or "" for non-stall causes (busy, idle).
 func (c Cause) Coarse() string {
 	switch c {
-	case CauseUpstream, CauseNetwork, CauseDRAM:
+	case CauseUpstream, CauseDRAM:
 		return "input-starved"
 	case CauseOutput:
 		return "output-blocked"
@@ -82,7 +78,7 @@ func (c Cause) Coarse() string {
 
 // StallCauses lists the refined causes that settle against Result.Stalls.
 func StallCauses() []Cause {
-	return []Cause{CauseUpstream, CauseNetwork, CauseDRAM, CauseOutput, CauseToken, CauseCredit}
+	return []Cause{CauseUpstream, CauseDRAM, CauseOutput, CauseToken, CauseCredit}
 }
 
 // Interval is one contiguous run of same-cause cycles on a track:

@@ -37,6 +37,23 @@ func TestRunProfiled(t *testing.T) {
 	if len(rr.Profile.StallsByCause) == 0 || len(rr.Profile.Units) == 0 || len(rr.Profile.CriticalPath) == 0 {
 		t.Errorf("profile report incomplete: %+v", rr.Profile)
 	}
+	// The causes are the five stall causes, and they split the result's
+	// coarse stall total.
+	causes := map[string]bool{"upstream-wait": true, "dram-wait": true, "output-blocked": true,
+		"token-wait": true, "credit-wait": true}
+	var byCause, coarse int64
+	for c, n := range rr.Profile.StallsByCause {
+		if !causes[c] {
+			t.Errorf("stalls_by_cause has %q, not a stall cause", c)
+		}
+		byCause += n
+	}
+	for _, n := range decodeResult(t, rr).Stalls {
+		coarse += n
+	}
+	if byCause != coarse {
+		t.Errorf("stalls_by_cause sums to %d, the result's stalls to %d", byCause, coarse)
+	}
 	if plainCycles := decodeResult(t, plain).Cycles; cycles != plainCycles {
 		t.Errorf("profiling changed the simulation: %d vs %d cycles", cycles, plainCycles)
 	}

@@ -858,9 +858,10 @@ func (s *Server) execute(ctx context.Context, req *RunRequest, spec *arch.Spec, 
 	resp := respond(&r)
 	if rec != nil {
 		rep := profile.Analyze(rec)
-		// Refined attribution (upstream vs network vs DRAM, token vs credit)
-		// exists only on profiled runs, so these counters cover the profiled
-		// subset of the coarse ones runEngine keeps.
+		// The refined causes (upstream vs DRAM, token vs credit, output)
+		// exist only on profiled runs, so these counters split the profiled
+		// subset of the coarse ones runEngine keeps; both engines would
+		// record the same ones.
 		for cause, n := range rep.StallsByCause {
 			s.metrics.Add("sarad_sim_profiled_stall_cycles_"+metricName(cause)+"_total", n)
 		}

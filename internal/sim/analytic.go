@@ -276,68 +276,6 @@ func Analytic(d *Design) (*Result, error) {
 	}, nil
 }
 
-// noFastPaths turns the event engine's two fast paths off — the stall-free
-// skip below and the steady-state fast-forward (fastforward.go) — so the
-// guard tests can prove both exact by diffing full results with the paths on
-// and off.
-var noFastPaths = false
-
-// CycleEngineNoFastPath runs the event engine with the stall-free skip and
-// the steady-state fast-forward disabled — the reference side of
-// TestStallFreeFastPath's and TestFastForwardExact's bit-identical guards.
-// Not safe to call concurrently with other engine runs.
-func CycleEngineNoFastPath(d *Design, maxCycles int64) (*Result, error) {
-	noFastPaths = true
-	defer func() { noFastPaths = false }()
-	return CycleEngine(d, maxCycles, EngineEvent)
-}
-
-// stallFreeStates statically proves, per unit, that no evaluation can ever
-// block — the analytic counterpart of blockCause. A counter-driven unit with
-// no inputs fires unconditionally unless an output lacks space; an output
-// edge can never lack space if its capacity covers the initial occupancy plus
-// every push the unit will ever make on it (occ+infl ≤ Init+k-1 before the
-// k-th push even if the consumer never pops, so space ≥ 1 throughout when
-// cap ≥ Init+pushes). The event engine skips stall bookkeeping (interval
-// settle + blockCause) for proven units; results are bit-identical because
-// the skipped code is a no-op on a unit that never parks.
-func stallFreeStates(cs *cycleSim) []bool {
-	free := make([]bool, len(cs.vus))
-	for id, vs := range cs.vus {
-		if vs == nil || !vs.isCounterDriven() {
-			continue
-		}
-		if len(vs.inFire) > 0 || len(vs.holdIn) > 0 || len(vs.inAny) > 0 {
-			continue
-		}
-		ok := true
-		// Per-firing outputs see one push per firing.
-		for _, es := range vs.outFire {
-			if int64(es.cap) < int64(es.e.Init)+vs.total {
-				ok = false
-				break
-			}
-		}
-		// Wrap-triggered outputs at level l see one push each time levels
-		// l..innermost all wrap: total / Π_{j≥l} Trip[j] pushes over the run.
-		if ok {
-			period := int64(1)
-			for l := len(vs.pushAt) - 1; l >= 0 && ok; l-- {
-				period *= int64(vs.u.Counters[l].Trip)
-				pushes := vs.total / period
-				for _, es := range vs.pushAt[l] {
-					if int64(es.cap) < int64(es.e.Init)+pushes {
-						ok = false
-						break
-					}
-				}
-			}
-		}
-		free[id] = ok
-	}
-	return free
-}
-
 // effFirings returns the unit's expected firings, discounting branch-clause
 // exclusivity: a unit under one clause of a branch only executes the
 // iterations its clause is taken (expected 1/2 per enclosing branch,

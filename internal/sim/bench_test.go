@@ -15,7 +15,9 @@ import (
 // in a recurring steady state the event engine fast-forwards). Beside the
 // time it reports the engine's visits, the state words the fast-forward's
 // captures walked and its jumps over a drifting word per run, counts that
-// compare two versions of the engine without host time. It is the
+// compare two versions of the engine without host time. The profiled legs
+// time what a profiled request pays: CycleProfiled, which records every
+// interval and never fast-forwards, on rf par 8 and bs par 16. It is the
 // simulator's profiling entry point:
 //
 //	go test -run '^$' -bench Simulate -cpuprofile cpu.out ./internal/sim/
@@ -23,27 +25,40 @@ func BenchmarkSimulate(b *testing.B) {
 	for _, k := range []struct {
 		name       string
 		par, scale int
-	}{{"rf", 128, 8}, {"kmeans", 128, 8}, {"snet", 128, 8}, {"kmeans", 64, 8}, {"pr", 16, 16}, {"bs", 16, 16},
-		{"gda", 16, 16}, {"rf", 8, 16}} {
+		profiled   bool
+	}{{"rf", 128, 8, false}, {"kmeans", 128, 8, false}, {"snet", 128, 8, false}, {"kmeans", 64, 8, false},
+		{"pr", 16, 16, false}, {"bs", 16, 16, false}, {"gda", 16, 16, false}, {"rf", 8, 16, false},
+		{"rf", 8, 16, true}, {"bs", 16, 16, true}} {
 		k := k
-		b.Run(k.name+"/p"+itoa(k.par), func(b *testing.B) {
+		name := k.name + "/p" + itoa(k.par)
+		if k.profiled {
+			name += "/profiled"
+		}
+		b.Run(name, func(b *testing.B) {
 			d := compilePlaced(b, k.name, k.par, k.scale)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var fired int64
 			var span sim.Span
 			for i := 0; i < b.N; i++ {
-				r, s, err := sim.CycleEventSpan(d, 0)
+				var r *sim.Result
+				var err error
+				if k.profiled {
+					r, _, err = sim.CycleProfiled(d, 0, sim.EngineEvent)
+				} else {
+					r, span, err = sim.CycleEventSpan(d, 0)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
 				fired += r.FiredTotal
-				span = s
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/firing")
-			b.ReportMetric(float64(span.Work), "visits/op")
-			b.ReportMetric(float64(span.Walked), "words/op")
-			b.ReportMetric(float64(span.Drifts), "drifts/op")
+			if !k.profiled {
+				b.ReportMetric(float64(span.Work), "visits/op")
+				b.ReportMetric(float64(span.Walked), "words/op")
+				b.ReportMetric(float64(span.Drifts), "drifts/op")
+			}
 		})
 	}
 }

@@ -90,16 +90,6 @@ func CycleEngine(d *Design, maxCycles int64, kind EngineKind) (*Result, error) {
 	return cs.runEvent(maxCycles)
 }
 
-// stallKind classifies why a counter-driven unit cannot fire.
-type stallKind uint8
-
-const (
-	stallNone  stallKind = iota
-	stallIn              // waiting on a data input
-	stallOut             // blocked on a full output buffer
-	stallToken           // waiting on a CMMC token or credit
-)
-
 // edgeState tracks one stream's receiver buffer and in-flight elements.
 type edgeState struct {
 	e    *dfg.Edge
@@ -173,16 +163,16 @@ type vuState struct {
 	agIsRead bool
 	agRandom bool
 
-	// Stall accounting (cycle counts while enabled-for-work but blocked).
+	// Stall accounting (cycle counts while enabled-for-work but blocked),
+	// by the coarse class of each cycle's cause (see stall).
 	stallIn    int64 // waiting on a data input
 	stallOut   int64 // blocked on a full output buffer
 	stallToken int64 // waiting on a CMMC token or credit
-	// lastStall is the most recent blocking cause; the cause cannot change
-	// while no edge of the unit changes, so fast-forwarded windows extend it.
-	lastStall stallKind
-	// lastEdge is the edge that caused lastStall, for the profiler's refined
-	// attribution across fast-forwarded windows.
-	lastEdge *edgeState
+	// lastCause and lastPeer are the most recent blocking cause and the unit
+	// blamed; they cannot change while no edge of the unit changes, so the
+	// dense engine's idle-skipped windows extend them.
+	lastCause profile.Cause
+	lastPeer  int32
 
 	// wrapBuf backs wrapLevels so enable checks stay allocation-free.
 	wrapBuf []int
@@ -191,17 +181,6 @@ type vuState struct {
 	// len(ports)).
 	ports []*vmuPort
 	rrIn  int
-}
-
-func (vs *vuState) addStall(k stallKind, n int64) {
-	switch k {
-	case stallIn:
-		vs.stallIn += n
-	case stallOut:
-		vs.stallOut += n
-	case stallToken:
-		vs.stallToken += n
-	}
 }
 
 // vmuPort is one access stream served by a memory unit. rrIn and rrOut are
@@ -228,9 +207,9 @@ type cycleSim struct {
 	now   int64
 	trace *Trace
 	// rec, when non-nil, receives the timeline profile: one busy interval
-	// per firing/service run and one stall interval per blocked window,
-	// refined by cause (see recStall). Nil keeps profiling at the cost of
-	// one predictable branch per firing.
+	// per firing/service run and one stall interval per blocked window, by
+	// cause (see stall). Nil keeps profiling at the cost of one predictable
+	// branch per firing.
 	rec *profile.Recording
 
 	// ev is the event engine running on this state, nil for the dense
@@ -557,8 +536,7 @@ func (cs *cycleSim) runDense(maxCycles int64) (*Result, error) {
 			if skipped := next - 1 - cs.now; skipped > 0 {
 				for _, vs := range cs.vus {
 					if vs != nil && vs.isCounterDriven() && !vs.done {
-						vs.addStall(vs.lastStall, skipped)
-						cs.recStall(vs, vs.lastStall, vs.lastEdge, cs.now+1, skipped)
+						cs.stall(vs, vs.lastCause, vs.lastPeer, cs.now+1, skipped)
 					}
 				}
 			}
@@ -617,23 +595,27 @@ func (vs *vuState) isCounterDriven() bool {
 	return vs.kind.CounterDriven()
 }
 
-// blockCause returns why a counter-driven unit cannot fire this cycle —
-// along with the blocking edge, for the profiler's refined attribution — or
-// stallNone when it is enabled: per-firing inputs available, level-popped
-// inputs held, per-firing outputs (and any wrap-triggered pushes) have space.
-// Pure check — no state changes.
-func (cs *cycleSim) blockCause(vs *vuState) (stallKind, *edgeState) {
+// blockCause returns why a counter-driven unit cannot fire this cycle and
+// the unit blamed, or profile.CauseBusy when it is enabled: per-firing inputs
+// available, level-popped inputs held, per-firing outputs (and any
+// wrap-triggered pushes) have space. The cause is a function of the first
+// blocking edge alone: an empty data input is dram-wait when a VAG feeds it
+// and upstream-wait otherwise; an empty token edge or level-popped input is
+// credit-wait when it starts with credits and token-wait otherwise; a full
+// output is output-blocked. The peer is the edge's producer, or its consumer
+// for an output. Pure check — no state changes.
+func (cs *cycleSim) blockCause(vs *vuState) (profile.Cause, int32) {
 	for _, es := range vs.inFire {
 		if es.occ < 1 {
 			if es.e.Kind == dfg.EToken {
-				return stallToken, es
+				return tokenCause(es), int32(es.e.Src)
 			}
-			return stallIn, es
+			return cs.inputCause(es), int32(es.e.Src)
 		}
 	}
 	for _, es := range vs.holdIn {
 		if es.occ < 1 {
-			return stallToken, es
+			return tokenCause(es), int32(es.e.Src)
 		}
 	}
 	for _, grp := range vs.inAny {
@@ -642,70 +624,60 @@ func (cs *cycleSim) blockCause(vs *vuState) (stallKind, *edgeState) {
 			total += es.occ
 		}
 		if total < 1 {
-			return stallIn, grp[0]
+			return cs.inputCause(grp[0]), int32(grp[0].e.Src)
 		}
 	}
 	for _, es := range vs.outFire {
 		if es.space() < 1 {
-			return stallOut, es
+			return profile.CauseOutput, int32(es.e.Dst)
 		}
 	}
 	for _, lvl := range vs.wrapLevels() {
 		for _, es := range vs.pushAt[lvl] {
 			if es.space() < 1 {
-				return stallOut, es
+				return profile.CauseOutput, int32(es.e.Dst)
 			}
 		}
 	}
-	return stallNone, nil
+	return profile.CauseBusy, profile.NoPeer
 }
 
-// refineStall maps a coarse stall kind and its blocking edge to the
-// profiler's refined cause and the peer track blamed. Grouping the refined
-// causes by Cause.Coarse reproduces the coarse kind, so interval sums settle
-// exactly against the Result.Stalls counters.
-func (cs *cycleSim) refineStall(k stallKind, es *edgeState) (profile.Cause, int32) {
-	switch k {
-	case stallIn:
-		if es == nil {
-			return profile.CauseUpstream, profile.NoPeer
-		}
-		if src := cs.d.G.VU(es.e.Src); src != nil && src.Kind == dfg.VAG {
-			return profile.CauseDRAM, int32(es.e.Src)
-		}
-		if es.inflight() > 0 {
-			return profile.CauseNetwork, int32(es.e.Src)
-		}
-		return profile.CauseUpstream, int32(es.e.Src)
-	case stallOut:
-		if es == nil {
-			return profile.CauseOutput, profile.NoPeer
-		}
-		return profile.CauseOutput, int32(es.e.Dst)
-	default: // stallToken
-		if es == nil {
-			return profile.CauseToken, profile.NoPeer
-		}
-		if es.e.Init > 0 {
-			return profile.CauseCredit, int32(es.e.Src)
-		}
-		return profile.CauseToken, int32(es.e.Src)
+// inputCause is the cause of a stall on empty input es.
+func (cs *cycleSim) inputCause(es *edgeState) profile.Cause {
+	if src := cs.vus[es.e.Src]; src != nil && src.kind == dfg.VAG {
+		return profile.CauseDRAM
 	}
+	return profile.CauseUpstream
 }
 
-// recStall records one refined stall interval; a no-op when profiling is
-// off. The refinement inspects the blocking edge's current state, so callers
-// must invoke it while that state still reflects the blocked window.
-func (cs *cycleSim) recStall(vs *vuState, k stallKind, es *edgeState, start, n int64) {
-	if cs.rec == nil || k == stallNone || n <= 0 {
-		return
+// tokenCause is the cause of a stall on empty token edge es.
+func tokenCause(es *edgeState) profile.Cause {
+	if es.e.Init > 0 {
+		return profile.CauseCredit
 	}
-	c, peer := cs.refineStall(k, es)
-	cs.rec.Record(vs.id, c, start, n, peer)
+	return profile.CauseToken
+}
+
+// stall charges n blocked cycles of vs from start to cause c, blaming peer:
+// the counter of the coarse class c.Coarse() names grows by n and, when
+// profiling, the recording gets the interval. It is the one place a stall is
+// counted, in either engine.
+func (cs *cycleSim) stall(vs *vuState, c profile.Cause, peer int32, start, n int64) {
+	switch c {
+	case profile.CauseUpstream, profile.CauseDRAM:
+		vs.stallIn += n
+	case profile.CauseOutput:
+		vs.stallOut += n
+	case profile.CauseToken, profile.CauseCredit:
+		vs.stallToken += n
+	}
+	if cs.rec != nil {
+		cs.rec.Record(vs.id, c, start, n, peer)
+	}
 }
 
 // fireCounterUnit performs one firing; the caller has established the unit is
-// enabled (blockCause == stallNone).
+// enabled (blockCause answers profile.CauseBusy).
 func (cs *cycleSim) fireCounterUnit(vs *vuState) {
 	for _, es := range vs.inFire {
 		cs.pop(es, 1)
@@ -749,12 +721,9 @@ func (cs *cycleSim) fireCounterUnit(vs *vuState) {
 
 // stepCounterUnit attempts one firing of a counter-driven unit (dense path).
 func (cs *cycleSim) stepCounterUnit(vs *vuState) bool {
-	cause, edge := cs.blockCause(vs)
-	if cause != stallNone {
-		vs.addStall(cause, 1)
-		cs.recStall(vs, cause, edge, cs.now, 1)
-		vs.lastStall = cause
-		vs.lastEdge = edge
+	if cause, peer := cs.blockCause(vs); cause != profile.CauseBusy {
+		cs.stall(vs, cause, peer, cs.now, 1)
+		vs.lastCause, vs.lastPeer = cause, peer
 		return false
 	}
 	cs.fireCounterUnit(vs)

@@ -334,9 +334,10 @@ func TestEngineEquivalenceDeadlock(t *testing.T) {
 	}
 }
 
-// TestStallFreeFastPath is the guard for the analytic fast path: with the
-// skip disabled, every workload must produce a bit-identical report —
-// proving the elided bookkeeping is a no-op on proven-stall-free units.
+// TestStallFreeFastPath holds the event engine's fast paths — the
+// steady-state fast-forward and the split into components — to the engine
+// with both off: every workload must produce a bit-identical report. (The
+// name is kept from the stall-free skip it once guarded, which is gone.)
 func TestStallFreeFastPath(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w

@@ -1,8 +1,9 @@
 package sim
 
 // The event-driven engine. Identical semantics to runDense — same firing
-// cycles, same arrival schedules, same stall totals — but cost proportional
-// to activity instead of cycles x (edges + units):
+// cycles, same arrival schedules, same stall totals, and under the profiler
+// the same recording, interval by interval — but cost proportional to
+// activity instead of cycles x (edges + units):
 //
 //   - Calendar queue: each edge with undelivered elements holds one armed
 //     arrival event at its earliest one, each unit waiting for a future cycle
@@ -28,7 +29,11 @@ package sim
 //     also after a productive one that drained every input. Exact because a
 //     forwarder moves nothing without an input element and carries no stall
 //     accounting, and the next delivery on an input wakes it — the
-//     re-evaluation skipped was a guaranteed no-op.
+//     re-evaluation skipped was a guaranteed no-op. A parked unit's stall is
+//     charged when it wakes, whole, to the cause and peer its blocking edge
+//     gave when it parked: that edge cannot change unseen, and the cause is
+//     a function of the edge alone, so dense charges each of those cycles
+//     the same.
 //   - In-flight rings: an edge's undelivered arrival cycles live in a ring
 //     of at least cap entries (edgeState.ring), fixed for the run. Exact
 //     because every producer checks space() before it schedules, so
@@ -77,17 +82,28 @@ import (
 	"sara/internal/profile"
 )
 
+// noFastPaths turns the event engine's fast paths off — the steady-state
+// fast-forward (fastforward.go) and the split into components
+// (component.go) — so the guard tests can prove both exact by diffing full
+// results with the paths on and off.
+var noFastPaths = false
+
+// CycleEngineNoFastPath runs the event engine with the steady-state
+// fast-forward and the split into components disabled — the reference side
+// of TestStallFreeFastPath's and TestFastForwardExact's bit-identical guards.
+// Not safe to call concurrently with other engine runs.
+func CycleEngineNoFastPath(d *Design, maxCycles int64) (*Result, error) {
+	noFastPaths = true
+	defer func() { noFastPaths = false }()
+	return CycleEngine(d, maxCycles, EngineEvent)
+}
+
 type eventSim struct {
 	cs *cycleSim
 	// c is the component being run; lo and hi bound the words of curr its
 	// units' bits live in.
 	c      *component
 	lo, hi int
-
-	// noStall marks units the analytic model proves can never block (see
-	// stallFreeStates): their evaluation skips the blockCause check and the
-	// stall-interval bookkeeping entirely.
-	noStall []bool
 
 	// arrivals holds one armed delivery per edge with undelivered elements,
 	// by edge ID; timers one future re-evaluation per unit, by VU ID. A live
@@ -110,19 +126,15 @@ type eventSim struct {
 	// unit mid-batch holds a timer and is never parked, so nothing wakes it
 	// before its batch ends.
 	parked []bool
-	// blockedSince/blockedCause record a parked unit's stall interval; the
-	// cause cannot change while the unit is parked (nothing it reads changed,
-	// or it would have been woken), so the whole interval settles against one
-	// category at the next evaluation — matching dense cycle-by-cycle counts.
+	// blockedSince, blockedCause and blockedPeer record a parked unit's stall
+	// interval. Its blocking edge cannot change while the unit is parked
+	// (nothing it reads changed, or it would have been woken), and the cause
+	// and peer are functions of that edge alone, so the whole interval
+	// settles against one cause at the next evaluation — the cause dense
+	// charges each of its cycles.
 	blockedSince []int64
-	blockedCause []stallKind
-	// blockedRef/blockedPeer pin the profiler's refined cause at park time:
-	// refinement reads the blocking edge's state (e.g. in-flight counts), and
-	// by settle time a delivery has usually changed it. Dense re-refines every
-	// cycle instead, so the refined input split (upstream vs network) may
-	// legitimately differ between engines; the coarse sums are identical.
-	blockedRef  []profile.Cause
-	blockedPeer []int32
+	blockedCause []profile.Cause
+	blockedPeer  []int32
 
 	processing int // VU ID being stepped; -1 outside the stepping pass
 	now        int64
@@ -138,19 +150,13 @@ type eventSim struct {
 // so cs.schedule and cs.pop call it; each run starts with start.
 func newEventSim(cs *cycleSim) *eventSim {
 	n := len(cs.vus)
-	noStall := make([]bool, n)
-	if !noFastPaths {
-		noStall = stallFreeStates(cs)
-	}
 	ev := &eventSim{
 		cs:           cs,
-		noStall:      noStall,
 		curr:         make([]uint64, (n+63)/64),
 		timerAt:      make([]int64, n),
 		parked:       make([]bool, n),
 		blockedSince: make([]int64, n),
-		blockedCause: make([]stallKind, n),
-		blockedRef:   make([]profile.Cause, n),
+		blockedCause: make([]profile.Cause, n),
 		blockedPeer:  make([]int32, n),
 		processing:   -1,
 		lastFire:     -1,
@@ -420,30 +426,16 @@ func (ev *eventSim) stepCounter(vs *vuState, id int) {
 	if vs.done {
 		return
 	}
-	// Units the analytic model proves stall-free never park, so their
-	// settle and blockCause work is a no-op — skip it (identical results
-	// by construction; TestStallFreeFastPath guards the claim).
-	if !ev.noStall[id] {
-		// Settle the stall interval accumulated while parked.
-		if ev.blockedSince[id] >= 0 {
-			n := ev.now - ev.blockedSince[id]
-			vs.addStall(ev.blockedCause[id], n)
-			if cs.rec != nil && n > 0 {
-				cs.rec.Record(id, ev.blockedRef[id], ev.blockedSince[id], n, ev.blockedPeer[id])
-			}
-			ev.blockedSince[id] = -1
-		}
-		cause, edge := cs.blockCause(vs)
-		if cause != stallNone {
-			// Park. The next deliver/pop on the blocking edge wakes us.
-			ev.blockedSince[id] = ev.now
-			ev.blockedCause[id] = cause
-			if cs.rec != nil {
-				ev.blockedRef[id], ev.blockedPeer[id] = cs.refineStall(cause, edge)
-			}
-			ev.parked[id] = true
-			return
-		}
+	// Settle the stall interval accumulated while parked.
+	if s := ev.blockedSince[id]; s >= 0 {
+		cs.stall(vs, ev.blockedCause[id], ev.blockedPeer[id], s, ev.now-s)
+		ev.blockedSince[id] = -1
+	}
+	if cause, peer := cs.blockCause(vs); cause != profile.CauseBusy {
+		// Park. The next deliver/pop on the blocking edge wakes us.
+		ev.blockedSince[id], ev.blockedCause[id], ev.blockedPeer[id] = ev.now, cause, peer
+		ev.parked[id] = true
+		return
 	}
 	k := ev.batchSize(vs)
 	if k <= 1 {

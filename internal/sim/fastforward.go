@@ -16,10 +16,11 @@ package sim
 //
 //   - The signature (state) is the state relative to now: per unit, done,
 //     parked, or the offset of its timer, and the cause of a stall not yet
-//     settled; its inner counter levels (all but level 0); a VMU's
-//     round-robin positions and its ports' decimation phases, which the
-//     engine keeps wrapped to their fans (vmuPort), so they are read as they
-//     are. Per edge, its occupancy, its in-flight count and the arrival
+//     settled (a profile.Cause; its peer is read only by profiled runs,
+//     which never fast-forward); its inner counter levels (all but level
+//     0); a VMU's round-robin positions and its ports' decimation phases,
+//     which the engine keeps wrapped to their fans (vmuPort), so they are
+//     read as they are. Per edge, its occupancy, its in-flight count and the arrival
 //     offsets of its in-flight elements. The offset of the last firing's
 //     end. Per DRAM channel of the component, the ticks of transfer still
 //     queued past the next cycle (dram.Model.Backlog): channel time is an
@@ -612,14 +613,15 @@ func (ff *fastForward) state(w *sigWalk) bool {
 	now := ev.now
 	for ui, vs := range ev.c.vus {
 		id := vs.id
-		// Done, parked, or due after a timer; a pending stall's cause.
+		// Done, parked, or due after a timer; a pending stall's cause, in
+		// bits 2–4 (profile.Cause is below 8).
 		var s int64
 		switch {
 		case vs.done:
 		case ev.parked[id]:
 			s = 1
 		default:
-			s = 2 | (ev.timerAt[id]-now)<<4
+			s = 2 | (ev.timerAt[id]-now)<<5
 		}
 		if ev.blockedSince[id] >= 0 {
 			s |= int64(ev.blockedCause[id]) << 2

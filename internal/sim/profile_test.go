@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sara/internal/core"
@@ -28,8 +29,8 @@ func compileWorkload(t *testing.T, w *workloads.Workload) *sim.Design {
 // engine: the recording's coarse stall sums must equal Result.Stalls
 // cycle-for-cycle, the profiled Result must be bit-identical to an unprofiled
 // run, busy intervals must reproduce FiredTotal, and every track must be a
-// sorted, disjoint timeline inside [0, Cycles].
-func assertProfileExact(t *testing.T, d *sim.Design, kind sim.EngineKind, maxCycles int64) {
+// sorted, disjoint timeline inside [0, Cycles]. It returns the recording.
+func assertProfileExact(t *testing.T, d *sim.Design, kind sim.EngineKind, maxCycles int64) *profile.Recording {
 	t.Helper()
 	plain, err := sim.CycleEngine(d, maxCycles, kind)
 	if err != nil {
@@ -97,18 +98,99 @@ func assertProfileExact(t *testing.T, d *sim.Design, kind sim.EngineKind, maxCyc
 			prevEnd = iv.End
 		}
 	}
+	return rec
 }
 
-// TestProfileStallExactness drains every registered workload through the
-// profiler under both engines — the ISSUE's acceptance gate: per-cause
-// profiled stall intervals sum exactly to Result.Stalls.
+// assertSameRecording holds two engines' recordings of one design to each
+// other interval by interval: every track must hold the same intervals,
+// cause, start, end and peer alike.
+func assertSameRecording(t *testing.T, evt, den *profile.Recording) {
+	t.Helper()
+	if evt == nil || den == nil {
+		t.Fatal("an engine recorded nothing")
+	}
+	if len(evt.Tracks) != len(den.Tracks) || evt.Cycles != den.Cycles {
+		t.Fatalf("event recorded %d tracks over %d cycles, dense %d over %d",
+			len(evt.Tracks), evt.Cycles, len(den.Tracks), den.Cycles)
+	}
+	bad := 0
+	for id, et := range evt.Tracks {
+		dt := den.Tracks[id]
+		if (et == nil) != (dt == nil) {
+			t.Fatalf("track %d defined on one engine only", id)
+		}
+		if et == nil || slices.Equal(et.Intervals, dt.Intervals) {
+			continue
+		}
+		if bad++; bad > 3 {
+			continue
+		}
+		i := 0
+		for i < len(et.Intervals) && i < len(dt.Intervals) && et.Intervals[i] == dt.Intervals[i] {
+			i++
+		}
+		var ei, di any = "none", "none"
+		if i < len(et.Intervals) {
+			ei = et.Intervals[i]
+		}
+		if i < len(dt.Intervals) {
+			di = dt.Intervals[i]
+		}
+		t.Errorf("track %s: %d intervals on event, %d on dense; interval %d: event %+v, dense %+v",
+			et.Name, len(et.Intervals), len(dt.Intervals), i, ei, di)
+	}
+	if bad > 0 {
+		t.Errorf("%d tracks differ between the engines", bad)
+	}
+}
+
+// TestProfileStallExactness is the profiler's gate. Every registered
+// workload drains through the profiler under both engines: per-cause stall
+// intervals sum exactly to Result.Stalls, and the two engines record the
+// same intervals on every track. The same must hold, placed, at p4/s64, on
+// the benchmark's 16 kernels designs and on rf and ms at p8/s16, where a
+// stall's cause once depended on when the event engine happened to look.
 func TestProfileStallExactness(t *testing.T) {
+	const maxCycles = 30_000_000
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			d := compileWorkload(t, w)
-			t.Run("event", func(t *testing.T) { assertProfileExact(t, d, sim.EngineEvent, 30_000_000) })
-			t.Run("dense", func(t *testing.T) { assertProfileExact(t, d, sim.EngineDense, 30_000_000) })
+			var evt, den *profile.Recording
+			t.Run("event", func(t *testing.T) { evt = assertProfileExact(t, d, sim.EngineEvent, maxCycles) })
+			t.Run("dense", func(t *testing.T) { den = assertProfileExact(t, d, sim.EngineDense, maxCycles) })
+			t.Run("recording", func(t *testing.T) { assertSameRecording(t, evt, den) })
+		})
+	}
+	type design struct {
+		name       string
+		par, scale int
+	}
+	var ds []design
+	for _, name := range workloads.Names() {
+		par := 64
+		if name == "sort" {
+			par = 32
+		}
+		ds = append(ds, design{name, 4, 64}, design{name, par, 8})
+	}
+	for _, name := range []string{"kmeans", "mlp", "snet", "rf"} {
+		ds = append(ds, design{name, 128, 8})
+	}
+	ds = append(ds, design{"rf", 8, 16}, design{"ms", 8, 16})
+	for _, k := range ds {
+		k := k
+		t.Run("placed/"+k.name+"/p"+itoa(k.par)+"/s"+itoa(k.scale), func(t *testing.T) {
+			d := compilePlaced(t, k.name, k.par, k.scale)
+			_, evt, err := sim.CycleProfiled(d, maxCycles, sim.EngineEvent)
+			if err != nil {
+				t.Fatalf("event engine: %v", err)
+			}
+			_, den, err := sim.CycleProfiled(d, maxCycles, sim.EngineDense)
+			if err != nil {
+				t.Fatalf("dense engine: %v", err)
+			}
+			assertSameRecording(t, evt, den)
 		})
 	}
 }
