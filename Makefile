@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz bench benchsmoke profilesmoke clismoke serve
+.PHONY: ci fmt vet build test race fuzz bench benchpairs benchsmoke profilesmoke clismoke serve
 
 ci: fmt vet build race benchsmoke profilesmoke clismoke
 
@@ -45,13 +45,39 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem
 
+# Alternated benchmark pairs, how a change's end-to-end gain is measured:
+# builds ./bench from the commit BASE (exported under TMPDIR) and from the
+# working tree, runs PAIRS pairs of one WORKLOAD at SEED, the two builds in
+# turn so both see the same host (the base first in odd pairs, the working
+# tree first in even ones), appends each build's records to its own result
+# file, and prints `bench -compare` on the two. For example
+#   make benchpairs BASE=HEAD~1 WORKLOAD=kernels PAIRS=10 SEED=7
+BASE ?= HEAD
+WORKLOAD ?= kernels
+PAIRS ?= 10
+SEED ?= 1
+benchpairs:
+	@set -e; dir=$${TMPDIR:-/tmp}/sara-benchpairs; rm -rf $$dir; mkdir -p $$dir/base; \
+	git archive $(BASE) | tar -x -C $$dir/base; \
+	(cd $$dir/base && $(GO) build -o $$dir/bench-base ./bench); \
+	$(GO) build -o $$dir/bench-new ./bench; \
+	for i in $$(seq $(PAIRS)); do \
+		echo "pair $$i of $(PAIRS)"; \
+		order="base new"; [ $$((i % 2)) -eq 0 ] && order="new base"; \
+		for side in $$order; do \
+			$$dir/bench-$$side -workload $(WORKLOAD) -seed $(SEED) -out $$dir/out -o $$dir/$$side.json >/dev/null; \
+		done; \
+	done; \
+	echo "results: $$dir/base.json $$dir/new.json"; \
+	$$dir/bench-new -compare $$dir/base.json $$dir/new.json
+
 # One iteration of the engine comparison (event and dense) and of each
 # package benchmark: catches bit-rot without paying for a full timing run.
 # BenchmarkPlace shows the placer's time and allocation count on its two
 # largest benchmark designs outside ./bench; BenchmarkSimulate does the same
 # for the simulator (time per firing, engine visits, fast-forward capture
-# words and jumps over drifts, bytes and allocations per run on eight placed
-# designs) and is its
+# words, jumps and jumps over drifts, bytes and allocations per run on eight
+# placed designs) and is its
 # profiling entry point (add -cpuprofile); BenchmarkSolver is the solver's —
 # the rf and ms par-64 compiles of ./bench's solver workload: ms/compile, the
 # wall time of one whole compile; us/node, that time over the branch-and-bound

@@ -14,11 +14,11 @@ import (
 // hit repeats, and rf par 8 / scale 16 (950 629 cycles, almost all of them
 // in a recurring steady state the event engine fast-forwards). Beside the
 // time it reports the engine's visits, the state words the fast-forward's
-// captures walked and its jumps over a drifting word per run, counts that
-// compare two versions of the engine without host time. The profiled legs
-// time what a profiled request pays: CycleProfiled, which records every
-// interval and never fast-forwards, on rf par 8 and bs par 16. It is the
-// simulator's profiling entry point:
+// captures walked, its jumps and those of them over a drifting word per run,
+// counts that compare two versions of the engine without host time. The
+// profiled legs time what a profiled request pays: CycleProfiled, which
+// records every interval and never fast-forwards, on rf par 8 and bs par 16.
+// It is the simulator's profiling entry point:
 //
 //	go test -run '^$' -bench Simulate -cpuprofile cpu.out ./internal/sim/
 func BenchmarkSimulate(b *testing.B) {
@@ -57,6 +57,7 @@ func BenchmarkSimulate(b *testing.B) {
 			if !k.profiled {
 				b.ReportMetric(float64(span.Work), "visits/op")
 				b.ReportMetric(float64(span.Walked), "words/op")
+				b.ReportMetric(float64(span.Jumps), "jumps/op")
 				b.ReportMetric(float64(span.Drifts), "drifts/op")
 			}
 		})

@@ -59,8 +59,8 @@ func CycleEventCheckWalks(d *Design, maxCycles int64) (Walks, error) {
 		return Walks{}, err
 	}
 	var n Walks
-	ffCheck = func(ff *fastForward, drifts []ffDrift, same bool) {
-		full := sigWalk{keep: true, ff: ff, ref: ff.ref.sig}
+	ffCheck = func(ff *fastForward, c *ffState, drifts []ffDrift, same bool) {
+		full := sigWalk{keep: true, ff: ff, chk: c, ref: c.sig}
 		ff.state(&full)
 		fullSame := !full.differ && full.n == len(full.ref)
 		n.Compared++
@@ -76,7 +76,7 @@ func CycleEventCheckWalks(d *Design, maxCycles int64) (Walks, error) {
 		case same && !slices.Equal(full.drifts, drifts):
 			n.Wrong++
 		case same:
-			want := slices.Clone(ff.ref.sig)
+			want := slices.Clone(c.sig)
 			for _, d := range drifts {
 				want[d.pos] += d.delta
 			}

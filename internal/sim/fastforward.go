@@ -86,36 +86,55 @@ package sim
 // instances finish one at a time (rf p128's eight tree traversals) run
 // through as many phases, and a limit carried over from the last phase
 // would hold each new phase's checkpoint back by up to as many captures as
-// that phase took.
+// that phase took. Brent's search moves its checkpoint when a window of
+// limit captures ends, and alone it would drop the old one there; a period
+// longer than the window current when the state starts repeating would
+// then be caught only by a later checkpoint, 1.5–2.5 periods in (rf p128's
+// first phase repeats every 11 517 cycles from about cycle 18 565 and was
+// caught at 50 233; kept, its checkpoint at 18 601 catches it at 30 118).
+// So the search keeps the phase's last ffKeep checkpoints, newest first,
+// and compares every capture with each of them. A match with any is a
+// repeat measured from that checkpoint: its period, its increments, its
+// stall starts and its drifts' room. A match that the stall check or the
+// end rule vetoes leaves an older checkpoint, and the search, as they were;
+// any jump drops every checkpoint but the one it jumped from, which moves
+// to the capture.
 //
 // A capture is one pass over units, edges, in-flight elements and channels,
-// in one order; it is taken every stride-th anchor firing. The checkpoint
-// keeps its capture's words as the full state (ref). Every other capture is
-// compared with ref word by word as it walks, noting the drifting words,
-// and stops at the first other word that differs, keeping nothing, so one
-// that differs costs only the words up to its first difference. Only the
-// captures that become the checkpoint — a phase's first and the limit-th
-// since the last checkpoint — walk in full, into a buffer ref then takes
-// over. A capture equal to ref but for drifts, walked either way, is a
-// repeat and jumps at once; the checkpoint moves there, ref taking the
-// capture's drifting words (and the jump's k·δ). No capture walks the state
-// twice.
+// in one order; it is taken every stride-th anchor firing. A checkpoint
+// keeps its capture's words as the full state. Every other capture is
+// compared with the newest checkpoint word by word as it walks, noting the
+// drifting words, and stops at the first other word that differs, keeping
+// nothing, so one that differs costs only the words up to its first
+// difference; then it is compared with each older checkpoint the same way.
+// Only the captures that become the newest checkpoint — a phase's first and
+// the limit-th since the last — walk in full, into a buffer the checkpoint
+// then takes over. A capture equal to a checkpoint but for drifts is a
+// repeat and jumps at once; the checkpoint moves there, taking the
+// capture's drifting words (and the jump's k·δ).
 //
-// The stride changes only where the checkpoint moves after limit captures,
-// so the captures compared with one checkpoint are evenly spaced, and it
-// follows the cost of the captures since the last such move: it doubles
-// while they walked more words than a quarter of the engine work in that
-// window, and halves below a sixteenth, so a run that never repeats pays
-// little. Only the words really walked count, so captures that stop early
-// keep the stride low: charged for whole walks, rf p128/s8's stride rose to
-// 16–32 anchor firings and its first phase, a period of 408 of them, was
-// never caught. The windows double with limit, which averages over an
-// anchor that fires in bursts (rf p128's consecutive intervals cost 3k and
-// 33k events; judged per capture, its stride flips every other capture).
-// The stride may double only while 16·stride is at most the anchor's
-// firings so far: while pipelines fill, the engine does almost no work per
-// firing, and the stride would otherwise race ahead of any period. Each
-// component run has its own detector, so its captures walk only the
+// The stride changes only where the newest checkpoint moves after limit
+// captures, so the captures compared with one checkpoint are evenly spaced,
+// and it follows the cost of the captures since the last such move: it
+// doubles while their compares with the newest checkpoint walked more words
+// than a quarter of the engine work in that window, and halves below a
+// sixteenth, so a run that never repeats pays little. Only the words really
+// walked count, so captures that stop early keep the stride low: charged
+// for whole walks, rf p128/s8's stride rose to 16–32 anchor firings and its
+// first phase, a period of 408 of them, was never caught. Compares with the
+// older checkpoints are not charged: charging them raised the strides, and
+// snet p64/s8 and p128/s8 lost more engine visits than the older
+// checkpoints saved. They have a budget of their own instead: over the run
+// they may walk at most a quarter of the engine work, which stops them only
+// in short runs whose stride cannot grow, where they seldom match (it cut
+// serve-sweep's capture words by a sixth and moved no design's visits).
+// The windows double with limit, which averages over an anchor that fires
+// in bursts (rf p128's consecutive intervals cost 3k and 33k events; judged
+// per capture, its stride flips every other capture). The stride may double
+// only while 16·stride is at most the anchor's firings so far: while
+// pipelines fill, the engine does almost no work per firing, and the stride
+// would otherwise race ahead of any period.
+// Each component run has its own detector, so its captures walk only the
 // component. Runs that record a profile or a trace and the dense engine
 // never fast-forward; CycleEngineNoFastPath turns it off (and with it the
 // split into components) for the equivalence guard.
@@ -151,6 +170,10 @@ type ffDrift struct {
 	lvl, i      int
 }
 
+// ffKeep is how many checkpoints the search keeps: the phase's newest,
+// which Brent's search moves, and the ones it moved from.
+const ffKeep = 4
+
 // fastForward is one run's detector. Instances are pooled across runs with
 // their buffers.
 type fastForward struct {
@@ -164,16 +187,18 @@ type fastForward struct {
 	// The cost rule's window: ev.work when the checkpoint last moved on its
 	// own, and the state words captures have walked since.
 	workAt, walked int64
+	olderWords     int64 // state words the run's compares with older checkpoints walked
 
-	// Brent's search: whether there is a checkpoint, how many captures have
-	// been compared with it, and how many it waits for before moving on.
-	haveChk  bool
+	// Brent's search: the phase's last nchk checkpoints, newest first, how
+	// many captures have been compared with the newest, and how many it
+	// waits for before moving on. chk[nchk:] are spare buffers.
+	chk      [ffKeep]ffState
+	nchk     int
 	n, limit int
-	// ref is the full state at the checkpoint. A capture that may become the
-	// checkpoint walks into buf, whose words ref then takes over.
+	// buf receives the words of a capture that may become the checkpoint.
 	buf []int64
-	ref ffState
-	// drift holds the drifting words of the last capture compared with ref.
+	// drift holds the drifting words of the last capture compared with a
+	// checkpoint.
 	drift []ffDrift
 
 	skipped, jumps, drifts int64 // cycles advanced arithmetically, in how many jumps, how many with drift
@@ -182,9 +207,9 @@ type fastForward struct {
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
 
-// ffCheck, when a test sets it, sees every capture compared with the
-// checkpoint word by word: the drifts the comparison noted, and its verdict.
-var ffCheck func(ff *fastForward, drifts []ffDrift, same bool)
+// ffCheck, when a test sets it, sees every comparison of a capture with a
+// checkpoint c that may stop early: the drifts it noted, and its verdict.
+var ffCheck func(ff *fastForward, c *ffState, drifts []ffDrift, same bool)
 
 // newFastForward returns the detector for an event run, or nil when the run
 // must not fast-forward.
@@ -196,7 +221,7 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
 	ff.stride, ff.due, ff.workAt, ff.walked = 1, 1, 0, 0
-	ff.skipped, ff.jumps, ff.drifts, ff.words = 0, 0, 0, 0
+	ff.skipped, ff.jumps, ff.drifts, ff.words, ff.olderWords = 0, 0, 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
@@ -233,7 +258,7 @@ func (ff *fastForward) pickAnchor() {
 	if ff.anchor != nil {
 		ff.anchorFired = ff.anchor.fired
 	}
-	ff.haveChk = false
+	ff.nchk = 0
 }
 
 // afterCycle runs at the end of every event cycle that did not complete the
@@ -260,84 +285,135 @@ func (ff *fastForward) anchorFiring() {
 }
 
 // sample captures the state and advances the search. A capture that cannot
-// become the checkpoint is compared with ref as it is walked, as far as its
-// first differing word that is not a drift; it keeps nothing. The phase's
-// first capture and the limit-th one since the checkpoint walk in full and
-// become the checkpoint, limit doubling and the stride perhaps changing. A
-// capture equal to ref but for drifts is a repeat whichever way it was
-// walked: it jumps (unless vetoed) and the checkpoint moves there.
+// become the checkpoint is compared with the newest as it is walked, as far
+// as its first differing word that is not a drift; it keeps nothing. The
+// phase's first capture and the limit-th one since the newest checkpoint
+// walk in full and become the newest, limit doubling and the stride perhaps
+// changing. A capture equal to the newest but for drifts is a repeat
+// whichever way it was walked: it jumps (unless vetoed) and the newest
+// checkpoint moves there. One that is not is compared, newest first, with
+// the older checkpoints, and a match jumps from there.
 func (ff *fastForward) sample() {
 	switch {
-	case !ff.haveChk:
+	case ff.nchk == 0:
 		ff.walkAll()
 		ff.limit = 1
-		ff.checkpoint()
+		ff.push()
 	case ff.n+1 < ff.limit:
-		w := ff.walk(false)
-		same := ff.state(&w) && w.n == len(w.ref)
-		ff.walked += int64(w.n)
-		ff.words += int64(w.n)
-		ff.drift = w.drifts
-		if ffCheck != nil {
-			ffCheck(ff, w.drifts, same)
-		}
-		if !same {
-			ff.n++
+		if ff.compare(0) {
+			ff.repeat(0)
 			return
 		}
-		for _, d := range ff.drift {
-			ff.ref.sig[d.pos] += d.delta
+		if !ff.older() {
+			ff.n++
 		}
-		ff.repeat()
 	default:
 		if ff.walkAll() {
-			ff.repeat()
+			ff.repeat(0)
 			return
 		}
-		ff.checkpoint()
+		if ff.older() {
+			return
+		}
+		ff.push()
 		ff.limit *= 2
 		ff.adjustStride()
 	}
 }
 
-// walk returns a walk compared with the checkpoint, if there is one,
-// keeping its words in buf with keep.
-func (ff *fastForward) walk(keep bool) sigWalk {
-	w := sigWalk{keep: keep, drifts: ff.drift[:0]}
-	if keep {
-		w.words = ff.buf[:0]
+// compare walks the state against the j-th checkpoint as far as its first
+// differing word that is not a drift, noting the drifts, and reports whether
+// the two are equal but for drifts. Only the newest checkpoint's compares
+// count towards the cost rule; the older ones' towards their budget.
+func (ff *fastForward) compare(j int) bool {
+	c := &ff.chk[j]
+	w := sigWalk{ff: ff, chk: c, ref: c.sig, drifts: ff.drift[:0]}
+	same := ff.state(&w) && w.n == len(w.ref)
+	if j == 0 {
+		ff.walked += int64(w.n)
+	} else {
+		ff.olderWords += int64(w.n)
 	}
-	if ff.haveChk {
-		w.ff, w.ref = ff, ff.ref.sig
-	}
-	return w
-}
-
-// walkAll walks the whole state into buf, hands buf's words to ref and
-// reports whether they equal the ones ref held but for drifts. Only a
-// capture about to become the checkpoint walks this way.
-func (ff *fastForward) walkAll() bool {
-	w := ff.walk(true)
-	ff.state(&w)
-	ff.walked += int64(w.n)
 	ff.words += int64(w.n)
-	same := ff.haveChk && !w.differ && w.n == len(w.ref)
 	ff.drift = w.drifts
-	ff.buf, ff.ref.sig = ff.ref.sig, w.words
+	if ffCheck != nil {
+		ffCheck(ff, c, w.drifts, same)
+	}
 	return same
 }
 
-// repeat handles a capture whose words equal ref's but for drifts, which
-// ref already holds at the capture's values: it jumps unless a stall start
-// or a unit's distance to its end vetoes, and either way the checkpoint
-// moves here.
-func (ff *fastForward) repeat() {
-	if ff.sameStalls() {
-		if k, p := ff.jumpCount(); k > 0 {
-			ff.jump(k, p)
+// older compares the capture with the older checkpoints, newest first, and
+// reports whether it jumped from the first that it equals but for drifts.
+// Those compares have a budget of their own: over the run they may walk at
+// most a quarter of the engine work, the share at which the cost rule would
+// double the stride.
+func (ff *fastForward) older() bool {
+	if 4*ff.olderWords > ff.ev.work {
+		return false
+	}
+	for j := 1; j < ff.nchk; j++ {
+		if ff.compare(j) {
+			return ff.repeat(j)
 		}
 	}
-	ff.checkpoint()
+	return false
+}
+
+// walkAll walks the whole state into buf and reports whether it equals the
+// newest checkpoint's but for drifts. Only a capture that may become the
+// checkpoint walks this way.
+func (ff *fastForward) walkAll() bool {
+	// The newest checkpoint's length sizes buf, so that buffers taking turns
+	// as checkpoints are not grown by doubling.
+	words := slices.Grow(ff.buf[:0], len(ff.chk[0].sig))
+	w := sigWalk{keep: true, words: words, ff: ff, drifts: ff.drift[:0]}
+	if ff.nchk > 0 {
+		w.chk, w.ref = &ff.chk[0], ff.chk[0].sig
+	}
+	ff.state(&w)
+	ff.walked += int64(w.n)
+	ff.words += int64(w.n)
+	ff.buf, ff.drift = w.words, w.drifts
+	return ff.nchk > 0 && !w.differ && w.n == len(w.ref)
+}
+
+// push makes the capture whose words buf holds the newest checkpoint,
+// dropping the oldest when all ffKeep are in use.
+func (ff *fastForward) push() {
+	spare := ff.chk[ffKeep-1]
+	copy(ff.chk[1:], ff.chk[:ffKeep-1])
+	ff.chk[0] = spare
+	ff.buf, ff.chk[0].sig = spare.sig, ff.buf
+	ff.nchk = min(ff.nchk+1, ffKeep)
+	ff.record()
+}
+
+// repeat handles a capture equal to the j-th checkpoint but for ff.drift:
+// it jumps unless a stall start or a unit's distance to its end vetoes, and
+// reports whether it did. A jump leaves that checkpoint the only one, moved
+// here. A veto moves the newest checkpoint here but leaves an older one, and
+// the search, as they were.
+func (ff *fastForward) repeat(j int) bool {
+	c := &ff.chk[j]
+	var k, p int64
+	if ff.sameStalls(c) {
+		k, p = ff.jumpCount(c)
+	}
+	if k == 0 && j > 0 {
+		return false
+	}
+	if k > 0 {
+		ff.jump(c, k, p)
+		ff.chk[0], ff.chk[j] = ff.chk[j], ff.chk[0]
+		ff.nchk = 1
+	}
+	// The jump leaves the relative state as it found it but for the
+	// drifting words, which have now moved k+1 times from the checkpoint's.
+	for _, d := range ff.drift {
+		ff.chk[0].sig[d.pos] += (k + 1) * d.delta
+	}
+	ff.record()
+	return k > 0
 }
 
 // adjustStride applies the cost rule (see the file comment) to the window of
@@ -355,19 +431,20 @@ func (ff *fastForward) adjustStride() {
 	ff.due, ff.workAt, ff.walked = ff.stride, ff.ev.work, 0
 }
 
-// checkpoint makes the current capture Brent's checkpoint, whose words ref.sig
-// already holds, and stores the rest of its full state. After a jump the
-// words still hold: the jump leaves the relative state as it found it, but
-// for the drifting words, which it moves in ref too.
-func (ff *fastForward) checkpoint() {
-	ff.haveChk, ff.n = true, 0
-	ev, r := ff.ev, &ff.ref
-	r.since, r.fired = r.since[:0], r.fired[:0]
+// record stores the rest of the newest checkpoint's full state, whose words
+// it already holds, as of now.
+func (ff *fastForward) record() {
+	ff.n = 0
+	ev, r := ff.ev, &ff.chk[0]
+	n := len(ev.c.vus)
+	r.since, r.fired = slices.Grow(r.since[:0], n), slices.Grow(r.fired[:0], n)
 	for _, vs := range ev.c.vus {
 		r.since = append(r.since, ev.blockedSince[vs.id])
 		r.fired = append(r.fired, vs.fired)
 	}
-	r.lin = r.lin[:0]
+	// A component has one count of linear counters, which the oldest
+	// checkpoint's holds unless it is this one.
+	r.lin = slices.Grow(r.lin[:0], len(ff.chk[ff.nchk-1].lin))
 	ff.linear(func(v int64) int64 {
 		r.lin = append(r.lin, v)
 		return v
@@ -375,12 +452,11 @@ func (ff *fastForward) checkpoint() {
 	r.at = ev.now
 }
 
-// sameStalls reports whether, for a capture whose words equal ref's, every
-// pending stall began as long ago as at ref (inside the period) or at the
-// same cycle (parked throughout). The words say which units are parked or
-// due.
-func (ff *fastForward) sameStalls() bool {
-	r := &ff.ref
+// sameStalls reports whether, for a capture whose words equal checkpoint
+// r's, every pending stall began as long ago as at r (inside the period) or
+// at the same cycle (parked throughout). The words say which units are
+// parked or due.
+func (ff *fastForward) sameStalls(r *ffState) bool {
 	for i, s1 := range r.since {
 		s2 := ff.ev.blockedSince[ff.ev.c.vus[i].id]
 		if s2 != s1 && (s1 < 0 || s2 < 0 || s2-ff.ev.now != s1-r.at) {
@@ -391,9 +467,9 @@ func (ff *fastForward) sameStalls() bool {
 }
 
 // jumpCount returns how many periods the run may skip from here, and the
-// period. See the file comment for each bound.
-func (ff *fastForward) jumpCount() (k, p int64) {
-	ev, r := ff.ev, &ff.ref
+// period, measured from checkpoint r. See the file comment for each bound.
+func (ff *fastForward) jumpCount(r *ffState) (k, p int64) {
+	ev := ff.ev
 	p = ev.now - r.at
 	k = (ff.maxCycles - 1 - ev.now) / p
 	for i, vs := range ev.c.vus {
@@ -413,11 +489,12 @@ func (ff *fastForward) jumpCount() (k, p int64) {
 // driftRoom returns how many periods drift d may be carried on with each
 // value it takes, in the observed period and in every skipped one, clear of
 // the thresholds the engine compares it with (see the file comment). A
-// drift without room is no drift: its word just differs.
-func (ff *fastForward) driftRoom(d ffDrift) int64 {
+// drift without room is no drift: its word just differs. r is the
+// checkpoint the drift is measured from.
+func (ff *fastForward) driftRoom(r *ffState, d ffDrift) int64 {
 	if es := d.es; es != nil {
 		vus := ff.ev.cs.vus
-		pops := es.pops - ff.ref.lin[d.i]
+		pops := es.pops - r.lin[d.i]
 		occ := int64(es.occ) - d.delta // at the checkpoint
 		space := int64(es.cap-es.infl) - occ
 		return min(clearFor(occ-pops-batchBound(vus[es.e.Dst], es), d.delta),
@@ -471,9 +548,10 @@ func batchBound(vs *vuState, es *edgeState) int64 {
 	return 1
 }
 
-// jump advances the run by k periods of p cycles.
-func (ff *fastForward) jump(k, p int64) {
-	ev, cs, r := ff.ev, ff.ev.cs, &ff.ref
+// jump advances the run by k periods of p cycles measured from checkpoint
+// r.
+func (ff *fastForward) jump(r *ffState, k, p int64) {
+	ev, cs := ff.ev, ff.ev.cs
 	shift := k * p
 	i := 0
 	ff.linear(func(v int64) int64 {
@@ -487,7 +565,6 @@ func (ff *fastForward) jump(k, p int64) {
 		} else {
 			d.vs.idx[d.lvl] += int(k * d.delta)
 		}
-		r.sig[d.pos] += k * d.delta
 	}
 	// A busy channel's queue moves with the jump; where an idle one drained
 	// no longer affects any request.
@@ -534,14 +611,15 @@ func (ff *fastForward) jump(k, p int64) {
 }
 
 // sigWalk receives the relative state word by word. With keep it keeps the
-// words. With ff it compares them with the checkpoint's, ref, counting them
-// in n: a word that drifts with room is noted in drifts, any other that
+// words. With chk it compares them with that checkpoint's, ref, counting
+// them in n: a word that drifts with room is noted in drifts, any other that
 // differs sets differ and, without keep, stops the walk.
 type sigWalk struct {
 	keep   bool
 	words  []int64
 	ff     *fastForward
-	ref    []int64
+	chk    *ffState
+	ref    []int64 // chk.sig
 	n      int
 	differ bool
 	drifts []ffDrift
@@ -584,7 +662,7 @@ func (w *sigWalk) level(vs *vuState, i, l int) bool {
 	for _, c := range vs.u.Counters[l+1:] {
 		inner *= int64(c.Trip)
 	}
-	if last := len(w.drifts) - 1; d <= 0 || d*inner != vs.fired-w.ff.ref.fired[i] ||
+	if last := len(w.drifts) - 1; d <= 0 || d*inner != vs.fired-w.chk.fired[i] ||
 		last >= 0 && w.drifts[last].vs == vs {
 		return w.put(x)
 	}
@@ -595,7 +673,7 @@ func (w *sigWalk) level(vs *vuState, i, l int) bool {
 // drift if it has room, else a difference.
 func (w *sigWalk) drift(x int64, d ffDrift) bool {
 	d.pos, d.delta = w.n, x-w.ref[w.n]
-	if d.room = w.ff.driftRoom(d); d.room == 0 {
+	if d.room = w.ff.driftRoom(w.chk, d); d.room == 0 {
 		return w.put(x)
 	}
 	w.drifts = append(w.drifts, d)
