@@ -111,6 +111,7 @@ profilesmoke:
 clismoke:
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 >/dev/null
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8 -chip v1 >/dev/null
+	$(GO) run ./cmd/saratune -workload pr -scale 4 -pars 16,32 -chip v1 >/dev/null
 	$(GO) run ./cmd/sarac -workload bs -par 4 -scale 64 >/dev/null
 	! $(GO) run ./cmd/sarasim -workload bs -par 4 -scale 64 -chip nope 2>/dev/null
 	$(GO) run ./cmd/saraeval -exp table5 -csv $${TMPDIR:-/tmp}/sara_eval_csv >/dev/null

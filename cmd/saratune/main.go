@@ -1,8 +1,10 @@
 // Command saratune runs the design-space autotuner: it sweeps
 // parallelization factors, optimization flags, and arch-spec knobs for one
-// workload, prunes candidates with the analytic model, validates the
+// workload, prunes candidates that do not fit their chip or whose cycle
+// floor (sim.Floor) a validated point no larger already meets, validates the
 // survivors on the cycle engine, and prints the cycles-vs-resources Pareto
-// front with per-point bottleneck attribution.
+// front with per-point bottleneck attribution. -points prints every point's
+// floor= and cycles= beside its status.
 //
 // Usage:
 //
@@ -107,7 +109,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Print(r.RenderFront())
-	fmt.Printf("pruned fraction: %.0f%% of explored points skipped analytically; stage-cache hit rate %.0f%%; wall %dms\n",
+	fmt.Printf("pruned fraction: %.0f%% of explored points skipped without a cycle simulation; stage-cache hit rate %.0f%%; wall %dms\n",
 		100*r.Stats.PrunedFraction(), 100*r.Stats.StageHitRate, r.Stats.WallMS)
 	if best := r.BestAtBaseArch(); best != nil && r.Baseline.Cycles > 0 {
 		fmt.Printf("best seed-arch point: %s — %d cycles, %.2fx vs baseline par=%d\n",
@@ -116,8 +118,8 @@ func main() {
 	if *allPts {
 		for i := range r.Points {
 			p := &r.Points[i]
-			fmt.Printf("%3d  %-9s  %-40s  analytic=%d cycles=%d total=%d\n",
-				p.Point.ID, p.Status, p.Point.Label(), p.AnalyticCycles, p.Cycles, p.Total)
+			fmt.Printf("%3d  %-9s  %-40s  floor=%d cycles=%d total=%d\n",
+				p.Point.ID, p.Status, p.Point.Label(), p.FloorCycles, p.Cycles, p.Total)
 		}
 	}
 	if *jsonOut != "" {

@@ -103,23 +103,15 @@ func (m *Model) request(ch int, bytes int, now int64, coalesced bool) int64 {
 	if ch < 0 || ch >= len(m.ch) {
 		panic(fmt.Sprintf("dram: channel %d out of range", ch))
 	}
-	if bytes <= 0 {
-		bytes = 1
-	}
-	// Round to burst granularity: a 4-byte random access still moves a
-	// burst. Sequential streams coalesce and pay only their own bytes.
-	b := bytes
-	if !coalesced {
-		b = ((bytes + m.Spec.BurstBytes - 1) / m.Spec.BurstBytes) * m.Spec.BurstBytes
-	}
+	b := m.Charged(bytes, coalesced)
 	c := &m.ch[ch]
 	start := now * m.tpc
 	if c.busyUntil > start {
 		c.stallCycles += (c.busyUntil - start) / m.tpc
 		start = c.busyUntil
 	}
-	c.busyUntil = start + int64(b)*m.tpb
-	c.bytes += int64(b)
+	c.busyUntil = start + b*m.tpb
+	c.bytes += b
 	c.reqs++
 	end := m.ceilCycle(c.busyUntil)
 	if m.OnService != nil {
@@ -130,6 +122,27 @@ func (m *Model) request(ch int, bytes int, now int64, coalesced bool) int64 {
 		done = now + 1
 	}
 	return done
+}
+
+// Charged returns the bytes a request of the given size occupies its channel
+// for: at least one, and rounded up to burst granularity unless coalesced —
+// a 4-byte random access still moves a burst, while sequential streams
+// share bursts and pay only their own bytes.
+func (m *Model) Charged(bytes int, coalesced bool) int64 {
+	if bytes <= 0 {
+		bytes = 1
+	}
+	if !coalesced {
+		bytes = ((bytes + m.Spec.BurstBytes - 1) / m.Spec.BurstBytes) * m.Spec.BurstBytes
+	}
+	return int64(bytes)
+}
+
+// TransferCycles returns the cycles one channel needs to move the given
+// bytes at its peak bandwidth, rounded up: no queue of requests totalling
+// that many charged bytes drains sooner.
+func (m *Model) TransferCycles(bytes int64) int64 {
+	return m.ceilCycle(bytes * m.tpb)
 }
 
 // ceilCycle returns the first cycle boundary at or after tick t ≥ 0.

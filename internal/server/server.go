@@ -580,7 +580,7 @@ func (s *Server) normalize(req *RunRequest) error {
 		case req.Profile:
 			return errors.New("tune requests cannot set profile: every point already carries bottleneck attribution")
 		case req.Engine == "analytic":
-			return fmt.Errorf("tune requests cannot pick engine %q: candidates are pruned analytically and finalists validate on the event engine", req.Engine)
+			return fmt.Errorf("tune requests cannot pick engine %q: candidates are pruned on a cycle floor and finalists validate on the event engine", req.Engine)
 		}
 	}
 	return nil

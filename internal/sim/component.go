@@ -27,8 +27,8 @@ package sim
 //
 // The single loop over the whole design stays the engine's reference, and
 // runs instead when the split could be told apart from it: a run that
-// records a profile or a trace (forwarders keep recording after their
-// component completes), CycleEngineNoFastPath, and a component that deadlocks
+// records a profile (forwarders keep recording after their component
+// completes), CycleEngineNoFastPath, and a component that deadlocks
 // or reaches the cycle cap (the single loop's error names the whole design's
 // state).
 
@@ -70,7 +70,7 @@ func (cs *cycleSim) whole() *component {
 // complete, or the split could be told apart from the single loop (see the
 // file comment).
 func (cs *cycleSim) components() []*component {
-	if noFastPaths || cs.rec != nil || cs.trace != nil {
+	if cs.noFastPaths || cs.rec != nil {
 		return nil
 	}
 	// Union-find over unit IDs; a root is its set's lowest ID.

@@ -205,12 +205,20 @@ type cycleSim struct {
 	vus   []*vuState
 	edges []*edgeState
 	now   int64
+	// trace, set only by CycleWithTrace, receives every memory-port service;
+	// only the dense engine runs with it.
 	trace *Trace
 	// rec, when non-nil, receives the timeline profile: one busy interval
 	// per firing/service run and one stall interval per blocked window, by
 	// cause (see stall). Nil keeps profiling at the cost of one predictable
 	// branch per firing.
 	rec *profile.Recording
+
+	// noFastPaths turns the event engine's fast paths off — the
+	// steady-state fast-forward (fastforward.go) and the split into
+	// components (component.go) — so the guard tests can prove both exact by
+	// diffing full results with the paths on and off.
+	noFastPaths bool
 
 	// ev is the event engine running on this state, nil for the dense
 	// engine. Every element scheduled onto an edge and every pop of a
@@ -324,6 +332,44 @@ func newCycleSim(d *Design) (*cycleSim, error) {
 		}
 	}
 	return cs, nil
+}
+
+// Floor returns a lower bound on the cycles a completed cycle-level run of d
+// takes: the larger of the most firings any counter-driven unit makes and,
+// per DRAM channel, the cycles the channel needs to move the bytes its read
+// streams are charged. It reads the same setup the engines run from, so a
+// VAG's channel is the one newCycleSim binds it to.
+//
+// The firing term holds because the dense engine steps each unit once a
+// cycle and so fires it at most once a cycle, a run ends only after every
+// counter-driven unit's last firing, and the event engine reports dense's
+// cycles exactly (its batch firings stand for one firing a cycle). The read
+// term holds because a channel serves its requests one after another from
+// cycle 0, at most at peak bandwidth, and every read response lands on the
+// unit that made the access, which the run waits for. Write bytes are left
+// out: a run may end with writes still queued on their channel when nothing
+// waits for their acknowledgements (oversubscribedWriteDesign's write bytes
+// would floor it at 15 360 cycles; it completes in 13 753).
+func Floor(d *Design) (int64, error) {
+	cs, err := newCycleSim(d)
+	if err != nil {
+		return 0, err
+	}
+	var floor int64
+	read := make([]int64, cs.dram.Channels())
+	for _, vs := range cs.vus {
+		if vs == nil || !vs.isCounterDriven() {
+			continue
+		}
+		floor = max(floor, vs.total)
+		if vs.kind == dfg.VAG && vs.agIsRead {
+			read[vs.agChan] += vs.total * cs.dram.Charged(cs.agBytes(vs), !vs.agRandom)
+		}
+	}
+	for _, b := range read {
+		floor = max(floor, cs.dram.TransferCycles(b))
+	}
+	return floor, nil
 }
 
 // ringStartMax caps the in-flight ring an edge starts with. Compiled designs
@@ -760,7 +806,7 @@ func (vs *vuState) advanceCounters() {
 // latency before its response (read data or write ack) appears. Sequential
 // patterns coalesce into shared bursts; gathers pay full bursts.
 func (cs *cycleSim) agIssue(vs *vuState) int64 {
-	bytes := vs.u.Lanes * elemBytes(cs.d)
+	bytes := cs.agBytes(vs)
 	var done int64
 	if vs.agRandom {
 		done = cs.dram.Request(vs.agChan, bytes, cs.now)
@@ -768,6 +814,11 @@ func (cs *cycleSim) agIssue(vs *vuState) int64 {
 		done = cs.dram.RequestCoalesced(vs.agChan, bytes, cs.now)
 	}
 	return done - cs.now
+}
+
+// agBytes is the size of one firing's transfer of VAG vs.
+func (cs *cycleSim) agBytes(vs *vuState) int {
+	return vs.u.Lanes * elemBytes(cs.d)
 }
 
 // stepVMU serves at most one read port and one write port per cycle.

@@ -16,7 +16,7 @@ import (
 // assertEnginesMatch runs a design through both cycle engines and requires
 // bit-identical execution reports: the event engine's heaps, wake lists, and
 // batch firing must not change a single observable number relative to the
-// dense oracle.
+// dense oracle. It also holds sim.Floor to the measured cycles.
 func assertEnginesMatch(t *testing.T, d *sim.Design, maxCycles int64) {
 	t.Helper()
 	evt, err := sim.CycleEngine(d, maxCycles, sim.EngineEvent)
@@ -27,6 +27,7 @@ func assertEnginesMatch(t *testing.T, d *sim.Design, maxCycles int64) {
 	if err != nil {
 		t.Fatalf("dense engine: %v", err)
 	}
+	assertFloorHolds(t, d, den.Cycles)
 	if evt.Cycles != den.Cycles {
 		t.Errorf("Cycles: event %d, dense %d", evt.Cycles, den.Cycles)
 	}
@@ -52,6 +53,58 @@ func assertEnginesMatch(t *testing.T, d *sim.Design, maxCycles int64) {
 			t.Errorf("TopUnits[%d]: event %+v, dense %+v", i, evt.TopUnits[i], den.TopUnits[i])
 		}
 	}
+}
+
+// assertFloorHolds requires sim.Floor(d) to be at most the cycles a
+// completed run of d took: the tuner prunes on it.
+func assertFloorHolds(t *testing.T, d *sim.Design, cycles int64) {
+	t.Helper()
+	floor, err := sim.Floor(d)
+	if err != nil {
+		t.Fatalf("floor: %v", err)
+	}
+	if floor > cycles {
+		t.Errorf("floor %d cycles above the run's %d", floor, cycles)
+	}
+}
+
+// TestFloorTerms pins what each of sim.Floor's terms counts. A stream of
+// writes is floored by its firings alone: its queued bytes would floor it
+// above the cycles it takes. pr on the v1 chip's DDR3 is floored by its
+// read bytes, well above any unit's firings.
+func TestFloorTerms(t *testing.T) {
+	d := oversubscribedWriteDesign()
+	if floor, err := sim.Floor(d); err != nil || floor != 5000 {
+		t.Errorf("write stream: floor %d (%v), want its 5000 firings", floor, err)
+	}
+	w, err := workloads.ByName("pr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Spec, cfg.SkipPlace = arch.PlasticineV1(), true
+	c, err := core.Compile(w.Build(workloads.Params{Par: 32, Scale: 4}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = c.Design()
+	var firings int64
+	for _, u := range d.G.LiveVUs() {
+		firings = max(firings, u.Firings())
+	}
+	floor, err := sim.Floor(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor < 2*firings {
+		t.Errorf("pr on v1: floor %d, want its read bytes to floor it above twice its most firings (%d)", floor, firings)
+	}
+	r, err := sim.Cycle(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("pr on v1: floor %d, most firings %d, cycles %d", floor, firings, r.Cycles)
+	assertFloorHolds(t, d, r.Cycles)
 }
 
 // TestEngineEquivalenceWorkloads drains every registered benchmark through

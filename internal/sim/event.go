@@ -82,20 +82,16 @@ import (
 	"sara/internal/profile"
 )
 
-// noFastPaths turns the event engine's fast paths off — the steady-state
-// fast-forward (fastforward.go) and the split into components
-// (component.go) — so the guard tests can prove both exact by diffing full
-// results with the paths on and off.
-var noFastPaths = false
-
 // CycleEngineNoFastPath runs the event engine with the steady-state
 // fast-forward and the split into components disabled — the reference side
 // of TestStallFreeFastPath's and TestFastForwardExact's bit-identical guards.
-// Not safe to call concurrently with other engine runs.
 func CycleEngineNoFastPath(d *Design, maxCycles int64) (*Result, error) {
-	noFastPaths = true
-	defer func() { noFastPaths = false }()
-	return CycleEngine(d, maxCycles, EngineEvent)
+	cs, err := newCycleSim(d)
+	if err != nil {
+		return nil, err
+	}
+	cs.noFastPaths = true
+	return cs.runEvent(cycleCap(maxCycles))
 }
 
 type eventSim struct {
@@ -477,7 +473,7 @@ func (ev *eventSim) stepCounter(vs *vuState, id int) {
 //     cycle into an edge, so a merge-fed input disables batching outright.
 func (ev *eventSim) batchSize(vs *vuState) int64 {
 	cs := ev.cs
-	if !vs.batches() || cs.trace != nil {
+	if !vs.batches() {
 		return 1
 	}
 	k := vs.total - vs.fired

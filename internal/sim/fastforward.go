@@ -135,8 +135,8 @@ package sim
 // pipelines fill, the engine does almost no work per firing, and the stride
 // would otherwise race ahead of any period.
 // Each component run has its own detector, so its captures walk only the
-// component. Runs that record a profile or a trace and the dense engine
-// never fast-forward; CycleEngineNoFastPath turns it off (and with it the
+// component. Runs that record a profile and the dense engine, which alone
+// records traces, never fast-forward; CycleEngineNoFastPath turns it off (and with it the
 // split into components) for the equivalence guard.
 
 import (
@@ -215,7 +215,7 @@ var ffCheck func(ff *fastForward, c *ffState, drifts []ffDrift, same bool)
 // must not fast-forward.
 func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	cs := ev.cs
-	if noFastPaths || cs.rec != nil || cs.trace != nil {
+	if cs.noFastPaths || cs.rec != nil {
 		return nil
 	}
 	ff := ffPool.Get().(*fastForward)

@@ -17,8 +17,9 @@ import (
 
 // assertFastForwardExact runs d on the event engine with and without the
 // steady-state fast-forward and requires a reflect.DeepEqual Result or a
-// byte-identical error. It returns the fast-forward run's Span (Spanned 0
-// when the run failed) and its error.
+// byte-identical error, and a completed run no shorter than sim.Floor. It
+// returns the fast-forward run's Span (Spanned 0 when the run failed) and its
+// error.
 func assertFastForwardExact(t *testing.T, d *sim.Design, maxCycles int64) (sim.Span, error) {
 	t.Helper()
 	fast, span, err := sim.CycleEventSpan(d, maxCycles)
@@ -31,6 +32,8 @@ func assertFastForwardExact(t *testing.T, d *sim.Design, maxCycles int64) (sim.S
 		span.Spanned = 0
 	case !reflect.DeepEqual(fast, slow):
 		t.Errorf("Results differ:\n fast-forward: %+v\n reference:    %+v", fast, slow)
+	default:
+		assertFloorHolds(t, d, slow.Cycles)
 	}
 	return span, err
 }

@@ -41,7 +41,7 @@ func (r *Result) StripTimings() *Result {
 var CSVHeader = []string{
 	"id", "status", "par", "opts",
 	"num_pcu", "num_pmu", "num_ag", "dram_channels", "rows", "cols", "stream_depth",
-	"analytic_cycles", "cycles", "pcu", "pmu", "ag", "total",
+	"floor_cycles", "cycles", "pcu", "pmu", "ag", "total",
 	"bottleneck", "bottleneck_cause", "stall_cycles",
 	"pareto", "pruned_by", "shared_with", "err",
 }
@@ -59,7 +59,7 @@ func (r *Result) WriteCSV(w io.Writer) error {
 			strconv.Itoa(p.Point.NumPCU), strconv.Itoa(p.Point.NumPMU), strconv.Itoa(p.Point.NumAG),
 			strconv.Itoa(p.Point.DRAMChannels), strconv.Itoa(p.Point.Rows), strconv.Itoa(p.Point.Cols),
 			strconv.Itoa(p.Point.StreamDepth),
-			strconv.FormatInt(p.AnalyticCycles, 10), strconv.FormatInt(p.Cycles, 10),
+			strconv.FormatInt(p.FloorCycles, 10), strconv.FormatInt(p.Cycles, 10),
 			strconv.Itoa(p.PCU), strconv.Itoa(p.PMU), strconv.Itoa(p.AG), strconv.Itoa(p.Total),
 			p.Bottleneck, p.BottleneckCause, strconv.FormatInt(p.StallCycles, 10),
 			strconv.FormatBool(p.Pareto), strconv.Itoa(p.PrunedBy), strconv.Itoa(p.SharedWith),
@@ -88,7 +88,7 @@ func (r *Result) RenderFront() string {
 		r.Stats.Explored, r.Stats.PrunedDominated, r.Stats.Unfit, r.Stats.Validated,
 		r.Stats.Errors, r.Stats.CycleSims, r.Stats.SharedSims, r.Stats.Rounds)
 	fmt.Fprintf(&sb, "baseline: par=%d total=%d cycles=%d\n", r.Baseline.Par, r.Baseline.Total, r.Baseline.Cycles)
-	fmt.Fprintf(&sb, "%-4s  %-40s  %8s  %12s  %12s  %-24s\n", "id", "point", "total", "analytic", "cycles", "bottleneck")
+	fmt.Fprintf(&sb, "%-4s  %-40s  %8s  %12s  %12s  %-24s\n", "id", "point", "total", "floor", "cycles", "bottleneck")
 	for _, id := range r.Front {
 		p := &r.Points[id]
 		bn := p.Bottleneck
@@ -98,7 +98,7 @@ func (r *Result) RenderFront() string {
 			bn = fmt.Sprintf("%s (%s)", p.Bottleneck, p.BottleneckCause)
 		}
 		fmt.Fprintf(&sb, "%-4d  %-40s  %8d  %12d  %12d  %-24s\n",
-			id, p.Point.Label(), p.Total, p.AnalyticCycles, p.Cycles, bn)
+			id, p.Point.Label(), p.Total, p.FloorCycles, p.Cycles, bn)
 	}
 	return sb.String()
 }

@@ -21,31 +21,30 @@ func sampleResult() *Result {
 		Workload: "rf",
 		Scale:    32,
 		Arch:     "plasticine-20x20-hbm2",
-		Slack:    0.65,
 		Points: []PointResult{
 			{
 				Point:  Point{ID: 0, Par: 16, Opt: all},
-				Status: StatusValidated, AnalyticCycles: 319542, Cycles: 803057,
+				Status: StatusValidated, FloorCycles: 319542, Cycles: 803057,
 				PCU: 9, PMU: 14, AG: 5, Total: 28,
 				Bottleneck: "tree.W0.acc", BottleneckCause: "dram", StallCycles: 512000,
 				AtBaseArch: true, Pareto: true, PrunedBy: -1, SharedWith: -1,
 			},
 			{
 				Point:  Point{ID: 1, Par: 16, Opt: none},
-				Status: StatusValidated, AnalyticCycles: 319542, Cycles: 803057,
+				Status: StatusValidated, FloorCycles: 319542, Cycles: 803057,
 				PCU: 9, PMU: 14, AG: 5, Total: 28,
 				Bottleneck: "tree.W0.acc", BottleneckCause: "dram", StallCycles: 512000,
 				AtBaseArch: true, PrunedBy: -1, SharedWith: 0,
 			},
 			{
 				Point:  Point{ID: 2, Par: 8, Opt: all, DRAMChannels: 8},
-				Status: StatusPruned, AnalyticCycles: 1278168,
+				Status: StatusPruned, FloorCycles: 1278168,
 				PCU: 5, PMU: 8, AG: 3, Total: 16,
 				PrunedBy: 0, SharedWith: -1,
 			},
 			{
 				Point:  Point{ID: 3, Par: 256, Opt: all},
-				Status: StatusUnfit, AnalyticCycles: 19971,
+				Status: StatusUnfit, FloorCycles: 19971,
 				PCU: 144, PMU: 224, AG: 80, Total: 448,
 				AtBaseArch: true, PrunedBy: -1, SharedWith: -1,
 			},

@@ -3,11 +3,12 @@
 // candidate configurations (parallelization factors × optimization flags ×
 // arch-spec knobs); every candidate is compiled through the incremental
 // design store (par sweeps reuse the CMMC plan, arch sweeps reuse everything
-// up to place) and costed with sim.Analytic's steady-state bottleneck model;
-// candidates the analytic model proves dominated or unfittable are pruned;
-// the survivors are validated with the cycle-accurate event engine in
-// Pareto-front order; and the result is a cycles-vs-resources front with
-// per-point stall attribution from internal/profile.
+// up to place) and costed with sim.Floor, a lower bound on its cycles that
+// holds by construction; candidates the floor proves dominated, and those
+// that do not fit their chip, are pruned; the survivors are validated with
+// the cycle-accurate event engine in floor-Pareto order; and the result is a
+// cycles-vs-resources front with per-point stall attribution from
+// internal/profile.
 //
 // The search is deterministic: candidates fan across an index-addressed
 // worker pool, every selection decision runs sequentially over ID-ordered
@@ -16,14 +17,12 @@
 // compiles are served locally, from the store, or through a sarad cluster.
 //
 // Pruning contract: a candidate p is pruned only when some already-validated
-// point v uses no more resources and satisfies v.Cycles ≤ Analytic(p)/Slack,
-// where Slack is the documented per-workload ceiling on the analytic/event
-// cycle ratio (MaxAnalyticRatio, pinned by TestAnalyticRatioCeilings in
-// internal/sim). Since Analytic(p) ≤ Slack·Event(p) on the workload, the
-// pruned point's true cycle count is at least v's — it could at best tie the
-// front, never extend it. Every validated point re-checks the ceiling at
-// runtime and the search fails loudly on a violation rather than risk an
-// unsound front.
+// point v uses no more resources and satisfies v.Cycles ≤ Floor(p). The
+// floor is at most p's true cycle count on every design — the most firings
+// of any one unit, or a DRAM channel's read bytes at peak bandwidth (sim.Floor
+// says why each holds) — so the pruned point is no faster than v: it could
+// at best tie the front, never extend it. The engines' equivalence suites
+// assert Floor ≤ cycles on every design they run.
 package tune
 
 import (
@@ -42,42 +41,6 @@ import (
 	"sara/internal/sweep"
 	"sara/internal/workloads"
 )
-
-// analyticRatioCeiling documents, per workload, the largest analytic/event
-// cycle ratio observed across the tuner's knob domain (pars, opt sets, DRAM
-// channels, stream depths) with safety margin. The soundness suite in
-// internal/sim/analytic_bound_test.go measures the ratio across a
-// representative table and fails if any workload exceeds its ceiling — that
-// test is the contract the pruning rule relies on.
-var analyticRatioCeiling = map[string]float64{
-	"bs":     1.10, // max measured 0.881 (opts=none: event speeds up, analytic doesn't)
-	"gda":    2.20, // max measured 1.818 at par32
-	"kmeans": 1.25, // max measured 1.000
-	"logreg": 0.40, // max measured 0.306 — model undershoots several-fold
-	"lstm":   2.10, // max measured 1.740 — known EXPERIMENTS.md limitation
-	"mlp":    1.20, // max measured 0.967
-	"ms":     1.15, // max measured 0.917
-	"pr":     0.30, // max measured 0.228 — strongest pruning floor
-	"rf":     0.65, // max measured 0.524
-	"sgd":    0.40, // max measured 0.306
-	"snet":   1.30, // max measured 1.038 (par4 only; higher pars fail compile)
-	"sort":   4.60, // max measured 3.849 — channel cuts overestimated, weak pruning
-}
-
-// DefaultRatioCeiling is the conservative fallback for workloads without a
-// measured entry: weak pruning, but sound as long as the model stays within
-// the worst measured workload's band.
-const DefaultRatioCeiling = 5.0
-
-// MaxAnalyticRatio returns the documented ceiling on analytic/event cycles
-// for a workload. The tuner divides analytic estimates by this ratio to get
-// a sound lower bound on true cycles.
-func MaxAnalyticRatio(workload string) float64 {
-	if r, ok := analyticRatioCeiling[workload]; ok {
-		return r
-	}
-	return DefaultRatioCeiling
-}
 
 // CompileFunc compiles one candidate. The default wires core.Compile through
 // the search's design store; sarad substitutes its cluster compile path
@@ -122,7 +85,8 @@ const (
 	// StatusValidated means the cycle engine measured the point (directly or
 	// via an identical design).
 	StatusValidated Status = "validated"
-	// StatusPruned means the analytic model proved the point dominated.
+	// StatusPruned means a validated point no larger is no slower than the
+	// point's cycle floor: the point is dominated.
 	StatusPruned Status = "pruned"
 	// StatusUnfit means the compiled design needs more units than the
 	// point's chip provides.
@@ -137,8 +101,8 @@ type PointResult struct {
 	Status Status `json:"status"`
 	Err    string `json:"err,omitempty"`
 
-	// AnalyticCycles is the steady-state model's estimate.
-	AnalyticCycles int64 `json:"analytic_cycles,omitempty"`
+	// FloorCycles is sim.Floor's lower bound on the point's cycles.
+	FloorCycles int64 `json:"floor_cycles,omitempty"`
 	// Cycles is the event engine's measurement (validated points only).
 	Cycles int64 `json:"cycles,omitempty"`
 
@@ -196,8 +160,8 @@ type Stats struct {
 	WallMS       int64   `json:"wall_ms"`
 }
 
-// PrunedFraction is the share of explored points the analytic layer
-// discarded without a cycle simulation — dominance-pruned plus unfittable.
+// PrunedFraction is the share of explored points discarded without a cycle
+// simulation — dominance-pruned plus unfittable.
 func (s *Stats) PrunedFraction() float64 {
 	if s.Explored == 0 {
 		return 0
@@ -207,10 +171,9 @@ func (s *Stats) PrunedFraction() float64 {
 
 // Result is a completed search.
 type Result struct {
-	Workload string  `json:"workload"`
-	Scale    int     `json:"scale"`
-	Arch     string  `json:"arch"`
-	Slack    float64 `json:"slack"`
+	Workload string `json:"workload"`
+	Scale    int    `json:"scale"`
+	Arch     string `json:"arch"`
 
 	// Points holds every candidate in ID (enumeration) order.
 	Points []PointResult `json:"points"`
@@ -308,7 +271,6 @@ func Run(o Options) (*Result, error) {
 		Workload: o.Workload,
 		Scale:    o.Scale,
 		Arch:     baseSpec.Name,
-		Slack:    MaxAnalyticRatio(o.Workload),
 		Points:   make([]PointResult, len(pts)),
 	}
 	stats0 := stageTraffic(o.Store)
@@ -339,12 +301,12 @@ func Run(o Options) (*Result, error) {
 		c.compiled = compiled
 		r := compiled.Resources()
 		c.res.PCU, c.res.PMU, c.res.AG, c.res.Total = r.PCU, r.PMU, r.AG, r.Total
-		a, err := sim.Analytic(compiled.Design())
+		floor, err := sim.Floor(compiled.Design())
 		if err != nil {
 			c.res.Status, c.res.Err = StatusError, err.Error()
 			return nil
 		}
-		c.res.AnalyticCycles = a.Cycles
+		c.res.FloorCycles = floor
 		if !r.Fits(spec) {
 			c.res.Status = StatusUnfit
 			return nil
@@ -385,9 +347,6 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	res.Baseline = base.asBaseline()
-	if err := checkCeiling(o.Workload, res.Slack, "baseline", base.analytic, base.cycles); err != nil {
-		return nil, err
-	}
 
 	// Validated set, in insertion order with the baseline first. Pruning
 	// scans it in order, so PrunedBy attribution is deterministic.
@@ -406,21 +365,18 @@ func Run(o Options) (*Result, error) {
 	}
 
 	// Prune/validate rounds. Each round first prunes every pending leader
-	// the validated set dominates under the slack floor, then validates the
-	// analytic-Pareto front of the remainder in parallel. The minimum-
-	// analytic survivor is always on that front, so every round retires at
-	// least one leader and the loop terminates.
+	// the validated set dominates on its cycle floor, then validates the
+	// floor-Pareto front of the remainder in parallel. The minimum-floor
+	// survivor is always on that front, so every round retires at least one
+	// leader and the loop terminates.
 	for {
 		var pendingLeaders []int
 		for i := range cands {
 			c := &cands[i]
 			if c.pending && c.leader == i {
-				// Sound floor on true cycles: Analytic ≤ Slack·Event on this
-				// workload (the documented ceiling), so Event ≥ Analytic/Slack.
-				floor := float64(c.res.AnalyticCycles) / res.Slack
 				pruned := false
 				for _, v := range vset {
-					if v.total <= c.res.Total && float64(v.cycles) <= floor {
+					if v.total <= c.res.Total && v.cycles <= c.res.FloorCycles {
 						prune(cands, i, v.id)
 						pruned = true
 						break
@@ -435,7 +391,7 @@ func Run(o Options) (*Result, error) {
 			break
 		}
 		res.Stats.Rounds++
-		wave := analyticFront(cands, pendingLeaders)
+		wave := floorFront(cands, pendingLeaders)
 		simErr := sweep.ForEachIndexed(len(wave), o.Workers, func(wi int) error {
 			i := wave[wi]
 			c := &cands[i]
@@ -452,17 +408,14 @@ func Run(o Options) (*Result, error) {
 		if simErr != nil {
 			return nil, simErr
 		}
-		// Sequential post-wave bookkeeping: contract guard, then extend the
-		// validated set in wave order.
+		// Sequential post-wave bookkeeping: extend the validated set in wave
+		// order.
 		for _, i := range wave {
 			c := &cands[i]
 			if c.res.Status == StatusError {
 				continue
 			}
 			res.Stats.CycleSims++
-			if err := checkCeiling(o.Workload, res.Slack, c.res.Point.Label(), c.res.AnalyticCycles, c.res.Cycles); err != nil {
-				return nil, err
-			}
 			vset = append(vset, validated{id: i, cycles: c.res.Cycles, total: c.res.Total})
 		}
 	}
@@ -541,37 +494,27 @@ func attribution(rec *profile.Recording) (name, cause string, stalls int64) {
 	return top[0].Name, c.String(), top[0].StallTotal()
 }
 
-// checkCeiling enforces the pruning contract on a validated measurement:
-// analytic must not exceed ceiling × cycles.
-func checkCeiling(workload string, ceiling float64, label string, analytic, cycles int64) error {
-	if cycles > 0 && float64(analytic) > ceiling*float64(cycles) {
-		return fmt.Errorf("tune: analytic model exceeded its documented ceiling on %s %s: analytic %d > %.3g x event %d — the pruning floor would be unsound; remeasure the %s entry in analyticRatioCeiling and TestAnalyticRatioCeilings (internal/sim)",
-			workload, label, analytic, ceiling, cycles, workload)
-	}
-	return nil
-}
-
-// analyticFront selects the validation wave: the (total, analytic) Pareto
-// front of the pending leaders, lowest ID winning coordinate ties.
-func analyticFront(cands []candidate, ids []int) []int {
+// floorFront selects the validation wave: the (total, floor) Pareto front of
+// the pending leaders, lowest ID winning coordinate ties.
+func floorFront(cands []candidate, ids []int) []int {
 	sorted := append([]int(nil), ids...)
 	sort.Slice(sorted, func(a, b int) bool {
 		ca, cb := cands[sorted[a]].res, cands[sorted[b]].res
 		if ca.Total != cb.Total {
 			return ca.Total < cb.Total
 		}
-		if ca.AnalyticCycles != cb.AnalyticCycles {
-			return ca.AnalyticCycles < cb.AnalyticCycles
+		if ca.FloorCycles != cb.FloorCycles {
+			return ca.FloorCycles < cb.FloorCycles
 		}
 		return sorted[a] < sorted[b]
 	})
 	var wave []int
 	best := int64(-1)
 	for _, i := range sorted {
-		a := cands[i].res.AnalyticCycles
-		if best < 0 || a < best {
+		f := cands[i].res.FloorCycles
+		if best < 0 || f < best {
 			wave = append(wave, i)
-			best = a
+			best = f
 		}
 	}
 	sort.Ints(wave)
@@ -646,7 +589,6 @@ type baselineRun struct {
 	requested  int
 	par        int
 	cycles     int64
-	analytic   int64
 	total      int
 	key        string
 	bottleneck string
@@ -666,18 +608,15 @@ func runBaseline(o Options, spec *arch.Spec, w *workloads.Workload, compile Comp
 		cfg := core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
 		return compile(p, w.Build(workloads.Params{Par: par, Scale: o.Scale}), cfg)
 	})
-	var a, sr *sim.Result
+	var sr *sim.Result
 	var rec *profile.Recording
-	if err == nil {
-		a, err = sim.Analytic(c.Design())
-	}
 	if err == nil {
 		sr, rec, err = sim.CycleProfiled(c.Design(), 0, sim.EngineEvent)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tune: baseline %s par %d: %w", o.Workload, par, err)
 	}
-	b := &baselineRun{requested: o.BaselinePar, par: par, cycles: sr.Cycles, analytic: a.Cycles,
+	b := &baselineRun{requested: o.BaselinePar, par: par, cycles: sr.Cycles,
 		total: c.Resources().Total, key: designKey(c)}
 	b.bottleneck, b.cause, b.stalls = attribution(rec)
 	return b, nil

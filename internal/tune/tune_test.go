@@ -59,105 +59,106 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesBruteForce verifies the pruning rule end to end: exhaustive
-// cycle-engine validation of every candidate must find the same best cycle
-// count the pruned search reports, and every pruned point's true cycles must
-// be no better than the point that pruned it.
+// TestSearchMatchesBruteForce verifies the pruning rule end to end:
+// exhaustive cycle-engine validation of every candidate must find the same
+// best cycle count the pruned search reports, every point's floor must be
+// at most its true cycles, and every pruned point's true cycles must be no
+// better than the point that pruned it.
+//
+// Besides the small ms space, which exercises dominance pruning and
+// design-identity sharing, it searches on the paper's v1 chip and on a
+// 4-channel chip, where the analytic model's ratio to the event engine falls
+// far from the 20×20 chip's.
 func TestSearchMatchesBruteForce(t *testing.T) {
-	o := testOptions()
-	r := runOrFatal(t, o)
-	if r.Stats.PrunedDominated == 0 {
-		t.Fatal("test space should exercise dominance pruning")
+	v1 := func(w string) Options {
+		return Options{Workload: w, Scale: 4, Space: Space{Pars: []int{16, 32}}, Base: arch.SpecJSON{Preset: "v1"}}
 	}
-	if r.Stats.SharedSims == 0 {
-		t.Fatal("test space should exercise design-identity sharing")
-	}
-	w, err := workloads.ByName(o.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := o.Space.points(w.DefaultPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Brute-force ground truth.
-	truth := make(map[int]int64, len(pts))
-	for _, p := range pts {
-		spec, err := p.Spec(arch.SpecJSON{})
-		if err != nil {
-			t.Fatalf("point %d: %v", p.ID, err)
-		}
-		c, err := core.Compile(w.Build(workloads.Params{Par: p.Par, Scale: o.Scale}),
-			core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true})
-		if err != nil {
-			continue
-		}
-		res := c.Resources()
-		if res.PCU > spec.NumPCU || res.PMU > spec.NumPMU || res.AG > spec.NumAG {
-			continue
-		}
-		sr, err := sim.CycleEngine(c.Design(), 50_000_000, sim.EngineEvent)
-		if err != nil {
-			continue
-		}
-		truth[p.ID] = sr.Cycles
-	}
-	best := r.Best()
-	if best == nil {
-		t.Fatal("search validated nothing")
-	}
-	var bruteBest int64 = -1
-	for _, cy := range truth {
-		if bruteBest < 0 || cy < bruteBest {
-			bruteBest = cy
-		}
-	}
-	if best.Cycles != bruteBest {
-		t.Errorf("search best %d cycles, brute force found %d — pruning discarded the optimum", best.Cycles, bruteBest)
-	}
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Status == StatusValidated {
-			if cy, ok := truth[p.Point.ID]; !ok || cy != p.Cycles {
-				t.Errorf("point %d: search cycles %d, brute force %d", p.Point.ID, p.Cycles, cy)
+	ch4 := Options{Workload: "pr", Scale: 4, Space: Space{Pars: []int{16, 32}}, Base: arch.SpecJSON{DRAMChannels: 4}}
+	for _, tc := range []struct {
+		name                 string
+		o                    Options
+		wantPrune, wantShare bool
+	}{
+		{"ms", testOptions(), true, true},
+		{"pr-v1", v1("pr"), false, false},
+		{"rf-v1", v1("rf"), false, false},
+		{"mlp-v1", v1("mlp"), false, false},
+		{"pr-ch4", ch4, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.o
+			r := runOrFatal(t, o)
+			if tc.wantPrune && r.Stats.PrunedDominated == 0 {
+				t.Fatal("test space should exercise dominance pruning")
 			}
-		}
-		if p.Status != StatusPruned {
-			continue
-		}
-		cy, ok := truth[p.Point.ID]
-		if !ok {
-			continue
-		}
-		var prunerCycles int64
-		var prunerTotal int
-		if p.PrunedBy == -2 {
-			prunerCycles, prunerTotal = r.Baseline.Cycles, r.Baseline.Total
-		} else {
-			pruner := &r.Points[p.PrunedBy]
-			prunerCycles, prunerTotal = pruner.Cycles, pruner.Total
-		}
-		if prunerTotal > p.Total || prunerCycles > cy {
-			t.Errorf("point %d (%s) pruned unsoundly: true cycles %d, pruner has total=%d cycles=%d (point total=%d)",
-				p.Point.ID, p.Point.Label(), cy, prunerTotal, prunerCycles, p.Total)
-		}
-	}
-}
-
-// TestCeilingGuardFailsLoudly: a validated measurement whose analytic
-// estimate exceeds the documented ceiling must abort the search with an
-// actionable error instead of producing a silently wrong front; one exactly
-// at the ceiling passes.
-func TestCeilingGuardFailsLoudly(t *testing.T) {
-	const cycles = 1000
-	ceiling := MaxAnalyticRatio("rf")
-	at := int64(ceiling * cycles)
-	if err := checkCeiling("rf", ceiling, "p", at, cycles); err != nil {
-		t.Errorf("analytic exactly at the ceiling: %v", err)
-	}
-	err := checkCeiling("rf", ceiling, "p", at+1, cycles)
-	if err == nil || !strings.Contains(err.Error(), "ceiling") {
-		t.Fatalf("one unit past the ceiling should trip the guard, got err=%v", err)
+			if tc.wantShare && r.Stats.SharedSims == 0 {
+				t.Fatal("test space should exercise design-identity sharing")
+			}
+			w, err := workloads.ByName(o.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := o.Space.points(w.DefaultPar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Brute-force ground truth.
+			truth := make(map[int]int64, len(pts))
+			for _, p := range pts {
+				spec, err := p.Spec(o.Base)
+				if err != nil {
+					t.Fatalf("point %d: %v", p.ID, err)
+				}
+				c, err := core.Compile(w.Build(workloads.Params{Par: p.Par, Scale: o.Scale}),
+					core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true})
+				if err != nil || !c.Resources().Fits(spec) {
+					continue
+				}
+				sr, err := sim.CycleEngine(c.Design(), 50_000_000, sim.EngineEvent)
+				if err != nil {
+					continue
+				}
+				truth[p.ID] = sr.Cycles
+			}
+			best := r.Best()
+			if best == nil {
+				t.Fatal("search validated nothing")
+			}
+			var bruteBest int64 = -1
+			for _, cy := range truth {
+				if bruteBest < 0 || cy < bruteBest {
+					bruteBest = cy
+				}
+			}
+			if best.Cycles != bruteBest {
+				t.Errorf("search best %d cycles, brute force found %d — pruning discarded the optimum", best.Cycles, bruteBest)
+			}
+			for i := range r.Points {
+				p := &r.Points[i]
+				cy, ok := truth[p.Point.ID]
+				if ok && p.FloorCycles > cy {
+					t.Errorf("point %d (%s): floor %d above true cycles %d", p.Point.ID, p.Point.Label(), p.FloorCycles, cy)
+				}
+				if p.Status == StatusValidated && (!ok || cy != p.Cycles) {
+					t.Errorf("point %d: search cycles %d, brute force %d", p.Point.ID, p.Cycles, cy)
+				}
+				if p.Status != StatusPruned || !ok {
+					continue
+				}
+				var prunerCycles int64
+				var prunerTotal int
+				if p.PrunedBy == -2 {
+					prunerCycles, prunerTotal = r.Baseline.Cycles, r.Baseline.Total
+				} else {
+					pruner := &r.Points[p.PrunedBy]
+					prunerCycles, prunerTotal = pruner.Cycles, pruner.Total
+				}
+				if prunerTotal > p.Total || prunerCycles > cy {
+					t.Errorf("point %d (%s) pruned unsoundly: true cycles %d, pruner has total=%d cycles=%d (point total=%d)",
+						p.Point.ID, p.Point.Label(), cy, prunerTotal, prunerCycles, p.Total)
+				}
+			}
+		})
 	}
 }
 
@@ -223,51 +224,53 @@ func TestBestAtBaseArchBeatsBaseline(t *testing.T) {
 	}
 }
 
-// headlineSearches are the two searches that demonstrate the tuner's two
-// pruning modes. rf is a chip-sizing sweep where most of the space is
-// analytically unfittable (small chips cannot hold high-par designs) and
-// design-identity dedupe collapses the survivors onto a few cycle
-// simulations; ms is DRAM-bound, so the analytic roofline proves most
-// channel-cut and opt-ablated points dominated before they reach the cycle
-// engine. saratune runs the same spaces:
+// TestHeadlineSearchesPruneMostOfTheirSpace holds the tuner's headline
+// claims on the searches that show its two pruning modes: more than half of
+// each space is discarded without a cycle simulation, and the best seed-arch
+// point is no slower than the hand-picked baseline. rf is a chip-sizing
+// sweep where 52 of 100 points do not fit (small chips cannot hold high-par
+// designs) and design-identity dedupe collapses the other 48 onto 4 cycle
+// simulations. ms is DRAM-bound: 18 of 42 points are channel-cut or
+// opt-ablated designs whose cycle floor a validated point already meets, 6
+// do not fit, and 9 simulations cover the rest. saratune runs the same
+// spaces:
 //
 //	saratune -workload rf -scale 32 -pars 16,32,64,128,256 -pcu 12,24,48,96,200 -pmu 32,200 -ag 8,20
 //	saratune -workload ms -scale 16 -pars 4,8,16,32,64,96,192 -opts all,none -channels 4,8,16
-func headlineSearches() []Options {
-	return []Options{
+func TestHeadlineSearchesPruneMostOfTheirSpace(t *testing.T) {
+	for _, tc := range []struct {
+		o                      Options
+		dominated, unfit, sims int
+	}{
 		{
-			Workload: "rf", Scale: 32,
-			Space: Space{
+			o: Options{Workload: "rf", Scale: 32, Space: Space{
 				Pars:   []int{16, 32, 64, 128, 256},
 				NumPCU: []int{12, 24, 48, 96, 200},
 				NumPMU: []int{32, 200},
 				NumAG:  []int{8, 20},
-			},
+			}},
+			dominated: 0, unfit: 52, sims: 4,
 		},
 		{
-			Workload: "ms", Scale: 16,
-			Space: Space{
+			o: Options{Workload: "ms", Scale: 16, Space: Space{
 				Pars:         []int{4, 8, 16, 32, 64, 96, 192},
 				Opts:         []OptSet{NamedOptSets[0], NamedOptSets[len(NamedOptSets)-1]},
 				DRAMChannels: []int{4, 8, 16},
-			},
+			}},
+			dominated: 18, unfit: 6, sims: 9,
 		},
-	}
-}
-
-// TestHeadlineSearchesPruneMostOfTheirSpace holds the tuner's headline
-// claims on both searches: more than half of each space is discarded
-// without a cycle simulation, and the best seed-arch point is no slower than
-// the hand-picked baseline.
-func TestHeadlineSearchesPruneMostOfTheirSpace(t *testing.T) {
-	for _, o := range headlineSearches() {
-		r := runOrFatal(t, o)
+	} {
+		r := runOrFatal(t, tc.o)
 		s := r.Stats
 		t.Logf("%s scale %d: explored %d, pruned %d dominated + %d unfit (%.0f%%), validated %d, %d cycle sims (+%d shared)",
 			r.Workload, r.Scale, s.Explored, s.PrunedDominated, s.Unfit, 100*s.PrunedFraction(),
 			s.Validated, s.CycleSims, s.SharedSims)
+		if s.PrunedDominated != tc.dominated || s.Unfit != tc.unfit || s.CycleSims != tc.sims {
+			t.Errorf("%s: %d dominated, %d unfit, %d cycle sims; want %d, %d, %d",
+				r.Workload, s.PrunedDominated, s.Unfit, s.CycleSims, tc.dominated, tc.unfit, tc.sims)
+		}
 		if f := s.PrunedFraction(); f <= 0.5 {
-			t.Errorf("%s: pruned fraction %.0f%%, want more than half of the space skipped analytically", r.Workload, 100*f)
+			t.Errorf("%s: pruned fraction %.0f%%, want more than half of the space skipped without a cycle simulation", r.Workload, 100*f)
 		}
 		best := r.BestAtBaseArch()
 		if best == nil {
