@@ -7,8 +7,8 @@ import (
 
 	"sara/internal/arch"
 	"sara/internal/core"
-	"sara/internal/opt"
 	"sara/internal/sweep"
+	"sara/internal/tune"
 	"sara/internal/workloads"
 )
 
@@ -130,22 +130,24 @@ type TradeoffPoint struct {
 	Pareto bool
 }
 
-// optSets are the optimization configurations of the tradeoff study.
-var optSets = []struct {
-	name string
-	opt  opt.Options
-}{
-	{"none", opt.Options{Retime: true}}, // retiming stays: unbuffered graphs just stall
-	{"msr+rtelm", opt.Options{MSR: true, RtElm: true, Retime: true}},
-	{"all-retimeM", opt.Options{MSR: true, RtElm: true, Retime: true, XbarElm: true}},
-	{"all", opt.All()},
-}
+// fig9bOptSets are the tuner's optimization sets (tune.NamedOptSets) the
+// tradeoff study sweeps. The first is the baseline each workload's Perf is
+// normalised to.
+var fig9bOptSets = []string{"none", "msr+rtelm", "no-retime-mem", "all"}
 
 // Fig9b explores the par × optimization design space and marks the Pareto
 // frontier.
 func Fig9b(names []string, pars []int, spec *arch.Spec) ([]TradeoffPoint, string, error) {
 	if len(pars) == 0 {
 		pars = []int{16, 32, 64, 128, 256}
+	}
+	sets := make([]tune.OptSet, len(fig9bOptSets))
+	for i, name := range fig9bOptSets {
+		s, err := tune.OptSetByName(name)
+		if err != nil {
+			return nil, "", err
+		}
+		sets[i] = s
 	}
 	ws := make([]*workloads.Workload, len(names))
 	for i, name := range names {
@@ -157,16 +159,16 @@ func Fig9b(names []string, pars []int, spec *arch.Spec) ([]TradeoffPoint, string
 	}
 	// Fan the (workload, par, optSet) grid across the worker pool, then
 	// normalize per workload against its first point sequentially.
-	perW := len(pars) * len(optSets)
+	perW := len(pars) * len(sets)
 	pts := make([]TradeoffPoint, len(names)*perW)
 	err := sweep.ForEachIndexed(len(pts), 0, func(i int) error {
 		w := ws[i/perW]
-		par := pars[(i%perW)/len(optSets)]
-		os := optSets[i%len(optSets)]
+		par := pars[(i%perW)/len(sets)]
+		os := sets[i%len(sets)]
 		cfg := core.DefaultConfig()
 		cfg.Spec = spec
 		cfg.SkipPlace = true
-		cfg.Opt = os.opt
+		cfg.Opt = os.Opts
 		c, _, _, err := compileFit(w, par, spec, cfg)
 		if err != nil {
 			return err
@@ -176,7 +178,7 @@ func Fig9b(names []string, pars []int, spec *arch.Spec) ([]TradeoffPoint, string
 			return err
 		}
 		pts[i] = TradeoffPoint{
-			Workload: w.Name, Par: par, OptSet: os.name,
+			Workload: w.Name, Par: par, OptSet: os.Name,
 			Cycles: r.Cycles, PUs: c.Resources().Total,
 		}
 		return nil

@@ -192,7 +192,7 @@ func twoStreamDesign(channels int) *sim.Design {
 	for i, trip := range []int{300, 500} {
 		ag := g.AddVU(dfg.VAG, "ag"+itoa(i))
 		ag.Lanes = 16
-		ag.Acc = -1
+		ag.Acc = dramStream(g, ir.Read, "ag"+itoa(i))
 		ag.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(1 + 2*i), Trip: trip}}
 		c := g.AddVU(dfg.VCUCompute, "c"+itoa(i))
 		c.Counters = []dfg.Counter{{Ctrl: ir.CtrlID(2 + 2*i), Trip: trip}}

@@ -232,11 +232,12 @@ type cycleSim struct {
 	nCompute   int64
 	// skipped counts the cycles the event engine's fast-forward advanced
 	// arithmetically (fastforward.go), jumps its jumps, drifts the jumps
-	// that moved a drifting word and walked the state words its captures
-	// walked; spanned counts the cycles the engine's runs covered and work
-	// their deliveries and unit visits, summed over components
-	// (component.go). Tests read them to see that it fired and what it saved.
-	skipped, spanned, jumps, drifts, work, walked int64
+	// that moved a drifting word, compared its captures compared with a
+	// checkpoint and walked the state words its captures walked; spanned
+	// counts the cycles the engine's runs covered and work their
+	// deliveries and unit visits, summed over components (component.go).
+	// Tests read them to see that it fired and what it saved.
+	skipped, spanned, jumps, drifts, work, compared, walked int64
 }
 
 // schedule is the single scheduling point for stream traffic: one element

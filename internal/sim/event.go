@@ -62,11 +62,11 @@ package sim
 //     future is a pure function of the relative state, DRAM backlogs in
 //     integer ticks included, while no unit reaches its last firing and no
 //     drifting word crosses a threshold a decision compares it with.
-//     Captures come every stride-th firing of an anchor unit, the stride set
-//     by their cost and changed only where the cycle search moves its
-//     checkpoint. The search restarts whenever a unit of the part completes,
-//     since each completion starts a new phase with a new period, and it
-//     jumps on the first repeat of a checkpoint.
+//     A capture is taken at every firing of an anchor unit, so when captures
+//     are taken depends only on the simulated run. The search restarts
+//     whenever a unit of the part completes, since each completion starts a
+//     new phase with a new period, and it jumps on the first repeat of a
+//     checkpoint.
 //
 // Intra-cycle ordering mirrors the dense engine's ascending-VU-ID pass:
 // woken units are stepped in ascending ID order off a bitset, and a pop

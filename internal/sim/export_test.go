@@ -6,9 +6,10 @@ import "slices"
 // design's components: the cycles it advanced arithmetically and the cycles
 // the engine's runs covered (the share skipped is Skipped/Spanned), its
 // jumps and how many of them moved a drifting word, the engine's work —
-// deliveries plus unit visits — and the state words its captures walked, by
-// which two detectors compare without host time.
-type Span struct{ Skipped, Spanned, Jumps, Drifts, Work, Walked int64 }
+// deliveries plus unit visits — the captures it compared with a checkpoint
+// and the state words its captures walked, by which two detectors compare
+// without host time.
+type Span struct{ Skipped, Spanned, Jumps, Drifts, Work, Compared, Walked int64 }
 
 // CycleEventSpan runs the event engine and also returns its Span.
 func CycleEventSpan(d *Design, maxCycles int64) (*Result, Span, error) {
@@ -18,7 +19,7 @@ func CycleEventSpan(d *Design, maxCycles int64) (*Result, Span, error) {
 	}
 	maxCycles = cycleCap(maxCycles)
 	r, err := cs.runEvent(maxCycles)
-	return r, Span{cs.skipped, cs.spanned, cs.jumps, cs.drifts, cs.work, cs.walked}, err
+	return r, Span{cs.skipped, cs.spanned, cs.jumps, cs.drifts, cs.work, cs.compared, cs.walked}, err
 }
 
 // CycleEventSingleLoop runs the event engine, fast paths on, as one loop

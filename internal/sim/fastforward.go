@@ -101,39 +101,29 @@ package sim
 // to the capture.
 //
 // A capture is one pass over units, edges, in-flight elements and channels,
-// in one order; it is taken every stride-th anchor firing. A checkpoint
-// keeps its capture's words as the full state. Every other capture is
-// compared with the newest checkpoint word by word as it walks, noting the
-// drifting words, and stops at the first other word that differs, keeping
-// nothing, so one that differs costs only the words up to its first
-// difference; then it is compared with each older checkpoint the same way.
-// Only the captures that become the newest checkpoint — a phase's first and
-// the limit-th since the last — walk in full, into a buffer the checkpoint
-// then takes over. A capture equal to a checkpoint but for drifts is a
-// repeat and jumps at once; the checkpoint moves there, taking the
-// capture's drifting words (and the jump's k·δ).
+// in one order, taken at every anchor firing: when captures are taken
+// depends only on the simulated run, not on how much work the engine spent
+// getting there. A checkpoint keeps its capture's words as the full state.
+// Every other capture is compared with the newest checkpoint word by word as
+// it walks, noting the drifting words, and stops at the first other word
+// that differs, keeping nothing, so one that differs costs only the words
+// up to its first difference; then it is compared with each older
+// checkpoint the same way. Only the captures that become the newest
+// checkpoint — a phase's first and the limit-th since the last — walk in
+// full, into a buffer the checkpoint then takes over. A capture equal to a
+// checkpoint but for drifts is a repeat and jumps at once; the checkpoint
+// moves there, taking the capture's drifting words (and the jump's k·δ).
 //
-// The stride changes only where the newest checkpoint moves after limit
-// captures, so the captures compared with one checkpoint are evenly spaced,
-// and it follows the cost of the captures since the last such move: it
-// doubles while their compares with the newest checkpoint walked more words
-// than a quarter of the engine work in that window, and halves below a
-// sixteenth, so a run that never repeats pays little. Only the words really
-// walked count, so captures that stop early keep the stride low: charged
-// for whole walks, rf p128/s8's stride rose to 16–32 anchor firings and its
-// first phase, a period of 408 of them, was never caught. Compares with the
-// older checkpoints are not charged: charging them raised the strides, and
-// snet p64/s8 and p128/s8 lost more engine visits than the older
-// checkpoints saved. They have a budget of their own instead: over the run
-// they may walk at most a quarter of the engine work, which stops them only
-// in short runs whose stride cannot grow, where they seldom match (it cut
-// serve-sweep's capture words by a sixth and moved no design's visits).
-// The windows double with limit, which averages over an anchor that fires
-// in bursts (rf p128's consecutive intervals cost 3k and 33k events; judged
-// per capture, its stride flips every other capture). The stride may double
-// only while 16·stride is at most the anchor's firings so far: while
-// pipelines fill, the engine does almost no work per firing, and the stride
-// would otherwise race ahead of any period.
+// The compares with the older checkpoints have a budget: over the run they
+// may walk at most one word per four units of engine work (its deliveries
+// and unit visits). They pay where a phase repeats with a period longer
+// than Brent's window, and are waste elsewhere: every capture of a run that
+// never repeats, or ends before a period comes round, walks them all. The
+// budget bounds that waste to a quarter of what the engine spends, and it
+// decides only whether a capture is compared with the older checkpoints,
+// never when one is taken. Without it the 16 kernels designs' captures walk
+// 4.27 M words instead of 2.74 M and save 0.1 % of their 4.26 M visits.
+//
 // Each component run has its own detector, so its captures walk only the
 // component. Runs that record a profile and the dense engine, which alone
 // records traces, never fast-forward; CycleEngineNoFastPath turns it off (and with it the
@@ -183,11 +173,7 @@ type fastForward struct {
 	anchor      *vuState // the unit whose firings trigger captures
 	anchorFired int64    // its fired count at the last look
 	remaining   int      // the run's live counter-driven units at the last look
-	stride, due int64    // capture every stride-th anchor firing; due counts down
-	// The cost rule's window: ev.work when the checkpoint last moved on its
-	// own, and the state words captures have walked since.
-	workAt, walked int64
-	olderWords     int64 // state words the run's compares with older checkpoints walked
+	olderWords  int64    // state words the run's compares with older checkpoints walked
 
 	// Brent's search: the phase's last nchk checkpoints, newest first, how
 	// many captures have been compared with the newest, and how many it
@@ -202,7 +188,7 @@ type fastForward struct {
 	drift []ffDrift
 
 	skipped, jumps, drifts int64 // cycles advanced arithmetically, in how many jumps, how many with drift
-	words                  int64 // state words walked by every capture of the run
+	compared, words        int64 // captures compared with a checkpoint, state words walked by every capture
 }
 
 var ffPool = sync.Pool{New: func() any { return new(fastForward) }}
@@ -220,14 +206,13 @@ func newFastForward(ev *eventSim, maxCycles int64) *fastForward {
 	}
 	ff := ffPool.Get().(*fastForward)
 	ff.ev, ff.maxCycles = ev, maxCycles
-	ff.stride, ff.due, ff.workAt, ff.walked = 1, 1, 0, 0
-	ff.skipped, ff.jumps, ff.drifts, ff.words, ff.olderWords = 0, 0, 0, 0, 0
+	ff.skipped, ff.jumps, ff.drifts, ff.compared, ff.words, ff.olderWords = 0, 0, 0, 0, 0, 0
 	ff.pickAnchor()
 	return ff
 }
 
-// release adds the skipped cycles, the jumps and the words walked to the
-// run's and returns the detector to the pool.
+// release adds the skipped cycles, the jumps, the captures compared and the
+// words walked to the run's and returns the detector to the pool.
 func (ff *fastForward) release() {
 	if ff == nil {
 		return
@@ -236,6 +221,7 @@ func (ff *fastForward) release() {
 	cs.skipped += ff.skipped
 	cs.jumps += ff.jumps
 	cs.drifts += ff.drifts
+	cs.compared += ff.compared
 	cs.walked += ff.words
 	ff.ev, ff.anchor = nil, nil
 	clear(ff.drift[:cap(ff.drift)])
@@ -264,36 +250,30 @@ func (ff *fastForward) pickAnchor() {
 // afterCycle runs at the end of every event cycle that did not complete the
 // run; it is two comparisons unless a unit completed or the anchor fired. A
 // completion (the anchor's among them) starts a new phase: the search
-// restarts there with a fresh anchor.
+// restarts there with a fresh anchor. An anchor firing takes a capture.
 func (ff *fastForward) afterCycle() {
 	switch {
 	case ff.ev.remaining != ff.remaining:
 		ff.pickAnchor()
 	case ff.anchor.fired != ff.anchorFired:
-		ff.anchorFiring()
+		ff.anchorFired = ff.anchor.fired
+		ff.sample()
 	}
-}
-
-// anchorFiring samples the state on every stride-th firing of the anchor.
-func (ff *fastForward) anchorFiring() {
-	ff.anchorFired = ff.anchor.fired
-	if ff.due--; ff.due > 0 {
-		return
-	}
-	ff.due = ff.stride
-	ff.sample()
 }
 
 // sample captures the state and advances the search. A capture that cannot
 // become the checkpoint is compared with the newest as it is walked, as far
 // as its first differing word that is not a drift; it keeps nothing. The
 // phase's first capture and the limit-th one since the newest checkpoint
-// walk in full and become the newest, limit doubling and the stride perhaps
-// changing. A capture equal to the newest but for drifts is a repeat
-// whichever way it was walked: it jumps (unless vetoed) and the newest
-// checkpoint moves there. One that is not is compared, newest first, with
-// the older checkpoints, and a match jumps from there.
+// walk in full and become the newest, limit doubling. A capture equal to
+// the newest but for drifts is a repeat whichever way it was walked: it
+// jumps (unless vetoed) and the newest checkpoint moves there. One that is
+// not is compared, newest first, with the older checkpoints, and a match
+// jumps from there.
 func (ff *fastForward) sample() {
+	if ff.nchk > 0 {
+		ff.compared++
+	}
 	switch {
 	case ff.nchk == 0:
 		ff.walkAll()
@@ -317,21 +297,18 @@ func (ff *fastForward) sample() {
 		}
 		ff.push()
 		ff.limit *= 2
-		ff.adjustStride()
 	}
 }
 
 // compare walks the state against the j-th checkpoint as far as its first
 // differing word that is not a drift, noting the drifts, and reports whether
-// the two are equal but for drifts. Only the newest checkpoint's compares
-// count towards the cost rule; the older ones' towards their budget.
+// the two are equal but for drifts. The older checkpoints' compares count
+// towards their budget.
 func (ff *fastForward) compare(j int) bool {
 	c := &ff.chk[j]
 	w := sigWalk{ff: ff, chk: c, ref: c.sig, drifts: ff.drift[:0]}
 	same := ff.state(&w) && w.n == len(w.ref)
-	if j == 0 {
-		ff.walked += int64(w.n)
-	} else {
+	if j > 0 {
 		ff.olderWords += int64(w.n)
 	}
 	ff.words += int64(w.n)
@@ -343,10 +320,9 @@ func (ff *fastForward) compare(j int) bool {
 }
 
 // older compares the capture with the older checkpoints, newest first, and
-// reports whether it jumped from the first that it equals but for drifts.
-// Those compares have a budget of their own: over the run they may walk at
-// most a quarter of the engine work, the share at which the cost rule would
-// double the stride.
+// reports whether it jumped from the first that it equals but for drifts,
+// while the run's older compares have walked at most a quarter of the
+// engine work (see the file comment).
 func (ff *fastForward) older() bool {
 	if 4*ff.olderWords > ff.ev.work {
 		return false
@@ -371,7 +347,6 @@ func (ff *fastForward) walkAll() bool {
 		w.chk, w.ref = &ff.chk[0], ff.chk[0].sig
 	}
 	ff.state(&w)
-	ff.walked += int64(w.n)
 	ff.words += int64(w.n)
 	ff.buf, ff.drift = w.words, w.drifts
 	return ff.nchk > 0 && !w.differ && w.n == len(w.ref)
@@ -414,21 +389,6 @@ func (ff *fastForward) repeat(j int) bool {
 	}
 	ff.record()
 	return k > 0
-}
-
-// adjustStride applies the cost rule (see the file comment) to the window of
-// captures since the checkpoint last moved on its own, and opens the next.
-// It runs only where the checkpoint has just moved, so the captures compared
-// with one checkpoint are evenly spaced.
-func (ff *fastForward) adjustStride() {
-	work := ff.ev.work - ff.workAt
-	switch {
-	case 4*ff.walked > work && 16*ff.stride <= ff.anchor.fired:
-		ff.stride *= 2
-	case 16*ff.walked < work && ff.stride > 1:
-		ff.stride /= 2
-	}
-	ff.due, ff.workAt, ff.walked = ff.stride, ff.ev.work, 0
 }
 
 // record stores the rest of the newest checkpoint's full state, whose words
