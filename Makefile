@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMExact$$' -fuzztime $(FUZZTIME) ./internal/dram/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolverResult$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreSegment$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 # The benchmark harness (all four ./bench workloads, end-to-end metrics; see
 # bench/README.md) and the root package's figure and engine benchmarks.
@@ -88,7 +89,10 @@ benchpairs:
 # proxy hop's: a design's first request at a non-owner of a 2-node cluster,
 # answered with the owner's artifact and result record; BenchmarkCompile is the
 # compile path's — cold traversal compiles of ./bench's serve-sweep designs,
-# time and allocations per 24 compiles. (The incremental cross-mode
+# time and allocations per 24 compiles; BenchmarkStore is the design store's
+# disk tier — 300 Puts of serve-hot's (1.8 KB) or serve-sweep's (7.4 KB) mean
+# record into a fresh directory, a reopen and a Get of each, time and
+# allocations per 300 records. (The incremental cross-mode
 # equivalence suite runs under the `race` target, which ci already includes.)
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkCycleEngine -benchtime 1x .
@@ -97,6 +101,7 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkSolver -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkRunHit|BenchmarkRunProxied' -benchtime 1x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench BenchmarkStore -benchtime 1x -benchmem ./internal/store/
 
 # End-to-end profiler smoke: one profiled run producing both artifacts —
 # the stall-attribution report and a Chrome trace-event export.
@@ -107,12 +112,17 @@ profilesmoke:
 # CLI smoke: parse each CLI's flags and run a small search (on both chip
 # presets), a compile, a Table V experiment with its CSV, and the quickstart
 # example (sara.Design.Simulate) end to end; sarasim must refuse an unknown
-# chip.
+# chip. The same compile twice over one fresh store directory is the
+# cross-process restart: the first run restores no stage, the second all 8.
 clismoke:
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 >/dev/null
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8 -chip v1 >/dev/null
 	$(GO) run ./cmd/saratune -workload pr -scale 4 -pars 16,32 -chip v1 >/dev/null
 	$(GO) run ./cmd/sarac -workload bs -par 4 -scale 64 >/dev/null
+	@dir=$${TMPDIR:-/tmp}/sara_clismoke_store; rm -rf $$dir; \
+	$(GO) run ./cmd/sarac -workload ms -par 16 -scale 16 -store $$dir | grep -q 'restored 0/8 stages' && \
+	$(GO) run ./cmd/sarac -workload ms -par 16 -scale 16 -store $$dir | grep -q 'restored 8/8 stages' || \
+	{ echo "sarac did not restore every stage from its own store"; exit 1; }
 	! $(GO) run ./cmd/sarasim -workload bs -par 4 -scale 64 -chip nope 2>/dev/null
 	$(GO) run ./cmd/saraeval -exp table5 -csv $${TMPDIR:-/tmp}/sara_eval_csv >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null

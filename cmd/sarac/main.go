@@ -54,6 +54,7 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sarac: design store disabled: %v\n", err)
 		} else {
+			defer memo.Close()
 			cfg.Memo = memo
 		}
 	}

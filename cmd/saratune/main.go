@@ -101,6 +101,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		defer st.Close()
 		o.Store = st
 	}
 

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -212,26 +210,43 @@ func TestMemoBypasses(t *testing.T) {
 
 // TestMemoCorruptRecordFallsThrough: a truncated record, garbage and valid
 // JSON that is not an object each cost one fresh simulation, answer
-// correctly, and are rewritten in place.
+// correctly, and are replaced on disk by the good record.
 func TestMemoCorruptRecordFallsThrough(t *testing.T) {
 	dir := t.TempDir()
 	req := RunRequest{Workload: "gda", Par: 4, Scale: 16}
 	_, ts := newTestServer(t, Options{Workers: 2, StoreDir: dir})
 	want := mustRun(t, ts, req)
-	files, err := filepath.Glob(filepath.Join(dir, store.SimStage, "*.bin"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("one simulation left %d records: %v", len(files), files)
+	stored := func() (string, []byte) {
+		t.Helper()
+		raw, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		keys := raw.ListKeys(store.SimStage)
+		if len(keys) != 1 {
+			t.Fatalf("one simulation left %d records: %v", len(keys), keys)
+		}
+		b, _ := raw.Get(store.SimStage, keys[0])
+		return keys[0], b
 	}
-	good, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	key, good := stored()
 	for label, bad := range map[string][]byte{
 		"truncated":     good[:len(good)/2],
 		"garbage":       []byte("\x00not a result\xff"),
 		"not an object": []byte(`[1,2]`),
 	} {
-		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+		// A raw store over the directory reads the good record, so its
+		// memory holds the good bytes, and the bad ones replace it.
+		raw, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := raw.Get(store.SimStage, key); !ok {
+			t.Fatalf("%s: the record is not on disk", label)
+		}
+		raw.Put(store.SimStage, key, bad)
+		if err := raw.Close(); err != nil {
 			t.Fatal(err)
 		}
 		// A new process: the previous server's memory tier still holds the
@@ -247,8 +262,8 @@ func TestMemoCorruptRecordFallsThrough(t *testing.T) {
 		if _, misses := memoCounters(s); misses != 1 {
 			t.Errorf("%s record: %d memo misses, want 1", label, misses)
 		}
-		if now, err := os.ReadFile(files[0]); err != nil || string(now) != string(good) {
-			t.Errorf("%s record was not rewritten (err %v, %d bytes, want %d)", label, err, len(now), len(good))
+		if _, now := stored(); string(now) != string(good) {
+			t.Errorf("%s record was not rewritten (%d bytes, want %d)", label, len(now), len(good))
 		}
 		if again := mustRun(t, ts, req); !again.SimCached {
 			t.Errorf("%s record: the rewritten record is not served", label)

@@ -258,8 +258,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close drains in-flight and queued jobs and the runs they started, waiting
-// up to ctx's deadline. Call after http.Server.Shutdown so no new work
-// arrives while draining.
+// up to ctx's deadline, then closes the design store. Call after
+// http.Server.Shutdown so no new work arrives while draining.
 func (s *Server) Close(ctx context.Context) error {
 	if s.cluster != nil {
 		s.cluster.stop()
@@ -267,7 +267,10 @@ func (s *Server) Close(ctx context.Context) error {
 	if err := s.pool.Shutdown(ctx); err != nil {
 		return err
 	}
-	return s.flights.drain(ctx)
+	if err := s.flights.drain(ctx); err != nil {
+		return err
+	}
+	return s.store.Close()
 }
 
 // RunRequest is the body of /v1/run and /v1/compile. Exactly one of Workload

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"sara/internal/core"
@@ -34,7 +33,7 @@ func digest(b []byte) string {
 }
 
 // formatSolverRecord is the solver record of one fixed partition.Result, as
-// StoreResult writes it to disk.
+// StoreResult writes it to disk and a fresh Open reads it back.
 func formatSolverRecord(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -46,9 +45,13 @@ func formatSolverRecord(t *testing.T) []byte {
 		Assign: []int{0, 2, 1, -1, 1 << 40}, NumParts: 3, RetimeUnits: 2,
 		Cost: -3.25, Algo: "solver", MIPNodes: 17,
 	})
-	b, err := os.ReadFile(filepath.Join(dir, store.SolverStage, "golden.bin"))
+	s2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	b, ok := s2.Get(store.SolverStage, "golden")
+	if !ok {
+		t.Fatal("the solver record did not survive a reopen")
 	}
 	return b
 }

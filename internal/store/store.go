@@ -12,10 +12,11 @@ import (
 	"sara/internal/partition"
 )
 
-// versionFile is the format marker at the root of a store directory. A
-// directory written by a different format version refuses to open with a
-// clear error instead of silently serving undecodable (or worse, wrongly
-// decoded) designs.
+// versionFile is the format marker at the root of a store directory: the
+// record format version and the disk layout. A directory written by a
+// different version or in another layout refuses to open with a clear error
+// instead of silently serving undecodable (or worse, wrongly decoded)
+// designs.
 const versionFile = "VERSION"
 
 // memCap bounds the in-memory byte cache; beyond it the oldest entries are
@@ -43,9 +44,11 @@ type Stats struct {
 
 // Store is a content-addressed design store: an in-memory memo table over an
 // optional on-disk directory. Entries are namespaced by stage ("lower",
-// "partition", ..., "final", "solver"), keyed by content address, and the
-// disk layout is one file per entry under <dir>/<stage>/<key>.bin, written
-// atomically (tmp + rename). All methods are safe for concurrent use.
+// "partition", ..., "final", "solver") and keyed by content address. On disk
+// each Store appends its records to a segment log of its own (segment.go),
+// one write(2) a record, and indexes every segment at Open: records another
+// live process writes become visible at this process's next Open. All
+// methods are safe for concurrent use.
 //
 // Store implements partition.SolverCache: solver-instance results are
 // ordinary "solver" records, bounded in memory like every other stage and
@@ -65,6 +68,17 @@ type Store struct {
 	solverMiss  int64
 	diskEntries int
 	diskBytes   int64
+
+	// The disk tier: every segment (oldest first), the one this Store
+	// appends to, the number its creation tries first, and the index of
+	// the live records, stage -> key -> frame.
+	segs []*segment
+	own  *segment
+	next int
+	idx  map[string]map[string]loc
+	// noWrite is set once a write fails or Close runs: Puts stay in memory.
+	noWrite bool
+	frame   []byte // scratch for the frame being appended
 }
 
 // Open returns a store backed by dir, creating it if needed. An empty dir
@@ -75,6 +89,7 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		mem:    map[string][]byte{},
 		stages: map[string]*StageStats{},
+		idx:    map[string]map[string]loc{},
 		checks: map[string]func([]byte) ([]byte, error){
 			SolverStage: func(b []byte) ([]byte, error) {
 				_, err := read(b, nil, walkSolverResult)
@@ -89,12 +104,12 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
 	vpath := filepath.Join(dir, versionFile)
-	want := fmt.Sprintf("sara-store-format %d\n", FormatVersion)
+	want := fmt.Sprintf("sara-store-format %d segments\n", FormatVersion)
 	if b, err := os.ReadFile(vpath); err == nil {
 		if string(b) != want {
-			return nil, fmt.Errorf("store: %s holds %q, this build writes format %d — "+
+			return nil, fmt.Errorf("store: %s holds %q, this build writes %q — "+
 				"the on-disk design format changed; delete the directory (or point -store elsewhere) to rebuild it",
-				vpath, strings.TrimSpace(string(b)), FormatVersion)
+				vpath, strings.TrimSpace(string(b)), strings.TrimSpace(want))
 		}
 	} else if os.IsNotExist(err) {
 		if err := os.WriteFile(vpath, []byte(want), 0o644); err != nil {
@@ -103,35 +118,34 @@ func Open(dir string) (*Store, error) {
 	} else {
 		return nil, fmt.Errorf("store: read %s: %w", vpath, err)
 	}
-	s.dir = dir
-	s.scanDisk()
+	segs, next, err := listSegments(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: read %s: %w", dir, err)
+	}
+	s.dir, s.segs, s.next = dir, segs, next
+	for _, seg := range segs {
+		s.scan(seg)
+	}
 	return s, nil
 }
 
-// scanDisk counts existing entries for the stats gauges.
-func (s *Store) scanDisk() {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), ".bin") {
-				continue
-			}
-			s.diskEntries++
-			if info, err := f.Info(); err == nil {
-				s.diskBytes += info.Size()
+// Close closes the store's segment files and detaches its disk tier: from
+// then on the store answers from memory alone, and Puts stay there. Closing
+// a memory-only store, or closing twice, does nothing.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	for _, seg := range s.segs {
+		if seg.f != nil {
+			if cerr := seg.f.Close(); cerr != nil && err == nil {
+				err = cerr
 			}
 		}
 	}
+	s.segs, s.own, s.noWrite = nil, nil, true
+	s.idx, s.diskEntries, s.diskBytes = map[string]map[string]loc{}, 0, 0
+	return err
 }
 
 func (s *Store) stat(stage string) *StageStats {
@@ -145,15 +159,11 @@ func (s *Store) stat(stage string) *StageStats {
 
 func memKey(stage, key string) string { return stage + "/" + key }
 
-func (s *Store) diskPath(stage, key string) string {
-	return filepath.Join(s.dir, stage, key+".bin")
-}
-
 // SetLoadCheck makes check the gate of every entry of stage read from disk:
 // Get remembers and returns the bytes check returns — a normalised copy, or
-// the input — and an entry it refuses is deleted and answered as a miss, so
-// the caller recomputes and Puts it afresh. Bytes Put in this process are the
-// caller's and are not checked again. Call it before the store is shared.
+// the input — and an entry it refuses is tombstoned and answered as a miss,
+// so the caller recomputes and Puts it afresh. Bytes Put in this process are
+// the caller's and are not checked again. Call it before the store is shared.
 func (s *Store) SetLoadCheck(stage string, check func([]byte) ([]byte, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,8 +181,8 @@ func (s *Store) Get(stage, key string) ([]byte, bool) {
 		st.BytesRead += int64(len(b))
 		return b, true
 	}
-	if s.dir != "" {
-		if b, ok := s.load(stage, key, s.checks[stage]); ok {
+	if l, ok := s.idx[stage][key]; ok {
+		if b, ok := s.load(stage, key, l); ok {
 			s.remember(stage, key, b)
 			st.Hits++
 			st.BytesRead += int64(len(b))
@@ -198,24 +208,22 @@ func (s *Store) Cached(stage, key string) ([]byte, bool) {
 	return b, ok
 }
 
-// load reads (stage, key) from disk through check (nil accepts any bytes).
-// A file the check refuses is removed. Caller holds s.mu.
-func (s *Store) load(stage, key string, check func([]byte) ([]byte, error)) ([]byte, bool) {
-	path := s.diskPath(stage, key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+// load reads the record of (stage, key) at l through the stage's load check
+// (none accepts any bytes). A record that is not intact, or that the check
+// refuses, is unindexed and tombstoned, so no later Open reads it either.
+// Caller holds s.mu.
+func (s *Store) load(stage, key string, l loc) ([]byte, bool) {
+	if b, ok := s.read(stage, key, l); ok {
+		check := s.checks[stage]
+		if check == nil {
+			return b, true
+		}
+		if nb, err := check(b); err == nil {
+			return nb, true
+		}
 	}
-	if check == nil {
-		return b, true
-	}
-	if nb, err := check(b); err == nil {
-		return nb, true
-	}
-	if os.Remove(path) == nil {
-		s.diskEntries--
-		s.diskBytes -= int64(len(b))
-	}
+	s.unindex(stage, key)
+	s.write(tombMagic, stage, key, nil)
 	return nil, false
 }
 
@@ -231,20 +239,18 @@ func (s *Store) Probe(stage, key string) bool {
 		st.Hits++
 		return true
 	}
-	if s.dir != "" {
-		if _, err := os.Stat(s.diskPath(stage, key)); err == nil {
-			st.Hits++
-			return true
-		}
+	if _, ok := s.idx[stage][key]; ok {
+		st.Hits++
+		return true
 	}
 	st.Misses++
 	return false
 }
 
 // Put stores bytes under (stage, key), in memory and — when a directory is
-// configured — on disk via an atomic tmp+rename. Disk write failures degrade
-// silently to memory-only for that entry: the store is a cache, never a
-// source of truth.
+// configured — on disk, appended to the store's segment in one write. A
+// failed write degrades the store silently to memory-only: it is a cache,
+// never a source of truth.
 func (s *Store) Put(stage, key string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -252,8 +258,8 @@ func (s *Store) Put(stage, key string, data []byte) {
 	old, existed := s.mem[mk]
 	// Content-addressed: same key, same bytes, nothing to rewrite. A caller
 	// that Puts different bytes under a resident key read the old ones back
-	// (a torn or foreign file), could not use them and recomputed: the new
-	// bytes replace the file too, or every later process trips on it again.
+	// (a torn or foreign record), could not use them and recomputed: the new
+	// bytes replace the record too, or every later process trips on it again.
 	replace := existed && !bytes.Equal(old, data)
 	s.remember(stage, key, data)
 	st := s.stat(stage)
@@ -263,34 +269,12 @@ func (s *Store) Put(stage, key string, data []byte) {
 	if s.dir == "" {
 		return
 	}
-	path := s.diskPath(stage, key)
-	if info, err := os.Stat(path); err == nil {
-		if !replace {
-			return
-		}
-		s.diskEntries--
-		s.diskBytes -= info.Size()
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if _, onDisk := s.idx[stage][key]; onDisk && !replace {
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp*")
-	if err != nil {
-		return
+	if l, ok := s.write(recordMagic, stage, key, data); ok {
+		s.index(stage, key, l)
 	}
-	name := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return
-	}
-	s.diskEntries++
-	s.diskBytes += int64(len(data))
 }
 
 // remember inserts into the bounded in-memory cache. Caller holds s.mu.
@@ -319,14 +303,8 @@ func (s *Store) ListKeys(stage string) []string {
 			seen[strings.TrimPrefix(mk, prefix)] = true
 		}
 	}
-	if s.dir != "" {
-		if files, err := os.ReadDir(filepath.Join(s.dir, stage)); err == nil {
-			for _, f := range files {
-				if n := f.Name(); strings.HasSuffix(n, ".bin") && !f.IsDir() {
-					seen[strings.TrimSuffix(n, ".bin")] = true
-				}
-			}
-		}
+	for k := range s.idx[stage] {
+		seen[k] = true
 	}
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
@@ -364,8 +342,8 @@ const SolverStage = "solver"
 // content key: a Get of its solver record, decoded into a fresh Result.
 // Results round-trip through the disk tier, so a restarted process still
 // skips re-solving instances it has seen; a record on disk that does not
-// decode is deleted by the stage's load check and answered as a miss, so the
-// next StoreResult writes it afresh.
+// decode is tombstoned by the stage's load check and answered as a miss, so
+// the next StoreResult writes it afresh.
 func (s *Store) LookupResult(key string) (*partition.Result, bool) {
 	var r *partition.Result
 	b, ok := s.Get(SolverStage, key)

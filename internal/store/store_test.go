@@ -185,33 +185,27 @@ func TestStoreCountersAndPersistence(t *testing.T) {
 // TestPutReplacesCorruptRecord: a record whose bytes differ from what Get
 // read back is corrupt (same key, same bytes otherwise) and is replaced on
 // disk with the footprint gauges kept exact; a Put of the same bytes still
-// leaves the file alone.
+// writes nothing.
 func TestPutReplacesCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir)
 	s.Put(store.SimStage, "k", []byte("payload"))
-	path := filepath.Join(dir, store.SimStage, "k.bin")
-	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tear := mustOpen(t, dir)
+	tear.Get(store.SimStage, "k")
+	tear.Put(store.SimStage, "k", []byte("torn"))
+	before := segmentBytes(t, dir)
 	s.Put(store.SimStage, "k", []byte("payload")) // memory still holds the good bytes
-	if b, _ := os.ReadFile(path); string(b) != "torn" {
-		t.Fatalf("an identical Put rewrote the file: %q", b)
+	if after := segmentBytes(t, dir); after != before {
+		t.Fatalf("an identical Put wrote %d bytes", after-before)
 	}
 
-	s2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir)
 	if b, ok := s2.Get(store.SimStage, "k"); !ok || string(b) != "torn" {
 		t.Fatalf("Get: %q, %v", b, ok)
 	}
 	s2.Put(store.SimStage, "k", []byte("payload"))
-	if b, _ := os.ReadFile(path); string(b) != "payload" {
-		t.Errorf("corrupt record not replaced on disk: %q", b)
+	if b, ok := mustOpen(t, dir).Get(store.SimStage, "k"); !ok || string(b) != "payload" {
+		t.Errorf("corrupt record not replaced on disk: %q, %v", b, ok)
 	}
 	if b, ok := s2.Get(store.SimStage, "k"); !ok || string(b) != "payload" {
 		t.Errorf("Get after replace: %q, %v", b, ok)
@@ -266,8 +260,8 @@ func TestSolverCacheRoundTrip(t *testing.T) {
 
 // TestSolverCorruptRecordIsReplaced: a solver record on disk that does not
 // decode — a negative count, or a truncated record — is a miss, never a
-// panic; the file is deleted, and the next StoreResult writes a good one that
-// a fresh process reads back.
+// panic; a fresh Open no longer answers it, and the next StoreResult writes a
+// good one that a fresh process reads back.
 func TestSolverCorruptRecordIsReplaced(t *testing.T) {
 	res := &partition.Result{Assign: []int{0, 1, 1}, NumParts: 2, Cost: 1.5, Algo: "solver", MIPNodes: 3}
 	negCount := binary.AppendVarint(binary.AppendVarint(nil, store.FormatVersion), -1)
@@ -277,42 +271,34 @@ func TestSolverCorruptRecordIsReplaced(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, store.SolverStage, "inst.bin")
-			s, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustOpen(t, dir)
 			s.StoreResult("inst", res)
-			good, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			good, ok := s.Get(store.SolverStage, "inst")
+			if !ok {
+				t.Fatal("the stored record is not answered")
 			}
-			if err := os.WriteFile(path, corrupt(good), 0o644); err != nil {
-				t.Fatal(err)
+			tear := mustOpen(t, dir)
+			if _, ok := tear.Get(store.SolverStage, "inst"); !ok {
+				t.Fatal("the stored record is not answered after a reopen")
 			}
+			tear.Put(store.SolverStage, "inst", corrupt(good))
 
-			s2, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s2 := mustOpen(t, dir)
 			if got, ok := s2.LookupResult("inst"); ok {
 				t.Fatalf("a corrupt record answered %+v", got)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("the corrupt record is still on disk (err %v)", err)
+			if keys := mustOpen(t, dir).ListKeys(store.SolverStage); len(keys) != 0 {
+				t.Fatalf("a fresh Open still answers the corrupt record: %v", keys)
 			}
 			if st := s2.Stats(); st.SolverMiss != 1 || st.SolverHits != 0 || st.DiskEntries != 0 {
 				t.Errorf("after the refused load: %d misses, %d hits, %d disk entries", st.SolverMiss, st.SolverHits, st.DiskEntries)
 			}
 			s2.StoreResult("inst", res)
-			if b, _ := os.ReadFile(path); !bytes.Equal(b, good) {
+			if b, _ := mustOpen(t, dir).Get(store.SolverStage, "inst"); !bytes.Equal(b, good) {
 				t.Fatalf("StoreResult wrote %x, want %x", b, good)
 			}
 
-			s3, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s3 := mustOpen(t, dir)
 			got, ok := s3.LookupResult("inst")
 			if !ok || got.NumParts != res.NumParts || len(got.Assign) != len(res.Assign) {
 				t.Errorf("the rewritten record reads back as %+v, %v", got, ok)
@@ -321,17 +307,14 @@ func TestSolverCorruptRecordIsReplaced(t *testing.T) {
 	}
 }
 
-// TestLoadCheck: a stage's load check gates its disk reads. A file the check
-// accepts is remembered and answered in the form the check returns; a file it
-// refuses is deleted, read as a miss and written afresh by the next Put, with
-// the footprint gauges kept exact. Cached answers the memory tier only and
-// counts nothing for an absent entry.
+// TestLoadCheck: a stage's load check gates its disk reads. A record the
+// check accepts is remembered and answered in the form the check returns; a
+// record it refuses is tombstoned, read as a miss and written afresh by the
+// next Put, with the footprint gauges kept exact. Cached answers the memory
+// tier only and counts nothing for an absent entry.
 func TestLoadCheck(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir)
 	s.Put(store.SimStage, "good", []byte(" ok "))
 	s.Put(store.SimStage, "bad", []byte("bad"))
 	trim := func(b []byte) ([]byte, error) {
@@ -341,10 +324,7 @@ func TestLoadCheck(t *testing.T) {
 		return bytes.TrimSpace(b), nil
 	}
 
-	s2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := mustOpen(t, dir)
 	s2.SetLoadCheck(store.SimStage, trim)
 	if b, ok := s2.Cached(store.SimStage, "good"); ok {
 		t.Fatalf("Cached read disk: %q", b)
@@ -353,20 +333,19 @@ func TestLoadCheck(t *testing.T) {
 		t.Errorf("an absent Cached entry counted %+v", st)
 	}
 	if b, ok := s2.Get(store.SimStage, "good"); !ok || string(b) != "ok" {
-		t.Errorf("Get of an accepted file: %q, %v; want the check's form", b, ok)
+		t.Errorf("Get of an accepted record: %q, %v; want the check's form", b, ok)
 	}
 	if b, ok := s2.Cached(store.SimStage, "good"); !ok || string(b) != "ok" {
 		t.Errorf("Cached after the load: %q, %v", b, ok)
 	}
 	if b, ok := s2.Get(store.SimStage, "bad"); ok {
-		t.Errorf("Get of a refused file answered %q", b)
+		t.Errorf("Get of a refused record answered %q", b)
 	}
-	path := filepath.Join(dir, store.SimStage, "bad.bin")
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("the refused file is still there (err %v)", err)
+	if keys := mustOpen(t, dir).ListKeys(store.SimStage); len(keys) != 1 || keys[0] != "good" {
+		t.Errorf("a fresh Open lists %v, want only the accepted record", keys)
 	}
 	s2.Put(store.SimStage, "bad", []byte("ok again"))
-	if b, _ := os.ReadFile(path); string(b) != "ok again" {
+	if b, _ := mustOpen(t, dir).Get(store.SimStage, "bad"); string(b) != "ok again" {
 		t.Errorf("the refused record was not written again: %q", b)
 	}
 	if st := s2.Stats(); st.DiskEntries != 2 || st.DiskBytes != int64(len(" ok ")+len("ok again")) {

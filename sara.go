@@ -126,6 +126,10 @@ type StoreStats = store.Stats
 // Stats returns the store's counters.
 func (ds *DesignStore) Stats() StoreStats { return ds.s.Stats() }
 
+// Close closes the store's files. Compiles through it afterwards still reuse
+// what it holds in memory, and what they store stays in memory.
+func (ds *DesignStore) Close() error { return ds.s.Close() }
+
 // WithDesignStore compiles incrementally through ds. Sequential recompiles
 // that change one knob (a parallelization factor, an arch parameter, an
 // optimization flag) reuse every stage whose input is unchanged.

@@ -165,3 +165,30 @@ func TestInterpreterMatchesHandComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDesignStoreRestoresAfterClose: a recompile through a design store
+// reopened on the directory a closed one wrote restores every stage.
+func TestDesignStoreRestoresAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		ds, err := sara.OpenDesignStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := sara.Compile(buildPipeline(16), sara.WithDesignStore(ds))
+		if err != nil {
+			t.Fatalf("run %d: Compile: %v", run, err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatalf("run %d: Close: %v", run, err)
+		}
+		for stage, hit := range d.StageHits() {
+			if hit != (run == 1) {
+				t.Errorf("run %d: stage %s restored = %v", run, stage, hit)
+			}
+		}
+		if len(d.StageHits()) == 0 {
+			t.Fatalf("run %d: no stage went through the store", run)
+		}
+	}
+}
