@@ -110,12 +110,16 @@ profilesmoke:
 		-profile $${TMPDIR:-/tmp}/sara_profile_smoke.json -profile-report >/dev/null
 
 # CLI smoke: parse each CLI's flags and run a small search (on both chip
-# presets), a compile, a Table V experiment with its CSV, and the quickstart
+# presets; the first writes both exports, -o JSON and -csv), a compile, a
+# Table V experiment with its CSV, and the quickstart
 # example (sara.Design.Simulate) end to end; sarasim must refuse an unknown
 # chip. The same compile twice over one fresh store directory is the
 # cross-process restart: the first run restores no stage, the second all 8.
 clismoke:
-	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 >/dev/null
+	dir=$${TMPDIR:-/tmp}; \
+	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8,16 -channels 4,8 \
+		-o $$dir/sara_clismoke_tune.json -csv $$dir/sara_clismoke_tune.csv >/dev/null && \
+	test -s $$dir/sara_clismoke_tune.json && test -s $$dir/sara_clismoke_tune.csv
 	$(GO) run ./cmd/saratune -workload ms -scale 16 -pars 8 -chip v1 >/dev/null
 	$(GO) run ./cmd/saratune -workload pr -scale 4 -pars 16,32 -chip v1 >/dev/null
 	$(GO) run ./cmd/sarac -workload bs -par 4 -scale 64 >/dev/null

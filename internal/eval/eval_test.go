@@ -66,6 +66,21 @@ func TestFig9bParetoNonEmpty(t *testing.T) {
 	if dominated == 0 {
 		t.Errorf("design space should contain dominated points:\n%s", txt)
 	}
+	// The mark is the non-dominance rule, ties included: no other point of
+	// the workload has ≤ PUs and ≥ perf, one strictly.
+	for i, p := range pts {
+		want := true
+		for j, q := range pts {
+			if j != i && q.Workload == p.Workload && q.PUs <= p.PUs && q.Perf >= p.Perf &&
+				(q.PUs < p.PUs || q.Perf > p.Perf) {
+				want = false
+			}
+		}
+		if p.Pareto != want {
+			t.Errorf("%s par %d %s (%d PUs, perf %.4f): pareto %v, want %v\n%s",
+				p.Workload, p.Par, p.OptSet, p.PUs, p.Perf, p.Pareto, want, txt)
+		}
+	}
 }
 
 func TestFig10MergeSavesResources(t *testing.T) {

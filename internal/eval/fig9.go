@@ -125,8 +125,8 @@ type TradeoffPoint struct {
 	PUs      int
 	// Perf is normalized throughput (higher is better).
 	Perf float64
-	// Pareto marks frontier points (no other point is at least as fast with
-	// fewer PUs).
+	// Pareto marks frontier points (no other point of the workload has no
+	// more PUs and at least the perf, one of them strictly).
 	Pareto bool
 }
 
@@ -187,36 +187,31 @@ func Fig9b(names []string, pars []int, spec *arch.Spec) ([]TradeoffPoint, string
 		return nil, "", err
 	}
 	for wi := range ws {
-		base := pts[wi*perW].Cycles
-		for i := wi * perW; i < (wi+1)*perW; i++ {
-			pts[i].Perf = float64(base) / float64(pts[i].Cycles)
+		w := pts[wi*perW : (wi+1)*perW]
+		for i := range w {
+			w[i].Perf = float64(w[0].Cycles) / float64(w[i].Cycles)
 		}
+		markPareto(w)
 	}
-	markPareto(pts)
 	return pts, renderFig9b(pts), nil
 }
 
-// markPareto marks, per workload, points not dominated in (PUs, Perf).
-func markPareto(pts []TradeoffPoint) {
-	byW := map[string][]int{}
-	for i, p := range pts {
-		byW[p.Workload] = append(byW[p.Workload], i)
+// markPareto marks the points of one workload that no other point of it
+// dominates in (PUs, Perf): those equal to a point on its staircase, ties
+// included. The staircase holds at most one point per PU count.
+func markPareto(w []TradeoffPoint) {
+	ids := make([]int, len(w))
+	for i := range ids {
+		ids[i] = i
 	}
-	for _, idxs := range byW {
-		for _, i := range idxs {
-			dominated := false
-			for _, j := range idxs {
-				if i == j {
-					continue
-				}
-				if pts[j].PUs <= pts[i].PUs && pts[j].Perf >= pts[i].Perf &&
-					(pts[j].PUs < pts[i].PUs || pts[j].Perf > pts[i].Perf) {
-					dominated = true
-					break
-				}
-			}
-			pts[i].Pareto = !dominated
-		}
+	front := map[int]float64{}
+	for _, i := range tune.Staircase(ids, func(i int) int { return w[i].PUs },
+		func(i int) float64 { return -w[i].Perf }) {
+		front[w[i].PUs] = w[i].Perf
+	}
+	for i := range w {
+		perf, ok := front[w[i].PUs]
+		w[i].Pareto = ok && perf == w[i].Perf
 	}
 }
 

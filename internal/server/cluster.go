@@ -82,8 +82,22 @@ func newCluster(opts Options, m *Metrics) *cluster {
 	return c
 }
 
-// start launches the health prober.
+// start registers the cluster gauges and the simulation-record funnel, which
+// render from the start, zeros included, and launches the health prober —
+// when the ring has a peer. A node alone owns every key and renders none of
+// them.
 func (c *cluster) start() {
+	if len(c.peers) == 0 {
+		return
+	}
+	c.metrics.Gauge("sarad_cluster_nodes", func() int64 { return int64(len(c.ring.Nodes())) })
+	c.metrics.Gauge("sarad_cluster_peers_healthy", func() int64 { return int64(c.healthyPeers()) })
+	for _, name := range []string{
+		"sarad_artifact_sims_total", "sarad_artifact_sim_budget_exceeded_total",
+		"sarad_proxy_sim_records_total", "sarad_proxy_sim_records_rejected_total",
+	} {
+		c.metrics.Add(name, 0)
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -154,11 +168,13 @@ func (c *cluster) healthyPeers() int {
 }
 
 // route returns the ring owner of key and whether that owner is this node.
-// Unknown owners (an empty ring cannot happen with a non-empty self) count
-// as local so the caller always has a safe path.
+// A ring without peers owns every key here and counts no routing.
 func (c *cluster) route(key string) (owner string, local bool) {
+	if len(c.peers) == 0 {
+		return c.self, true
+	}
 	owner = c.ring.Owner(key)
-	if owner == "" || owner == c.self {
+	if owner == c.self {
 		c.metrics.Add("sarad_ring_owner_local_total", 1)
 		return owner, true
 	}

@@ -452,6 +452,56 @@ func TestClusterProxyPersistsToRequesterStore(t *testing.T) {
 	mustEqualResults(t, "store-tier repeat", rr4, rr)
 }
 
+// TestClusterOfOne: a one-node cluster is a ring whose only member is
+// itself. It answers /v1/run bit-identically to a peerless node, and no
+// routing, proxy or artifact counter moves.
+func TestClusterOfOne(t *testing.T) {
+	lc := startCluster(t, 1, clusterTestOptions())
+	if nodes := lc.Servers[0].cluster.ring.Nodes(); len(nodes) != 1 || nodes[0] != lc.URLs[0] {
+		t.Fatalf("ring members %v, want only %s", nodes, lc.URLs[0])
+	}
+	req := RunRequest{Workload: "bs", Par: 8, Scale: 64}
+	key, err := KeyFor(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := lc.OwnerIndex(key); i != 0 {
+		t.Errorf("owner index %d, want 0", i)
+	}
+	resp, body := postNode(t, lc.URLs[0], "/v1/run", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: %d: %s", resp.StatusCode, body)
+	}
+	rr := decodeRun(t, body)
+	if rr.Proxied || rr.CacheKey != key {
+		t.Errorf("proxied=%v cache_key=%s, want a local compile under %s", rr.Proxied, rr.CacheKey, key)
+	}
+	mustEqualResults(t, "cluster of one", rr, standaloneResult(t, req))
+	if n := totalCompiles(lc); n != 1 {
+		t.Errorf("compiles = %d, want 1", n)
+	}
+	var buf bytes.Buffer
+	lc.Servers[0].Metrics().Render(&buf)
+	if got := clusterSeries(buf.String()); len(got) > 0 {
+		t.Errorf("cluster of one renders %q", got)
+	}
+}
+
+// clusterSeries lists the /metrics lines only a node with a peer renders:
+// the cluster gauges, ring routing, proxy traffic and the artifact side of
+// the simulation-record funnel.
+func clusterSeries(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		for _, prefix := range []string{"sarad_cluster_", "sarad_ring_", "sarad_proxy_", "sarad_artifact_"} {
+			if strings.HasPrefix(line, prefix) {
+				out = append(out, line)
+			}
+		}
+	}
+	return out
+}
+
 // TestClusterMetricsRendered: the ring/proxy/fallback counters and cluster
 // gauges appear in /metrics on both sides of a proxied request.
 func TestClusterMetricsRendered(t *testing.T) {

@@ -95,12 +95,8 @@ func (lc *LocalCluster) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// OwnerIndex returns the index of the node owning key, or -1 when the
-// cluster has no members (cannot happen for a started cluster).
+// OwnerIndex returns the index of the node owning key.
 func (lc *LocalCluster) OwnerIndex(key string) int {
-	if len(lc.Servers) == 0 || lc.Servers[0].cluster == nil {
-		return -1
-	}
 	owner := lc.Servers[0].cluster.ring.Owner(key)
 	for i, url := range lc.URLs {
 		if url == owner {
@@ -115,7 +111,7 @@ func (lc *LocalCluster) OwnerIndex(key string) int {
 // their owners.
 func KeyFor(req *RunRequest) (string, error) {
 	r := *req
-	if err := (&Server{opts: Options{}.withDefaults()}).normalize(&r); err != nil {
+	if err := r.normalize(); err != nil {
 		return "", err
 	}
 	return cacheKey(&r)
@@ -129,7 +125,7 @@ func (lc *LocalCluster) WaitHealthy(timeout time.Duration) bool {
 	for {
 		ok := true
 		for i, s := range lc.Servers {
-			if lc.killed[i] || s.cluster == nil {
+			if lc.killed[i] {
 				continue
 			}
 			if s.cluster.healthyPeers() < len(s.cluster.peers) {

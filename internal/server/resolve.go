@@ -122,7 +122,7 @@ func (s *Server) findDesign(ctx context.Context, req *RunRequest, spec *arch.Spe
 		s.metrics.Add("sarad_store_final_serves_total", 1)
 		return resolved{d: d, design: fromStore}, nil
 	}
-	if w.proxy && s.cluster != nil {
+	if w.proxy {
 		if owner, local := s.cluster.route(key); !local {
 			if r, ok := s.fromOwner(ctx, owner, key, req, w.result); ok {
 				return r, nil

@@ -68,7 +68,8 @@ type Options struct {
 	// SelfURL they form a consistent-hash ring over the compile
 	// content-address space: a cache-and-store miss on a key owned by a peer
 	// is proxied to that peer so each unique design compiles once
-	// cluster-wide. Empty means standalone. Every node must be given the
+	// cluster-wide. Empty means standalone: a ring of SelfURL alone, which
+	// owns every key. Every node must be given the
 	// same membership (SelfURL may be included in Peers or not; it is added
 	// automatically).
 	Peers []string
@@ -123,7 +124,7 @@ type Server struct {
 	mux     *http.ServeMux
 	store   *store.Store
 	// cluster holds the consistent-hash ring, peer health, and the proxy
-	// client when Options.Peers is non-empty; nil for a standalone node.
+	// client; a node without peers is a ring of one that owns every key.
 	cluster *cluster
 	// artifactSem bounds concurrent /v1/artifact compiles (they run off the
 	// worker pool — see handleArtifact); a full semaphore sheds with 429.
@@ -163,23 +164,8 @@ func New(opts Options) *Server {
 	}
 	s.store.SetLoadCheck(store.SimStage, checkSimRecord)
 	warmed := s.warmCache()
-	if len(opts.Peers) > 0 && opts.SelfURL != "" {
-		s.cluster = newCluster(opts, s.metrics)
-		s.cluster.start()
-		s.metrics.Gauge("sarad_cluster_nodes", func() int64 {
-			return int64(len(s.cluster.ring.Nodes()))
-		})
-		s.metrics.Gauge("sarad_cluster_peers_healthy", func() int64 {
-			return int64(s.cluster.healthyPeers())
-		})
-		// The simulation-record funnel renders from the start, zeros included.
-		for _, name := range []string{
-			"sarad_artifact_sims_total", "sarad_artifact_sim_budget_exceeded_total",
-			"sarad_proxy_sim_records_total", "sarad_proxy_sim_records_rejected_total",
-		} {
-			s.metrics.Add(name, 0)
-		}
-	}
+	s.cluster = newCluster(opts, s.metrics)
+	s.cluster.start()
 	s.metrics.Gauge("sarad_queue_depth", func() int64 { return int64(s.pool.QueueDepth()) })
 	s.metrics.Gauge("sarad_workers_busy", func() int64 { return s.pool.Active() })
 	s.metrics.Gauge("sarad_cache_entries", func() int64 { return int64(s.cache.Stats().Entries) })
@@ -261,9 +247,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // up to ctx's deadline, then closes the design store. Call after
 // http.Server.Shutdown so no new work arrives while draining.
 func (s *Server) Close(ctx context.Context) error {
-	if s.cluster != nil {
-		s.cluster.stop()
-	}
+	s.cluster.stop()
 	if err := s.pool.Shutdown(ctx); err != nil {
 		return err
 	}
@@ -535,7 +519,7 @@ func cacheKey(req *RunRequest) (string, error) {
 
 // normalize validates the request, fills defaults and maps compile options
 // that compile alike onto one form (CompileOptionsJSON.canonical).
-func (s *Server) normalize(req *RunRequest) error {
+func (req *RunRequest) normalize() error {
 	switch {
 	case req.Workload == "" && req.Program == nil:
 		return errors.New("request needs a workload name or an inline program")
@@ -684,7 +668,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *Run
 	err := dec.Decode(req)
 	if err != nil {
 		err = fmt.Errorf("decoding request: %w", err)
-	} else if err = s.normalize(req); err == nil {
+	} else if err = req.normalize(); err == nil {
 		spec, err = specFor(req)
 	}
 	if err != nil {

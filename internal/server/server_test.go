@@ -418,12 +418,17 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output missing %q\n%s", want, text)
 		}
 	}
+	// A node without peers is a ring of one: it renders no cluster gauge, no
+	// routing or proxy traffic and no simulation-record funnel.
+	if got := clusterSeries(text); len(got) > 0 {
+		t.Errorf("peerless node renders %q", got)
+	}
 }
 
 func TestCacheKeyCanonicalization(t *testing.T) {
 	// Equivalent requests (defaults spelled out vs. omitted) share a key...
 	a := &RunRequest{Workload: "bs"}
-	if err := (&Server{opts: Options{}.withDefaults()}).normalize(a); err != nil {
+	if err := a.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	b := &RunRequest{Workload: "bs", Par: 16, Scale: 16, Engine: "analytic", TimeoutMS: 5000}

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"time"
 
+	"sara/internal/arch"
 	"sara/internal/core"
-	"sara/internal/ir"
 	"sara/internal/tune"
 )
 
@@ -98,13 +98,13 @@ func (s *Server) serveTune(w http.ResponseWriter, r *http.Request, req *RunReque
 			Workers:     s.opts.Workers,
 			MaxPoints:   maxPoints,
 			Store:       s.store,
-			Compile: func(p tune.Point, prog *ir.Program, cfg core.Config) (*core.Compiled, error) {
+			Compile: func(p tune.Point, spec *arch.Spec) (*core.Compiled, error) {
 				dreq := candidateRequest(req, p)
 				key, err := cacheKey(dreq)
 				if err != nil {
 					return nil, err
 				}
-				r, err := s.resolve(ctx, dreq, cfg.Spec, key, want{proxy: true})
+				r, err := s.resolve(ctx, dreq, spec, key, want{proxy: true})
 				if err != nil {
 					return nil, err
 				}

@@ -89,9 +89,12 @@ func (d *Design) edgeLatency(e *dfg.Edge) int {
 type Result struct {
 	// Cycles is the end-to-end runtime in accelerator cycles.
 	Cycles int64
-	// Engine names the engine that produced the result. It is not part of
-	// the JSON encoding, which is sarad's result-memo record: the record is
-	// one per design, and the served response names the event engine.
+	// Engine names the engine that produced the result. ResultJSON carries
+	// it, and ResultJSON is both the served result and sarad's result-memo
+	// record. The plain JSON encoding leaves it out; that encoding is served
+	// nowhere. It is the record format earlier builds stored, which
+	// TestMemoParentRecordNotServed plants, and what TestResultDigests hashes,
+	// so a digest pins the simulation and not the engine's name.
 	Engine string `json:"-"`
 	// BottleneckVU names the unit that bounds steady-state throughput.
 	BottleneckVU string

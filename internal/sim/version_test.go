@@ -17,8 +17,9 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/result_digests.
 const resultDigestsPath = "testdata/result_digests.json"
 
 // resultDigests pins what sarad's result memo would serve: the SHA-256 of the
-// JSON encoding of each workload's Result — the memo's record, which leaves
-// out the engine name — and the sim.Version they were recorded at.
+// plain JSON encoding of each workload's Result, which leaves out the engine
+// name (the memo's record, a sim.ResultJSON, is derived from it), and the
+// sim.Version they were recorded at.
 type resultDigests struct {
 	Version int               `json:"version"`
 	Digests map[string]string `json:"digests"`

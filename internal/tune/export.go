@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,12 +50,13 @@ var CSVHeader = []string{
 // WriteCSV renders every point as one CSV row in ID order, front membership
 // included, using the stable tie-broken ordering markFront established.
 func (r *Result) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(CSVHeader, ","))
-	sb.WriteByte('\n')
+	cw := csv.NewWriter(w)
+	if err := cw.Write(CSVHeader); err != nil {
+		return err
+	}
 	for i := range r.Points {
 		p := &r.Points[i]
-		cells := []string{
+		if err := cw.Write([]string{
 			strconv.Itoa(p.Point.ID), string(p.Status), strconv.Itoa(p.Point.Par), p.Point.Opt.Name,
 			strconv.Itoa(p.Point.NumPCU), strconv.Itoa(p.Point.NumPMU), strconv.Itoa(p.Point.NumAG),
 			strconv.Itoa(p.Point.DRAMChannels), strconv.Itoa(p.Point.Rows), strconv.Itoa(p.Point.Cols),
@@ -63,20 +65,13 @@ func (r *Result) WriteCSV(w io.Writer) error {
 			strconv.Itoa(p.PCU), strconv.Itoa(p.PMU), strconv.Itoa(p.AG), strconv.Itoa(p.Total),
 			p.Bottleneck, p.BottleneckCause, strconv.FormatInt(p.StallCycles, 10),
 			strconv.FormatBool(p.Pareto), strconv.Itoa(p.PrunedBy), strconv.Itoa(p.SharedWith),
-			csvEscape(p.Err),
+			p.Err,
+		}); err != nil {
+			return err
 		}
-		sb.WriteString(strings.Join(cells, ","))
-		sb.WriteByte('\n')
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
+	cw.Flush()
+	return cw.Error()
 }
 
 // RenderFront renders the Pareto front as a fixed-width table for terminal

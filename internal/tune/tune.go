@@ -26,15 +26,15 @@
 package tune
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sara/internal/arch"
 	"sara/internal/core"
-	"sara/internal/ir"
 	"sara/internal/profile"
 	"sara/internal/sim"
 	"sara/internal/store"
@@ -42,11 +42,13 @@ import (
 	"sara/internal/workloads"
 )
 
-// CompileFunc compiles one candidate. The default wires core.Compile through
-// the search's design store; sarad substitutes its cluster compile path
-// (LRU → store → ring-owner proxy → local). Implementations must be pure in
-// (prog, cfg): the search's bit-identity guarantee rests on it.
-type CompileFunc func(p Point, prog *ir.Program, cfg core.Config) (*core.Compiled, error)
+// CompileFunc compiles one candidate: the workload at p's factor and opt set,
+// on spec with placement skipped. The default builds the program and wires
+// core.Compile through the search's design store; sarad substitutes its
+// cluster compile path (LRU → store → ring-owner proxy → local).
+// Implementations must be pure in (p.Par, p.Opt, spec): the search's
+// bit-identity guarantee rests on it.
+type CompileFunc func(p Point, spec *arch.Spec) (*core.Compiled, error)
 
 // Options configures one search.
 type Options struct {
@@ -255,8 +257,9 @@ func Run(o Options) (*Result, error) {
 	}
 	compile := o.Compile
 	if compile == nil {
-		compile = func(p Point, prog *ir.Program, cfg core.Config) (*core.Compiled, error) {
-			return core.Compile(prog, cfg)
+		compile = func(p Point, spec *arch.Spec) (*core.Compiled, error) {
+			prog := w.Build(workloads.Params{Par: p.Par, Scale: o.Scale})
+			return core.Compile(prog, core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store})
 		}
 	}
 	if sz := o.Space.Size(); sz > o.MaxPoints {
@@ -292,8 +295,7 @@ func Run(o Options) (*Result, error) {
 		}
 		c.spec = spec
 		c.res.AtBaseArch = sameArchKnobs(spec, baseSpec)
-		cfg := core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
-		compiled, err := compile(p, w.Build(workloads.Params{Par: p.Par, Scale: o.Scale}), cfg)
+		compiled, err := compile(p, spec)
 		if err != nil {
 			c.res.Status, c.res.Err = StatusError, err.Error()
 			return nil
@@ -342,7 +344,7 @@ func Run(o Options) (*Result, error) {
 	// default par (falling back until it fits), all optimizations on, seed
 	// arch. It seeds the validated set, so clearly-dominated candidates
 	// prune against it from round one.
-	base, err := runBaseline(o, baseSpec, w, compile)
+	base, err := runBaseline(o, baseSpec, compile)
 	if err != nil {
 		return nil, err
 	}
@@ -494,38 +496,38 @@ func attribution(rec *profile.Recording) (name, cause string, stalls int64) {
 	return top[0].Name, c.String(), top[0].StallTotal()
 }
 
-// floorFront selects the validation wave: the (total, floor) Pareto front of
-// the pending leaders, lowest ID winning coordinate ties.
-func floorFront(cands []candidate, ids []int) []int {
-	sorted := append([]int(nil), ids...)
-	sort.Slice(sorted, func(a, b int) bool {
-		ca, cb := cands[sorted[a]].res, cands[sorted[b]].res
-		if ca.Total != cb.Total {
-			return ca.Total < cb.Total
-		}
-		if ca.FloorCycles != cb.FloorCycles {
-			return ca.FloorCycles < cb.FloorCycles
-		}
-		return sorted[a] < sorted[b]
+// Staircase returns the Pareto staircase of ids: sorted by (resources asc,
+// value asc, ID asc), each id whose value is strictly lower than that of
+// every id before it, in that order. A lower value is better. Coordinate
+// ties keep the lowest ID only, so the staircase is strict. The search's
+// validation waves and its front, and eval's Fig 9b, all read their fronts
+// off it.
+func Staircase[V cmp.Ordered](ids []int, resources func(id int) int, value func(id int) V) []int {
+	sorted := slices.Clone(ids)
+	slices.SortFunc(sorted, func(a, b int) int {
+		return cmp.Or(cmp.Compare(resources(a), resources(b)), cmp.Compare(value(a), value(b)), cmp.Compare(a, b))
 	})
-	var wave []int
-	best := int64(-1)
-	for _, i := range sorted {
-		f := cands[i].res.FloorCycles
-		if best < 0 || f < best {
-			wave = append(wave, i)
-			best = f
+	var front []int
+	for _, id := range sorted {
+		if len(front) == 0 || value(id) < value(front[len(front)-1]) {
+			front = append(front, id)
 		}
 	}
-	sort.Ints(wave)
+	return front
+}
+
+// floorFront selects the validation wave, in ID order: the (total, floor)
+// staircase of the pending leaders.
+func floorFront(cands []candidate, ids []int) []int {
+	wave := Staircase(ids, func(i int) int { return cands[i].res.Total },
+		func(i int) int64 { return cands[i].res.FloorCycles })
+	slices.Sort(wave)
 	return wave
 }
 
-// markFront computes the cycles-vs-resources Pareto front over validated
-// points: sorted by (total units asc, cycles asc, ID asc), a point is on the
-// front iff it strictly improves cycles over every point with no more units.
-// Coordinate ties keep the lowest ID only, so the front is a strict
-// staircase and the export is stable.
+// markFront marks the cycles-vs-resources Pareto front over validated
+// points: their (total, cycles) staircase, in staircase order, so the export
+// is stable.
 func markFront(res *Result) {
 	var ids []int
 	for i := range res.Points {
@@ -533,24 +535,10 @@ func markFront(res *Result) {
 			ids = append(ids, i)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		pa, pb := &res.Points[ids[a]], &res.Points[ids[b]]
-		if pa.Total != pb.Total {
-			return pa.Total < pb.Total
-		}
-		if pa.Cycles != pb.Cycles {
-			return pa.Cycles < pb.Cycles
-		}
-		return ids[a] < ids[b]
-	})
-	best := int64(-1)
-	for _, i := range ids {
-		p := &res.Points[i]
-		if best < 0 || p.Cycles < best {
-			p.Pareto = true
-			res.Front = append(res.Front, i)
-			best = p.Cycles
-		}
+	res.Front = Staircase(ids, func(i int) int { return res.Points[i].Total },
+		func(i int) int64 { return res.Points[i].Cycles })
+	for _, i := range res.Front {
+		res.Points[i].Pareto = true
 	}
 }
 
@@ -602,11 +590,9 @@ func (b *baselineRun) asBaseline() Baseline {
 
 // runBaseline compiles and measures the hand-picked reference point at the
 // largest factor core.CompileFit finds to fit, as the eval harness does.
-func runBaseline(o Options, spec *arch.Spec, w *workloads.Workload, compile CompileFunc) (*baselineRun, error) {
+func runBaseline(o Options, spec *arch.Spec, compile CompileFunc) (*baselineRun, error) {
 	c, par, err := core.CompileFit(o.BaselinePar, spec, func(par int) (*core.Compiled, error) {
-		p := Point{ID: -2, Par: par, Opt: NamedOptSets[0]}
-		cfg := core.Config{Spec: spec, Opt: p.Opt.Opts, SkipPlace: true, Memo: o.Store}
-		return compile(p, w.Build(workloads.Params{Par: par, Scale: o.Scale}), cfg)
+		return compile(Point{ID: -2, Par: par, Opt: NamedOptSets[0]}, spec)
 	})
 	var sr *sim.Result
 	var rec *profile.Recording
